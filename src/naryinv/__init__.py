@@ -3,18 +3,17 @@
 Counts linearly independent homogeneous invariants, and more generally the
 multiplicities of highest weights, in the graded coefficient algebra of an
 n-ary form of degree d.  Everything is exact integer arithmetic: the main
-route is a parity-signed sum of weight-multiplicity counts over a Weyl
-orbit, a truncated generating series provides a second route to the same
-numbers, and the :mod:`naryinv.oracles` module holds fully independent
-verification paths (brute-force character tallies, Freudenthal
-multiplicities with greedy stripping, and the classical bounded-partition
-count for binary forms).
+route is a parity-signed sum of weight multiplicities over a Weyl orbit,
+each multiplicity one coefficient of a truncated generating series that a
+single packed-moment expansion computes, and the :mod:`naryinv.oracles`
+module holds fully independent verification paths (brute-force character
+tallies, Freudenthal multiplicities with greedy stripping, and the
+classical bounded-partition count for binary forms).
 """
 
 from .counting import (
     CountCache,
     cache_from_env,
-    count_solutions,
     moment_targets,
     weight_multiplicity,
 )
@@ -22,9 +21,8 @@ from .dimensions import (
     hilbert_series_prefix,
     highest_weight_multiplicity,
     invariant_dimension,
-    ternary_invariant_dimension,
 )
-from .errors import ResourceLimitError, TruncationError
+from .errors import InternalError, ResourceLimitError, TruncationError
 from .forms import (
     MultiIndex,
     coefficient_weight,
@@ -37,7 +35,6 @@ from .series import (
     dump_series,
     expand_generating_series,
     invariant_dimension_by_series,
-    moment_shift,
 )
 from .weights import (
     SignedOrbitTerm,
@@ -54,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CountCache",
+    "InternalError",
     "MultiIndex",
     "ResourceLimitError",
     "SignedOrbitTerm",
@@ -62,7 +60,6 @@ __all__ = [
     "Weight",
     "cache_from_env",
     "coefficient_weight",
-    "count_solutions",
     "dominant_representative",
     "dump_series",
     "enumerate_indices",
@@ -73,12 +70,10 @@ __all__ = [
     "index_count",
     "invariant_dimension",
     "invariant_dimension_by_series",
-    "moment_shift",
     "moment_targets",
     "monomial_weight",
     "oracles",
     "signed_orbit_terms",
-    "ternary_invariant_dimension",
     "to_ambient",
     "weight_multiplicity",
     "weyl_vector",

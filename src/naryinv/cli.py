@@ -13,12 +13,13 @@ Subcommands::
 Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``.
 Common flags: ``--format plain|json|csv`` (default plain), ``--cache``
 (enable the on-disk memo rooted at ``$NARY_CACHE_DIR``), ``--limit-states N``
-(cap on dynamic-programming states).  Results are always printed as decimal
-strings; they can exceed 64 bits.  Diagnostics go to stderr, results to
-stdout.
+(cap on the terms a series expansion stores, at least 1).  Results are
+always printed as decimal strings; they can exceed 64 bits.  Diagnostics go
+to stderr, results to stdout.
 
 Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
-4 oracle disagreement (from ``check``).
+4 oracle disagreement (from ``check``), 5 internal error (a result broke
+an invariant that holds for every valid input: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -29,21 +30,16 @@ import json
 import sys
 import time
 
-from .counting import (
-    MAX_DP_STATES,
-    CountCache,
-    cache_from_env,
-    weight_multiplicity,
-)
+from .counting import CountCache, cache_from_env, weight_multiplicity
 from .dimensions import (
     highest_weight_multiplicity,
     hilbert_series_prefix,
     invariant_dimension,
-    ternary_invariant_dimension,
 )
-from .errors import ResourceLimitError
+from .errors import InternalError, ResourceLimitError, check_params
 from .oracles import binary_invariant_dimension, brute_character, strip_decompose
 from .series import (
+    MAX_TERMS,
     dump_series,
     expand_generating_series,
     invariant_dimension_by_series,
@@ -54,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
+EXIT_INTERNAL = 5
 
 CSV_HEADER = ["n", "d", "k", "mu_or_lambda", "result", "method"]
 
@@ -153,52 +150,26 @@ def _open_cache(enabled: bool) -> CountCache | None:
     return cache
 
 
-def cmd_nu(args, out) -> int:
-    cache = _open_cache(args.cache)
-    value, ms = _timed(
-        lambda: invariant_dimension(
-            args.n, args.d, args.k, max_states=args.limit_states, cache=cache
-        )
-    )
-    _emit_records(
-        [_record(args.n, args.d, args.k, None, value, "theorem1", ms)],
-        args.format,
-        out,
-    )
-    return EXIT_OK
+def cmd_point(args, out) -> int:
+    """``nu``, ``gamma`` and ``count``: one value at one ``(n, d, k)``."""
+    query = (args.n, args.d, args.k)
+    weight = None
+    if args.command == "gamma":
+        weight = parse_weight(args.highest, args.n, "--lambda")
+    elif args.command == "count":
+        weight = parse_weight(args.mu, args.n, "--mu")
+    options = {"max_terms": args.limit_states, "cache": _open_cache(args.cache)}
 
+    def run():
+        if args.command == "nu":
+            return invariant_dimension(*query, **options)
+        if args.command == "gamma":
+            return highest_weight_multiplicity(*query, weight, **options)
+        return weight_multiplicity(*query, weight, **options)
 
-def cmd_gamma(args, out) -> int:
-    highest = parse_weight(args.highest, args.n, "--lambda")
-    cache = _open_cache(args.cache)
-    value, ms = _timed(
-        lambda: highest_weight_multiplicity(
-            args.n, args.d, args.k, highest,
-            max_states=args.limit_states, cache=cache,
-        )
-    )
-    _emit_records(
-        [_record(args.n, args.d, args.k, highest, value, "theorem2", ms)],
-        args.format,
-        out,
-    )
-    return EXIT_OK
-
-
-def cmd_count(args, out) -> int:
-    weight = parse_weight(args.mu, args.n, "--mu")
-    cache = _open_cache(args.cache)
-    value, ms = _timed(
-        lambda: weight_multiplicity(
-            args.n, args.d, args.k, weight,
-            max_states=args.limit_states, cache=cache,
-        )
-    )
-    _emit_records(
-        [_record(args.n, args.d, args.k, weight, value, "counting", ms)],
-        args.format,
-        out,
-    )
+    value, ms = _timed(run)
+    method = {"nu": "theorem1", "gamma": "theorem2", "count": "counting"}[args.command]
+    _emit_records([_record(*query, weight, value, method, ms)], args.format, out)
     return EXIT_OK
 
 
@@ -232,7 +203,7 @@ def cmd_table(args, out) -> int:
     cache = _open_cache(args.cache)
     start = time.perf_counter()
     values = hilbert_series_prefix(
-        args.n, args.d, args.kmax, max_states=args.limit_states, cache=cache
+        args.n, args.d, args.kmax, max_terms=args.limit_states, cache=cache
     )
     ms = (time.perf_counter() - start) * 1000.0 / max(len(values), 1)
     records = [
@@ -245,7 +216,9 @@ def cmd_table(args, out) -> int:
 
 def cmd_series(args, out) -> int:
     def run():
-        series = expand_generating_series(args.n, args.d, args.k)
+        series = expand_generating_series(
+            args.n, args.d, args.k, max_terms=args.limit_states
+        )
         value = invariant_dimension_by_series(args.n, args.d, args.k, series)
         return series, value
 
@@ -268,26 +241,20 @@ def cmd_check(args, out) -> int:
     n, d = args.n, args.d
     records = []
     disagreements = []
-    series = expand_generating_series(n, d, args.kmax)
+    series = expand_generating_series(n, d, args.kmax, max_terms=args.limit_states)
     for k in range(args.kmax + 1):
         start = time.perf_counter()
-        main = invariant_dimension(n, d, k, max_states=args.limit_states, cache=cache)
+        main = invariant_dimension(
+            n, d, k, max_terms=args.limit_states, cache=cache, series=series
+        )
         ms = (time.perf_counter() - start) * 1000.0
-        others = {}
-        others["series"], _ = _timed(
-            lambda: invariant_dimension_by_series(n, d, k, series)
-        )
-        others["stripping"], _ = _timed(
-            lambda: strip_decompose(brute_character(n, d, k)).get((0,) * (n - 1), 0)
-        )
+        stripped = strip_decompose(brute_character(n, d, k))
+        others = {
+            "series": invariant_dimension_by_series(n, d, k, series),
+            "stripping": stripped.get((0,) * (n - 1), 0),
+        }
         if n == 2:
-            others["classical-binary"], _ = _timed(
-                lambda: binary_invariant_dimension(d, k)
-            )
-        if n == 3:
-            others["ternary"], _ = _timed(
-                lambda: ternary_invariant_dimension(d, k, max_states=args.limit_states)
-            )
+            others["classical-binary"] = binary_invariant_dimension(d, k)
         records.append(_record(n, d, k, None, main, "theorem1", ms))
         for method, value in others.items():
             records.append(_record(n, d, k, None, value, method, 0.0))
@@ -324,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoise weight multiplicities under $NARY_CACHE_DIR",
     )
     common.add_argument(
-        "--limit-states", type=int, default=MAX_DP_STATES, metavar="N",
-        help="cap on dynamic-programming states",
+        "--limit-states", type=int, default=MAX_TERMS, metavar="N",
+        help="cap on the terms a series expansion stores",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 HANDLERS = {
-    "nu": cmd_nu,
-    "gamma": cmd_gamma,
-    "count": cmd_count,
+    "nu": cmd_point,
+    "gamma": cmd_point,
+    "count": cmd_point,
     "orbit": cmd_orbit,
     "table": cmd_table,
     "series": cmd_series,
@@ -377,10 +344,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        check_params(args.n, max_terms=args.limit_states)
         return HANDLERS[args.command](args, out)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,13 @@
-"""Exact counting of coefficient monomials with a prescribed weight.
+"""Weight multiplicities of the coefficient monomials.
 
 A degree-``k`` monomial in the form's coefficients is a multiset of ``k``
 indices; its *moments* are the coordinatewise sums of those indices.  The
 weight of the monomial is a fixed affine function of its moments, so each
 weight corresponds to at most one moment-target vector, and the number of
-monomials of a given weight is the number of nonnegative integer solutions
-of the resulting system.  That count is computed by exact dynamic
-programming over the index set, with arbitrary-precision accumulation.
+monomials of a given weight is one coefficient of the generating series
+expanded in :mod:`naryinv.series`.  The weights one query needs are read
+off a single expansion, capped at the largest targets among them.  An
+optional on-disk cache memoises the counts.
 """
 
 from __future__ import annotations
@@ -15,21 +16,12 @@ import json
 import os
 from typing import Iterable
 
-from .errors import ResourceLimitError
-from .forms import enumerate_indices
+from .errors import check_params
+from .series import MAX_TERMS, TruncatedSeries, expand_generating_series
 from .weights import Weight, check_weight
-
-MAX_DP_STATES = 100_000_000
 
 CACHE_ENV_VAR = "NARY_CACHE_DIR"
 CACHE_FILENAME = "weight-counts.jsonl"
-
-
-def _check_degrees(d: int, k: int) -> None:
-    if d < 1:
-        raise ValueError(f"form degree d must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"monomial degree k must be >= 0, got {k}")
 
 
 def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
@@ -46,7 +38,7 @@ def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
     or not.
     """
     w = check_weight(n, weight)
-    _check_degrees(d, k)
+    check_params(n, d, k)
     weighted = sum((r + 1) * m for r, m in enumerate(w))
     base = k * d - weighted
     if base % n:
@@ -65,58 +57,48 @@ def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
     return tuple(targets)
 
 
-def count_solutions(
+def weight_counts(
     n: int,
     d: int,
     k: int,
-    targets: Iterable[int],
-    max_states: int = MAX_DP_STATES,
-) -> int:
-    """Number of index multisets of size ``k`` hitting the moment targets.
+    weights: Iterable[Weight],
+    max_terms: int = MAX_TERMS,
+    cache: "CountCache | None" = None,
+    series: TruncatedSeries | None = None,
+) -> dict[Weight, int]:
+    """Multiplicities of the feasible ``weights`` among degree-``k`` monomials.
 
-    Dynamic programming over the lexicographic index list; a state is the
-    pair (remaining degree, remaining target vector).  States whose targets
-    cannot be met by the indices still ahead are dropped.  Raises
-    :class:`ResourceLimitError` if the live state count ever exceeds
-    ``max_states``.
+    Weights whose moment system has no solution are left out: their
+    multiplicity is 0.  The others come from ``cache`` when it holds them,
+    otherwise from ``series`` or, without one, from one expansion capped at
+    the coordinatewise maximum of their targets; computed values are added
+    to ``cache``.
     """
-    t0 = tuple(targets)
-    _check_degrees(d, k)
-    m = n - 1
-    if len(t0) != m:
-        raise ValueError(f"targets must have length n - 1 = {m}, got {len(t0)}")
-    if any(t < 0 for t in t0):
-        return 0
-    indices = enumerate_indices(n, d)
-    # future_max[p][s]: largest entry s among indices from position p on
-    future_max = [(0,) * m]
-    for idx in reversed(indices):
-        prev = future_max[-1]
-        future_max.append(tuple(max(prev[s], idx[s]) for s in range(m)))
-    future_max.reverse()
-
-    states: dict[tuple[int, tuple[int, ...]], int] = {(k, t0): 1}
-    for pos, idx in enumerate(indices):
-        ahead = future_max[pos + 1]
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (r, t), ways in states.items():
-            top = r
-            for s in range(m):
-                if idx[s]:
-                    top = min(top, t[s] // idx[s])
-            for mult in range(top + 1):
-                rr = r - mult
-                tt = tuple(t[s] - mult * idx[s] for s in range(m))
-                if any(tt[s] > rr * ahead[s] for s in range(m)):
-                    continue
-                key = (rr, tt)
-                nxt[key] = nxt.get(key, 0) + ways
-            if len(nxt) > max_states:
-                raise ResourceLimitError(
-                    f"solution-count DP exceeded {max_states} states"
-                )
-        states = nxt
-    return states.get((0, (0,) * m), 0)
+    check_params(n, d, k, max_terms)
+    if series is not None and (series.n, series.d) != (n, d):
+        raise ValueError(
+            f"series was built for (n={series.n}, d={series.d}), "
+            f"queried with (n={n}, d={d})"
+        )
+    counts: dict[Weight, int] = {}
+    missing: dict[Weight, tuple[int, ...]] = {}
+    for w in weights:
+        targets = moment_targets(n, d, k, w)
+        if targets is None:
+            continue
+        hit = cache.get(n, d, k, w) if cache is not None else None
+        if hit is None:
+            missing[w] = targets
+        else:
+            counts[w] = hit
+    if missing and series is None:
+        caps = [max(column) for column in zip(*missing.values())]
+        series = expand_generating_series(n, d, k, max_terms, caps)
+    for w, targets in missing.items():
+        counts[w] = series.coefficient(k, targets)
+        if cache is not None:
+            cache.put(n, d, k, w, counts[w])
+    return counts
 
 
 def weight_multiplicity(
@@ -124,7 +106,7 @@ def weight_multiplicity(
     d: int,
     k: int,
     weight,
-    max_states: int = MAX_DP_STATES,
+    max_terms: int = MAX_TERMS,
     cache: "CountCache | None" = None,
 ) -> int:
     """Number of degree-``k`` coefficient monomials of the given weight.
@@ -134,17 +116,7 @@ def weight_multiplicity(
     coefficient space.
     """
     w = check_weight(n, weight)
-    targets = moment_targets(n, d, k, w)
-    if targets is None:
-        return 0
-    if cache is not None:
-        hit = cache.get(n, d, k, w)
-        if hit is not None:
-            return hit
-    value = count_solutions(n, d, k, targets, max_states=max_states)
-    if cache is not None:
-        cache.put(n, d, k, w, value)
-    return value
+    return weight_counts(n, d, k, [w], max_terms, cache).get(w, 0)
 
 
 class CountCache:

@@ -1,47 +1,18 @@
 """Dimension counts for invariants and semi-invariants of n-ary forms.
 
-All results are exact nonnegative integers: the dimension of the space of
-degree-``k`` invariants is a parity-signed sum of weight multiplicities
-over the Weyl orbit of the half-sum of positive roots, and shifting that
-orbit by a dominant weight counts the independent highest-weight vectors
-(semi-invariants) of that weight instead.
+All results are exact nonnegative integers: the number of independent
+highest-weight vectors (semi-invariants) of a dominant weight in degree
+``k`` is a parity-signed sum of weight multiplicities over the Weyl orbit
+of the half-sum of positive roots, shifted by that weight.  The invariant
+dimension is the case of the zero weight.
 """
 
 from __future__ import annotations
 
-from .counting import MAX_DP_STATES, CountCache, weight_multiplicity
-from .weights import Weight, check_weight, signed_orbit_terms
-
-
-def _check_query(n: int, d: int, k: int) -> None:
-    if n < 2:
-        raise ValueError(f"rank parameter n must be >= 2, got {n}")
-    if d < 1:
-        raise ValueError(f"form degree d must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"monomial degree k must be >= 0, got {k}")
-
-
-def invariant_dimension(
-    n: int,
-    d: int,
-    k: int,
-    max_states: int = MAX_DP_STATES,
-    cache: CountCache | None = None,
-) -> int:
-    """Number of linearly independent degree-``k`` invariants of the form."""
-    _check_query(n, d, k)
-    total = 0
-    for dominant, coef in signed_orbit_terms(n):
-        total += coef * weight_multiplicity(
-            n, d, k, dominant, max_states=max_states, cache=cache
-        )
-    if total < 0:
-        raise AssertionError(
-            f"negative invariant dimension {total} for (n={n}, d={d}, k={k}); "
-            "this indicates a sign-convention bug"
-        )
-    return total
+from .counting import CountCache, weight_counts
+from .errors import InternalError, check_params
+from .series import MAX_TERMS, TruncatedSeries, expand_generating_series
+from .weights import check_dominant, signed_orbit_terms
 
 
 def highest_weight_multiplicity(
@@ -49,74 +20,57 @@ def highest_weight_multiplicity(
     d: int,
     k: int,
     highest,
-    max_states: int = MAX_DP_STATES,
+    max_terms: int = MAX_TERMS,
     cache: CountCache | None = None,
+    series: TruncatedSeries | None = None,
 ) -> int:
     """Multiplicity of the irreducible with the given dominant highest weight
     in the degree-``k`` piece of the coefficient algebra.
 
     Equals the number of linearly independent semi-invariants of that weight
-    and degree.  At the zero weight this reduces to
-    :func:`invariant_dimension`.
+    and degree.  All orbit terms are counted from one expansion (or read off
+    ``series`` when given).
     """
-    _check_query(n, d, k)
-    w = check_weight(n, highest, "highest weight")
-    if any(x < 0 for x in w):
-        raise ValueError(f"highest weight must be dominant, got {w}")
-    total = 0
-    for dominant, coef in signed_orbit_terms(n, shift=w):
-        total += coef * weight_multiplicity(
-            n, d, k, dominant, max_states=max_states, cache=cache
-        )
+    check_params(n, d, k, max_terms)
+    w = check_dominant(n, highest)
+    terms = signed_orbit_terms(n, shift=w)
+    counts = weight_counts(
+        n, d, k, [t.dominant for t in terms], max_terms, cache, series
+    )
+    total = sum(coef * counts.get(dominant, 0) for dominant, coef in terms)
     if total < 0:
-        raise AssertionError(
+        raise InternalError(
             f"negative multiplicity {total} for (n={n}, d={d}, k={k}, "
             f"highest={w}); this indicates a sign-convention bug"
         )
     return total
 
 
-#: the aggregated signed orbit terms for n = 3, in presentation order
-TERNARY_TERMS: tuple[tuple[Weight, int], ...] = (
-    ((0, 0), 1),
-    ((1, 1), -2),
-    ((2, 2), -1),
-    ((0, 3), 1),
-    ((3, 0), 1),
-)
-
-
-def ternary_invariant_dimension(
+def invariant_dimension(
+    n: int,
     d: int,
     k: int,
-    max_states: int = MAX_DP_STATES,
+    max_terms: int = MAX_TERMS,
     cache: CountCache | None = None,
+    series: TruncatedSeries | None = None,
 ) -> int:
-    """Five-term specialisation of :func:`invariant_dimension` at n = 3."""
-    _check_query(3, d, k)
-    total = 0
-    for dominant, coef in TERNARY_TERMS:
-        total += coef * weight_multiplicity(
-            3, d, k, dominant, max_states=max_states, cache=cache
-        )
-    if total < 0:
-        raise AssertionError(
-            f"negative ternary invariant dimension {total} for (d={d}, k={k})"
-        )
-    return total
+    """Number of linearly independent degree-``k`` invariants of the form:
+    the highest-weight multiplicity at the zero weight."""
+    zero = (0,) * (n - 1)
+    return highest_weight_multiplicity(n, d, k, zero, max_terms, cache, series)
 
 
 def hilbert_series_prefix(
     n: int,
     d: int,
     k_max: int,
-    max_states: int = MAX_DP_STATES,
+    max_terms: int = MAX_TERMS,
     cache: CountCache | None = None,
 ) -> list[int]:
-    """Graded invariant dimensions ``[dim_0, dim_1, ..., dim_k_max]``."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    """Graded invariant dimensions ``[dim_0, dim_1, ..., dim_k_max]``, all
+    read off one expansion."""
+    series = expand_generating_series(n, d, k_max, max_terms)
     return [
-        invariant_dimension(n, d, k, max_states=max_states, cache=cache)
+        invariant_dimension(n, d, k, max_terms, cache, series)
         for k in range(k_max + 1)
     ]

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions and the parameter validator shared across the package."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -7,3 +7,29 @@ class ResourceLimitError(RuntimeError):
 
 class TruncationError(ValueError):
     """A series coefficient beyond the truncation order was requested."""
+
+
+class InternalError(RuntimeError):
+    """A result broke an invariant that holds for every valid input.
+
+    Raised instead of ``assert`` so the check survives ``python -O``; it
+    means the code, not the input, is at fault.
+    """
+
+
+def check_params(
+    n: int,
+    d: int | None = None,
+    k: int | None = None,
+    max_terms: int | None = None,
+) -> None:
+    """Reject an out-of-range rank, form degree, monomial degree or term
+    bound with a :class:`ValueError`; ``None`` skips that parameter."""
+    if n < 2:
+        raise ValueError(f"rank parameter n must be >= 2, got {n}")
+    if d is not None and d < 1:
+        raise ValueError(f"form degree d must be >= 1, got {d}")
+    if k is not None and k < 0:
+        raise ValueError(f"monomial degree k must be >= 0, got {k}")
+    if max_terms is not None and max_terms < 1:
+        raise ValueError(f"term limit must be >= 1, got {max_terms}")

@@ -12,18 +12,12 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import ResourceLimitError
-from .weights import Weight, check_rank
+from .errors import ResourceLimitError, check_params
+from .weights import Weight
 
 MultiIndex = tuple[int, ...]
 
 MAX_INDEX_COUNT = 10_000_000
-
-
-def _check_params(n: int, d: int) -> None:
-    check_rank(n)
-    if d < 1:
-        raise ValueError(f"form degree d must be >= 1, got {d}")
 
 
 def _check_index(n: int, d: int, index) -> MultiIndex:
@@ -37,7 +31,7 @@ def _check_index(n: int, d: int, index) -> MultiIndex:
 
 def index_count(n: int, d: int) -> int:
     """Number of coefficient indices: binomial(n - 1 + d, n - 1)."""
-    _check_params(n, d)
+    check_params(n, d)
     return math.comb(n - 1 + d, n - 1)
 
 
@@ -45,7 +39,7 @@ def enumerate_indices(
     n: int, d: int, max_count: int = MAX_INDEX_COUNT
 ) -> list[MultiIndex]:
     """All coefficient indices with ``|i| <= d``, in lexicographic order."""
-    _check_params(n, d)
+    check_params(n, d)
     total = index_count(n, d)
     if total > max_count:
         raise ResourceLimitError(
@@ -74,7 +68,7 @@ def coefficient_weight(n: int, d: int, index) -> Weight:
     through ``i_{n-2} - i_{n-1}``.  The index ``(0, ..., 0)`` carries the
     highest weight ``(d, 0, ..., 0)``.
     """
-    _check_params(n, d)
+    check_params(n, d)
     i = _check_index(n, d, index)
     return weight_from_moments(n, d, 1, i)
 
@@ -85,7 +79,7 @@ def monomial_weight(n: int, d: int, exponent: Mapping[MultiIndex, int]) -> Weigh
     Additive: equals the exponent-weighted sum of :func:`coefficient_weight`
     over the support.  An empty exponent (degree 0) gives the zero weight.
     """
-    _check_params(n, d)
+    check_params(n, d)
     moments = [0] * (n - 1)
     for index, e in exponent.items():
         i = _check_index(n, d, index)

@@ -15,10 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import ResourceLimitError
+from .errors import InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
 from .weights import (
     Weight,
+    check_dominant,
     check_weight,
     from_ambient,
     signed_orbit_terms,
@@ -54,8 +55,7 @@ def brute_character(
     Exhaustive enumeration of all index multisets of size ``k``; the total
     mass of the table is the full symmetric-power dimension.
     """
-    if k < 0:
-        raise ValueError(f"monomial degree k must be >= 0, got {k}")
+    check_params(n, d, k)
     total = symmetric_power_dimension(n, d, k)
     if total > max_monomials:
         raise ResourceLimitError(
@@ -72,13 +72,6 @@ def brute_character(
         w = weight_from_moments(n, d, k, moments)
         table[w] = table.get(w, 0) + 1
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
-
-
-def _check_dominant(n: int, highest) -> Weight:
-    w = check_weight(n, highest, "highest weight")
-    if any(x < 0 for x in w):
-        raise ValueError(f"highest weight must be dominant, got {w}")
-    return w
 
 
 def _descending_ambient(weight: Weight) -> tuple[int, ...]:
@@ -158,7 +151,7 @@ def _dominant_multiplicity_table(
         denominator = top_norm - norm2(tuple(q[t] + rho[t] for t in range(n)))
         value, remainder = divmod(2 * n * numerator, denominator)
         if remainder or value <= 0:
-            raise AssertionError(
+            raise InternalError(
                 f"Freudenthal recursion produced a non-integer or nonpositive "
                 f"multiplicity at {q} in module {highest}"
             )
@@ -169,7 +162,7 @@ def _dominant_multiplicity_table(
 def freudenthal_multiplicity(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
     dominant highest weight; 0 for weights outside the module."""
-    top_weight = _check_dominant(n, highest)
+    top_weight = check_dominant(n, highest)
     table = _dominant_multiplicity_table(n, top_weight)
     q = _descending_ambient(check_weight(n, weight))
     gap = sum(_descending_ambient(top_weight)) - sum(q)
@@ -184,7 +177,7 @@ def alternating_multiplicity_sum(n: int, highest) -> int:
     """Parity-signed sum of the module's multiplicities over the dominant
     orbit-difference weights; equals 1 for the zero highest weight and 0
     for every other dominant weight."""
-    w = _check_dominant(n, highest)
+    w = check_dominant(n, highest)
     return sum(
         coef * freudenthal_multiplicity(n, w, dominant)
         for dominant, coef in signed_orbit_terms(n)
@@ -193,7 +186,7 @@ def alternating_multiplicity_sum(n: int, highest) -> int:
 
 def weyl_dimension(n: int, highest) -> int:
     """Dimension of the irreducible module, by the product formula."""
-    w = _check_dominant(n, highest)
+    w = check_dominant(n, highest)
     shifted = [a + t for t, a in enumerate(to_ambient(w))]
     numerator = 1
     denominator = 1
@@ -202,7 +195,10 @@ def weyl_dimension(n: int, highest) -> int:
             numerator *= shifted[b] - shifted[a]
             denominator *= b - a
     value, remainder = divmod(numerator, denominator)
-    assert remainder == 0
+    if remainder:
+        raise InternalError(
+            f"Weyl dimension formula gave {numerator}/{denominator} for {w}"
+        )
     return value
 
 
@@ -233,7 +229,7 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
         if count == 0:
             continue
         if count < 0:
-            raise AssertionError(
+            raise InternalError(
                 f"negative remaining multiplicity {count} at {w} while stripping"
             )
         out[w] = count
@@ -242,11 +238,13 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
             target = from_ambient(tuple(sorted(q)))
             left = remaining.get(target, 0) - count * mult
             if left < 0:
-                raise AssertionError(
+                raise InternalError(
                     f"stripping {w} drove the multiplicity at {target} to {left}"
                 )
             remaining[target] = left
-    assert all(v == 0 for v in remaining.values())
+    leftover = {w: v for w, v in remaining.items() if v}
+    if leftover:
+        raise InternalError(f"stripping left multiplicities {leftover} unexplained")
     return out
 
 
@@ -256,12 +254,9 @@ def binary_invariant_dimension(d: int, k: int) -> int:
     Zero when ``k * d`` is odd; otherwise the number of partitions of
     ``k*d/2`` fitting in a ``k`` by ``d`` box minus the number for
     ``k*d/2 - 1``.  Uses its own partition recursion, independent of the
-    moment-system dynamic programming.
+    generating-series expansion.
     """
-    if d < 1:
-        raise ValueError(f"form degree d must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"monomial degree k must be >= 0, got {k}")
+    check_params(2, d, k)
     if (k * d) % 2:
         return 0
     half = k * d // 2

@@ -1,62 +1,112 @@
-"""Generating-series route to the same counts.
+"""The generating series of the coefficient monomials: the counting engine.
 
 The coefficient monomials of the form, graded by (degree, moment vector),
 have the multigraded generating series
 
     prod over indices i of 1 / (1 - t * q^i)
 
-where ``q^i`` tracks the moment contribution of index ``i``.  Expanding the
-product up to a degree bound in ``t`` tabulates every weight multiplicity
-at once, giving a computation path independent of the dynamic-programming
-count.  Exponent bookkeeping is done directly in integer moment space; the
-rational shift relating a weight to its extraction point is carried
-explicitly and checked for integrality.
+where ``q^i`` tracks the moment contribution of index ``i``.  Every weight
+multiplicity is one coefficient of this product, and
+:func:`expand_generating_series` is the one function that expands it:
+point queries expand it once, capped at the largest moments they read,
+and multi-degree queries read every degree off one expansion.
+
+This module owns the storage format.  A moment vector is packed into one
+int: component ``s`` sits in a field of ``width`` bits, biased so that it
+reads ``2**width - 1`` exactly at its cap, with one guard bit above the
+field.  Multiplying in index ``i`` adds a fixed offset to the key, and a
+key with any guard bit set has some moment past its cap.  Only
+:meth:`TruncatedSeries.coefficient`, :attr:`TruncatedSeries.coefficients`
+and :func:`dump_series` see unpacked vectors.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import IO, Iterable
 
-from .errors import ResourceLimitError, TruncationError
+from .errors import ResourceLimitError, TruncationError, check_params
 from .forms import enumerate_indices
-from .weights import check_weight, signed_orbit_terms
 
-MAX_SERIES_TERMS = 5_000_000
+#: the one bound on stored terms, for every expansion
+MAX_TERMS = 5_000_000
+
+
+def _layout(d: int, caps: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(stride, zero key, guard mask)`` of the packing for these caps.
+
+    A field is wide enough to hold every cap, and to take one index entry
+    (at most ``d``) on top of a value at its cap without carrying past its
+    guard bit.
+    """
+    width = max(max(caps), d).bit_length()
+    stride = width + 1
+    top = (1 << width) - 1
+    zero = sum((top - c) << (s * stride) for s, c in enumerate(caps))
+    guard = sum(1 << (s * stride + width) for s in range(len(caps)))
+    return stride, zero, guard
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Sparse truncated expansion of the coefficient generating series.
 
-    ``coefficients`` maps ``(degree in t, moment vector)`` to an exact
-    integer count.  Only degrees up to ``degree_bound`` are stored; every
-    stored moment component lies in ``[0, d * degree_bound]``.
+    ``layers[k]`` maps packed moment vectors of degree-``k`` monomials to
+    exact counts, for ``k`` up to ``degree_bound``.  Moment ``s`` is kept
+    only up to ``caps[s]``; an uncapped expansion has every cap at
+    ``d * degree_bound``, above which no moment of a stored degree reaches.
     """
 
     n: int
     d: int
     degree_bound: int
-    coefficients: dict[tuple[int, tuple[int, ...]], int] = field(repr=False)
+    caps: tuple[int, ...]
+    layers: tuple[dict[int, int], ...] = field(repr=False)
 
     def coefficient(self, k: int, moments: Iterable[int]) -> int:
-        """Stored coefficient at ``t^k q^moments`` (0 if absent)."""
+        """Coefficient at ``t^k q^moments`` (0 if no monomial has them).
+
+        Raises :class:`TruncationError` for a degree beyond the bound, or a
+        moment that a degree-``k`` monomial can reach but the caps dropped.
+        """
         if k < 0:
             raise ValueError(f"degree k must be >= 0, got {k}")
         if k > self.degree_bound:
             raise TruncationError(
                 f"degree {k} beyond truncation bound {self.degree_bound}"
             )
-        return self.coefficients.get((k, tuple(moments)), 0)
+        m = tuple(moments)
+        if len(m) != self.n - 1:
+            raise ValueError(f"moments must have length n - 1 = {self.n - 1}, got {len(m)}")
+        if any(x < 0 or x > self.d * k for x in m):
+            return 0
+        if any(x > c for x, c in zip(m, self.caps)):
+            raise TruncationError(f"moments {m} beyond the expansion caps {self.caps}")
+        stride, zero, _ = _layout(self.d, self.caps)
+        key = zero + sum(x << (s * stride) for s, x in enumerate(m))
+        return self.layers[k].get(key, 0)
+
+    @functools.cached_property
+    def coefficients(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """Every stored coefficient, keyed by ``(degree, moment vector)``."""
+        stride, zero, _ = _layout(self.d, self.caps)
+        mask = (1 << stride) - 1
+        shifts = [s * stride for s in range(self.n - 1)]
+        return {
+            (k, tuple(((key - zero) >> shift) & mask for shift in shifts)): value
+            for k, layer in enumerate(self.layers)
+            for key, value in layer.items()
+        }
 
 
 def expand_generating_series(
     n: int,
     d: int,
     degree_bound: int,
-    max_terms: int = MAX_SERIES_TERMS,
+    max_terms: int = MAX_TERMS,
+    caps: Iterable[int] | None = None,
 ) -> TruncatedSeries:
     """Expand the product of geometric series up to ``t^degree_bound``.
 
@@ -65,49 +115,41 @@ def expand_generating_series(
 
         ``new[k][m] = old[k][m] + new[k - 1][m - i]``
 
-    which is realised in place by sweeping ``k`` upward.  Raises
-    :class:`ResourceLimitError` if the coefficient table would exceed
-    ``max_terms`` entries.
+    which is realised in place by sweeping ``k`` upward.  With ``caps``, a
+    term with some moment ``s`` above ``caps[s]`` is dropped as soon as it
+    appears: moments only grow as factors are multiplied in, so a dropped
+    term never feeds a kept one.  Raises :class:`ResourceLimitError` once
+    more than ``max_terms`` terms are stored.
     """
-    if degree_bound < 0:
-        raise ValueError(f"degree_bound must be >= 0, got {degree_bound}")
-    zero = (0,) * (n - 1)
-    layers: list[dict[tuple[int, ...], int]] = [
-        {} for _ in range(degree_bound + 1)
-    ]
+    check_params(n, d, degree_bound, max_terms)
+    full = d * degree_bound
+    if caps is None:
+        caps = (full,) * (n - 1)
+    caps = tuple(min(c, full) for c in caps)
+    if len(caps) != n - 1 or any(c < 0 for c in caps):
+        raise ValueError(f"caps must be n - 1 = {n - 1} nonnegative integers, got {caps}")
+    stride, zero, guard = _layout(d, caps)
+    layers: list[dict[int, int]] = [{} for _ in range(degree_bound + 1)]
     layers[0][zero] = 1
-    total = 1
+    stored = 1
     for idx in enumerate_indices(n, d):
+        offset = sum(x << (s * stride) for s, x in enumerate(idx))
+        if (zero + offset) & guard:
+            continue  # this index alone passes a cap
         for k in range(1, degree_bound + 1):
-            target_layer = layers[k]
-            for mom, value in layers[k - 1].items():
-                key = tuple(mom[s] + idx[s] for s in range(n - 1))
-                if key in target_layer:
-                    target_layer[key] += value
-                else:
-                    target_layer[key] = value
-                    total += 1
-                    if total > max_terms:
-                        raise ResourceLimitError(
-                            f"series expansion exceeded {max_terms} stored terms"
-                        )
-    coefficients = {
-        (k, mom): v for k, layer in enumerate(layers) for mom, v in layer.items()
-    }
-    return TruncatedSeries(n=n, d=d, degree_bound=degree_bound, coefficients=coefficients)
-
-
-def moment_shift(n: int, weight) -> tuple[Fraction, ...]:
-    """Rational shift relating a weight to its series extraction point.
-
-    Entry ``s`` (0-based) is ``(1/n) * sum_r (r+1) * weight[r]`` minus the
-    tail sum ``weight[s+1] + ... + weight[n-2]``; each entry times ``n`` is
-    an integer.  For a monomial degree ``k`` the moment targets of the
-    weight are ``k*d/n - shift`` whenever those values are integers.
-    """
-    w = check_weight(n, weight)
-    head = Fraction(sum((r + 1) * m for r, m in enumerate(w)), n)
-    return tuple(head - sum(w[s + 1 :]) for s in range(n - 1))
+            layer = layers[k]
+            before = len(layer)
+            get = layer.get
+            for key, value in layers[k - 1].items():
+                key += offset
+                if not key & guard:
+                    layer[key] = get(key, 0) + value
+            stored += len(layer) - before
+            if stored > max_terms:
+                raise ResourceLimitError(
+                    f"series expansion exceeded {max_terms} stored terms"
+                )
+    return TruncatedSeries(n, d, degree_bound, caps, tuple(layers))
 
 
 def invariant_dimension_by_series(
@@ -115,35 +157,18 @@ def invariant_dimension_by_series(
     d: int,
     k: int,
     series: TruncatedSeries | None = None,
-    max_terms: int = MAX_SERIES_TERMS,
+    max_terms: int = MAX_TERMS,
 ) -> int:
-    """Invariant dimension read off the truncated generating series.
+    """Invariant dimension read off an uncapped generating series.
 
-    Evaluates the signed orbit sum term by term: each dominant term is
-    turned into a shifted extraction point, and terms whose shifted targets
-    are fractional or negative contribute nothing.  Pass a prebuilt
-    ``series`` (with ``degree_bound >= k``) to amortise the expansion over
-    several degrees.
+    Pass a prebuilt ``series`` (with ``degree_bound >= k``) to amortise the
+    expansion over several degrees.
     """
+    from .dimensions import invariant_dimension  # dimensions builds on this module
+
     if series is None:
         series = expand_generating_series(n, d, k, max_terms=max_terms)
-    if series.n != n or series.d != d:
-        raise ValueError(
-            f"series was built for (n={series.n}, d={series.d}), "
-            f"queried with (n={n}, d={d})"
-        )
-    if k > series.degree_bound:
-        raise TruncationError(
-            f"degree {k} beyond series truncation bound {series.degree_bound}"
-        )
-    extraction_base = Fraction(k * d, n)
-    total = 0
-    for dominant, coef in signed_orbit_terms(n):
-        targets = [extraction_base - s for s in moment_shift(n, dominant)]
-        if any(t.denominator != 1 or t < 0 for t in targets):
-            continue
-        total += coef * series.coefficient(k, tuple(int(t) for t in targets))
-    return total
+    return invariant_dimension(n, d, k, max_terms=max_terms, series=series)
 
 
 def dump_series(series: TruncatedSeries, stream: IO[str]) -> int:

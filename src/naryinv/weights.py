@@ -25,7 +25,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_params
 
 Weight = tuple[int, ...]
 
@@ -40,20 +40,23 @@ class SignedOrbitTerm(NamedTuple):
     coefficient: int
 
 
-def check_rank(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"rank parameter n must be >= 2, got {n}")
-
-
 def check_weight(n: int, weight: Iterable[int], name: str = "weight") -> Weight:
     """Validate and normalise a weight of rank ``n`` to a plain tuple."""
-    check_rank(n)
+    check_params(n)
     w = tuple(weight)
     if len(w) != n - 1:
         raise ValueError(f"{name} must have length n - 1 = {n - 1}, got {len(w)}")
     for pos, x in enumerate(w, start=1):
         if not isinstance(x, int):
             raise ValueError(f"{name} position {pos}: {x!r} is not an integer")
+    return w
+
+
+def check_dominant(n: int, highest: Iterable[int]) -> Weight:
+    """:func:`check_weight` for a highest weight, which must be dominant."""
+    w = check_weight(n, highest, "highest weight")
+    if any(x < 0 for x in w):
+        raise ValueError(f"highest weight must be dominant, got {w}")
     return w
 
 
@@ -85,7 +88,7 @@ def dominant_representative(weight: Iterable[int]) -> Weight:
 
 def weyl_vector(n: int) -> Weight:
     """The weight ``(1, 1, ..., 1)``: half the sum of the positive roots."""
-    check_rank(n)
+    check_params(n)
     return (1,) * (n - 1)
 
 
@@ -115,7 +118,7 @@ def signed_orbit_terms(
     The result is sorted by (largest component, lexicographic), which for
     n = 3 reproduces the classical five-term presentation order.
     """
-    check_rank(n)
+    check_params(n)
     if n > max_rank:
         raise ResourceLimitError(
             f"orbit enumeration over {n}! permutations refused (limit n <= {max_rank})"

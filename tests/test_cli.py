@@ -126,6 +126,8 @@ def test_invalid_arguments_exit_code():
     assert code == 2
     code, _ = run_cli("nu", "1", "2", "3")
     assert code == 2
+    code, _ = run_cli("nu", "2", "3", "4", "--limit-states", "-5")
+    assert code == 2
 
 
 def test_resource_limit_exit_code():
@@ -133,6 +135,22 @@ def test_resource_limit_exit_code():
     assert code == 3
     code, _ = run_cli("count", "3", "4", "9", "--mu", "0,0", "--limit-states", "3")
     assert code == 3
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import naryinv.dimensions as dimensions_mod
+    from naryinv.weights import SignedOrbitTerm, signed_orbit_terms
+
+    def flipped(n, shift=None):
+        # the identity term's sign flipped makes the signed sum negative
+        first, *rest = signed_orbit_terms(n, shift=shift)
+        return [SignedOrbitTerm(first.dominant, -first.coefficient), *rest]
+
+    monkeypatch.setattr(dimensions_mod, "signed_orbit_terms", flipped)
+    code, out = run_cli("nu", "2", "2", "2")
+    err = capsys.readouterr().err
+    assert code == 5 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cache_flag(tmp_path, monkeypatch):

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -7,13 +6,14 @@ import pytest
 from naryinv.counting import (
     CountCache,
     cache_from_env,
-    count_solutions,
     moment_targets,
     weight_multiplicity,
 )
+from naryinv.dimensions import invariant_dimension
 from naryinv.errors import ResourceLimitError
-from naryinv.forms import enumerate_indices, index_count
-from naryinv.oracles import brute_character
+from naryinv.forms import enumerate_indices, weight_from_moments
+from naryinv.oracles import brute_character, symmetric_power_dimension
+from naryinv.series import expand_generating_series
 from naryinv.weights import dominant_representative
 
 
@@ -34,13 +34,14 @@ def test_moment_targets_accept_negative_weights():
     assert moment_targets(3, 3, 2, (-3, 0)) == (3, 3)
 
 
-def test_count_solutions_examples():
-    assert count_solutions(2, 2, 2, (2,)) == 2
-    assert count_solutions(2, 2, 1, (0,)) == 1
-    for n, d in [(2, 2), (3, 3), (4, 2)]:
-        assert count_solutions(n, d, 0, (0,) * (n - 1)) == 1
-    assert count_solutions(2, 2, 0, (1,)) == 0
-    assert count_solutions(2, 2, 2, (-1,)) == 0
+def test_solution_count_examples():
+    # (n, d, k, moment targets, number of index multisets hitting them)
+    cases = [(2, 2, 2, (2,), 2), (2, 2, 1, (0,), 1), (2, 2, 0, (1,), 0),
+             (2, 2, 2, (-1,), 0)]
+    cases += [(n, d, 0, (0,) * (n - 1), 1) for n, d in [(2, 2), (3, 3), (4, 2)]]
+    for n, d, k, targets, expected in cases:
+        weight = weight_from_moments(n, d, k, targets)
+        assert weight_multiplicity(n, d, k, weight) == expected
 
 
 def test_weight_multiplicity_examples():
@@ -104,22 +105,32 @@ def test_counts_are_orbit_symmetric():
 
 def test_total_mass_over_all_targets():
     for n, d, k in [(2, 2, 4), (2, 3, 3), (3, 2, 3), (3, 3, 2)]:
-        m = n - 1
+        series = expand_generating_series(n, d, k)
         total = sum(
-            count_solutions(n, d, k, t)
-            for t in itertools.product(range(k * d + 1), repeat=m)
+            value for (degree, _), value in series.coefficients.items()
+            if degree == k
         )
-        assert total == math.comb(index_count(n, d) + k - 1, k)
+        assert total == symmetric_power_dimension(n, d, k)
 
 
 def test_state_limit_enforced():
+    # one bound on stored terms, shared by every route into the expansion
+    weight = weight_from_moments(3, 4, 8, (10, 10))
     with pytest.raises(ResourceLimitError):
-        count_solutions(3, 4, 8, (10, 10), max_states=5)
+        weight_multiplicity(3, 4, 8, weight, max_terms=5)
+    with pytest.raises(ResourceLimitError):
+        invariant_dimension(3, 4, 9, max_terms=5)
+    with pytest.raises(ResourceLimitError):
+        expand_generating_series(3, 4, 8, max_terms=5)
+    assert weight_multiplicity(3, 4, 8, weight, max_terms=5_000) > 0
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            weight_multiplicity(3, 4, 8, weight, max_terms=bad)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        count_solutions(3, 2, 2, (1,))
+        expand_generating_series(3, 2, 2, caps=(1,))
     with pytest.raises(ValueError):
         moment_targets(3, 2, -1, (0, 0))
     with pytest.raises(ValueError):

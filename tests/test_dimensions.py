@@ -6,7 +6,6 @@ from naryinv.dimensions import (
     hilbert_series_prefix,
     highest_weight_multiplicity,
     invariant_dimension,
-    ternary_invariant_dimension,
 )
 from naryinv.oracles import (
     binary_invariant_dimension,
@@ -110,15 +109,6 @@ def test_multiplicities_match_stripping_oracle():
                 stripped = strip_decompose(brute_character(n, d, k))
                 for w, count in stripped.items():
                     assert highest_weight_multiplicity(n, d, k, w) == count
-
-
-def test_ternary_specialisation():
-    assert ternary_invariant_dimension(3, 4) == 1
-    assert ternary_invariant_dimension(3, 2) == 0
-    for d in (1, 2, 3, 4):
-        assert ternary_invariant_dimension(d, 0) == 1
-        for k in range(11):
-            assert ternary_invariant_dimension(d, k) == invariant_dimension(3, d, k)
 
 
 def test_results_are_nonnegative():

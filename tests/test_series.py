@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from naryinv.counting import count_solutions, moment_targets
+from naryinv.counting import moment_targets
 from naryinv.dimensions import invariant_dimension
 from naryinv.errors import ResourceLimitError, TruncationError
+from naryinv.forms import weight_from_moments
+from naryinv.oracles import brute_character
 from naryinv.series import (
     dump_series,
     expand_generating_series,
     invariant_dimension_by_series,
-    moment_shift,
 )
 
 
@@ -42,18 +43,21 @@ def test_coefficient_examples():
         series.coefficient(-1, (0,))
 
 
-def test_series_matches_dynamic_programming():
+def test_series_matches_brute_character_tally():
     for n, d, bound in [(2, 2, 5), (2, 3, 4), (3, 2, 4), (3, 3, 3)]:
         series = expand_generating_series(n, d, bound)
+        tallies = [brute_character(n, d, k).multiplicities for k in range(bound + 1)]
         for (k, mom), value in series.coefficients.items():
-            assert count_solutions(n, d, k, mom) == value
+            assert tallies[k][weight_from_moments(n, d, k, mom)] == value
         # absent entries are genuinely zero counts
-        rng = random.Random(k * 7 + n)
+        rng = random.Random(bound * 7 + n)
         for _ in range(20):
             k = rng.randint(0, bound)
             probe = tuple(rng.randint(0, d * bound) for _ in range(n - 1))
             if (k, probe) not in series.coefficients:
-                assert count_solutions(n, d, k, probe) == 0
+                assert series.coefficient(k, probe) == 0
+                weight = weight_from_moments(n, d, k, probe)
+                assert tallies[k].get(weight, 0) == 0
 
 
 def test_moment_bounds_invariant():
@@ -71,18 +75,15 @@ def test_truncation_monotonicity():
         assert large.coefficients[key] == value
 
 
-def test_moment_shift_examples():
-    assert moment_shift(3, (0, 0)) == (0, 0)
-    assert moment_shift(3, (1, 1)) == (0, 1)
-    assert moment_shift(2, (2,)) == (1,)
-
-
 def test_moment_shift_denominator_and_target_relation():
+    # the targets are k*d/n minus a rational shift of the weight: the mean
+    # weighted sum minus a tail sum, with denominator dividing n
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(2, 5)
         w = tuple(rng.randint(-6, 6) for _ in range(n - 1))
-        shifts = moment_shift(n, w)
+        head = Fraction(sum((r + 1) * m for r, m in enumerate(w)), n)
+        shifts = [head - sum(w[s + 1:]) for s in range(n - 1)]
         assert all((n * s).denominator == 1 for s in shifts)
         d, k = rng.randint(1, 4), rng.randint(0, 5)
         targets = moment_targets(n, d, k, w)
