@@ -30,12 +30,7 @@ from .forms import (
     index_count,
     monomial_weight,
 )
-from .series import (
-    TruncatedSeries,
-    dump_series,
-    expand_generating_series,
-    invariant_dimension_by_series,
-)
+from .series import TruncatedSeries, dump_series, expand_generating_series
 from .weights import (
     SignedOrbitTerm,
     Weight,
@@ -69,7 +64,6 @@ __all__ = [
     "highest_weight_multiplicity",
     "index_count",
     "invariant_dimension",
-    "invariant_dimension_by_series",
     "moment_targets",
     "monomial_weight",
     "oracles",

@@ -11,11 +11,14 @@ Subcommands::
     check <n> <d> [--kmax K]          cross-check against all oracles
 
 Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``.
-Common flags: ``--format plain|json|csv`` (default plain), ``--cache``
-(enable the on-disk memo rooted at ``$NARY_CACHE_DIR``), ``--limit-states N``
-(cap on the terms a series expansion stores, at least 1).  Results are
-always printed as decimal strings; they can exceed 64 bits.  Diagnostics go
-to stderr, results to stdout.
+Common flags: ``--format plain|json|csv`` (default plain) and
+``--limit-states N`` (cap on the terms a series expansion stores, at least
+1).  ``nu``, ``gamma`` and ``count`` also take ``--cache``: memoise weight
+multiplicities in ``$NARY_CACHE_DIR`` (a warning when it is unset, or when
+the file holds unreadable records, which are skipped).  ``check`` prints the
+rows ``theorem1``, ``stripping`` and, at n = 2, ``classical-binary``.
+Results are always printed as decimal strings; they can exceed 64 bits.
+Diagnostics go to stderr, results to stdout.
 
 Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
 4 oracle disagreement (from ``check``), 5 internal error (a result broke
@@ -38,12 +41,7 @@ from .dimensions import (
 )
 from .errors import InternalError, ResourceLimitError, check_params
 from .oracles import binary_invariant_dimension, brute_character, strip_decompose
-from .series import (
-    MAX_TERMS,
-    dump_series,
-    expand_generating_series,
-    invariant_dimension_by_series,
-)
+from .series import MAX_TERMS, dump_series, expand_generating_series
 from .weights import signed_orbit_terms
 
 EXIT_OK = 0
@@ -147,6 +145,11 @@ def _open_cache(enabled: bool) -> CountCache | None:
             "caching disabled",
             file=sys.stderr,
         )
+    elif cache.skipped:
+        print(
+            f"warning: skipped {cache.skipped} unreadable records in {cache.path}",
+            file=sys.stderr,
+        )
     return cache
 
 
@@ -199,13 +202,16 @@ def cmd_orbit(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_table(args, out) -> int:
-    cache = _open_cache(args.cache)
-    start = time.perf_counter()
-    values = hilbert_series_prefix(
-        args.n, args.d, args.kmax, max_terms=args.limit_states, cache=cache
+def _prefix(args) -> tuple[list[int], float]:
+    """Invariant dimensions for k = 0..kmax and the mean time per degree."""
+    values, ms = _timed(
+        lambda: hilbert_series_prefix(args.n, args.d, args.kmax, args.limit_states)
     )
-    ms = (time.perf_counter() - start) * 1000.0 / max(len(values), 1)
+    return values, ms / len(values)
+
+
+def cmd_table(args, out) -> int:
+    values, ms = _prefix(args)
     records = [
         _record(args.n, args.d, k, None, v, "theorem1", ms)
         for k, v in enumerate(values)
@@ -219,7 +225,9 @@ def cmd_series(args, out) -> int:
         series = expand_generating_series(
             args.n, args.d, args.k, max_terms=args.limit_states
         )
-        value = invariant_dimension_by_series(args.n, args.d, args.k, series)
+        value = invariant_dimension(
+            args.n, args.d, args.k, args.limit_states, series=series
+        )
         return series, value
 
     (series, value), ms = _timed(run)
@@ -237,22 +245,13 @@ def cmd_series(args, out) -> int:
 
 def cmd_check(args, out) -> int:
     """Compare the signed-orbit dimension against every applicable oracle."""
-    cache = _open_cache(args.cache)
     n, d = args.n, args.d
     records = []
     disagreements = []
-    series = expand_generating_series(n, d, args.kmax, max_terms=args.limit_states)
-    for k in range(args.kmax + 1):
-        start = time.perf_counter()
-        main = invariant_dimension(
-            n, d, k, max_terms=args.limit_states, cache=cache, series=series
-        )
-        ms = (time.perf_counter() - start) * 1000.0
+    values, ms = _prefix(args)
+    for k, main in enumerate(values):
         stripped = strip_decompose(brute_character(n, d, k))
-        others = {
-            "series": invariant_dimension_by_series(n, d, k, series),
-            "stripping": stripped.get((0,) * (n - 1), 0),
-        }
+        others = {"stripping": stripped.get((0,) * (n - 1), 0)}
         if n == 2:
             others["classical-binary"] = binary_invariant_dimension(d, k)
         records.append(_record(n, d, k, None, main, "theorem1", ms))
@@ -287,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default plain)",
     )
     common.add_argument(
-        "--cache", action="store_true",
-        help="memoise weight multiplicities under $NARY_CACHE_DIR",
-    )
-    common.add_argument(
         "--limit-states", type=int, default=MAX_TERMS, metavar="N",
         help="cap on the terms a series expansion stores",
     )
@@ -303,6 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("d", type=int)
         if k:
             p.add_argument("k", type=int)
+        if name in ("nu", "gamma", "count"):
+            p.add_argument(
+                "--cache", action="store_true",
+                help="memoise weight multiplicities under $NARY_CACHE_DIR",
+            )
         return p
 
     add("nu", "invariant dimension")

@@ -125,21 +125,31 @@ class CountCache:
     Record format: ``{"n":..,"d":..,"k":..,"mu":[..],"count":"<decimal>"}``.
     Counts are stored as decimal strings because they can exceed 64 bits.
     The file is append-only; existing records are loaded once at open.
+    Lines that do not hold such a record (a torn last line from a crash
+    during an append, say) are skipped and counted in ``skipped``.
     """
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, CACHE_FILENAME)
         self._mem: dict[tuple[int, int, int, Weight], int] = {}
+        self.skipped = 0
+        line = "\n"
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    key = (rec["n"], rec["d"], rec["k"], tuple(rec["mu"]))
-                    self._mem[key] = int(rec["count"])
+                    try:
+                        rec = json.loads(line)
+                        n, mu, count = rec["n"], rec["mu"], rec["count"]
+                        key = (n, rec["d"], rec["k"], tuple(mu))
+                        decimal = count.isascii() and count.isdigit()
+                        if len(mu) != n - 1 or not decimal:
+                            raise ValueError(line)
+                        self._mem[key] = int(count)
+                    except (ValueError, KeyError, TypeError, AttributeError):
+                        self.skipped += bool(line.strip())
+        # written before the next record when the file ends mid-line
+        self._separator = "" if line.endswith("\n") else "\n"
 
     def get(self, n: int, d: int, k: int, weight: Weight) -> int | None:
         return self._mem.get((n, d, k, weight))
@@ -151,7 +161,8 @@ class CountCache:
         self._mem[key] = value
         rec = {"n": n, "d": d, "k": k, "mu": list(weight), "count": str(value)}
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(self._separator + json.dumps(rec) + "\n")
+        self._separator = ""
 
     def __len__(self) -> int:
         return len(self._mem)

@@ -65,12 +65,11 @@ def hilbert_series_prefix(
     d: int,
     k_max: int,
     max_terms: int = MAX_TERMS,
-    cache: CountCache | None = None,
 ) -> list[int]:
     """Graded invariant dimensions ``[dim_0, dim_1, ..., dim_k_max]``, all
     read off one expansion."""
     series = expand_generating_series(n, d, k_max, max_terms)
     return [
-        invariant_dimension(n, d, k, max_terms, cache, series)
+        invariant_dimension(n, d, k, max_terms, series=series)
         for k in range(k_max + 1)
     ]

@@ -35,15 +35,13 @@ def index_count(n: int, d: int) -> int:
     return math.comb(n - 1 + d, n - 1)
 
 
-def enumerate_indices(
-    n: int, d: int, max_count: int = MAX_INDEX_COUNT
-) -> list[MultiIndex]:
+def enumerate_indices(n: int, d: int) -> list[MultiIndex]:
     """All coefficient indices with ``|i| <= d``, in lexicographic order."""
     check_params(n, d)
     total = index_count(n, d)
-    if total > max_count:
+    if total > MAX_INDEX_COUNT:
         raise ResourceLimitError(
-            f"index set has {total} elements, above the limit {max_count}"
+            f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
         )
     out: list[MultiIndex] = []
 

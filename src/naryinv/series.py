@@ -152,23 +152,16 @@ def expand_generating_series(
     return TruncatedSeries(n, d, degree_bound, caps, tuple(layers))
 
 
-def invariant_dimension_by_series(
-    n: int,
-    d: int,
-    k: int,
-    series: TruncatedSeries | None = None,
-    max_terms: int = MAX_TERMS,
-) -> int:
-    """Invariant dimension read off an uncapped generating series.
+def invariant_dimension_by_series(n: int, d: int, k: int) -> int:
+    """Invariant dimension read off an uncapped expansion.
 
-    Pass a prebuilt ``series`` (with ``degree_bound >= k``) to amortise the
-    expansion over several degrees.
+    No part of the package calls this; ``perfbench/confirm.py`` imports it,
+    so it stays until that script is changed.  Use
+    ``dimensions.invariant_dimension(n, d, k, series=...)`` instead.
     """
     from .dimensions import invariant_dimension  # dimensions builds on this module
 
-    if series is None:
-        series = expand_generating_series(n, d, k, max_terms=max_terms)
-    return invariant_dimension(n, d, k, max_terms=max_terms, series=series)
+    return invariant_dimension(n, d, k, series=expand_generating_series(n, d, k))
 
 
 def dump_series(series: TruncatedSeries, stream: IO[str]) -> int:

@@ -102,9 +102,7 @@ def signed_permutations(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def signed_orbit_terms(
-    n: int,
-    shift: Iterable[int] | None = None,
-    max_rank: int = MAX_ORBIT_RANK,
+    n: int, shift: Iterable[int] | None = None
 ) -> list[SignedOrbitTerm]:
     """Aggregate ``(shift + rho - s(rho))*`` over all ``s`` in S_n with signs.
 
@@ -119,9 +117,10 @@ def signed_orbit_terms(
     n = 3 reproduces the classical five-term presentation order.
     """
     check_params(n)
-    if n > max_rank:
+    if n > MAX_ORBIT_RANK:
         raise ResourceLimitError(
-            f"orbit enumeration over {n}! permutations refused (limit n <= {max_rank})"
+            f"orbit enumeration over {n}! permutations refused "
+            f"(limit n <= {MAX_ORBIT_RANK})"
         )
     if shift is None:
         shift = (0,) * (n - 1)

@@ -103,7 +103,7 @@ def test_check_csv_has_oracle_rows():
     lines = out.splitlines()
     assert lines[0] == "n,d,k,mu_or_lambda,result,method"
     methods = {line.split(",")[5] for line in lines[1:]}
-    assert methods == {"theorem1", "series", "stripping", "classical-binary"}
+    assert methods == {"theorem1", "stripping", "classical-binary"}
 
 
 def test_oracle_disagreement_exit_code(monkeypatch, capsys):
@@ -163,6 +163,30 @@ def test_cache_flag(tmp_path, monkeypatch):
     # warm cache still gives the same answer
     code, out = run_cli("nu", "2", "3", "4", "--cache")
     assert code == 0 and out.strip() == "1"
+
+
+def test_cache_flag_skips_torn_lines(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NARY_CACHE_DIR", str(tmp_path))
+    # a garbage line, then a last line torn by a crash during an append
+    (tmp_path / "weight-counts.jsonl").write_text(
+        'not json\n{"n": 3, "d": 3, "k": 4, "mu": [0, 0], "cou'
+    )
+    code, out = run_cli("nu", "3", "3", "4", "--cache")
+    assert code == 0 and out.strip() == "1"
+    assert capsys.readouterr().err.count("skipped 2 unreadable records") == 1
+
+
+def test_cache_flag_only_on_point_queries(tmp_path, monkeypatch):
+    monkeypatch.setenv("NARY_CACHE_DIR", str(tmp_path))
+    for argv in (
+        ("orbit", "3"),
+        ("table", "2", "2", "--kmax", "2"),
+        ("series", "2", "2", "2"),
+        ("check", "2", "2", "--kmax", "1"),
+    ):
+        code, _ = run_cli(*argv, "--cache")
+        assert code == 2, argv
+    assert not (tmp_path / "weight-counts.jsonl").exists()
 
 
 def test_cache_flag_without_env(monkeypatch, capsys):

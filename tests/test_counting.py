@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -143,6 +144,30 @@ def test_cache_round_trip(tmp_path):
     reloaded = CountCache(str(tmp_path))
     assert reloaded.get(3, 2, 4, (1, 1)) == 123456789012345678901234567890
     assert len(reloaded) == 1
+
+
+def test_cache_skips_malformed_lines(tmp_path):
+    good = {"n": 3, "d": 2, "k": 4, "mu": [1, 1], "count": "7"}
+    bad = [
+        "{not json",
+        json.dumps({**good, "count": "-7"}),
+        json.dumps({**good, "count": "7.5"}),
+        json.dumps({**good, "count": 7}),
+        json.dumps({**good, "mu": [1]}),
+        json.dumps({k: v for k, v in good.items() if k != "d"}),
+        json.dumps([3, 2, 4]),
+        json.dumps(good)[:-5],  # torn last line, no newline
+    ]
+    path = tmp_path / "weight-counts.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + "\n".join(bad))
+    cache = CountCache(str(tmp_path))
+    assert cache.skipped == len(bad)
+    assert cache.get(3, 2, 4, (1, 1)) == 7 and len(cache) == 1
+    # a record appended after the torn line starts a line of its own
+    cache.put(3, 2, 5, (1, 1), 11)
+    reloaded = CountCache(str(tmp_path))
+    assert reloaded.get(3, 2, 5, (1, 1)) == 11
+    assert reloaded.skipped == len(bad) and len(reloaded) == 2
 
 
 def test_weight_multiplicity_consults_cache(tmp_path):

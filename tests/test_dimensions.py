@@ -111,6 +111,22 @@ def test_multiplicities_match_stripping_oracle():
                     assert highest_weight_multiplicity(n, d, k, w) == count
 
 
+def test_hermite_reciprocity():
+    # degree-k invariants of the binary d-ic match degree-d ones of the k-ic
+    for d in range(1, 11):
+        for k in range(1, 11):
+            assert invariant_dimension(2, d, k) == invariant_dimension(2, k, d)
+
+
+def test_ternary_cubic_series():
+    # the invariants of the ternary cubic are freely generated in degrees 4, 6
+    expected = [
+        sum(1 for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0)
+        for k in range(61)
+    ]
+    assert hilbert_series_prefix(3, 3, 60) == expected
+
+
 def test_results_are_nonnegative():
     rng = random.Random(8)
     for _ in range(100):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naryinv.forms as forms_mod
 from naryinv.errors import ResourceLimitError
 from naryinv.forms import (
     coefficient_weight,
@@ -28,9 +29,10 @@ def test_enumeration_matches_counting_formula():
             assert all(sum(i) <= d and min(i) >= 0 for i in indices)
 
 
-def test_enumeration_resource_limit():
+def test_enumeration_resource_limit(monkeypatch):
+    monkeypatch.setattr(forms_mod, "MAX_INDEX_COUNT", 1000)
     with pytest.raises(ResourceLimitError):
-        enumerate_indices(6, 50, max_count=1000)
+        enumerate_indices(6, 50)
 
 
 def test_coefficient_weight_examples():

@@ -10,11 +10,7 @@ from naryinv.dimensions import invariant_dimension
 from naryinv.errors import ResourceLimitError, TruncationError
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
-from naryinv.series import (
-    dump_series,
-    expand_generating_series,
-    invariant_dimension_by_series,
-)
+from naryinv.series import dump_series, expand_generating_series
 
 
 def test_expand_first_order_binary_linear():
@@ -94,11 +90,17 @@ def test_moment_shift_denominator_and_target_relation():
             assert list(targets) == expected
 
 
+def _by_series(n, d, k, series=None):
+    if series is None:
+        series = expand_generating_series(n, d, k)
+    return invariant_dimension(n, d, k, series=series)
+
+
 def test_invariant_dimension_by_series_examples():
-    assert invariant_dimension_by_series(2, 2, 2) == 1
+    assert _by_series(2, 2, 2) == 1
     for n, d in [(2, 2), (3, 2), (3, 3)]:
-        assert invariant_dimension_by_series(n, d, 0) == 1
-    assert invariant_dimension_by_series(3, 3, 1) == 0
+        assert _by_series(n, d, 0) == 1
+    assert _by_series(3, 3, 1) == 0
 
 
 def test_path_equivalence_on_grid():
@@ -106,17 +108,15 @@ def test_path_equivalence_on_grid():
         for d in (1, 2, 3):
             series = expand_generating_series(n, d, 8)
             for k in range(9):
-                assert invariant_dimension_by_series(
-                    n, d, k, series
-                ) == invariant_dimension(n, d, k)
+                assert _by_series(n, d, k, series) == invariant_dimension(n, d, k)
 
 
 def test_series_reuse_validation():
     series = expand_generating_series(2, 2, 4)
     with pytest.raises(ValueError):
-        invariant_dimension_by_series(3, 2, 2, series)
+        _by_series(3, 2, 2, series)
     with pytest.raises(TruncationError):
-        invariant_dimension_by_series(2, 2, 6, series)
+        _by_series(2, 2, 6, series)
 
 
 def test_expansion_resource_limit():

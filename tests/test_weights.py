@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import naryinv.weights as weights_mod
 from naryinv.errors import ResourceLimitError
 from naryinv.weights import (
     dominant_representative,
@@ -112,13 +113,14 @@ def test_orbit_terms_are_dominant_and_deduplicated():
         assert all(c != 0 for _, c in terms)
 
 
-def test_orbit_rank_limit():
+def test_orbit_rank_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
         signed_orbit_terms(9)
-    # the bound is configurable
-    assert len(signed_orbit_terms(3, max_rank=3)) == 5
+    # the bound is read at call time
+    monkeypatch.setattr(weights_mod, "MAX_ORBIT_RANK", 3)
+    assert len(signed_orbit_terms(3)) == 5
     with pytest.raises(ResourceLimitError):
-        signed_orbit_terms(4, max_rank=3)
+        signed_orbit_terms(4)
 
 
 def test_shift_validation():
