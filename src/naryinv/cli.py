@@ -20,9 +20,10 @@ rows ``theorem1``, ``stripping`` and, at n = 2, ``classical-binary``.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
-Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
-4 oracle disagreement (from ``check``), 5 internal error (a result broke
-an invariant that holds for every valid input: a bug, not bad input).
+Exit codes: 0 success, 2 invalid arguments or an OS error on a path
+(``$NARY_CACHE_DIR``, ``--dump``), 3 resource limit exceeded, 4 oracle
+disagreement (from ``check``), 5 internal error (a result broke an
+invariant that holds for every valid input: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from .counting import CountCache, cache_from_env, weight_multiplicity
 from .dimensions import (
@@ -221,25 +223,17 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    def run():
-        series = expand_generating_series(
-            args.n, args.d, args.k, max_terms=args.limit_states
-        )
-        value = invariant_dimension(
-            args.n, args.d, args.k, args.limit_states, series=series
-        )
-        return series, value
-
-    (series, value), ms = _timed(run)
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as fh:
+    n, d, k, limit = args.n, args.d, args.k, args.limit_states
+    # opened first, so that a bad path fails before the expansion, and for
+    # appending, so that a failed expansion leaves an existing file as it was
+    with open(args.dump, "a", encoding="utf-8") if args.dump else nullcontext() as fh:
+        series, ms = _timed(lambda: expand_generating_series(n, d, k, limit))
+        value, more = _timed(lambda: invariant_dimension(n, d, k, limit, series=series))
+        if fh:
+            fh.truncate(0)
             written = dump_series(series, fh)
-        print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
-    _emit_records(
-        [_record(args.n, args.d, args.k, None, value, "series", ms)],
-        args.format,
-        out,
-    )
+            print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
+    _emit_records([_record(n, d, k, None, value, "series", ms + more)], args.format, out)
     return EXIT_OK
 
 
@@ -352,7 +346,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

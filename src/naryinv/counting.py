@@ -12,6 +12,7 @@ optional on-disk cache memoises the counts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Iterable
@@ -28,33 +29,23 @@ def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
     """Moment-target vector for monomials of degree ``k`` and given weight.
 
     Solving the weight equations for the moments gives
-
-        ``T_s = (k*d - W)/n + weight[s] + ... + weight[n-2]``
-
-    (0-based tail sums) where ``W = sum_r (r+1) * weight[r]``.  Returns
-    ``None`` when no solution exists, i.e. when ``k*d - W`` is not divisible
-    by ``n`` or some target would be negative; moments of a monomial are
-    always nonnegative integers.  Any integer weight is accepted, dominant
-    or not.
+    ``T_s = (k*d + sum(a))/n - a[s + 1]``, where ``a`` is the ambient vector
+    of ``weight`` (:func:`~naryinv.weights.to_ambient`; a common constant
+    cancels).  Returns ``None`` when no solution exists, i.e. when
+    ``k*d + sum(a)`` is not divisible by ``n`` or some target would be
+    negative; moments of a monomial are always nonnegative integers.  Any
+    integer weight is accepted, dominant or not.
     """
     w = check_weight(n, weight)
     check_params(n, d, k)
-    weighted = sum((r + 1) * m for r, m in enumerate(w))
-    base = k * d - weighted
-    if base % n:
+    # not normalised to min 0: most weights a query asks about fail the
+    # divisibility test, and this runs once per orbit term and degree
+    a = (0, *itertools.accumulate(w))
+    mean, rest = divmod(k * d + sum(a), n)
+    if rest:
         return None
-    base //= n
-    targets = []
-    tail = 0
-    for s in range(n - 2, -1, -1):
-        # tail holds w[s+1] + ... + w[n-2]
-        targets.append(base + tail)
-        if s:
-            tail += w[s]
-    targets.reverse()
-    if any(t < 0 for t in targets):
-        return None
-    return tuple(targets)
+    targets = tuple([mean - x for x in a[1:]])
+    return None if min(targets) < 0 else targets
 
 
 def weight_counts(

@@ -122,6 +122,8 @@ def expand_generating_series(
     more than ``max_terms`` terms are stored.
     """
     check_params(n, d, degree_bound, max_terms)
+    if degree_bound >= max_terms:  # every layer stores the all-zero-index term
+        raise ResourceLimitError(f"series expansion would exceed {max_terms} stored terms")
     full = d * degree_bound
     if caps is None:
         caps = (full,) * (n - 1)

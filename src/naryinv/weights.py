@@ -17,13 +17,18 @@ sorting.  Ambient vectors are only defined up to adding a common constant
 to all entries; they are normalised so the minimum entry is 0.  Under this
 convention the half-sum of positive roots ``(1, ..., 1)`` has ambient
 vector ``(0, 1, ..., n - 1)``.
+
+The signed orbit sum stays in ambient coordinates: ``s(rho)`` is the
+permutation tuple itself, so ``(shift + rho - s(rho))*`` is one sort of
+``to_ambient(shift) + (0, ..., n - 1) - s(rho)``.  These vectors share one
+entry sum, so the sorted vector alone names the dominant weight, and each
+distinct one is converted to weight coordinates once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, check_params
 
@@ -92,13 +97,21 @@ def weyl_vector(n: int) -> Weight:
     return (1,) * (n - 1)
 
 
-def signed_permutations(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(sign, permutation of range(n))`` over all of S_n."""
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        yield (-1 if inversions % 2 else 1), perm
+def signed_permutations(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """``(sign, permutation of range(n))`` over all of S_n.
+
+    Each permutation of ``range(m + 1)`` is one of ``range(m)`` with ``m``
+    inserted; at position ``j`` it comes before ``m - j`` smaller entries,
+    so it adds that many inversions.
+    """
+    perms = [(1, ())]
+    for m in range(n):
+        perms = [
+            (-sign if (m - j) % 2 else sign, perm[:j] + (m,) + perm[j:])
+            for sign, perm in perms
+            for j in range(m + 1)
+        ]
+    return perms
 
 
 def signed_orbit_terms(
@@ -128,17 +141,13 @@ def signed_orbit_terms(
     return [SignedOrbitTerm(*t) for t in _aggregated_terms(n, shift)]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _aggregated_terms(n: int, shift: Weight) -> tuple[tuple[Weight, int], ...]:
-    rho = weyl_vector(n)
-    acc: dict[Weight, int] = {}
-    # ambient(rho) = (0, 1, ..., n-1), so s(rho) in ambient coordinates is
-    # the permutation tuple itself
+    base = [x + i for i, x in enumerate(to_ambient(shift))]
+    acc: dict[tuple[int, ...], int] = {}
     for sign, perm in signed_permutations(n):
-        s_rho = from_ambient(perm)
-        moved = tuple(shift[i] + rho[i] - s_rho[i] for i in range(n - 1))
-        dom = dominant_representative(moved)
-        acc[dom] = acc.get(dom, 0) + sign
-    terms = [(dom, coef) for dom, coef in acc.items() if coef != 0]
+        key = tuple(sorted([b - p for b, p in zip(base, perm)]))
+        acc[key] = acc.get(key, 0) + sign
+    terms = [(from_ambient(key), coef) for key, coef in acc.items() if coef]
     terms.sort(key=lambda t: (max(t[0]), t[0]))
     return tuple(terms)

@@ -107,9 +107,9 @@ def test_criterion_6_character_identity():
 
 def test_criterion_7_dimension_sum():
     ok = True
-    for n in (2, 3):
-        for d in (1, 2, 3):
-            for k in range(6):
+    for n, d_max, k_max in [(2, 3, 5), (3, 3, 5), (4, 2, 4)]:
+        for d in range(1, d_max + 1):
+            for k in range(k_max + 1):
                 table = brute_character(n, d, k)
                 dominants = [
                     w for w in table.multiplicities if all(x >= 0 for x in w)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -16,6 +17,23 @@ def test_orbit_plain_output():
     code, out = run_cli("orbit", "3")
     assert code == 0
     assert out == "(0,0) +1\n(1,1) -2\n(2,2) -1\n(0,3) +1\n(3,0) +1\n"
+
+
+def test_orbit_plain_output_rank_eight():
+    # the 4,782 terms as [[weight, coefficient], ...] in compact JSON; the
+    # digest is the one in perfbench/answers.json, which perfbench/confirm.py
+    # re-derives by its own enumeration
+    code, out = run_cli("orbit", "8")
+    assert code == 0
+    terms = []
+    for line in out.splitlines():
+        weight, coef = line.rsplit(" ", 1)
+        terms.append([[int(x) for x in weight.strip("()").split(",")], int(coef)])
+    text = json.dumps(terms, separators=(",", ":"))
+    assert len(terms) == 4782
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "253124c12f4ff2bab4158c7f688cf98885f908d2c6618f6aac16462f857b8505"
+    )
 
 
 def test_orbit_with_shift_and_csv():
@@ -87,6 +105,12 @@ def test_series_dump(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     table = {(r["k"], tuple(r["moments"])): int(r["coefficient"]) for r in records}
     assert table[(2, (2,))] == 2
+    # a rerun replaces the file; a failed one leaves it as it was
+    assert run_cli("series", "2", "2", "2", "--dump", str(path))[0] == 0
+    assert path.read_text().splitlines() == [json.dumps(r) for r in records]
+    code, _ = run_cli("series", "2", "2", "2", "--dump", str(path), "--limit-states", "2")
+    assert code == 3
+    assert path.read_text().splitlines() == [json.dumps(r) for r in records]
 
 
 def test_check_agrees_on_default_grid():
@@ -187,6 +211,31 @@ def test_cache_flag_only_on_point_queries(tmp_path, monkeypatch):
         code, _ = run_cli(*argv, "--cache")
         assert code == 2, argv
     assert not (tmp_path / "weight-counts.jsonl").exists()
+
+
+def test_cache_dir_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("NARY_CACHE_DIR", str(not_a_dir))
+    code, out = run_cli("nu", "3", "3", "4", "--cache")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_dump_to_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
+    import naryinv.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expanded before opening the dump file")
+
+    monkeypatch.setattr(cli_mod, "expand_generating_series", refuse)
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out = run_cli("series", "3", "3", "4", "--dump", str(target))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_cache_flag_without_env(monkeypatch, capsys):

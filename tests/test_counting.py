@@ -71,7 +71,7 @@ def test_counts_solve_the_raw_weight_system():
     # a degree-k monomial must satisfy 2*m_1 + m_2 + ... = k*d - w_1 and
     # m_s - m_{s+1} = w_{s+1}
     rng = random.Random(99)
-    for n, d, k in [(2, 2, 3), (2, 3, 2), (3, 2, 3), (3, 3, 2)]:
+    for n, d, k in [(2, 2, 3), (2, 3, 2), (3, 2, 3), (3, 3, 2), (4, 2, 3)]:
         indices = enumerate_indices(n, d)
         weights = [
             tuple(rng.randint(-4, 4) for _ in range(n - 1)) for _ in range(12)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,19 @@ def test_series_reuse_validation():
 def test_expansion_resource_limit():
     with pytest.raises(ResourceLimitError):
         expand_generating_series(3, 3, 6, max_terms=10)
+
+
+def test_expansion_limit_checked_before_allocating():
+    # every layer holds the all-zero-index term, so a bound below the
+    # number of layers is refused before any layer is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            expand_generating_series(2, 1, 10**6, max_terms=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dump_series_json_lines():

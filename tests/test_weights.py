@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -111,6 +112,40 @@ def test_orbit_terms_are_dominant_and_deduplicated():
         assert len(set(doms)) == len(doms)
         assert all(all(x >= 0 for x in dom) for dom in doms)
         assert all(c != 0 for _, c in terms)
+
+
+def _reference_orbit_terms(n, shift):
+    # the signed sum as written: every permutation, its inversion count, and
+    # the dominant representative of shift + rho - s(rho) in weight coordinates
+    acc = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2)
+        )
+        s_rho = tuple(perm[s + 1] - perm[s] for s in range(n - 1))
+        moved = tuple(shift[s] + 1 - s_rho[s] for s in range(n - 1))
+        dom = dominant_representative(moved)
+        acc[dom] = acc.get(dom, 0) + (-1) ** inversions
+    terms = [(dom, coef) for dom, coef in acc.items() if coef]
+    return sorted(terms, key=lambda t: (max(t[0]), t[0]))
+
+
+def test_orbit_terms_match_reference():
+    rng = random.Random(5)
+    for n in range(2, 7):
+        shifts = [(0,) * (n - 1), (1,) * (n - 1), (3,) + (0,) * (n - 2)]
+        shifts += [tuple(rng.randint(0, 4) for _ in range(n - 1)) for _ in range(2)]
+        for shift in shifts:
+            assert signed_orbit_terms(n, shift) == _reference_orbit_terms(n, shift)
+
+
+def test_orbit_memo_is_bounded():
+    memo = weights_mod._aggregated_terms
+    cap = memo.cache_info().maxsize
+    assert cap is not None
+    for a in range(cap + 5):
+        signed_orbit_terms(3, shift=(a, 0))
+    assert memo.cache_info().currsize <= cap
 
 
 def test_orbit_rank_limit(monkeypatch):
