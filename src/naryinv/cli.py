@@ -13,9 +13,11 @@ Subcommands::
 Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``.
 Common flags: ``--format plain|json|csv`` (default plain) and
 ``--limit-states N`` (cap on the terms a series expansion stores, at least
-1).  ``nu``, ``gamma`` and ``count`` also take ``--cache``: memoise weight
-multiplicities in ``$NARY_CACHE_DIR`` (a warning when it is unset, or when
-the file holds unreadable records, which are skipped).  ``check`` prints the
+1; a query expands only up to the moments it reads, except ``series --dump``,
+which writes every coefficient and so expands uncapped).  ``nu``, ``gamma``
+and ``count`` also take ``--cache``: memoise weight multiplicities in
+``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
+unreadable records, which are skipped).  ``check`` prints the
 rows ``theorem1``, ``stripping`` and, at n = 2, ``classical-binary``.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
@@ -227,7 +229,8 @@ def cmd_series(args, out) -> int:
     # opened first, so that a bad path fails before the expansion, and for
     # appending, so that a failed expansion leaves an existing file as it was
     with open(args.dump, "a", encoding="utf-8") if args.dump else nullcontext() as fh:
-        series, ms = _timed(lambda: expand_generating_series(n, d, k, limit))
+        # only a dump needs every coefficient; otherwise the read is capped
+        series, ms = _timed(lambda: expand_generating_series(n, d, k, limit) if fh else None)
         value, more = _timed(lambda: invariant_dimension(n, d, k, limit, series=series))
         if fh:
             fh.truncate(0)

@@ -5,9 +5,10 @@ indices; its *moments* are the coordinatewise sums of those indices.  The
 weight of the monomial is a fixed affine function of its moments, so each
 weight corresponds to at most one moment-target vector, and the number of
 monomials of a given weight is one coefficient of the generating series
-expanded in :mod:`naryinv.series`.  The weights one query needs are read
-off a single expansion, capped at the largest targets among them.  An
-optional on-disk cache memoises the counts.
+expanded in :mod:`naryinv.series`.  :func:`signed_counts` is the one
+reader: every query hands it signed weight terms and degrees, and it reads
+the feasible ones off a single expansion, capped at the largest targets
+among them.  An optional on-disk cache memoises the counts.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from typing import Iterable
+from typing import Sequence
 
-from .errors import check_params
+from .errors import InternalError, check_params
 from .series import MAX_TERMS, TruncatedSeries, expand_generating_series
 from .weights import Weight, check_weight
 
@@ -48,48 +49,51 @@ def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
     return None if min(targets) < 0 else targets
 
 
-def weight_counts(
+def signed_counts(
     n: int,
     d: int,
-    k: int,
-    weights: Iterable[Weight],
+    degrees: Sequence[int],
+    terms: Sequence[tuple[Weight, int]],
     max_terms: int = MAX_TERMS,
     cache: "CountCache | None" = None,
     series: TruncatedSeries | None = None,
-) -> dict[Weight, int]:
-    """Multiplicities of the feasible ``weights`` among degree-``k`` monomials.
+) -> list[int]:
+    """Signed sums ``sum(c * multiplicity(k, w) for w, c in terms)``, one per
+    degree ``k`` in ``degrees``: the one reader behind every query.
 
-    Weights whose moment system has no solution are left out: their
-    multiplicity is 0.  The others come from ``cache`` when it holds them,
-    otherwise from ``series`` or, without one, from one expansion capped at
-    the coordinatewise maximum of their targets; computed values are added
-    to ``cache``.
+    Only terms whose moment system is feasible are read: from ``cache`` when
+    it holds them, otherwise from ``series`` or, without one, from one
+    expansion to the highest degree read, capped at the coordinatewise
+    maximum of the targets still missing.  Computed values are added to
+    ``cache``.  A negative sum raises :class:`InternalError`.
     """
-    check_params(n, d, k, max_terms)
+    check_params(n, d, min(degrees, default=0), max_terms)
     if series is not None and (series.n, series.d) != (n, d):
-        raise ValueError(
-            f"series was built for (n={series.n}, d={series.d}), "
-            f"queried with (n={n}, d={d})"
-        )
-    counts: dict[Weight, int] = {}
-    missing: dict[Weight, tuple[int, ...]] = {}
-    for w in weights:
-        targets = moment_targets(n, d, k, w)
-        if targets is None:
-            continue
-        hit = cache.get(n, d, k, w) if cache is not None else None
-        if hit is None:
-            missing[w] = targets
-        else:
-            counts[w] = hit
+        raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
+    counts: dict[tuple[int, Weight], int] = {}
+    missing: dict[tuple[int, Weight], tuple[int, ...]] = {}
+    for k in degrees:
+        for w, _ in terms:
+            targets = moment_targets(n, d, k, w)
+            if targets is None:
+                continue
+            hit = cache.get(n, d, k, w) if cache is not None else None
+            if hit is None:
+                missing[k, w] = targets
+            else:
+                counts[k, w] = hit
     if missing and series is None:
         caps = [max(column) for column in zip(*missing.values())]
-        series = expand_generating_series(n, d, k, max_terms, caps)
-    for w, targets in missing.items():
-        counts[w] = series.coefficient(k, targets)
+        series = expand_generating_series(n, d, max(k for k, _ in missing), max_terms, caps)
+    for (k, w), targets in missing.items():
+        counts[k, w] = series.coefficient(k, targets)
         if cache is not None:
-            cache.put(n, d, k, w, counts[w])
-    return counts
+            cache.put(n, d, k, w, counts[k, w])
+    sums = [sum(c * counts.get((k, w), 0) for w, c in terms) for k in degrees]
+    for k, total in zip(degrees, sums):
+        if total < 0:
+            raise InternalError(f"negative multiplicity {total} at (n={n}, d={d}, k={k})")
+    return sums
 
 
 def weight_multiplicity(
@@ -107,7 +111,7 @@ def weight_multiplicity(
     coefficient space.
     """
     w = check_weight(n, weight)
-    return weight_counts(n, d, k, [w], max_terms, cache).get(w, 0)
+    return signed_counts(n, d, [k], [(w, 1)], max_terms, cache)[0]
 
 
 class CountCache:
@@ -164,4 +168,8 @@ def cache_from_env() -> CountCache | None:
     directory = os.environ.get(CACHE_ENV_VAR)
     if not directory:
         return None
-    return CountCache(directory)
+    try:
+        return CountCache(directory)
+    except OSError as exc:
+        where = f"--cache: {CACHE_ENV_VAR}={directory!r} is not a usable directory"
+        raise OSError(f"{where} ({exc.strerror or exc})") from exc

@@ -4,14 +4,15 @@ All results are exact nonnegative integers: the number of independent
 highest-weight vectors (semi-invariants) of a dominant weight in degree
 ``k`` is a parity-signed sum of weight multiplicities over the Weyl orbit
 of the half-sum of positive roots, shifted by that weight.  The invariant
-dimension is the case of the zero weight.
+dimension is the case of the zero weight.  Each function only picks the
+orbit terms and degrees; :func:`naryinv.counting.signed_counts` reads them.
 """
 
 from __future__ import annotations
 
-from .counting import CountCache, weight_counts
-from .errors import InternalError, check_params
-from .series import MAX_TERMS, TruncatedSeries, expand_generating_series
+from .counting import CountCache, signed_counts
+from .errors import check_params
+from .series import MAX_TERMS, TruncatedSeries
 from .weights import check_dominant, signed_orbit_terms
 
 
@@ -28,22 +29,11 @@ def highest_weight_multiplicity(
     in the degree-``k`` piece of the coefficient algebra.
 
     Equals the number of linearly independent semi-invariants of that weight
-    and degree.  All orbit terms are counted from one expansion (or read off
-    ``series`` when given).
+    and degree: the signed orbit terms shifted by it, read at degree ``k``.
     """
     check_params(n, d, k, max_terms)
-    w = check_dominant(n, highest)
-    terms = signed_orbit_terms(n, shift=w)
-    counts = weight_counts(
-        n, d, k, [t.dominant for t in terms], max_terms, cache, series
-    )
-    total = sum(coef * counts.get(dominant, 0) for dominant, coef in terms)
-    if total < 0:
-        raise InternalError(
-            f"negative multiplicity {total} for (n={n}, d={d}, k={k}, "
-            f"highest={w}); this indicates a sign-convention bug"
-        )
-    return total
+    terms = signed_orbit_terms(n, shift=check_dominant(n, highest))
+    return signed_counts(n, d, [k], terms, max_terms, cache, series)[0]
 
 
 def invariant_dimension(
@@ -66,10 +56,7 @@ def hilbert_series_prefix(
     k_max: int,
     max_terms: int = MAX_TERMS,
 ) -> list[int]:
-    """Graded invariant dimensions ``[dim_0, dim_1, ..., dim_k_max]``, all
-    read off one expansion."""
-    series = expand_generating_series(n, d, k_max, max_terms)
-    return [
-        invariant_dimension(n, d, k, max_terms, series=series)
-        for k in range(k_max + 1)
-    ]
+    """Graded invariant dimensions ``[dim_0, dim_1, ..., dim_k_max]``: the
+    signed orbit terms read at every degree off one expansion."""
+    check_params(n, d, k_max, max_terms)
+    return signed_counts(n, d, range(k_max + 1), signed_orbit_terms(n), max_terms)

@@ -111,7 +111,7 @@ def _dominated_partitions(top: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _dominant_multiplicity_table(
     n: int, highest: Weight
 ) -> dict[tuple[int, ...], int]:

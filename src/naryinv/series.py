@@ -7,9 +7,10 @@ have the multigraded generating series
 
 where ``q^i`` tracks the moment contribution of index ``i``.  Every weight
 multiplicity is one coefficient of this product, and
-:func:`expand_generating_series` is the one function that expands it:
-point queries expand it once, capped at the largest moments they read,
-and multi-degree queries read every degree off one expansion.
+:func:`expand_generating_series` is the one function that expands it.
+Queries expand it through :func:`naryinv.counting.signed_counts`, once,
+capped at the largest moments they read; only ``series --dump`` expands
+it uncapped.
 
 This module owns the storage format.  A moment vector is packed into one
 int: component ``s`` sits in a field of ``width`` bits, biased so that it

@@ -113,6 +113,20 @@ def test_series_dump(tmp_path):
     assert path.read_text().splitlines() == [json.dumps(r) for r in records]
 
 
+def test_capped_reads_under_a_small_term_limit(tmp_path):
+    # the orbit terms of degree 12 need 1,547 stored terms of the (3, 3)
+    # series, capped at their targets; the uncapped expansion stores 3,289
+    assert run_cli("nu", "3", "3", "12") == (0, "2\n")
+    assert run_cli("series", "3", "3", "12", "--limit-states", "2000") == (0, "2\n")
+    code, out = run_cli("table", "3", "3", "--kmax", "12", "--limit-states", "2000")
+    assert code == 0 and out.splitlines()[-1] == "12 2"
+    # a dump writes every coefficient, so it still expands uncapped
+    path = tmp_path / "F"
+    path.write_text("kept\n")
+    code, _ = run_cli("series", "3", "3", "12", "--dump", str(path), "--limit-states", "2000")
+    assert code == 3 and path.read_text() == "kept\n"
+
+
 def test_check_agrees_on_default_grid():
     for n in (2, 3):
         for d in (1, 2, 3):
@@ -221,6 +235,7 @@ def test_cache_dir_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert "NARY_CACHE_DIR" in err and str(not_a_dir) in err and "--cache" in err
 
 
 def test_dump_to_missing_directory_exits_2(tmp_path, monkeypatch, capsys):

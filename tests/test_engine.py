@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naryinv.counting import moment_targets, weight_counts, weight_multiplicity
+from naryinv.counting import signed_counts, weight_multiplicity
 from naryinv.errors import TruncationError
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
@@ -50,16 +50,17 @@ def test_weight_multiplicity_equals_tally(data):
 @SETTINGS
 @given(st.data())
 def test_weights_sharing_one_expansion(data):
-    # the caps are the coordinatewise maxima of several targets, so they
-    # differ per component and most targets sit below some cap
+    # several terms over several degrees are read off one expansion, capped
+    # at the coordinatewise maxima of their targets, so the caps differ per
+    # component and most targets sit below some cap; the coefficients are
+    # distinct powers of 3, so a read credited to the wrong term or degree
+    # changes a sum
     n, d, k = data.draw(degrees())
+    ks = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=4))
     ws = data.draw(st.lists(weights(n, d, k), min_size=1, max_size=6))
-    counts = weight_counts(n, d, k, ws)
-    for w in ws:
-        if moment_targets(n, d, k, w) is None:
-            assert w not in counts and tally(n, d, k).get(w, 0) == 0
-        else:
-            assert counts[w] == tally(n, d, k).get(w, 0)
+    terms = [(w, 3**i) for i, w in enumerate(ws)]
+    expected = [sum(c * tally(n, d, j).get(w, 0) for w, c in terms) for j in ks]
+    assert signed_counts(n, d, ks, terms) == expected
 
 
 @st.composite

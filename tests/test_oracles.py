@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import naryinv.oracles as oracles_mod
 from naryinv.errors import ResourceLimitError
 from naryinv.oracles import (
     alternating_multiplicity_sum,
@@ -97,6 +98,23 @@ def test_freudenthal_multiplicities_sum_to_weyl_dimension():
             mult = freudenthal_multiplicity(n, top, from_ambient(sorted(ambient)))
             total += mult * _orbit_size(ambient)
         assert total == weyl_dimension(n, top)
+
+
+def test_freudenthal_memo_is_bounded():
+    memo = oracles_mod._dominant_multiplicity_table
+    cap = memo.cache_info().maxsize
+    assert cap is not None
+    # the cheapest modules first: small weights of rank 3, 4 and 5
+    small = (
+        (n, w)
+        for total in itertools.count()
+        for n in (3, 4, 5)
+        for w in itertools.product(range(total + 1), repeat=n - 1)
+        if sum(w) == total
+    )
+    for n, w in itertools.islice(small, cap + 5):
+        assert freudenthal_multiplicity(n, w, w) == 1
+    assert memo.cache_info().currsize <= cap
 
 
 def test_weyl_dimension_examples():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from naryinv.counting import moment_targets
-from naryinv.dimensions import invariant_dimension
+from naryinv.dimensions import hilbert_series_prefix, invariant_dimension
 from naryinv.errors import ResourceLimitError, TruncationError
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
@@ -105,11 +105,14 @@ def test_invariant_dimension_by_series_examples():
 
 
 def test_path_equivalence_on_grid():
+    # uncapped series, a capped expansion per degree, and one expansion
+    # capped at the targets of every degree
     for n in (2, 3, 4):
         for d in (1, 2, 3):
             series = expand_generating_series(n, d, 8)
+            prefix = hilbert_series_prefix(n, d, 8)
             for k in range(9):
-                assert _by_series(n, d, k, series) == invariant_dimension(n, d, k)
+                assert _by_series(n, d, k, series) == invariant_dimension(n, d, k) == prefix[k]
 
 
 def test_series_reuse_validation():
