@@ -11,10 +11,14 @@ Subcommands::
     check <n> <d> [--kmax K]          cross-check against all oracles
 
 Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``.
+A weight whose first entry is negative must be attached with ``=``, as in
+``--mu=-1,2``; otherwise argparse reads ``-1,2`` as an option.  The
+``--lambda`` of ``gamma`` and ``orbit`` must be dominant (no negative entry).
 Common flags: ``--format plain|json|csv`` (default plain) and
 ``--limit-states N`` (cap on the terms a series expansion stores, at least
-1; a query expands only up to the moments it reads, except ``series --dump``,
-which writes every coefficient and so expands uncapped).  ``nu``, ``gamma``
+1; a query expands only up to the moments it reads).  ``series`` is the same
+capped read as ``nu`` under its own method tag; only ``series --dump``, which
+writes every coefficient, expands uncapped.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
 unreadable records, which are skipped).  ``check`` prints the
@@ -46,7 +50,7 @@ from .dimensions import (
 from .errors import InternalError, ResourceLimitError, check_params
 from .oracles import binary_invariant_dimension, brute_character, strip_decompose
 from .series import MAX_TERMS, dump_series, expand_generating_series
-from .weights import signed_orbit_terms
+from .weights import check_dominant, signed_orbit_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,63 +84,26 @@ def _weight_str(weight) -> str:
     return ",".join(str(x) for x in weight)
 
 
-def _emit_records(records: list[dict], fmt: str, out) -> None:
-    """Render query/result records.
+def _emit_records(records: list[tuple], fmt: str, out) -> None:
+    """Render ``(n, d, k, weight, result, method, elapsed_ms)`` records.
 
     plain: one result per line (``k`` prefixed for multi-row commands);
     json: one object per line with the full record; csv: fixed header
     ``n,d,k,mu_or_lambda,result,method``.
     """
-    if fmt == "json":
-        for rec in records:
-            obj = {
-                "n": rec["n"],
-                "d": rec["d"],
-                "k": rec["k"],
-                "mu_or_lambda": list(rec["weight"]) if rec["weight"] is not None else None,
-                "result": str(rec["result"]),
-                "method": rec["method"],
-                "elapsed_ms": rec["elapsed_ms"],
-            }
-            out.write(json.dumps(obj) + "\n")
-    elif fmt == "csv":
+    if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["n"],
-                    rec["d"],
-                    rec["k"],
-                    _weight_str(rec["weight"]) if rec["weight"] is not None else "",
-                    str(rec["result"]),
-                    rec["method"],
-                ]
-            )
-    else:
-        if len(records) == 1:
-            out.write(f"{records[0]['result']}\n")
+    for n, d, k, weight, result, method, ms in records:
+        if fmt == "json":
+            shown = None if weight is None else list(weight)
+            obj = dict(zip(CSV_HEADER, [n, d, k, shown, str(result), method]))
+            out.write(json.dumps({**obj, "elapsed_ms": round(ms, 3)}) + "\n")
+        elif fmt == "csv":
+            shown = "" if weight is None else _weight_str(weight)
+            writer.writerow([n, d, k, shown, result, method])
         else:
-            for rec in records:
-                out.write(f"{rec['k']} {rec['result']}\n")
-
-
-def _record(n, d, k, weight, result, method, elapsed_ms) -> dict:
-    return {
-        "n": n,
-        "d": d,
-        "k": k,
-        "weight": weight,
-        "result": result,
-        "method": method,
-        "elapsed_ms": round(elapsed_ms, 3),
-    }
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, (time.perf_counter() - start) * 1000.0
+            out.write(f"{result}\n" if len(records) == 1 else f"{k} {result}\n")
 
 
 def _open_cache(enabled: bool) -> CountCache | None:
@@ -158,32 +125,34 @@ def _open_cache(enabled: bool) -> CountCache | None:
 
 
 def cmd_point(args, out) -> int:
-    """``nu``, ``gamma`` and ``count``: one value at one ``(n, d, k)``."""
+    """``nu``, ``gamma``, ``count`` and ``series``: one value at one
+    ``(n, d, k)``, from the query function, method tag and weight flag that
+    the subcommand's parser sets."""
     query = (args.n, args.d, args.k)
-    weight = None
-    if args.command == "gamma":
-        weight = parse_weight(args.highest, args.n, "--lambda")
-    elif args.command == "count":
-        weight = parse_weight(args.mu, args.n, "--mu")
+    weight = parse_weight(args.weight, args.n, args.flag) if args.flag else None
+    inputs = query if weight is None else (*query, weight)
     options = {"max_terms": args.limit_states, "cache": _open_cache(args.cache)}
-
-    def run():
-        if args.command == "nu":
-            return invariant_dimension(*query, **options)
-        if args.command == "gamma":
-            return highest_weight_multiplicity(*query, weight, **options)
-        return weight_multiplicity(*query, weight, **options)
-
-    value, ms = _timed(run)
-    method = {"nu": "theorem1", "gamma": "theorem2", "count": "counting"}[args.command]
-    _emit_records([_record(*query, weight, value, method, ms)], args.format, out)
+    # opened first, so that a bad path fails before the expansion, and for
+    # appending, so that a failed expansion leaves an existing file as it was
+    with open(args.dump, "a", encoding="utf-8") if args.dump else nullcontext() as fh:
+        start = time.perf_counter()
+        if fh:
+            # only a dump needs every coefficient; otherwise the read is capped
+            options["series"] = expand_generating_series(*query, args.limit_states)
+        value = args.query(*inputs, **options)
+        ms = (time.perf_counter() - start) * 1000.0
+        if fh:
+            fh.truncate(0)
+            written = dump_series(options["series"], fh)
+            print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
+    _emit_records([(*query, weight, value, args.method, ms)], args.format, out)
     return EXIT_OK
 
 
 def cmd_orbit(args, out) -> int:
     shift = None
     if args.highest is not None:
-        shift = parse_weight(args.highest, args.n, "--lambda")
+        shift = check_dominant(args.n, parse_weight(args.highest, args.n, "--lambda"))
     terms = signed_orbit_terms(args.n, shift=shift)
     if args.format == "json":
         obj = {
@@ -208,35 +177,15 @@ def cmd_orbit(args, out) -> int:
 
 def _prefix(args) -> tuple[list[int], float]:
     """Invariant dimensions for k = 0..kmax and the mean time per degree."""
-    values, ms = _timed(
-        lambda: hilbert_series_prefix(args.n, args.d, args.kmax, args.limit_states)
-    )
-    return values, ms / len(values)
+    start = time.perf_counter()
+    values = hilbert_series_prefix(args.n, args.d, args.kmax, args.limit_states)
+    return values, (time.perf_counter() - start) * 1000.0 / len(values)
 
 
 def cmd_table(args, out) -> int:
     values, ms = _prefix(args)
-    records = [
-        _record(args.n, args.d, k, None, v, "theorem1", ms)
-        for k, v in enumerate(values)
-    ]
+    records = [(args.n, args.d, k, None, v, "theorem1", ms) for k, v in enumerate(values)]
     _emit_records(records, args.format, out)
-    return EXIT_OK
-
-
-def cmd_series(args, out) -> int:
-    n, d, k, limit = args.n, args.d, args.k, args.limit_states
-    # opened first, so that a bad path fails before the expansion, and for
-    # appending, so that a failed expansion leaves an existing file as it was
-    with open(args.dump, "a", encoding="utf-8") if args.dump else nullcontext() as fh:
-        # only a dump needs every coefficient; otherwise the read is capped
-        series, ms = _timed(lambda: expand_generating_series(n, d, k, limit) if fh else None)
-        value, more = _timed(lambda: invariant_dimension(n, d, k, limit, series=series))
-        if fh:
-            fh.truncate(0)
-            written = dump_series(series, fh)
-            print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
-    _emit_records([_record(n, d, k, None, value, "series", ms + more)], args.format, out)
     return EXIT_OK
 
 
@@ -251,9 +200,9 @@ def cmd_check(args, out) -> int:
         others = {"stripping": stripped.get((0,) * (n - 1), 0)}
         if n == 2:
             others["classical-binary"] = binary_invariant_dimension(d, k)
-        records.append(_record(n, d, k, None, main, "theorem1", ms))
+        records.append((n, d, k, None, main, "theorem1", ms))
         for method, value in others.items():
-            records.append(_record(n, d, k, None, value, method, 0.0))
+            records.append((n, d, k, None, value, method, 0.0))
             if value != main:
                 disagreements.append((k, method, main, value))
         if args.format == "plain":
@@ -288,49 +237,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, k=True, d=True):
+    def add(name, help_text, handler, *, k=True, d=True, **defaults):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("n", type=int)
         if d:
             p.add_argument("d", type=int)
         if k:
             p.add_argument("k", type=int)
-        if name in ("nu", "gamma", "count"):
-            p.add_argument(
-                "--cache", action="store_true",
-                help="memoise weight multiplicities under $NARY_CACHE_DIR",
-            )
+        p.set_defaults(handler=handler, **defaults)
         return p
 
-    add("nu", "invariant dimension")
-    p = add("gamma", "highest-weight multiplicity")
-    p.add_argument("--lambda", dest="highest", required=True, metavar="W",
-                   help="dominant weight, comma-separated, length n-1")
-    p = add("count", "multiplicity of a weight in the degree-k piece")
-    p.add_argument("--mu", required=True, metavar="W",
-                   help="weight, comma-separated, length n-1")
-    p = add("orbit", "signed Weyl-orbit terms", k=False, d=False)
+    # the point queries: query function, method tag, weight flag and its help
+    for name, help_text, query, method, flag, weight_help in (
+        ("nu", "invariant dimension", invariant_dimension, "theorem1", None, None),
+        ("gamma", "highest-weight multiplicity", highest_weight_multiplicity,
+         "theorem2", "--lambda", "dominant weight, comma-separated, length n-1"),
+        ("count", "multiplicity of a weight in the degree-k piece", weight_multiplicity,
+         "counting", "--mu", "weight, comma-separated, length n-1"),
+    ):
+        p = add(name, help_text, cmd_point, query=query, method=method, flag=flag, dump=None)
+        p.add_argument(
+            "--cache", action="store_true",
+            help="memoise weight multiplicities under $NARY_CACHE_DIR",
+        )
+        if flag:
+            p.add_argument(flag, dest="weight", required=True, metavar="W", help=weight_help)
+    p = add("orbit", "signed Weyl-orbit terms", cmd_orbit, k=False, d=False)
     p.add_argument("--lambda", dest="highest", default=None, metavar="W",
                    help="optional dominant shift, comma-separated, length n-1")
-    p = add("table", "invariant dimensions for k = 0..K", k=False)
+    p = add("table", "invariant dimensions for k = 0..K", cmd_table, k=False)
     p.add_argument("--kmax", type=int, required=True, metavar="K")
-    p = add("series", "invariant dimension via the generating series")
+    p = add("series", "invariant dimension via the generating series", cmd_point,
+            query=invariant_dimension, method="series", flag=None, cache=False)
     p.add_argument("--dump", metavar="FILE",
                    help="write the truncated series as JSON lines")
-    p = add("check", "cross-check against all applicable oracles", k=False)
+    p = add("check", "cross-check against all applicable oracles", cmd_check, k=False)
     p.add_argument("--kmax", type=int, default=6, metavar="K")
     return parser
-
-
-HANDLERS = {
-    "nu": cmd_point,
-    "gamma": cmd_point,
-    "count": cmd_point,
-    "orbit": cmd_orbit,
-    "table": cmd_table,
-    "series": cmd_series,
-    "check": cmd_check,
-}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -342,7 +285,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         check_params(args.n, max_terms=args.limit_states)
-        return HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -253,26 +253,29 @@ def binary_invariant_dimension(d: int, k: int) -> int:
 
     Zero when ``k * d`` is odd; otherwise the number of partitions of
     ``k*d/2`` fitting in a ``k`` by ``d`` box minus the number for
-    ``k*d/2 - 1``.  Uses its own partition recursion, independent of the
-    generating-series expansion.
+    ``k*d/2 - 1``.  Those counts are coefficients of the Gaussian binomial
+    ``[k + d, k]_q``, built as a product of ratios; nothing is shared with
+    the generating-series expansion.
     """
     check_params(2, d, k)
     if (k * d) % 2:
         return 0
     half = k * d // 2
-    return _box_partitions(half, k, d) - _box_partitions(half - 1, k, d)
+    # a box and its transpose hold the same partitions; loop over the short side
+    counts = _box_partition_counts(min(k, d), max(k, d), half)
+    return counts[half] - (counts[half - 1] if half else 0)
 
 
-@functools.cache
-def _box_partitions(m: int, parts: int, largest: int) -> int:
-    """Partitions of ``m`` into at most ``parts`` parts, each <= ``largest``."""
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    if parts == 0 or largest == 0:
-        return 0
-    # split on whether a part of maximal size occurs
-    return _box_partitions(m, parts, largest - 1) + _box_partitions(
-        m - largest, parts - 1, largest
-    )
+def _box_partition_counts(rows: int, cols: int, top: int) -> list[int]:
+    """Partitions of ``m`` into at most ``rows`` parts, each <= ``cols``,
+    for ``m = 0..top``: the coefficients of the Gaussian binomial
+    ``[rows + cols, rows]_q = prod_{i=1..rows} (1 - q^(cols+i)) / (1 - q^i)``,
+    truncated at ``q^top``.  Each partial product is itself a Gaussian
+    binomial, hence a polynomial, so every division is exact."""
+    poly = [1] + [0] * top
+    for i in range(1, rows + 1):
+        for j in range(top, cols + i - 1, -1):
+            poly[j] -= poly[j - cols - i]
+        for j in range(i, top + 1):
+            poly[j] += poly[j - i]
+    return poly

@@ -1,16 +1,166 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
 from naryinv.cli import main, parse_weight
+from naryinv.counting import weight_multiplicity
 
 
 def run_cli(*argv):
     buf = io.StringIO()
     code = main(list(argv), out=buf)
     return code, buf.getvalue()
+
+
+# every subcommand in every format, with elapsed_ms masked to 0: the bytes
+# each one prints, pinned so that a change to the CLI layer cannot move them
+OUTPUT_MATRIX = {
+    "nu 3 3 4": {
+        "plain": "1\n",
+        "json": (
+            '{"n": 3, "d": 3, "k": 4, "mu_or_lambda": null, '
+            '"result": "1", "method": "theorem1", "elapsed_ms": 0}\n'
+        ),
+        "csv": (
+            "n,d,k,mu_or_lambda,result,method\r\n"
+            "3,3,4,,1,theorem1\r\n"
+        ),
+    },
+    "gamma 2 2 2 --lambda 4": {
+        "plain": "1\n",
+        "json": (
+            '{"n": 2, "d": 2, "k": 2, "mu_or_lambda": [4], '
+            '"result": "1", "method": "theorem2", "elapsed_ms": 0}\n'
+        ),
+        "csv": (
+            "n,d,k,mu_or_lambda,result,method\r\n"
+            "2,2,2,4,1,theorem2\r\n"
+        ),
+    },
+    "count 3 3 2 --mu 0,3": {
+        "plain": "2\n",
+        "json": (
+            '{"n": 3, "d": 3, "k": 2, "mu_or_lambda": [0, 3], '
+            '"result": "2", "method": "counting", "elapsed_ms": 0}\n'
+        ),
+        "csv": (
+            "n,d,k,mu_or_lambda,result,method\r\n"
+            '3,3,2,"0,3",2,counting\r\n'
+        ),
+    },
+    "orbit 3 --lambda 1,0": {
+        "plain": (
+            "(1,0) +1\n"
+            "(0,2) -1\n"
+            "(2,1) -1\n"
+            "(1,3) +1\n"
+            "(3,2) -1\n"
+            "(4,0) +1\n"
+        ),
+        "json": (
+            '{"n": 3, "shift": [1, 0], "terms": [{"weight": [1, 0], "coefficient": 1}, '
+            '{"weight": [0, 2], "coefficient": -1}, {"weight": [2, 1], "coefficient": -1}, '
+            '{"weight": [1, 3], "coefficient": 1}, {"weight": [3, 2], "coefficient": -1}, '
+            '{"weight": [4, 0], "coefficient": 1}]}\n'
+        ),
+        "csv": (
+            "weight,coefficient\r\n"
+            '"1,0",1\r\n'
+            '"0,2",-1\r\n'
+            '"2,1",-1\r\n'
+            '"1,3",1\r\n'
+            '"3,2",-1\r\n'
+            '"4,0",1\r\n'
+        ),
+    },
+    "table 2 4 --kmax 3": {
+        "plain": (
+            "0 1\n"
+            "1 0\n"
+            "2 1\n"
+            "3 1\n"
+        ),
+        "json": (
+            '{"n": 2, "d": 4, "k": 0, "mu_or_lambda": null, '
+            '"result": "1", "method": "theorem1", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 4, "k": 1, "mu_or_lambda": null, '
+            '"result": "0", "method": "theorem1", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 4, "k": 2, "mu_or_lambda": null, '
+            '"result": "1", "method": "theorem1", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 4, "k": 3, "mu_or_lambda": null, '
+            '"result": "1", "method": "theorem1", "elapsed_ms": 0}\n'
+        ),
+        "csv": (
+            "n,d,k,mu_or_lambda,result,method\r\n"
+            "2,4,0,,1,theorem1\r\n"
+            "2,4,1,,0,theorem1\r\n"
+            "2,4,2,,1,theorem1\r\n"
+            "2,4,3,,1,theorem1\r\n"
+        ),
+    },
+    "series 2 2 4": {
+        "plain": "1\n",
+        "json": (
+            '{"n": 2, "d": 2, "k": 4, "mu_or_lambda": null, '
+            '"result": "1", "method": "series", "elapsed_ms": 0}\n'
+        ),
+        "csv": (
+            "n,d,k,mu_or_lambda,result,method\r\n"
+            "2,2,4,,1,series\r\n"
+        ),
+    },
+    "check 2 2 --kmax 2": {
+        "plain": (
+            "k=0 theorem1=1 stripping=1 classical-binary=1 ok\n"
+            "k=1 theorem1=0 stripping=0 classical-binary=0 ok\n"
+            "k=2 theorem1=1 stripping=1 classical-binary=1 ok\n"
+        ),
+        "json": (
+            '{"n": 2, "d": 2, "k": 0, "mu_or_lambda": null, '
+            '"result": "1", "method": "theorem1", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 0, "mu_or_lambda": null, '
+            '"result": "1", "method": "stripping", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 0, "mu_or_lambda": null, '
+            '"result": "1", "method": "classical-binary", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 1, "mu_or_lambda": null, '
+            '"result": "0", "method": "theorem1", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 1, "mu_or_lambda": null, '
+            '"result": "0", "method": "stripping", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 1, "mu_or_lambda": null, '
+            '"result": "0", "method": "classical-binary", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 2, "mu_or_lambda": null, '
+            '"result": "1", "method": "theorem1", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 2, "mu_or_lambda": null, '
+            '"result": "1", "method": "stripping", "elapsed_ms": 0}\n'
+            '{"n": 2, "d": 2, "k": 2, "mu_or_lambda": null, '
+            '"result": "1", "method": "classical-binary", "elapsed_ms": 0}\n'
+        ),
+        "csv": (
+            "n,d,k,mu_or_lambda,result,method\r\n"
+            "2,2,0,,1,theorem1\r\n"
+            "2,2,0,,1,stripping\r\n"
+            "2,2,0,,1,classical-binary\r\n"
+            "2,2,1,,0,theorem1\r\n"
+            "2,2,1,,0,stripping\r\n"
+            "2,2,1,,0,classical-binary\r\n"
+            "2,2,2,,1,theorem1\r\n"
+            "2,2,2,,1,stripping\r\n"
+            "2,2,2,,1,classical-binary\r\n"
+        ),
+    },
+}
+
+
+def test_output_matrix(capsys):
+    for query, outputs in OUTPUT_MATRIX.items():
+        for fmt, expected in outputs.items():
+            code, out = run_cli(*query.split(), "--format", fmt)
+            masked = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out)
+            assert (code, masked) == (0, expected), (query, fmt)
+            assert capsys.readouterr().err == "", (query, fmt)
 
 
 def test_orbit_plain_output():
@@ -166,6 +316,11 @@ def test_invalid_arguments_exit_code():
     assert code == 2
     code, _ = run_cli("nu", "2", "3", "4", "--limit-states", "-5")
     assert code == 2
+    # orbit's shift must be dominant, as gamma's --lambda must
+    code, out = run_cli("orbit", "3", "--lambda", "1,-1")
+    assert (code, out) == (2, "")
+    code, out = run_cli("orbit", "2", "--lambda=-3")
+    assert (code, out) == (2, "")
 
 
 def test_resource_limit_exit_code():
@@ -258,6 +413,14 @@ def test_cache_flag_without_env(monkeypatch, capsys):
     code, out = run_cli("nu", "2", "2", "2", "--cache")
     assert code == 0 and out.strip() == "1"
     assert "NARY_CACHE_DIR" in capsys.readouterr().err
+
+
+def test_weight_with_negative_first_entry_attached_with_equals():
+    # "--mu -1,2" would read "-1,2" as an option; "--mu=-1,2" is the weight
+    expected = weight_multiplicity(3, 3, 2, (-1, 2))
+    assert expected > 0
+    assert run_cli("count", "3", "3", "2", "--mu=-1,2") == (0, f"{expected}\n")
+    assert run_cli("count", "3", "3", "2", "--mu", "-1,2")[0] == 2
 
 
 def test_parse_weight_error_messages():

@@ -158,6 +158,19 @@ def test_binary_invariant_dimension_examples():
     assert binary_invariant_dimension(3, 1) == 0  # odd product
 
 
+def test_binary_invariant_dimension_at_large_degree():
+    # deep enough that a recursive partition count would overflow the stack
+    assert binary_invariant_dimension(1, 1000) == 0
+    assert binary_invariant_dimension(2, 600) == 1
+    assert binary_invariant_dimension(3, 400) == binary_invariant_dimension(400, 3) == 1
+    # the binary quartic's Hilbert series is 1/((1-t^2)(1-t^3))
+    quartic = [1] + [0] * 600
+    for a in (2, 3):
+        for j in range(a, 601):
+            quartic[j] += quartic[j - a]
+    assert [binary_invariant_dimension(4, k) for k in range(598, 601)] == quartic[598:]
+
+
 def test_binary_oracles_agree_with_each_other():
     for d in range(1, 7):
         for k in range(11):

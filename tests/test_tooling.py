@@ -1,6 +1,8 @@
 """Checks on the package as a whole: it must hold under ``python -O``,
-which strips ``assert``, and keep every name the benchmark imports."""
+which strips ``assert``, keep every name the benchmark imports, and keep
+the CLI's documented commands in step with its parser."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -56,3 +58,20 @@ def test_benchmark_imports_resolve():
     assert {"CountCache", "invariant_dimension_by_series", "moment_targets"} <= set(imported)
     # the worker builds its cache records from the package-level expansion
     assert callable(importlib.import_module("naryinv").expand_generating_series)
+
+
+def test_cli_docstring_lists_every_subcommand(capsys):
+    # the module docstring is the CLI's reference; its command list and the
+    # parser must name the same subcommands, and each one must have help
+    from naryinv import cli
+
+    listing = cli.__doc__.split("Subcommands::\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = [line.split()[0] for line in listing.splitlines()]
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert documented == list(subparsers.choices)
+    for name in documented:
+        assert cli.main([name, "--help"]) == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: naryinv {name} ")
