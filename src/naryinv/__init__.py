@@ -5,10 +5,10 @@ multiplicities of highest weights, in the graded coefficient algebra of an
 n-ary form of degree d.  Everything is exact integer arithmetic: the main
 route is a parity-signed sum of weight multiplicities over a Weyl orbit,
 each multiplicity one coefficient of a truncated generating series that a
-single packed-moment expansion computes, and the :mod:`naryinv.oracles`
-module holds fully independent verification paths (brute-force character
-tallies, Freudenthal multiplicities with greedy stripping, and the
-classical bounded-partition count for binary forms).
+single expansion computes, one big integer per degree, and the
+:mod:`naryinv.oracles` module holds fully independent verification paths
+(brute-force character tallies, Freudenthal multiplicities with greedy
+stripping, and the classical bounded-partition count for binary forms).
 """
 
 from .counting import (

@@ -15,8 +15,9 @@ A weight whose first entry is negative must be attached with ``=``, as in
 ``--mu=-1,2``; otherwise argparse reads ``-1,2`` as an option.  The
 ``--lambda`` of ``gamma`` and ``orbit`` must be dominant (no negative entry).
 Common flags: ``--format plain|json|csv`` (default plain) and
-``--limit-states N`` (cap on the terms a series expansion stores, at least
-1; a query expands only up to the moments it reads).  ``series`` is the same
+``--limit-states N`` (cap on the cells the degree layers of a series
+expansion span, at least 1, checked before anything is allocated; a query
+expands only up to the moments it reads).  ``series`` is the same
 capped read as ``nu`` under its own method tag; only ``series --dump``, which
 writes every coefficient, expands uncapped.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--limit-states", type=int, default=MAX_TERMS, metavar="N",
-        help="cap on the terms a series expansion stores",
+        help="cap on the cells a series expansion spans",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,51 +12,87 @@ Queries expand it through :func:`naryinv.counting.signed_counts`, once,
 capped at the largest moments they read; only ``series --dump`` expands
 it uncapped.
 
-This module owns the storage format.  A moment vector is packed into one
-int: component ``s`` sits in a field of ``width`` bits, biased so that it
-reads ``2**width - 1`` exactly at its cap, with one guard bit above the
-field.  Multiplying in index ``i`` adds a fixed offset to the key, and a
-key with any guard bit set has some moment past its cap.  Only
-:meth:`TruncatedSeries.coefficient`, :attr:`TruncatedSeries.coefficients`
-and :func:`dump_series` see unpacked vectors.
+This module owns the storage format: one Python ``int`` per degree layer
+(Kronecker substitution).  With caps ``c``, the moment vector ``m`` sits in
+cell ``sum(m[s] * places[s])``, its value as a mixed-radix number with
+digit ``s`` in radix ``c[s] + 1``, and cell ``j`` is the ``width``-bit
+field at bit ``j * width`` of the layer.  No count exceeds the number of
+monomials of the top degree, and ``width`` is wider than that number, so
+a field never carries into the next.  Multiplying in index ``i`` adds to
+each layer a copy of the layer below, masked to the cells from which
+``i`` stays within every cap and shifted by the cell of ``i``.  Only
+:meth:`TruncatedSeries.coefficient` and :meth:`TruncatedSeries.nonzero`
+read cells.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
+import operator
+import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
-from .errors import ResourceLimitError, TruncationError, check_params
-from .forms import enumerate_indices
+from .errors import InternalError, ResourceLimitError, TruncationError, check_params
+from .forms import enumerate_indices, index_count
 
-#: the one bound on stored terms, for every expansion
+#: the one bound on the cells the layers of an expansion span
 MAX_TERMS = 5_000_000
 
+def _places(caps: tuple[int, ...]) -> tuple[int, ...]:
+    """Cell of each unit moment vector: the mixed-radix place values."""
+    return tuple(itertools.accumulate((c + 1 for c in caps[:-1]), operator.mul, initial=1))
 
-def _layout(d: int, caps: tuple[int, ...]) -> tuple[int, int, int]:
-    """``(stride, zero key, guard mask)`` of the packing for these caps.
 
-    A field is wide enough to hold every cap, and to take one index entry
-    (at most ``d``) on top of a value at its cap without carrying past its
-    guard bit.
-    """
-    width = max(max(caps), d).bit_length()
-    stride = width + 1
-    top = (1 << width) - 1
-    zero = sum((top - c) << (s * stride) for s, c in enumerate(caps))
-    guard = sum(1 << (s * stride + width) for s in range(len(caps)))
-    return stride, zero, guard
+def _span(d: int, k: int, caps: tuple[int, ...], places: tuple[int, ...]) -> int:
+    """Cells layer ``k`` spans: up to the cell of its largest moments,
+    ``min(caps[s], d * k)`` in component ``s``."""
+    return 1 + sum(min(c, d * k) * p for c, p in zip(caps, places))
+
+
+def _repeat(pattern: int, stride: int, count: int) -> int:
+    """``count >= 1`` copies of ``pattern``, ``stride`` bits apart, built by
+    doubling (a quotient by a big repunit would be quadratic)."""
+    out, have = pattern, 1
+    while 2 * have <= count:
+        out |= out << (have * stride)
+        have *= 2
+    if have < count:
+        out |= _repeat(pattern, stride, count - have) << (have * stride)
+    return out
+
+
+def _cells(
+    caps: tuple[int, ...],
+    places: tuple[int, ...],
+    budget: int,
+    prefix: tuple[int, ...] = (),
+    at: int = 0,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(moments, cell)`` for every moment vector within ``caps`` whose
+    entries sum to at most ``budget``, in lexicographic order; ``prefix``
+    fixes the leading entries and ``at`` is their cell."""
+    s = len(prefix)
+    top, place = min(caps[s], budget), places[s]
+    if s == len(caps) - 1:
+        for x in range(top + 1):
+            yield (*prefix, x), at + x * place
+    else:
+        for x in range(top + 1):
+            yield from _cells(caps, places, budget - x, (*prefix, x), at + x * place)
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Sparse truncated expansion of the coefficient generating series.
+    """Truncated expansion of the coefficient generating series.
 
-    ``layers[k]`` maps packed moment vectors of degree-``k`` monomials to
-    exact counts, for ``k`` up to ``degree_bound``.  Moment ``s`` is kept
-    only up to ``caps[s]``; an uncapped expansion has every cap at
+    ``layers[k]`` packs the counts of the degree-``k`` monomials, for ``k``
+    up to ``degree_bound``: the count at moments ``m`` is the
+    ``width``-bit field at cell ``sum(m[s] * places[s])``.  Moment ``s``
+    is kept only up to ``caps[s]``; an uncapped expansion has every cap at
     ``d * degree_bound``, above which no moment of a stored degree reaches.
     """
 
@@ -64,7 +100,12 @@ class TruncatedSeries:
     d: int
     degree_bound: int
     caps: tuple[int, ...]
-    layers: tuple[dict[int, int], ...] = field(repr=False)
+    width: int
+    layers: tuple[int, ...] = field(repr=False)
+
+    @functools.cached_property
+    def places(self) -> tuple[int, ...]:
+        return _places(self.caps)
 
     def coefficient(self, k: int, moments: Iterable[int]) -> int:
         """Coefficient at ``t^k q^moments`` (0 if no monomial has them).
@@ -85,21 +126,31 @@ class TruncatedSeries:
             return 0
         if any(x > c for x, c in zip(m, self.caps)):
             raise TruncationError(f"moments {m} beyond the expansion caps {self.caps}")
-        stride, zero, _ = _layout(self.d, self.caps)
-        key = zero + sum(x << (s * stride) for s, x in enumerate(m))
-        return self.layers[k].get(key, 0)
+        cell = sum(x * p for x, p in zip(m, self.places))
+        return (self.layers[k] >> (cell * self.width)) & ((1 << self.width) - 1)
+
+    def nonzero(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:
+        """``((degree, moment vector), count)`` for every nonzero count,
+        ordered by degree, then moment vector.
+
+        Each layer is unpacked once, and only the cells its degree reaches
+        (moments summing to at most ``d * k``) are visited.
+        """
+        size = self.width // 8
+        for k, layer in enumerate(self.layers):
+            try:
+                raw = layer.to_bytes(_span(self.d, k, self.caps, self.places) * size, sys.byteorder)
+            except OverflowError:
+                raise InternalError(f"layer {k} holds a count past the cells it spans") from None
+            for m, cell in _cells(self.caps, self.places, self.d * k):
+                value = int.from_bytes(raw[cell * size:(cell + 1) * size], sys.byteorder)
+                if value:
+                    yield (k, m), value
 
     @functools.cached_property
     def coefficients(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        """Every stored coefficient, keyed by ``(degree, moment vector)``."""
-        stride, zero, _ = _layout(self.d, self.caps)
-        mask = (1 << stride) - 1
-        shifts = [s * stride for s in range(self.n - 1)]
-        return {
-            (k, tuple(((key - zero) >> shift) & mask for shift in shifts)): value
-            for k, layer in enumerate(self.layers)
-            for key, value in layer.items()
-        }
+        """Every nonzero coefficient, keyed by ``(degree, moment vector)``."""
+        return dict(self.nonzero())
 
 
 def expand_generating_series(
@@ -116,43 +167,54 @@ def expand_generating_series(
 
         ``new[k][m] = old[k][m] + new[k - 1][m - i]``
 
-    which is realised in place by sweeping ``k`` upward.  With ``caps``, a
-    term with some moment ``s`` above ``caps[s]`` is dropped as soon as it
-    appears: moments only grow as factors are multiplied in, so a dropped
-    term never feeds a kept one.  Raises :class:`ResourceLimitError` once
-    more than ``max_terms`` terms are stored.
+    which is realised in place, one whole layer at a time, by sweeping ``k``
+    upward.  With ``caps``, no term with some moment ``s`` above
+    ``caps[s]`` is ever made: moments only grow as factors are multiplied
+    in, so such a term would never feed a kept one.  Raises
+    :class:`ResourceLimitError`, before anything is allocated, when the
+    layers would span more than ``max_terms`` cells.
     """
     check_params(n, d, degree_bound, max_terms)
-    if degree_bound >= max_terms:  # every layer stores the all-zero-index term
-        raise ResourceLimitError(f"series expansion would exceed {max_terms} stored terms")
     full = d * degree_bound
     if caps is None:
         caps = (full,) * (n - 1)
     caps = tuple(min(c, full) for c in caps)
     if len(caps) != n - 1 or any(c < 0 for c in caps):
         raise ValueError(f"caps must be n - 1 = {n - 1} nonnegative integers, got {caps}")
-    stride, zero, guard = _layout(d, caps)
-    layers: list[dict[int, int]] = [{} for _ in range(degree_bound + 1)]
-    layers[0][zero] = 1
-    stored = 1
+    places = _places(caps)
+    cells = 0
+    for k in range(degree_bound + 1):
+        if d * k >= max(caps):  # this layer and every later one span the box
+            cells += _span(d, k, caps, places) * (degree_bound + 1 - k)
+            break
+        cells += _span(d, k, caps, places)
+        if cells > max_terms:
+            break
+    if cells > max_terms:
+        raise ResourceLimitError(f"series expansion would span over {max_terms} cells")
+    # every count is at most the number of monomials of the top degree
+    top = math.comb(index_count(n, d) + degree_bound - 1, degree_bound)
+    width = 8 * (top.bit_length() // 8 + 1)
+    field_mask = (1 << width) - 1
+    layers = [1] + [0] * degree_bound
     for idx in enumerate_indices(n, d):
-        offset = sum(x << (s * stride) for s, x in enumerate(idx))
-        if (zero + offset) & guard:
+        if any(i > c for i, c in zip(idx, caps)):
             continue  # this index alone passes a cap
+        shift = width * sum(i * p for i, p in zip(idx, places))
+        # layer k - 1 reaches moments up to d * (k - 1), so it needs the
+        # mask only once that passes caps[s] - idx[s] for some s
+        free = min(((c - i) // d for c, i in zip(caps, idx) if i), default=degree_bound)
+        room = None
         for k in range(1, degree_bound + 1):
-            layer = layers[k]
-            before = len(layer)
-            get = layer.get
-            for key, value in layers[k - 1].items():
-                key += offset
-                if not key & guard:
-                    layer[key] = get(key, 0) + value
-            stored += len(layer) - before
-            if stored > max_terms:
-                raise ResourceLimitError(
-                    f"series expansion exceeded {max_terms} stored terms"
-                )
-    return TruncatedSeries(n, d, degree_bound, caps, tuple(layers))
+            below = layers[k - 1]
+            if k - 1 > free:
+                if room is None:  # the cells where m[s] <= caps[s] - idx[s]
+                    room = field_mask
+                    for c, i, p in zip(caps, idx, places):
+                        room = _repeat(room, p * width, c - i + 1)
+                below &= room
+            layers[k] += below << shift
+    return TruncatedSeries(n, d, degree_bound, caps, width, tuple(layers))
 
 
 def invariant_dimension_by_series(n: int, d: int, k: int) -> int:
@@ -175,7 +237,7 @@ def dump_series(series: TruncatedSeries, stream: IO[str]) -> int:
     degree then moment vector.
     """
     written = 0
-    for (k, mom), value in sorted(series.coefficients.items()):
+    for (k, mom), value in series.nonzero():
         rec = {"k": k, "moments": list(mom), "coefficient": str(value)}
         stream.write(json.dumps(rec) + "\n")
         written += 1

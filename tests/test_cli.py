@@ -264,8 +264,8 @@ def test_series_dump(tmp_path):
 
 
 def test_capped_reads_under_a_small_term_limit(tmp_path):
-    # the orbit terms of degree 12 need 1,547 stored terms of the (3, 3)
-    # series, capped at their targets; the uncapped expansion stores 3,289
+    # the layers of the (3, 3) series up to degree 12 span 1,911 cells when
+    # capped at the targets of the orbit terms; uncapped they span 8,905
     assert run_cli("nu", "3", "3", "12") == (0, "2\n")
     assert run_cli("series", "3", "3", "12", "--limit-states", "2000") == (0, "2\n")
     code, out = run_cli("table", "3", "3", "--kmax", "12", "--limit-states", "2000")
@@ -275,6 +275,27 @@ def test_capped_reads_under_a_small_term_limit(tmp_path):
     path.write_text("kept\n")
     code, _ = run_cli("series", "3", "3", "12", "--dump", str(path), "--limit-states", "2000")
     assert code == 3 and path.read_text() == "kept\n"
+
+
+# sha256 of the dumps written before the layers were packed into ints
+DUMP_DIGESTS = {
+    ("5", "2", "10"): "815e8e55e7fadecba01b3c7301fc875ac059b07f8bac30ca61476183f18cc817",
+    ("3", "3", "12"): "454c923bb56844bc9290318d130a7bd6b5c864fbd947dd65ba671b3c3d1ea551",
+}
+
+
+@pytest.mark.parametrize("query", sorted(DUMP_DIGESTS))
+def test_series_dump_bytes_pinned(tmp_path, query):
+    path = tmp_path / "series.jsonl"
+    code, _ = run_cli("series", *query, "--dump", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_DIGESTS[query]
+
+
+def test_reach_quaternary_cubic_degree_40():
+    # an uncapped expansion to degree 40 would span 36 million cells, over
+    # the default limit; the read capped at the orbit targets stays inside
+    assert run_cli("nu", "4", "3", "40") == (0, "7\n")
 
 
 def test_check_agrees_on_default_grid():

@@ -122,9 +122,21 @@ def test_ternary_cubic_series():
     # the invariants of the ternary cubic are freely generated in degrees 4, 6
     expected = [
         sum(1 for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0)
-        for k in range(61)
+        for k in range(121)
     ]
-    assert hilbert_series_prefix(3, 3, 60) == expected
+    assert hilbert_series_prefix(3, 3, 120) == expected
+
+
+def test_quaternary_cubic_series():
+    # Salmon; Clebsch: the Hilbert series of the quaternary cubic is
+    # (1 + t^100) / ((1 - t^8)(1 - t^16)(1 - t^24)(1 - t^32)(1 - t^40)),
+    # whose t^100 term lies past the degrees checked here
+    kmax = 48
+    expected = [1] + [0] * kmax
+    for step in (8, 16, 24, 32, 40):
+        for k in range(step, kmax + 1):
+            expected[k] += expected[k - step]
+    assert hilbert_series_prefix(4, 3, kmax) == expected
 
 
 def test_results_are_nonnegative():

@@ -1,12 +1,13 @@
 """Differential tests of the series engine against brute-force weight tallies.
 
 The tally enumerates every monomial and shares no code with the packed
-expansion, so any disagreement is a fault of the engine: of its packing,
-its guard bits, its caps or the targets it reads.
+expansion, so any disagreement is a fault of the engine: of its cell
+layout, its field width, its cap masks or the targets it reads.
 """
 
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +27,16 @@ def tally(n, d, k):
     return brute_character(n, d, k).multiplicities
 
 
+#: most monomials a drawn degree may have, so that the tally stays quick
+MAX_MONOMIALS = 20_000
+
+
 @st.composite
 def degrees(draw):
-    return draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    indices = math.comb(n - 1 + d, d)
+    top = max(k for k in range(6) if math.comb(indices + k - 1, k) <= MAX_MONOMIALS)
+    return n, d, draw(st.integers(0, top))
 
 
 def weights(n, d, k):
@@ -65,20 +73,30 @@ def test_weights_sharing_one_expansion(data):
 
 @st.composite
 def capped_cases(draw):
+    # caps on the edges of a radix: 0, below d, at d and next to it, so at
+    # or next to an index entry, as well as anywhere up to just past d * k
     n, d, k = draw(degrees())
-    caps = draw(st.tuples(*[st.integers(0, d * k + 1)] * (n - 1)))
-    return n, d, k, caps
+    edges = st.sampled_from(sorted({0, 1, d - 1, d, d + 1}))
+    cap = st.one_of(edges, st.integers(0, d * k + 1))
+    return n, d, k, draw(st.tuples(*[cap] * (n - 1)))
 
 
 @SETTINGS
 @given(capped_cases())
-# caps on and just past a field boundary (2**width - 1 and 2**width)
+# caps at 2**j - 1 and 2**j, and caps that differ by component
 @example((3, 2, 4, (7, 1)))
 @example((3, 3, 3, (8, 0)))
 @example((4, 2, 4, (3, 4, 0)))
 @example((2, 1, 5, (3,)))
-# caps below d: one index entry must not carry out of a narrow field
+# caps below d: one index entry alone passes the cap of its radix
 @example((3, 4, 2, (0, 1)))
+# cap 0 on some radices, others open: the index entries that reach them
+# are dropped, the rest must still land in the right cells
+@example((4, 2, 3, (0, 6, 6)))
+@example((5, 2, 3, (6, 0, 6, 0)))
+# a cap below d and a cap equal to an index entry, at rank 5
+@example((5, 3, 2, (2, 3, 1, 6)))
+@example((5, 2, 3, (2, 1, 2, 2)))
 def test_capped_expansion_equals_tally(case):
     n, d, k, caps = case
     series = expand_generating_series(n, d, k, caps=caps)

@@ -141,6 +141,19 @@ def test_expansion_limit_checked_before_allocating():
     assert peak < 1 << 20
 
 
+def test_refused_expansion_allocates_nothing():
+    # the layers of (2, 1) up to degree 100,000 would span about 5 * 10**9
+    # cells; the count is made from the layout before any layer exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            expand_generating_series(2, 1, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_dump_series_json_lines():
     series = expand_generating_series(2, 2, 2)
     buf = io.StringIO()

@@ -75,3 +75,24 @@ def test_cli_docstring_lists_every_subcommand(capsys):
     for name in documented:
         assert cli.main([name, "--help"]) == 0, name
         assert capsys.readouterr().out.startswith(f"usage: naryinv {name} ")
+
+
+def test_series_keeps_one_packed_engine():
+    # the layers are ints: neither the expansion nor the type that holds it
+    # may build a dict, so a second, dict-keyed engine cannot creep back in
+    path = SRC / "naryinv" / "series.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    expand = defs["expand_generating_series"]
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(expand)
+        if isinstance(node, (ast.Dict, ast.DictComp))
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"dict", "defaultdict", "Counter"})
+    ]
+    assert found == []
+    layers = next(
+        node for node in defs["TruncatedSeries"].body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "layers"
+    )
+    assert ast.unparse(layers.annotation) == "tuple[int, ...]"
