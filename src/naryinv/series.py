@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -139,11 +138,11 @@ class TruncatedSeries:
         size = self.width // 8
         for k, layer in enumerate(self.layers):
             try:
-                raw = layer.to_bytes(_span(self.d, k, self.caps, self.places) * size, sys.byteorder)
+                raw = layer.to_bytes(_span(self.d, k, self.caps, self.places) * size, "little")
             except OverflowError:
                 raise InternalError(f"layer {k} holds a count past the cells it spans") from None
             for m, cell in _cells(self.caps, self.places, self.d * k):
-                value = int.from_bytes(raw[cell * size:(cell + 1) * size], sys.byteorder)
+                value = int.from_bytes(raw[cell * size:(cell + 1) * size], "little")
                 if value:
                     yield (k, m), value
 

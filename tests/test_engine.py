@@ -19,7 +19,7 @@ from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
 from naryinv.series import expand_generating_series
 
-SETTINGS = settings(max_examples=60, deadline=None)
+SETTINGS = settings(max_examples=80, deadline=None)
 
 
 @functools.cache
@@ -27,8 +27,10 @@ def tally(n, d, k):
     return brute_character(n, d, k).multiplicities
 
 
-#: most monomials a drawn degree may have, so that the tally stays quick
-MAX_MONOMIALS = 20_000
+#: most monomials a drawn degree may have, so that the tally stays quick;
+#: it admits every k <= 5 for n <= 4 (the largest, (4, 3, 5), has 42,504)
+#: and bounds k only at n = 5
+MAX_MONOMIALS = 50_000
 
 
 @st.composite

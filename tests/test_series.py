@@ -11,7 +11,7 @@ from naryinv.dimensions import hilbert_series_prefix, invariant_dimension
 from naryinv.errors import ResourceLimitError, TruncationError
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
-from naryinv.series import dump_series, expand_generating_series
+from naryinv.series import MAX_TERMS, dump_series, expand_generating_series
 
 
 def test_expand_first_order_binary_linear():
@@ -129,29 +129,23 @@ def test_expansion_resource_limit():
 
 
 def test_expansion_limit_checked_before_allocating():
-    # every layer holds the all-zero-index term, so a bound below the
-    # number of layers is refused before any layer is built
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError):
-            expand_generating_series(2, 1, 10**6, max_terms=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-def test_refused_expansion_allocates_nothing():
-    # the layers of (2, 1) up to degree 100,000 would span about 5 * 10**9
-    # cells; the count is made from the layout before any layer exists
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError):
-            expand_generating_series(2, 1, 100_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    cases = [
+        # every layer holds the all-zero-index term, so a bound below the
+        # number of layers is refused before any layer is built
+        (10**6, 10),
+        # at the default limit: the layers of (2, 1) up to degree 100,000
+        # would span about 5 * 10**9 cells, counted from the layout alone
+        (100_000, MAX_TERMS),
+    ]
+    for degree, limit in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                expand_generating_series(2, 1, degree, max_terms=limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_dump_series_json_lines():
