@@ -43,18 +43,9 @@ def enumerate_indices(n: int, d: int) -> list[MultiIndex]:
         raise ResourceLimitError(
             f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
         )
-    out: list[MultiIndex] = []
-
-    def extend(prefix: list[int], budget: int) -> None:
-        if len(prefix) == n - 1:
-            out.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            prefix.append(v)
-            extend(prefix, budget - v)
-            prefix.pop()
-
-    extend([], d)
+    out: list[MultiIndex] = [()]
+    for _ in range(n - 1):
+        out = [i + (v,) for i in out for v in range(d - sum(i) + 1)]
     return out
 
 

@@ -1,11 +1,11 @@
 """Independent verification paths for the dimension formulas.
 
 Nothing here shares machinery with the signed-orbit route: characters are
-tallied monomial by monomial, irreducible weight multiplicities come from
-the Freudenthal recursion, highest weights are extracted by greedy
-stripping, and the binary case is a bounded-partition difference.  These
-oracles exist to certify the main formulas on small instances, not to be
-fast at scale.
+tallied by enumerating every monomial and counting its moment vector,
+irreducible weight multiplicities come from the Freudenthal recursion,
+highest weights are extracted by greedy stripping, and the binary case is
+a bounded-partition difference.  These oracles exist to certify the main
+formulas on small instances, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InternalError, ResourceLimitError, check_params
@@ -62,15 +63,14 @@ def brute_character(
             f"character enumeration needs {total} monomials, above the "
             f"limit {max_monomials}"
         )
-    indices = enumerate_indices(n, d)
-    table: dict[Weight, int] = {}
-    for combo in itertools.combinations_with_replacement(indices, k):
-        moments = [0] * (n - 1)
-        for idx in combo:
-            for s in range(n - 1):
-                moments[s] += idx[s]
-        w = weight_from_moments(n, d, k, moments)
-        table[w] = table.get(w, 0) + 1
+    # the zero column keeps n - 1 moments when k = 0; distinct moment
+    # vectors of one degree have distinct weights
+    zero = (0,) * (n - 1)
+    moments = Counter(
+        tuple(map(sum, zip(zero, *combo)))
+        for combo in itertools.combinations_with_replacement(enumerate_indices(n, d), k)
+    )
+    table = {weight_from_moments(n, d, k, m): c for m, c in moments.items()}
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 

@@ -18,16 +18,22 @@ to all entries; they are normalised so the minimum entry is 0.  Under this
 convention the half-sum of positive roots ``(1, ..., 1)`` has ambient
 vector ``(0, 1, ..., n - 1)``.
 
-The signed orbit sum stays in ambient coordinates: ``s(rho)`` is the
-permutation tuple itself, so ``(shift + rho - s(rho))*`` is one sort of
-``to_ambient(shift) + (0, ..., n - 1) - s(rho)``.  These vectors share one
-entry sum, so the sorted vector alone names the dominant weight, and each
-distinct one is converted to weight coordinates once.
+The signed orbit sum stays in ambient coordinates, where ``rho`` is
+``(0, ..., n - 1)`` and ``s(rho)`` is a permutation ``p`` of it.  So
+``(shift + rho - s(rho))*`` sorts ``{base[i] - p[i]}`` with ``base =
+to_ambient(shift) + rho``.  Writing ``i = q[j]`` for the inverse ``q`` of
+``p``, which has the same sign, gives ``{base[q[j]] - j}``: permute
+``base``, subtract ``rho`` and sort.  Permutations act on positions, so
+``base`` need not be sorted.  The vectors share one entry sum, so the
+sorted vector alone names the dominant weight, and each distinct one is
+converted to weight coordinates once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, check_params
@@ -97,21 +103,16 @@ def weyl_vector(n: int) -> Weight:
     return (1,) * (n - 1)
 
 
-def signed_permutations(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """``(sign, permutation of range(n))`` over all of S_n.
+def _permutation_signs(n: int) -> list[int]:
+    """Signs of the permutations of ``range(n)`` in lexicographic order.
 
-    Each permutation of ``range(m + 1)`` is one of ``range(m)`` with ``m``
-    inserted; at position ``j`` it comes before ``m - j`` smaller entries,
-    so it adds that many inversions.
+    A leading entry ``j`` comes before ``j`` smaller entries, so it adds
+    ``j`` inversions to those of the rest, which run in the same order.
     """
-    perms = [(1, ())]
-    for m in range(n):
-        perms = [
-            (-sign if (m - j) % 2 else sign, perm[:j] + (m,) + perm[j:])
-            for sign, perm in perms
-            for j in range(m + 1)
-        ]
-    return perms
+    signs = [1]
+    for m in range(1, n + 1):
+        signs = [-s if j % 2 else s for j in range(m) for s in signs]
+    return signs
 
 
 def signed_orbit_terms(
@@ -144,9 +145,10 @@ def signed_orbit_terms(
 @functools.lru_cache(maxsize=16)
 def _aggregated_terms(n: int, shift: Weight) -> tuple[tuple[Weight, int], ...]:
     base = [x + i for i, x in enumerate(to_ambient(shift))]
+    rho = range(n)
     acc: dict[tuple[int, ...], int] = {}
-    for sign, perm in signed_permutations(n):
-        key = tuple(sorted([b - p for b, p in zip(base, perm)]))
+    for sign, perm in zip(_permutation_signs(n), itertools.permutations(base)):
+        key = tuple(sorted(map(operator.sub, perm, rho)))
         acc[key] = acc.get(key, 0) + sign
     terms = [(from_ambient(key), coef) for key, coef in acc.items() if coef]
     terms.sort(key=lambda t: (max(t[0]), t[0]))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -37,6 +38,26 @@ def test_brute_character_is_orbit_symmetric():
     for w, count in table.items():
         for perm in itertools.permutations(to_ambient(w)):
             assert table.get(from_ambient(perm), 0) == count
+
+
+# sha256 of repr(sorted(multiplicities.items())), taken from the
+# monomial-by-monomial tally before it became one Counter over moment vectors
+BRUTE_DIGESTS = {
+    (2, 5, 12): "ec68b1ef860077bc93b6bb41f43e1f159ebd82c8f8244b164d355d9d7c6f24e5",
+    (3, 3, 6): "18c46784b80570a8b898db04b446c6d80661d96cd8071a3a8a91880fe6df4d2e",
+    (4, 2, 6): "49d780e657d776ecbe48df9fa2f0a68f1dfbcb2dd2c6d5ed3afd37c3f3b91f3e",
+    (5, 2, 4): "fd306d6006a2b970cdcf567cf5186148847fb1f1f1dd7e6b4446caa8ef4d9dcb",
+    (4, 3, 1): "fa49c98959ded9bbc3482be19ffde975b55f18a284e6b74ff04d6e9ecc945342",
+    (3, 2, 0): "f07bf0c685b4b7368f9fbdefe4b787ed2f2ac8f1d5651def29be0ebbc32b1ad3",
+    (2, 1, 0): "502b58bc64726f44106e1251db04bf9d010ef7a01a63c0be646b5916cd516c63",
+}
+
+
+@pytest.mark.parametrize("query", sorted(BRUTE_DIGESTS))
+def test_brute_character_tables_pinned(query):
+    table = brute_character(*query).multiplicities
+    text = repr(sorted(table.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == BRUTE_DIGESTS[query]
 
 
 def test_brute_character_resource_limit():

@@ -38,6 +38,11 @@ def test_cli_under_optimize_flag():
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
     good = _cli_optimized("nu", "3", "3", "4")
     assert good.returncode == 0 and good.stdout == "1\n"
+    # check runs the oracles, whose refusals and cross-checks must survive -O
+    checked = _cli_optimized("check", "3", "2", "--kmax", "3")
+    rows = checked.stdout.splitlines()
+    assert checked.returncode == 0 and len(rows) == 4
+    assert all(row.endswith(" ok") for row in rows)
 
 
 def test_benchmark_imports_resolve():

@@ -11,7 +11,6 @@ from naryinv.weights import (
     dominant_representative,
     from_ambient,
     signed_orbit_terms,
-    signed_permutations,
     to_ambient,
     weyl_vector,
 )
@@ -96,7 +95,7 @@ def test_identity_term_always_present_with_coefficient_one():
 
 def test_raw_signs_sum_to_zero():
     for n in range(2, 7):
-        assert sum(sign for sign, _ in signed_permutations(n)) == 0
+        assert sum(weights_mod._permutation_signs(n)) == 0
 
 
 def test_aggregated_coefficients_bounded_by_group_order():
@@ -137,6 +136,11 @@ def test_orbit_terms_match_reference():
         shifts += [tuple(rng.randint(0, 4) for _ in range(n - 1)) for _ in range(2)]
         for shift in shifts:
             assert signed_orbit_terms(n, shift) == _reference_orbit_terms(n, shift)
+    # rank 7, and shifts that are not dominant: permutations act on
+    # positions, so the orbit sum does not rely on a sorted base vector
+    shifts = [(7, (0,) * 6), (7, (2, 0, 1, 3, 0, 1)), (5, (2, -3, 0, 1)), (4, (-1, 2, -2))]
+    for n, shift in shifts:
+        assert signed_orbit_terms(n, shift) == _reference_orbit_terms(n, shift)
 
 
 def test_orbit_memo_is_bounded():
@@ -166,22 +170,23 @@ def test_shift_validation():
 
 
 def test_signed_permutations_cover_the_group():
-    perms = list(signed_permutations(4))
-    assert len(perms) == 24
-    assert len({p for _, p in perms}) == 24
-    # parity check against a direct transposition count
-    for sign, perm in perms:
-        parity = 1
-        seen = [False] * 4
-        for start in range(4):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                parity = -parity
-        assert sign == parity
+    for n in range(1, 6):
+        signs = weights_mod._permutation_signs(n)
+        perms = list(itertools.permutations(range(n)))
+        assert len(signs) == len(perms) == math.factorial(n)
+        # parity check against a direct transposition count
+        for sign, perm in zip(signs, perms):
+            parity = 1
+            seen = [False] * n
+            for start in range(n):
+                if seen[start]:
+                    continue
+                length = 0
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = perm[j]
+                    length += 1
+                if length % 2 == 0:
+                    parity = -parity
+            assert sign == parity
