@@ -10,7 +10,7 @@ monomial in the coefficients is additive over its factors.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ResourceLimitError, check_params
 from .weights import Weight
@@ -35,17 +35,29 @@ def index_count(n: int, d: int) -> int:
     return math.comb(n - 1 + d, n - 1)
 
 
-def enumerate_indices(n: int, d: int) -> list[MultiIndex]:
-    """All coefficient indices with ``|i| <= d``, in lexicographic order."""
+def enumerate_indices(
+    n: int, d: int, caps: Sequence[int] | None = None
+) -> list[MultiIndex]:
+    """All coefficient indices with ``|i| <= d``, in lexicographic order.
+
+    With ``caps``, only those with ``i[s] <= caps[s]`` for every ``s``.
+    Only the uncapped set is refused past ``MAX_INDEX_COUNT``: each capped
+    index is a distinct cell of the first degree layer of an expansion with
+    those caps, and the expansion bounds that layer before it asks.
+    """
     check_params(n, d)
-    total = index_count(n, d)
-    if total > MAX_INDEX_COUNT:
-        raise ResourceLimitError(
-            f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
-        )
+    if caps is None:
+        total = index_count(n, d)
+        if total > MAX_INDEX_COUNT:
+            raise ResourceLimitError(
+                f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
+            )
+        caps = (d,) * (n - 1)
+    elif len(caps) != n - 1 or any(c < 0 for c in caps):
+        raise ValueError(f"caps must be n - 1 = {n - 1} nonnegative integers, got {tuple(caps)}")
     out: list[MultiIndex] = [()]
-    for _ in range(n - 1):
-        out = [i + (v,) for i in out for v in range(d - sum(i) + 1)]
+    for cap in caps:
+        out = [i + (v,) for i in out for v in range(min(d - sum(i), cap) + 1)]
     return out
 
 

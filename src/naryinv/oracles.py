@@ -1,11 +1,15 @@
 """Independent verification paths for the dimension formulas.
 
 Nothing here shares machinery with the signed-orbit route: characters are
-tallied by enumerating every monomial and counting its moment vector,
-irreducible weight multiplicities come from the Freudenthal recursion,
-highest weights are extracted by greedy stripping, and the binary case is
-a bounded-partition difference.  These oracles exist to certify the main
-formulas on small instances, not to be fast at scale.
+tallied by enumerating every monomial, one combination of indices each,
+and counting its moment vector, packed into one ``int`` with a field per
+moment wide enough that no sum of ``k`` factors carries; irreducible
+weight multiplicities come from the Freudenthal recursion, highest weights
+are extracted by greedy stripping, and the binary case is a
+bounded-partition difference.  Within the package this module imports only
+``errors``, ``forms`` and ``weights``, never the counting engine.  These
+oracles exist to certify the main formulas on small instances, not to be
+fast at scale.
 """
 
 from __future__ import annotations
@@ -53,8 +57,16 @@ def brute_character(
 ) -> CharacterTable:
     """Tally the weight of every degree-``k`` monomial in the coefficients.
 
-    Exhaustive enumeration of all index multisets of size ``k``; the total
-    mass of the table is the full symmetric-power dimension.
+    Exhaustive: every multiset of ``k`` indices is visited once, as one
+    combination, and the total mass of the table is the full
+    symmetric-power dimension.  Each index's moment vector is packed into
+    one ``int``, entry ``s`` in the ``width``-bit field at bit
+    ``s * width``, so a monomial's moments are one small-int sum of its
+    factors.  No moment of a degree-``k`` monomial exceeds ``d * k``, which
+    fits in ``width`` bits, so no field carries into the next and distinct
+    moment vectors give distinct sums.  Each distinct sum is unpacked and
+    converted to a weight once; distinct moment vectors of one degree have
+    distinct weights.
     """
     check_params(n, d, k)
     total = symmetric_power_dimension(n, d, k)
@@ -63,14 +75,19 @@ def brute_character(
             f"character enumeration needs {total} monomials, above the "
             f"limit {max_monomials}"
         )
-    # the zero column keeps n - 1 moments when k = 0; distinct moment
-    # vectors of one degree have distinct weights
-    zero = (0,) * (n - 1)
-    moments = Counter(
-        tuple(map(sum, zip(zero, *combo)))
-        for combo in itertools.combinations_with_replacement(enumerate_indices(n, d), k)
-    )
-    table = {weight_from_moments(n, d, k, m): c for m, c in moments.items()}
+    width = max(1, (d * k).bit_length())
+    packed = [
+        sum(x << (s * width) for s, x in enumerate(index))
+        for index in enumerate_indices(n, d)
+    ]
+    tally = Counter(map(sum, itertools.combinations_with_replacement(packed, k)))
+    field_mask = (1 << width) - 1
+    table = {
+        weight_from_moments(
+            n, d, k, [(key >> (s * width)) & field_mask for s in range(n - 1)]
+        ): c
+        for key, c in tally.items()
+    }
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 
@@ -89,26 +106,24 @@ def _dominated_partitions(top: tuple[int, ...]) -> list[tuple[int, ...]]:
     n = len(top)
     prefix_top = list(itertools.accumulate(top))
     total = prefix_top[-1]
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], used: int) -> None:
-        pos = len(prefix)
-        if pos == n - 1:
-            last = total - used
-            if 0 <= last <= prefix[-1]:
-                out.append(tuple(prefix) + (last,))
-            return
-        hi = min(prefix[-1] if prefix else total, prefix_top[pos] - used)
-        # each later entry is at most the current one, so v must cover the
-        # remaining total spread over the slots left
-        lo = -(-(total - used) // (n - pos))
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            extend(prefix, used + v)
-            prefix.pop()
-
-    extend([], 0)
-    return out
+    # one (prefix, prefix sum) row per admissible prefix, a slot at a time
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for pos in range(n - 1):
+        rows = [
+            (prefix + (v,), used + v)
+            for prefix, used in rows
+            # each later entry is at most v, so v must cover the remaining
+            # total spread over the slots left
+            for v in range(
+                -(-(total - used) // (n - pos)),
+                min(prefix[-1] if prefix else total, prefix_top[pos] - used) + 1,
+            )
+        ]
+    return [
+        prefix + (total - used,)
+        for prefix, used in rows
+        if 0 <= total - used <= prefix[-1]
+    ]
 
 
 @functools.lru_cache(maxsize=1024)

@@ -196,9 +196,10 @@ def expand_generating_series(
     width = 8 * (top.bit_length() // 8 + 1)
     field_mask = (1 << width) - 1
     layers = [1] + [0] * degree_bound
-    for idx in enumerate_indices(n, d):
-        if any(i > c for i, c in zip(idx, caps)):
-            continue  # this index alone passes a cap
+    # an index past a cap could only feed moments past it; the indices
+    # within the caps are distinct cells of layer 1, counted above (at
+    # degree bound 0 every cap is 0 and only the zero index is left)
+    for idx in enumerate_indices(n, d, caps):
         shift = width * sum(i * p for i, p in zip(idx, places))
         # layer k - 1 reaches moments up to d * (k - 1), so it needs the
         # mask only once that passes caps[s] - idx[s] for some s

@@ -298,6 +298,12 @@ def test_reach_quaternary_cubic_degree_40():
     assert run_cli("nu", "4", "3", "40") == (0, "7\n")
 
 
+def test_reach_octonary_form_of_degree_30_at_degree_0():
+    # the form has 10,295,472 coefficients, over the index bound; the read
+    # at degree 0 caps every moment at 0, so only the zero index is walked
+    assert run_cli("nu", "8", "30", "0") == (0, "1\n")
+
+
 def test_check_agrees_on_default_grid():
     for n in (2, 3):
         for d in (1, 2, 3):

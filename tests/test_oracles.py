@@ -8,6 +8,7 @@ import pytest
 
 import naryinv.oracles as oracles_mod
 from naryinv.errors import ResourceLimitError
+from naryinv.forms import enumerate_indices, monomial_weight
 from naryinv.oracles import (
     alternating_multiplicity_sum,
     binary_invariant_dimension,
@@ -50,6 +51,10 @@ BRUTE_DIGESTS = {
     (4, 3, 1): "fa49c98959ded9bbc3482be19ffde975b55f18a284e6b74ff04d6e9ecc945342",
     (3, 2, 0): "f07bf0c685b4b7368f9fbdefe4b787ed2f2ac8f1d5651def29be0ebbc32b1ad3",
     (2, 1, 0): "502b58bc64726f44106e1251db04bf9d010ef7a01a63c0be646b5916cd516c63",
+    # taken before the moments were packed, at a field width's edges:
+    # d * k = 16 needs every bit of its field, d * k = 15 fills one exactly
+    (3, 4, 4): "ca6055de1b3b5df24709dba3683f50171fcd26878bcd030f6220ad582dfeb5df",
+    (4, 5, 3): "7a0103e97b54f1186b076f1cd9db5c1c19f4b29a22793f499e71c0fe89d29812",
 }
 
 
@@ -58,6 +63,25 @@ def test_brute_character_tables_pinned(query):
     table = brute_character(*query).multiplicities
     text = repr(sorted(table.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == BRUTE_DIGESTS[query]
+
+
+def _tally_per_monomial(n, d, k):
+    table = Counter()
+    for combo in itertools.combinations_with_replacement(enumerate_indices(n, d), k):
+        table[monomial_weight(n, d, Counter(combo))] += 1
+    return dict(table)
+
+
+# (3, 4, 4) and (5, 2, 4): d * k = 16, a power of two, so the largest moment
+# needs the top bit of its field; (4, 5, 3), (3, 5, 3) and (4, 1, 7):
+# d * k = 2^m - 1 fills its field exactly
+@pytest.mark.parametrize(
+    "query",
+    [(2, 1, 0), (2, 3, 5), (2, 4, 4), (3, 1, 6), (3, 2, 4), (4, 2, 3), (5, 1, 4),
+     (5, 2, 2), (3, 4, 4), (5, 2, 4), (4, 5, 3), (3, 5, 3), (4, 1, 7)],
+)
+def test_brute_character_matches_a_per_monomial_tally(query):
+    assert brute_character(*query).multiplicities == _tally_per_monomial(*query)
 
 
 def test_brute_character_resource_limit():

@@ -101,3 +101,21 @@ def test_series_keeps_one_packed_engine():
         if isinstance(node, ast.AnnAssign) and node.target.id == "layers"
     )
     assert ast.unparse(layers.annotation) == "tuple[int, ...]"
+
+
+def test_oracles_share_no_code_with_the_engine():
+    # the oracles certify the counting route, so within the package they may
+    # import only the coefficient and weight vocabulary, never the engine
+    # (`series`, `counting`, `dimensions`)
+    path = SRC / "naryinv" / "oracles.py"
+    tree = ast.parse(path.read_text(), str(path))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module or "")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("naryinv"):
+            local.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            local.update(a.name.partition(".")[2] for a in node.names if a.name.startswith("naryinv"))
+    assert local <= {"errors", "forms", "weights"}
+    assert {"forms", "weights"} <= local
