@@ -19,7 +19,12 @@ import os
 from typing import Sequence
 
 from .errors import InternalError, check_params
-from .series import MAX_TERMS, TruncatedSeries, expand_generating_series
+from .series import (
+    MAX_TERMS,
+    TruncatedSeries,
+    check_expansion_size,
+    expand_generating_series,
+)
 from .weights import Weight, check_weight
 
 CACHE_ENV_VAR = "NARY_CACHE_DIR"
@@ -66,13 +71,20 @@ def signed_counts(
     expansion to the highest degree read, capped at the coordinatewise
     maximum of the targets still missing.  Computed values are added to
     ``cache``.  A negative sum raises :class:`InternalError`.
+
+    Reads are listed from the last degree down.  With more than one
+    degree, the first with a read to expand sizes the caps found so far,
+    a lower bound on the final expansion, so a refused read is refused
+    before the degrees below it are listed.
     """
-    check_params(n, d, min(degrees, default=0), max_terms)
+    check_params(n, d, None, max_terms)
     if series is not None and (series.n, series.d) != (n, d):
         raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
     counts: dict[tuple[int, Weight], int] = {}
     missing: dict[tuple[int, Weight], tuple[int, ...]] = {}
-    for k in degrees:
+    sized = series is not None or len(degrees) == 1
+    for k in reversed(degrees):
+        check_params(n, d, k)
         for w, _ in terms:
             targets = moment_targets(n, d, k, w)
             if targets is None:
@@ -82,6 +94,10 @@ def signed_counts(
                 missing[k, w] = targets
             else:
                 counts[k, w] = hit
+        if missing and not sized:
+            sized = True
+            caps = tuple(min(max(column), d * k) for column in zip(*missing.values()))
+            check_expansion_size(d, k, caps, max_terms)
     if missing and series is None:
         caps = [max(column) for column in zip(*missing.values())]
         series = expand_generating_series(n, d, max(k for k, _ in missing), max_terms, caps)

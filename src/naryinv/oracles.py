@@ -4,12 +4,13 @@ Nothing here shares machinery with the signed-orbit route: characters are
 tallied by enumerating every monomial, one combination of indices each,
 and counting its moment vector, packed into one ``int`` with a field per
 moment wide enough that no sum of ``k`` factors carries; irreducible
-weight multiplicities come from the Freudenthal recursion, highest weights
-are extracted by greedy stripping, and the binary case is a
-bounded-partition difference.  Within the package this module imports only
-``errors``, ``forms`` and ``weights``, never the counting engine.  These
-oracles exist to certify the main formulas on small instances, not to be
-fast at scale.
+weight multiplicities come from the Freudenthal recursion, tabulated per
+module by dominant weight, the coordinates every caller uses; highest
+weights are extracted by greedy stripping in order of height, and the
+binary case is a bounded-partition difference.  Within the package this
+module imports only ``errors``, ``forms`` and ``weights``, never the
+counting engine.  These oracles exist to certify the main formulas on
+small instances, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .weights import (
     Weight,
     check_dominant,
     check_weight,
+    dominant_representative,
     from_ambient,
     signed_orbit_terms,
     to_ambient,
@@ -76,9 +78,10 @@ def brute_character(
             f"limit {max_monomials}"
         )
     width = max(1, (d * k).bit_length())
+    # degree 0 has one monomial, the empty product, and needs no index list
     packed = [
         sum(x << (s * width) for s, x in enumerate(index))
-        for index in enumerate_indices(n, d)
+        for index in (enumerate_indices(n, d) if k else ())
     ]
     tally = Counter(map(sum, itertools.combinations_with_replacement(packed, k)))
     field_mask = (1 << width) - 1
@@ -89,10 +92,6 @@ def brute_character(
         for key, c in tally.items()
     }
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
-
-
-def _descending_ambient(weight: Weight) -> tuple[int, ...]:
-    return tuple(sorted(to_ambient(weight), reverse=True))
 
 
 def _dominated_partitions(top: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -127,19 +126,19 @@ def _dominated_partitions(top: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _dominant_multiplicity_table(
-    n: int, highest: Weight
-) -> dict[tuple[int, ...], int]:
+def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
     """Freudenthal recursion over the dominant weights of one module.
 
-    Keys are descending ambient vectors sharing the highest weight's entry
-    sum.  Weights are processed from the top of the dominance order down,
-    so every weight reached by adding a positive root is already computed.
-    Inner products use the scaled form ``n * <x, y> - sum(x) * sum(y)``,
-    which is the trace form with the mean projected out, times ``n``; the
-    recursion only ever uses ratios, so the scaling cancels.
+    The recursion runs on descending ambient vectors sharing the highest
+    weight's entry sum; the table returned is keyed by dominant weight,
+    each entry converted once.  Weights are processed from the top of the
+    dominance order down, so every weight reached by adding a positive root
+    is already computed.  Inner products use the scaled form
+    ``n * <x, y> - sum(x) * sum(y)``, which is the trace form with the mean
+    projected out, times ``n``; the recursion only ever uses ratios, so the
+    scaling cancels.
     """
-    top = _descending_ambient(highest)
+    top = tuple(sorted(to_ambient(highest), reverse=True))
     parts = _dominated_partitions(top)
     parts.sort(key=lambda q: sum((n - t) * (top[t] - q[t]) for t in range(n)))
     positive_roots = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -171,21 +170,16 @@ def _dominant_multiplicity_table(
                 f"multiplicity at {q} in module {highest}"
             )
         table[q] = value
-    return table
+    return {from_ambient(q[::-1]): mult for q, mult in table.items()}
 
 
 def freudenthal_multiplicity(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
-    dominant highest weight; 0 for weights outside the module."""
-    top_weight = check_dominant(n, highest)
-    table = _dominant_multiplicity_table(n, top_weight)
-    q = _descending_ambient(check_weight(n, weight))
-    gap = sum(_descending_ambient(top_weight)) - sum(q)
-    if gap % n:
-        return 0
-    lift = gap // n
-    shifted = tuple(x + lift for x in q)
-    return table.get(shifted, 0)
+    dominant highest weight, looked up at its dominant representative; 0
+    for weights outside the module or its highest weight's root-lattice
+    coset, whose representatives are not keys."""
+    table = _dominant_multiplicity_table(n, check_dominant(n, highest))
+    return table.get(dominant_representative(check_weight(n, weight)), 0)
 
 
 def alternating_multiplicity_sum(n: int, highest) -> int:
@@ -221,25 +215,25 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     """Greedy top-down extraction of irreducible multiplicities.
 
     Restricts the character to its dominant weights (no information is lost:
-    characters are symmetric under the Weyl group), walks them downward in
-    the dominance order, reads the remaining multiplicity at each weight as
-    the multiplicity of the irreducible with that highest weight, and
-    subtracts that module's dominant character via the Freudenthal table.
-    The zero-weight entry of the result is an independent computation of the
-    invariant dimension.  Raises if any remaining multiplicity would go
-    negative, which would mean the input was not a genuine character.
+    characters are symmetric under the Weyl group), walks them by
+    decreasing height ``<w, 2 rho^vee> = sum((s + 1) * (n - 1 - s) * w[s])``,
+    reads the remaining multiplicity at each weight as the multiplicity of
+    the irreducible with that highest weight, and subtracts that module's
+    dominant character via the Freudenthal table.  Every positive root has
+    positive height, so each weight comes after all that dominate it;
+    weights of equal height are incomparable, so neither module reaches the
+    other.  The zero-weight entry of the result is an independent
+    computation of the invariant dimension.  Raises if any remaining
+    multiplicity would go negative, which would mean the input was not a
+    genuine character.
     """
     n = table.n
     remaining = {
         w: m for w, m in table.multiplicities.items() if all(x >= 0 for x in w)
     }
-
-    def height_key(w: Weight) -> tuple[int, tuple[int, ...]]:
-        ambient = to_ambient(w)
-        return (sum(ambient), tuple(sorted(ambient, reverse=True)))
-
+    coroot = [(s + 1) * (n - 1 - s) for s in range(n - 1)]  # 2 rho^vee
     out: dict[Weight, int] = {}
-    for w in sorted(remaining, key=height_key, reverse=True):
+    for w in sorted(remaining, key=lambda w: sum(c * x for c, x in zip(coroot, w)), reverse=True):
         count = remaining[w]
         if count == 0:
             continue
@@ -248,9 +242,7 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
                 f"negative remaining multiplicity {count} at {w} while stripping"
             )
         out[w] = count
-        module = _dominant_multiplicity_table(n, w)
-        for q, mult in module.items():
-            target = from_ambient(tuple(sorted(q)))
+        for target, mult in _dominant_multiplicity_table(n, w).items():
             left = remaining.get(target, 0) - count * mult
             if left < 0:
                 raise InternalError(

@@ -152,6 +152,30 @@ class TruncatedSeries:
         return dict(self.nonzero())
 
 
+def check_expansion_size(
+    d: int, degree_bound: int, caps: tuple[int, ...], max_terms: int
+) -> None:
+    """Raise :class:`ResourceLimitError` when the layers up to
+    ``degree_bound``, with moments capped at ``caps`` (each at most
+    ``d * degree_bound``), would span more than ``max_terms`` cells.
+
+    Counted from the layout alone, so nothing is allocated.  The count
+    only grows with the degree bound and the caps, so sizing a smaller
+    bound or smaller caps gives a lower bound on it.
+    """
+    places = _places(caps)
+    cells = 0
+    for k in range(degree_bound + 1):
+        if d * k >= max(caps):  # this layer and every later one span the box
+            cells += _span(d, k, caps, places) * (degree_bound + 1 - k)
+            break
+        cells += _span(d, k, caps, places)
+        if cells > max_terms:
+            break
+    if cells > max_terms:
+        raise ResourceLimitError(f"series expansion would span over {max_terms} cells")
+
+
 def expand_generating_series(
     n: int,
     d: int,
@@ -180,17 +204,8 @@ def expand_generating_series(
     caps = tuple(min(c, full) for c in caps)
     if len(caps) != n - 1 or any(c < 0 for c in caps):
         raise ValueError(f"caps must be n - 1 = {n - 1} nonnegative integers, got {caps}")
+    check_expansion_size(d, degree_bound, caps, max_terms)
     places = _places(caps)
-    cells = 0
-    for k in range(degree_bound + 1):
-        if d * k >= max(caps):  # this layer and every later one span the box
-            cells += _span(d, k, caps, places) * (degree_bound + 1 - k)
-            break
-        cells += _span(d, k, caps, places)
-        if cells > max_terms:
-            break
-    if cells > max_terms:
-        raise ResourceLimitError(f"series expansion would span over {max_terms} cells")
     # every count is at most the number of monomials of the top degree
     top = math.comb(index_count(n, d) + degree_bound - 1, degree_bound)
     width = 8 * (top.bit_length() // 8 + 1)

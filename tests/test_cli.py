@@ -304,6 +304,14 @@ def test_reach_octonary_form_of_degree_30_at_degree_0():
     assert run_cli("nu", "8", "30", "0") == (0, "1\n")
 
 
+def test_check_octonary_form_of_degree_30_at_degree_0():
+    # the brute-force character of degree 0 is the empty product alone, so
+    # the oracles need no index list either
+    assert run_cli("check", "8", "30", "--kmax", "0") == (
+        0, "k=0 theorem1=1 stripping=1 ok\n"
+    )
+
+
 def test_check_agrees_on_default_grid():
     for n in (2, 3):
         for d in (1, 2, 3):

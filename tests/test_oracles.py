@@ -10,6 +10,7 @@ import naryinv.oracles as oracles_mod
 from naryinv.errors import ResourceLimitError
 from naryinv.forms import enumerate_indices, monomial_weight
 from naryinv.oracles import (
+    CharacterTable,
     alternating_multiplicity_sum,
     binary_invariant_dimension,
     brute_character,
@@ -162,6 +163,22 @@ def test_freudenthal_memo_is_bounded():
     assert memo.cache_info().currsize <= cap
 
 
+# sha256 of the multiplicities over every n <= 4, highest weight with
+# entries below 4 and weight with entries in -4..4 (47,988 lookups), taken
+# while the Freudenthal tables were keyed by descending ambient vectors
+FREUDENTHAL_DIGEST = "da0be7c18a25ac551bd13c58ce95b9aa6e64c6bfd37f4d653dcd6446227f38ad"
+
+
+def test_freudenthal_multiplicities_pinned():
+    values = [
+        freudenthal_multiplicity(n, top, w)
+        for n in (2, 3, 4)
+        for top in itertools.product(range(4), repeat=n - 1)
+        for w in itertools.product(range(-4, 5), repeat=n - 1)
+    ]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == FREUDENTHAL_DIGEST
+
+
 def test_weyl_dimension_examples():
     for n in (2, 3, 4):
         assert weyl_dimension(n, (0,) * (n - 1)) == 1
@@ -193,6 +210,56 @@ def test_strip_decompose_dimension_bookkeeping():
         assert all(v > 0 for v in stripped.values())
         total = sum(v * weyl_dimension(n, w) for w, v in stripped.items())
         assert total == table.total()
+
+
+# sha256 of repr(sorted(strip_decompose(brute_character(*query)).items())),
+# taken while stripping walked ambient vectors in dominance order
+STRIP_DIGESTS = {
+    (2, 5, 12): "1e5f0be8be6dc43617e3011f42f7dfa584cf7233607cfd5d563078dfaf73267b",
+    (3, 3, 6): "14e2bfba0b131d952927051fce21d50eeb0b25eb5e17d989ca6b58a70f852fff",
+    (4, 2, 6): "eabe13122f4a47829cb96ebaf8960f8e022394809bc958dcd5a0469c37ab97f3",
+    (5, 2, 4): "dbd118f9f4ef9b10ee4d5b4c32f355227d5d9bf4ffcff58ca873b47985ff5ea3",
+    (3, 4, 4): "91053dadaa5ca464323257e07bc280e2f5108b7c6b33762a8d9496dd015ee273",
+    (4, 5, 3): "5a4b3d509444c30c570e755e3b38cece5ffeca88a8caa56118cd1e063264f82b",
+}
+
+
+@pytest.mark.parametrize("query", sorted(STRIP_DIGESTS))
+def test_strip_decompose_pinned(query):
+    text = repr(sorted(strip_decompose(brute_character(*query)).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == STRIP_DIGESTS[query]
+
+
+def _character(n, modules):
+    """The full character of a sum of modules, ``{highest: copies}``, built
+    orbit by orbit from Freudenthal multiplicities.  ``strip_decompose``
+    reads only ``n`` and the multiplicities, so ``d`` and ``k`` are
+    placeholders."""
+    table = Counter()
+    for top, copies in modules.items():
+        # a dominant weight of the module spans at most the ambient range
+        # of the highest weight, which is the sum of its entries
+        for w in itertools.product(range(sum(top) + 1), repeat=n - 1):
+            mult = freudenthal_multiplicity(n, top, w)
+            for ambient in set(itertools.permutations(to_ambient(w))):
+                table[from_ambient(ambient)] += copies * mult
+    # the orbit walk missed no weight
+    assert sum(table.values()) == sum(c * weyl_dimension(n, t) for t, c in modules.items())
+    return CharacterTable(n=n, d=1, k=0, multiplicities=dict(table))
+
+
+@pytest.mark.parametrize(
+    "n, modules",
+    [
+        # (3, 0) and (0, 3) have equal height and neither dominates the other
+        (3, {(3, 0): 2, (0, 3): 1, (1, 1): 3, (0, 0): 1}),
+        (3, {(2, 2): 1, (4, 1): 2, (1, 4): 2, (0, 0): 4}),
+        # (2, 0, 0), (1, 0, 1) and (0, 0, 2) share height 6
+        (4, {(2, 0, 0): 1, (1, 0, 1): 2, (0, 0, 2): 3, (0, 1, 0): 1, (0, 0, 0): 2}),
+    ],
+)
+def test_strip_decompose_inverts_a_sum_of_modules(n, modules):
+    assert strip_decompose(_character(n, modules)) == modules
 
 
 def test_binary_invariant_dimension_examples():

@@ -132,16 +132,19 @@ def test_expansion_limit_checked_before_allocating():
     cases = [
         # every layer holds the all-zero-index term, so a bound below the
         # number of layers is refused before any layer is built
-        (10**6, 10),
+        lambda: expand_generating_series(2, 1, 10**6, max_terms=10),
         # at the default limit: the layers of (2, 1) up to degree 100,000
         # would span about 5 * 10**9 cells, counted from the layout alone
-        (100_000, MAX_TERMS),
+        lambda: expand_generating_series(2, 1, 100_000, max_terms=MAX_TERMS),
+        # a read plan over three million degrees is refused at its top
+        # degree, before the reads of the degrees below are listed
+        lambda: hilbert_series_prefix(2, 1, 3_000_000),
     ]
-    for degree, limit in cases:
+    for refused in cases:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                expand_generating_series(2, 1, degree, max_terms=limit)
+                refused()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

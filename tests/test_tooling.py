@@ -61,6 +61,22 @@ def test_benchmark_imports_resolve():
                         unresolved.append(f"{script}: {node.module}.{alias.name}")
     assert unresolved == []
     assert {"CountCache", "invariant_dimension_by_series", "moment_targets"} <= set(imported)
+    # confirm.py imports the oracles module and reaches its names as
+    # attributes, which the import check above cannot see
+    oracles = importlib.import_module("naryinv.oracles")
+    tree = ast.parse((PERFBENCH / "confirm.py").read_text(), "confirm.py")
+    reached = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "oracles"
+    }
+    assert sorted(name for name in reached if not hasattr(oracles, name)) == []
+    assert {
+        "brute_character", "strip_decompose", "symmetric_power_dimension",
+        "binary_invariant_dimension", "CharacterTable",
+    } <= reached
     # the worker builds its cache records from the package-level expansion
     assert callable(importlib.import_module("naryinv").expand_generating_series)
 
