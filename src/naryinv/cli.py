@@ -222,64 +222,101 @@ def cmd_check(args, out) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """The one table of subcommands, in the order the help lists them:
+    name -> (help, handler, positionals, options, defaults).
+
+    The point queries carry their query function, method tag and weight
+    flag in the defaults.  Built per call, so each handler and query
+    function is the one this module binds when the parser is built (a
+    wrapper or a patch put there takes effect).
+    """
+    cache = ("--cache", dict(
+        action="store_true", help="memoise weight multiplicities under $NARY_CACHE_DIR"))
+
+    def weight(flag, help_text):
+        return flag, dict(dest="weight", required=True, metavar="W", help=help_text)
+
+    return {
+        "nu": (
+            "invariant dimension", cmd_point, "n d k", [cache],
+            dict(query=invariant_dimension, method="theorem1", flag=None, dump=None),
+        ),
+        "gamma": (
+            "highest-weight multiplicity", cmd_point, "n d k",
+            [cache, weight("--lambda", "dominant weight, comma-separated, length n-1")],
+            dict(query=highest_weight_multiplicity, method="theorem2", flag="--lambda", dump=None),
+        ),
+        "count": (
+            "multiplicity of a weight in the degree-k piece", cmd_point, "n d k",
+            [cache, weight("--mu", "weight, comma-separated, length n-1")],
+            dict(query=weight_multiplicity, method="counting", flag="--mu", dump=None),
+        ),
+        "orbit": (
+            "signed Weyl-orbit terms", cmd_orbit, "n",
+            [("--lambda", dict(
+                dest="highest", default=None, metavar="W",
+                help="optional dominant shift, comma-separated, length n-1"))],
+            {},
+        ),
+        "table": (
+            "invariant dimensions for k = 0..K", cmd_table, "n d",
+            [("--kmax", dict(type=int, required=True, metavar="K"))], {},
+        ),
+        "series": (
+            "invariant dimension via the generating series", cmd_point, "n d k",
+            [("--dump", dict(metavar="FILE", help="write the truncated series as JSON lines"))],
+            dict(query=invariant_dimension, method="series", flag=None, cache=False),
+        ),
+        "check": (
+            "cross-check against all applicable oracles", cmd_check, "n d",
+            [("--kmax", dict(type=int, default=6, metavar="K"))], {},
+        ),
+    }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with one subcommand or all of them.
+
+    When ``command`` names a subcommand, only its subparser is built: a
+    query pays for one, and its usage line still lists every command.
+    Otherwise (``--help``, no command, an unknown one) all are built, so
+    the help and the invalid-choice error list them all.
+    """
     parser = argparse.ArgumentParser(
         prog="naryinv",
         description="Exact dimension counts for invariants of n-ary forms.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["plain", "json", "csv"], default="plain",
-        help="output format (default plain)",
-    )
-    common.add_argument(
-        "--limit-states", type=int, default=MAX_TERMS, metavar="N",
-        help="cap on the cells a series expansion spans",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, handler, *, k=True, d=True, **defaults):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("n", type=int)
-        if d:
-            p.add_argument("d", type=int)
-        if k:
-            p.add_argument("k", type=int)
-        p.set_defaults(handler=handler, **defaults)
-        return p
-
-    # the point queries: query function, method tag, weight flag and its help
-    for name, help_text, query, method, flag, weight_help in (
-        ("nu", "invariant dimension", invariant_dimension, "theorem1", None, None),
-        ("gamma", "highest-weight multiplicity", highest_weight_multiplicity,
-         "theorem2", "--lambda", "dominant weight, comma-separated, length n-1"),
-        ("count", "multiplicity of a weight in the degree-k piece", weight_multiplicity,
-         "counting", "--mu", "weight, comma-separated, length n-1"),
-    ):
-        p = add(name, help_text, cmd_point, query=query, method=method, flag=flag, dump=None)
+    commands = _commands()
+    names, metavar = list(commands), None
+    if command in commands:
+        # argparse reports an unrecognised argument under the top-level
+        # usage, which must still list every command
+        names, metavar = [command], "{" + ",".join(commands) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, positionals, options, defaults = commands[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument(
-            "--cache", action="store_true",
-            help="memoise weight multiplicities under $NARY_CACHE_DIR",
+            "--format", choices=["plain", "json", "csv"], default="plain",
+            help="output format (default plain)",
         )
-        if flag:
-            p.add_argument(flag, dest="weight", required=True, metavar="W", help=weight_help)
-    p = add("orbit", "signed Weyl-orbit terms", cmd_orbit, k=False, d=False)
-    p.add_argument("--lambda", dest="highest", default=None, metavar="W",
-                   help="optional dominant shift, comma-separated, length n-1")
-    p = add("table", "invariant dimensions for k = 0..K", cmd_table, k=False)
-    p.add_argument("--kmax", type=int, required=True, metavar="K")
-    p = add("series", "invariant dimension via the generating series", cmd_point,
-            query=invariant_dimension, method="series", flag=None, cache=False)
-    p.add_argument("--dump", metavar="FILE",
-                   help="write the truncated series as JSON lines")
-    p = add("check", "cross-check against all applicable oracles", cmd_check, k=False)
-    p.add_argument("--kmax", type=int, default=6, metavar="K")
+        p.add_argument(
+            "--limit-states", type=int, default=MAX_TERMS, metavar="N",
+            help="cap on the cells a series expansion spans",
+        )
+        for positional in positionals.split():
+            p.add_argument(positional, type=int)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,9 +6,10 @@ weight of the monomial is a fixed affine function of its moments, so each
 weight corresponds to at most one moment-target vector, and the number of
 monomials of a given weight is one coefficient of the generating series
 expanded in :mod:`naryinv.series`.  :func:`signed_counts` is the one
-reader: every query hands it signed weight terms and degrees, and it reads
-the feasible ones off a single expansion, capped at the largest targets
-among them.  An optional on-disk cache memoises the counts.
+reader: every query hands it signed weight terms and degrees.  It
+decomposes each term once, tests it for feasibility at every degree, and
+reads the feasible ones off a single expansion, capped at the largest
+targets among them.  An optional on-disk cache memoises the counts.
 """
 
 from __future__ import annotations
@@ -44,14 +45,27 @@ def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
     """
     w = check_weight(n, weight)
     check_params(n, d, k)
-    # not normalised to min 0: most weights a query asks about fail the
-    # divisibility test, and this runs once per orbit term and degree
-    a = (0, *itertools.accumulate(w))
-    mean, rest = divmod(k * d + sum(a), n)
-    if rest:
+    return _targets(n, k * d, _decompose(w))
+
+
+def _decompose(weight: Weight) -> tuple[tuple[int, ...], int, int]:
+    """What :func:`_targets` needs of a checked weight, at every degree:
+    ``a[1:]`` (``a[0] = 0``), ``sum(a)`` and ``max(a[1:])``."""
+    # a[0] = 0, not min(a) = 0: a constant added to every a[s] cancels
+    tail = tuple(itertools.accumulate(weight))
+    return tail, sum(tail), max(tail)
+
+
+def _targets(n: int, kd: int, term: tuple[tuple[int, ...], int, int]) -> tuple[int, ...] | None:
+    """Targets ``mean - a[s + 1]`` at ``kd = k * d`` of a weight given by
+    its :func:`_decompose` triple, with ``mean = (kd + sum(a)) / n``; ``None``
+    when ``n`` does not divide ``kd + sum(a)`` or the largest ``a[s + 1]``
+    exceeds the mean (some target would be negative)."""
+    tail, total, top = term
+    mean, rest = divmod(kd + total, n)
+    if rest or mean < top:
         return None
-    targets = tuple([mean - x for x in a[1:]])
-    return None if min(targets) < 0 else targets
+    return tuple([mean - x for x in tail])
 
 
 def signed_counts(
@@ -66,7 +80,10 @@ def signed_counts(
     """Signed sums ``sum(c * multiplicity(k, w) for w, c in terms)``, one per
     degree ``k`` in ``degrees``: the one reader behind every query.
 
-    Only terms whose moment system is feasible are read: from ``cache`` when
+    Each term is checked and decomposed once, not once per degree; at each
+    degree a divisibility and a sign test (the formula of
+    :func:`moment_targets`) pick the terms whose moment system is feasible.
+    Only those are read: from ``cache`` when
     it holds them, otherwise from ``series`` or, without one, from one
     expansion to the highest degree read, capped at the coordinatewise
     maximum of the targets still missing.  Computed values are added to
@@ -80,13 +97,16 @@ def signed_counts(
     check_params(n, d, None, max_terms)
     if series is not None and (series.n, series.d) != (n, d):
         raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
+    checked = [(check_weight(n, w), c) for w, c in terms]
+    plan = [(w, c, _decompose(w)) for w, c in checked]
     counts: dict[tuple[int, Weight], int] = {}
     missing: dict[tuple[int, Weight], tuple[int, ...]] = {}
     sized = series is not None or len(degrees) == 1
     for k in reversed(degrees):
         check_params(n, d, k)
-        for w, _ in terms:
-            targets = moment_targets(n, d, k, w)
+        kd = k * d
+        for w, _, term in plan:
+            targets = _targets(n, kd, term)
             if targets is None:
                 continue
             hit = cache.get(n, d, k, w) if cache is not None else None
@@ -105,7 +125,7 @@ def signed_counts(
         counts[k, w] = series.coefficient(k, targets)
         if cache is not None:
             cache.put(n, d, k, w, counts[k, w])
-    sums = [sum(c * counts.get((k, w), 0) for w, c in terms) for k in degrees]
+    sums = [sum(c * counts.get((k, w), 0) for w, c, _ in plan) for k in degrees]
     for k, total in zip(degrees, sums):
         if total < 0:
             raise InternalError(f"negative multiplicity {total} at (n={n}, d={d}, k={k})")

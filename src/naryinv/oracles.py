@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
@@ -36,14 +35,19 @@ from .weights import (
 MAX_CHARACTER_MONOMIALS = 10_000_000
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """Weight multiplicities of the degree-``k`` coefficient monomials."""
 
     n: int
     d: int
     k: int
-    multiplicities: dict[Weight, int] = field(repr=False)
+    multiplicities: dict[Weight, int]
+
+    def __init__(self, n, d, k, multiplicities) -> None:
+        self.n = n
+        self.d = d
+        self.k = k
+        self.multiplicities = multiplicities
 
     def total(self) -> int:
         return sum(self.multiplicities.values())

@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .errors import InternalError, ResourceLimitError, TruncationError, check_params
@@ -84,7 +83,6 @@ def _cells(
             yield from _cells(caps, places, budget - x, (*prefix, x), at + x * place)
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Truncated expansion of the coefficient generating series.
 
@@ -100,7 +98,15 @@ class TruncatedSeries:
     degree_bound: int
     caps: tuple[int, ...]
     width: int
-    layers: tuple[int, ...] = field(repr=False)
+    layers: tuple[int, ...]
+
+    def __init__(self, n, d, degree_bound, caps, width, layers) -> None:
+        self.n = n
+        self.d = d
+        self.degree_bound = degree_bound
+        self.caps = caps
+        self.width = width
+        self.layers = layers
 
     @functools.cached_property
     def places(self) -> tuple[int, ...]:

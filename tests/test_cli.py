@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -5,7 +6,7 @@ import re
 
 import pytest
 
-from naryinv.cli import main, parse_weight
+from naryinv.cli import build_parser, main, parse_weight
 from naryinv.counting import weight_multiplicity
 
 
@@ -161,6 +162,76 @@ def test_output_matrix(capsys):
             masked = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out)
             assert (code, masked) == (0, expected), (query, fmt)
             assert capsys.readouterr().err == "", (query, fmt)
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for help and usage
+# errors, at COLUMNS=80 with elapsed_ms masked, as argparse on Python 3.11
+# prints them; taken before the parser was built per command
+HELP_AND_ERROR_DIGESTS = {
+    "": "86eefdf75d9083c001b9df8d2c535ca2e6f40a53b5e4c4185aa16e49dc615d27",
+    "-h": "98ec598b2aa0523e1fc3809aded569d5b752d31489d085d38a7133539fa85cc2",
+    "--help": "98ec598b2aa0523e1fc3809aded569d5b752d31489d085d38a7133539fa85cc2",
+    "foo": "e7449d9516bd5dbccec7ad9565817a5f34dd18040c00cc404451d6153e745b15",
+    "NU 3 3 4": "418147fca53eeb4916d3cbc63452a00caa85491bdeb69fefd055b785892bbada",
+    "nu 3 3 4 extra": "2e519a1a1142bfb290cf37373ae450e5b04aae49db21ce8c1d13f6fac7c83cec",
+    "nu x 3 4": "989d90c0398c2bb6ab396328eec4dd35529d3cdb04d0d65ec4335d68760b8cfd",
+    "gamma 3 3 4": "e6d9b27f926a607682e9d564154eb70a5d329d6f604153c04dd960cb76a85eea",
+    "count 3 3 2": "c23d8a690dafc3bf264e083abe552b6243396481ea0d66da9571be3a11b5dd92",
+    "table 3 3": "a8fb8a736501a3c90ce73b7527b039f3d05bb3122906f88c677013fb968feacb",
+    "nu 3 3 4 --format xml": "5e60b017030cab5ef9a4d9888988403562ed881c1a5acc1e40ad4eb1c41fb713",
+    "nu 3 3 4 --bogus": "2bb3fad17f5e85a0b234833ea585430a7352bf6b3f717c26cd622b022c882e1d",
+    "nu 3 3 4 --limit-states 0": "da9e8092b0df3d109929a3e0cd57115e2b9917a4f99e2471040e4ec58bbb1d61",
+    "check 2 2 --kmax x": "9deff7bfe487d73e0763bb714baf095cf3956356c458ec09d8bd0d28198a1cd8",
+    "nu -h": "bc0edadca7d111f628cdf1f50cca1e9a9e68b4fb5a98d0e6f8e12d45fb0d031e",
+    "gamma -h": "afc7941cde768a287e1489395d834feada0647ee81d940754f5ee01eca9fbc9a",
+    "count -h": "4d11e221e6388553912b3fc15985f80225d4666f4ffc29b9340b3a7316e70d0e",
+    "orbit -h": "9decfb152e491fc3b30e42bdd04d82e3a6b46b5eb517797078036da0862c2575",
+    "table -h": "1551199e16865a24d75fca7afc744b6acc30e141d0c297b83204ea037dab7da8",
+    "series -h": "bb28aa0a0deb1058e7bcf76ba46c13269f7ac96aa3c8ce57a499c41e76f50c7d",
+    "check -h": "02d056928c76c4bb2eabf63ee4acfe37340a9138357b6f14cfe3cabe5e53657b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_AND_ERROR_DIGESTS))
+def test_help_and_error_bytes_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    out = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', out)
+    blob = json.dumps([code, out, err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == HELP_AND_ERROR_DIGESTS[argv]
+
+
+def _subparsers(parser):
+    return next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def test_a_query_builds_only_its_subparser(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert run_cli("table", "2", "3", "--kmax", "2")[0] == 0
+    assert added == ["table"]
+    added.clear()
+    assert main(["-h"]) == 0
+    assert added == ["nu", "gamma", "count", "orbit", "table", "series", "check"]
+
+
+def test_one_command_parser_matches_the_full_parser():
+    full = build_parser()
+    for name, sub in _subparsers(full).items():
+        one = build_parser(name)
+        assert list(_subparsers(one)) == [name]
+        assert one.format_usage() == full.format_usage()
+        assert _subparsers(one)[name].format_help() == sub.format_help(), name
 
 
 def test_orbit_plain_output():

@@ -8,13 +8,14 @@ from naryinv.counting import (
     CountCache,
     cache_from_env,
     moment_targets,
+    signed_counts,
     weight_multiplicity,
 )
 from naryinv.dimensions import invariant_dimension
 from naryinv.errors import ResourceLimitError
 from naryinv.forms import enumerate_indices, weight_from_moments
 from naryinv.oracles import brute_character, symmetric_power_dimension
-from naryinv.series import expand_generating_series
+from naryinv.series import TruncatedSeries, check_expansion_size, expand_generating_series
 from naryinv.weights import dominant_representative
 
 
@@ -102,6 +103,69 @@ def test_counts_are_orbit_symmetric():
         assert weight_multiplicity(n, d, k, w) == weight_multiplicity(
             n, d, k, dominant_representative(w)
         )
+
+
+def _moments_by_search(n, d, k, w):
+    """The nonnegative moments of weight ``w`` at degree ``k``, or ``None``.
+
+    The weight fixes ``m[s + 1] = m[s] - w[s + 1]``, so trying every first
+    moment up to a bound past any solution finds the one vector, if any,
+    that :func:`weight_from_moments` maps back to ``w``.
+    """
+    for first in range(d * k + n * sum(map(abs, w)) + 1):
+        m = tuple(itertools.accumulate([first, *(-x for x in w[1:])]))
+        if min(m) >= 0 and weight_from_moments(n, d, k, m) == w:
+            return m
+    return None
+
+
+def test_read_plan_reads_exactly_the_feasible_targets(monkeypatch):
+    # signed_counts checks and decomposes each term once, then tests it at
+    # every degree: it must read exactly the feasible moment_targets, once
+    # each, and sum them as a per-term read would; moment_targets itself is
+    # checked against a search over the weight system
+    rng = random.Random(12)
+    real = TruncatedSeries.coefficient
+    reads = []
+
+    def recording(self, k, moments):
+        reads.append((k, tuple(moments)))
+        return real(self, k, moments)
+
+    monkeypatch.setattr(TruncatedSeries, "coefficient", recording)
+    drawn = 0
+    while drawn < 40:
+        n, d = rng.randint(2, 6), rng.randint(1, 5)
+        weights = dict.fromkeys(
+            tuple(rng.randint(-6, 6) for _ in range(n - 1)) for _ in range(rng.randint(1, 6))
+        )
+        terms = [(w, rng.randint(1, 3)) for w in weights]
+        degrees = rng.sample(range(13), rng.randint(1, 4))
+        feasible = {}
+        for k in degrees:
+            for w, _ in terms:
+                targets = moment_targets(n, d, k, w)
+                assert targets == _moments_by_search(n, d, k, w), (n, d, k, w)
+                if targets is not None:
+                    feasible[k, w] = targets
+        series = None
+        if feasible:
+            top = max(k for k, _ in feasible)
+            caps = tuple(min(max(column), d * top) for column in zip(*feasible.values()))
+            try:
+                check_expansion_size(d, top, caps, 200_000)
+            except ResourceLimitError:
+                continue  # too large to expand here
+            series = expand_generating_series(n, d, top, caps=caps)
+        drawn += 1
+        reads.clear()
+        sums = signed_counts(n, d, degrees, terms)
+        assert sorted(reads) == sorted((k, t) for (k, _), t in feasible.items())
+        expected = [
+            sum(c * real(series, k, feasible[k, w]) for w, c in terms if (k, w) in feasible)
+            for k in degrees
+        ]
+        assert sums == expected, (n, d, degrees, terms)
 
 
 def test_total_mass_over_all_targets():
