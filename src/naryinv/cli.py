@@ -322,7 +322,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        check_params(args.n, max_terms=args.limit_states)
+        check_params(args.n)
+        if args.limit_states < 1:
+            raise ValueError(f"--limit-states must be at least 1 cell, got {args.limit_states}")
         return args.handler(args, out)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

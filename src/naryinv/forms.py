@@ -4,13 +4,14 @@ An n-ary form of degree ``d`` has one coefficient per exponent vector
 ``i = (i_1, ..., i_{n-1})`` with ``0 <= i_1 + ... + i_{n-1} <= d`` (the
 exponents of variables 2..n; variable 1 takes the complement ``d - |i|``).
 Each coefficient spans a one-dimensional weight space, and the weight of a
-monomial in the coefficients is additive over its factors.
+monomial in the coefficients is additive over its factors.  The counting
+engine walks its own indices, so the oracles' walk here shares no code with it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ResourceLimitError, check_params
 from .weights import Weight
@@ -35,29 +36,19 @@ def index_count(n: int, d: int) -> int:
     return math.comb(n - 1 + d, n - 1)
 
 
-def enumerate_indices(
-    n: int, d: int, caps: Sequence[int] | None = None
-) -> list[MultiIndex]:
+def enumerate_indices(n: int, d: int) -> list[MultiIndex]:
     """All coefficient indices with ``|i| <= d``, in lexicographic order.
 
-    With ``caps``, only those with ``i[s] <= caps[s]`` for every ``s``.
-    Only the uncapped set is refused past ``MAX_INDEX_COUNT``: each capped
-    index is a distinct cell of the first degree layer of an expansion with
-    those caps, and the expansion bounds that layer before it asks.
+    Refused past ``MAX_INDEX_COUNT``.
     """
-    check_params(n, d)
-    if caps is None:
-        total = index_count(n, d)
-        if total > MAX_INDEX_COUNT:
-            raise ResourceLimitError(
-                f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
-            )
-        caps = (d,) * (n - 1)
-    elif len(caps) != n - 1 or any(c < 0 for c in caps):
-        raise ValueError(f"caps must be n - 1 = {n - 1} nonnegative integers, got {tuple(caps)}")
+    total = index_count(n, d)
+    if total > MAX_INDEX_COUNT:
+        raise ResourceLimitError(
+            f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
+        )
     out: list[MultiIndex] = [()]
-    for cap in caps:
-        out = [i + (v,) for i in out for v in range(min(d - sum(i), cap) + 1)]
+    for _ in range(n - 1):
+        out = [i + (v,) for i in out for v in range(d - sum(i) + 1)]
     return out
 
 

@@ -22,7 +22,8 @@ a field never carries into the next.  Multiplying in index ``i`` adds to
 each layer a copy of the layer below, masked to the cells from which
 ``i`` stays within every cap and shifted by the cell of ``i``.  Only
 :meth:`TruncatedSeries.coefficient` and :meth:`TruncatedSeries.nonzero`
-read cells.
+read cells.  The indices are walked by :func:`_cells` too, so nothing is
+imported from :mod:`naryinv.forms`, whose walk the oracles use.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import operator
 from typing import IO, Iterable, Iterator
 
 from .errors import InternalError, ResourceLimitError, TruncationError, check_params
-from .forms import enumerate_indices, index_count
 
 #: the one bound on the cells the layers of an expansion span
 MAX_TERMS = 5_000_000
@@ -72,7 +72,8 @@ def _cells(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(moments, cell)`` for every moment vector within ``caps`` whose
     entries sum to at most ``budget``, in lexicographic order; ``prefix``
-    fixes the leading entries and ``at`` is their cell."""
+    fixes the leading entries and ``at`` is their cell.  Budget ``d * k``
+    walks the cells of layer ``k``; budget ``d``, the indices."""
     s = len(prefix)
     top, place = min(caps[s], budget), places[s]
     if s == len(caps) - 1:
@@ -212,16 +213,17 @@ def expand_generating_series(
         raise ValueError(f"caps must be n - 1 = {n - 1} nonnegative integers, got {caps}")
     check_expansion_size(d, degree_bound, caps, max_terms)
     places = _places(caps)
-    # every count is at most the number of monomials of the top degree
-    top = math.comb(index_count(n, d) + degree_bound - 1, degree_bound)
-    width = 8 * (top.bit_length() // 8 + 1)
-    field_mask = (1 << width) - 1
-    layers = [1] + [0] * degree_bound
     # an index past a cap could only feed moments past it; the indices
     # within the caps are distinct cells of layer 1, counted above (at
     # degree bound 0 every cap is 0 and only the zero index is left)
-    for idx in enumerate_indices(n, d, caps):
-        shift = width * sum(i * p for i, p in zip(idx, places))
+    indices = list(_cells(tuple(min(c, d) for c in caps), places, d))
+    # no kept count exceeds the top-degree monomials in these indices
+    top = math.comb(len(indices) + degree_bound - 1, degree_bound)
+    width = 8 * (top.bit_length() // 8 + 1)
+    field_mask = (1 << width) - 1
+    layers = [1] + [0] * degree_bound
+    for idx, cell in indices:
+        shift = width * cell
         # layer k - 1 reaches moments up to d * (k - 1), so it needs the
         # mask only once that passes caps[s] - idx[s] for some s
         free = min(((c - i) // d for c, i in zip(caps, idx) if i), default=degree_bound)

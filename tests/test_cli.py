@@ -180,7 +180,7 @@ HELP_AND_ERROR_DIGESTS = {
     "table 3 3": "a8fb8a736501a3c90ce73b7527b039f3d05bb3122906f88c677013fb968feacb",
     "nu 3 3 4 --format xml": "5e60b017030cab5ef9a4d9888988403562ed881c1a5acc1e40ad4eb1c41fb713",
     "nu 3 3 4 --bogus": "2bb3fad17f5e85a0b234833ea585430a7352bf6b3f717c26cd622b022c882e1d",
-    "nu 3 3 4 --limit-states 0": "da9e8092b0df3d109929a3e0cd57115e2b9917a4f99e2471040e4ec58bbb1d61",
+    "nu 3 3 4 --limit-states 0": "44e8d25b9a89074717ff90953eee7f8d5bea1dd14dfd39fdf76ed904b0dcc81e",
     "check 2 2 --kmax x": "9deff7bfe487d73e0763bb714baf095cf3956356c458ec09d8bd0d28198a1cd8",
     "nu -h": "bc0edadca7d111f628cdf1f50cca1e9a9e68b4fb5a98d0e6f8e12d45fb0d031e",
     "gamma -h": "afc7941cde768a287e1489395d834feada0647ee81d940754f5ee01eca9fbc9a",
@@ -427,6 +427,14 @@ def test_invalid_arguments_exit_code():
     assert (code, out) == (2, "")
     code, out = run_cli("orbit", "2", "--lambda=-3")
     assert (code, out) == (2, "")
+
+
+def test_bad_limit_names_the_flag_and_its_unit(capsys):
+    assert main(["nu", "3", "3", "4", "--limit-states", "0"]) == 2
+    assert capsys.readouterr().err == "error: --limit-states must be at least 1 cell, got 0\n"
+    # the rank is still checked first, in its own words
+    assert main(["nu", "1", "3", "4", "--limit-states", "0"]) == 2
+    assert capsys.readouterr().err == "error: rank parameter n must be >= 2, got 1\n"
 
 
 def test_resource_limit_exit_code():

@@ -99,6 +99,9 @@ def capped_cases(draw):
 # a cap below d and a cap equal to an index entry, at rank 5
 @example((5, 3, 2, (2, 3, 1, 6)))
 @example((5, 2, 3, (2, 1, 2, 2)))
+# cap 0 leaves only the zero index, so the fields are 8 bits wide, half
+# the width of the uncapped expansion's
+@example((2, 1, 255, (0,)))
 def test_capped_expansion_equals_tally(case):
     n, d, k, caps = case
     series = expand_generating_series(n, d, k, caps=caps)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -34,27 +33,6 @@ def test_enumeration_resource_limit(monkeypatch):
     monkeypatch.setattr(forms_mod, "MAX_INDEX_COUNT", 1000)
     with pytest.raises(ResourceLimitError):
         enumerate_indices(6, 50)
-
-
-def test_capped_enumeration_keeps_the_indices_within_the_caps():
-    for n in range(2, 6):
-        for d in range(1, 5):
-            indices = enumerate_indices(n, d)
-            for caps in itertools.product(range(d + 2), repeat=n - 1):
-                within = [i for i in indices if all(x <= c for x, c in zip(i, caps))]
-                assert enumerate_indices(n, d, caps) == within
-    with pytest.raises(ValueError):
-        enumerate_indices(3, 2, (1,))
-    with pytest.raises(ValueError):
-        enumerate_indices(3, 2, (1, -1))
-
-
-def test_capped_enumeration_is_not_refused_on_the_full_count(monkeypatch):
-    # a capped call comes from an expansion that has bounded its first
-    # layer, which holds one cell per capped index
-    monkeypatch.setattr(forms_mod, "MAX_INDEX_COUNT", 1000)
-    assert enumerate_indices(6, 50, (0,) * 5) == [(0,) * 5]
-    assert len(enumerate_indices(6, 50, (1, 1, 1, 0, 0))) == 8
 
 
 def test_coefficient_weight_examples():

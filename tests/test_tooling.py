@@ -119,11 +119,9 @@ def test_series_keeps_one_packed_engine():
     assert ast.unparse(layers.annotation) == "tuple[int, ...]"
 
 
-def test_oracles_share_no_code_with_the_engine():
-    # the oracles certify the counting route, so within the package they may
-    # import only the coefficient and weight vocabulary, never the engine
-    # (`series`, `counting`, `dimensions`)
-    path = SRC / "naryinv" / "oracles.py"
+def _package_imports(module):
+    """The package modules that ``module`` imports, at any depth of its body."""
+    path = SRC / "naryinv" / f"{module}.py"
     tree = ast.parse(path.read_text(), str(path))
     local = set()
     for node in ast.walk(tree):
@@ -133,5 +131,20 @@ def test_oracles_share_no_code_with_the_engine():
             local.add(node.module.partition(".")[2])
         elif isinstance(node, ast.Import):
             local.update(a.name.partition(".")[2] for a in node.names if a.name.startswith("naryinv"))
+    return local
+
+
+def test_oracles_share_no_code_with_the_engine():
+    # the oracles certify the counting route, so within the package they may
+    # import only the coefficient and weight vocabulary, never the engine
+    # (`series`, `counting`, `dimensions`)
+    local = _package_imports("oracles")
     assert local <= {"errors", "forms", "weights"}
     assert {"forms", "weights"} <= local
+
+
+def test_engine_shares_no_code_with_the_oracles():
+    # the other side of the boundary: the engine walks its own indices, so
+    # the brute-force oracle's walk in `forms` certifies it independently
+    for module in ("series", "counting", "dimensions"):
+        assert not _package_imports(module) & {"forms", "oracles"}, module
