@@ -88,7 +88,7 @@ def _weight_str(weight) -> str:
 def _emit_records(records: list[tuple], fmt: str, out) -> None:
     """Render ``(n, d, k, weight, result, method, elapsed_ms)`` records.
 
-    plain: one result per line (``k`` prefixed for multi-row commands);
+    plain: the bare result (``table`` and ``check`` write their own rows);
     json: one object per line with the full record; csv: fixed header
     ``n,d,k,mu_or_lambda,result,method``.
     """
@@ -104,7 +104,7 @@ def _emit_records(records: list[tuple], fmt: str, out) -> None:
             shown = "" if weight is None else _weight_str(weight)
             writer.writerow([n, d, k, shown, result, method])
         else:
-            out.write(f"{result}\n" if len(records) == 1 else f"{k} {result}\n")
+            out.write(f"{result}\n")
 
 
 def _open_cache(enabled: bool) -> CountCache | None:
@@ -185,8 +185,11 @@ def _prefix(args) -> tuple[list[int], float]:
 
 def cmd_table(args, out) -> int:
     values, ms = _prefix(args)
-    records = [(args.n, args.d, k, None, v, "theorem1", ms) for k, v in enumerate(values)]
-    _emit_records(records, args.format, out)
+    if args.format == "plain":
+        out.writelines(f"{k} {v}\n" for k, v in enumerate(values))
+    else:
+        records = [(args.n, args.d, k, None, v, "theorem1", ms) for k, v in enumerate(values)]
+        _emit_records(records, args.format, out)
     return EXIT_OK
 
 

@@ -80,28 +80,27 @@ def signed_counts(
     """Signed sums ``sum(c * multiplicity(k, w) for w, c in terms)``, one per
     degree ``k`` in ``degrees``: the one reader behind every query.
 
-    Each term is checked and decomposed once, not once per degree; at each
-    degree a divisibility and a sign test (the formula of
-    :func:`moment_targets`) pick the terms whose moment system is feasible.
-    Only those are read: from ``cache`` when
-    it holds them, otherwise from ``series`` or, without one, from one
-    expansion to the highest degree read, capped at the coordinatewise
+    Each weight comes checked, as :func:`~naryinv.weights.signed_orbit_terms`
+    builds it, and each term is decomposed once, not once per degree; at each
+    degree a divisibility and a sign test (the formula of :func:`moment_targets`)
+    pick the terms whose moment system is feasible.  Only those are read: from
+    ``cache`` when it holds them, otherwise from ``series`` or, without one,
+    from one expansion to the highest degree read, capped at the coordinatewise
     maximum of the targets still missing.  Computed values are added to
     ``cache``.  A negative sum raises :class:`InternalError`.
 
-    Reads are listed from the last degree down.  With more than one
-    degree, the first with a read to expand sizes the caps found so far,
-    a lower bound on the final expansion, so a refused read is refused
+    Reads are listed from the last degree down.  Without ``series``, the
+    first degree with a read to expand sizes the caps found so far, a
+    lower bound on the final expansion, so a refused read is refused
     before the degrees below it are listed.
     """
     check_params(n, d, None, max_terms)
     if series is not None and (series.n, series.d) != (n, d):
         raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
-    checked = [(check_weight(n, w), c) for w, c in terms]
-    plan = [(w, c, _decompose(w)) for w, c in checked]
+    plan = [(w, c, _decompose(w)) for w, c in terms]
     counts: dict[tuple[int, Weight], int] = {}
     missing: dict[tuple[int, Weight], tuple[int, ...]] = {}
-    sized = series is not None or len(degrees) == 1
+    sized = series is not None
     for k in reversed(degrees):
         check_params(n, d, k)
         kd = k * d

@@ -166,21 +166,21 @@ def check_expansion_size(
     ``degree_bound``, with moments capped at ``caps`` (each at most
     ``d * degree_bound``), would span more than ``max_terms`` cells.
 
-    Counted from the layout alone, so nothing is allocated.  The count
-    only grows with the degree bound and the caps, so sizing a smaller
-    bound or smaller caps gives a lower bound on it.
+    The count is the sum of :func:`_span` over the ``L = degree_bound + 1``
+    layers in closed form: for each cap ``c``, ``min(c, d * k)`` is ``d * k``
+    in the first ``b = min(L, ceil(c / d))`` layers and ``c`` in the rest.
+    Nothing is allocated.  The count only grows with the degree bound and
+    the caps, so sizing a smaller bound or smaller caps gives a lower bound.
     """
-    places = _places(caps)
-    cells = 0
-    for k in range(degree_bound + 1):
-        if d * k >= max(caps):  # this layer and every later one span the box
-            cells += _span(d, k, caps, places) * (degree_bound + 1 - k)
-            break
-        cells += _span(d, k, caps, places)
-        if cells > max_terms:
-            break
+    layers = degree_bound + 1
+    cells = layers
+    for c, p in zip(caps, _places(caps)):
+        b = min(layers, -(-c // d))
+        cells += p * (d * b * (b - 1) // 2 + c * (layers - b))
     if cells > max_terms:
-        raise ResourceLimitError(f"series expansion would span over {max_terms} cells")
+        raise ResourceLimitError(
+            f"series expansion would span at least {cells} cells, above the limit {max_terms}"
+        )
 
 
 def expand_generating_series(

@@ -31,7 +31,6 @@ converted to weight coordinates once.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import Iterable, NamedTuple
@@ -139,17 +138,12 @@ def signed_orbit_terms(
     if shift is None:
         shift = (0,) * (n - 1)
     shift = check_weight(n, shift, "shift")
-    return [SignedOrbitTerm(*t) for t in _aggregated_terms(n, shift)]
-
-
-@functools.lru_cache(maxsize=16)
-def _aggregated_terms(n: int, shift: Weight) -> tuple[tuple[Weight, int], ...]:
     base = [x + i for i, x in enumerate(to_ambient(shift))]
     rho = range(n)
     acc: dict[tuple[int, ...], int] = {}
     for sign, perm in zip(_permutation_signs(n), itertools.permutations(base)):
         key = tuple(sorted(map(operator.sub, perm, rho)))
         acc[key] = acc.get(key, 0) + sign
-    terms = [(from_ambient(key), coef) for key, coef in acc.items() if coef]
-    terms.sort(key=lambda t: (max(t[0]), t[0]))
-    return tuple(terms)
+    terms = [SignedOrbitTerm(from_ambient(key), coef) for key, coef in acc.items() if coef]
+    terms.sort(key=lambda t: (max(t.dominant), t.dominant))
+    return terms

@@ -316,6 +316,8 @@ def test_table_plain_rows():
     assert code == 0
     rows = [line.split() for line in out.splitlines()]
     assert [int(v) for _, v in rows] == [1, 0, 1, 1, 1, 1, 2]
+    # one row is still a row, not a bare result
+    assert run_cli("table", "2", "4", "--kmax", "0") == (0, "0 1\n")
 
 
 def test_series_dump(tmp_path):
@@ -334,11 +336,16 @@ def test_series_dump(tmp_path):
     assert path.read_text().splitlines() == [json.dumps(r) for r in records]
 
 
-def test_capped_reads_under_a_small_term_limit(tmp_path):
+def test_capped_reads_under_a_small_term_limit(tmp_path, capsys):
     # the layers of the (3, 3) series up to degree 12 span 1,911 cells when
     # capped at the targets of the orbit terms; uncapped they span 8,905
     assert run_cli("nu", "3", "3", "12") == (0, "2\n")
     assert run_cli("series", "3", "3", "12", "--limit-states", "2000") == (0, "2\n")
+    assert run_cli("series", "3", "3", "12", "--limit-states", "1911") == (0, "2\n")
+    capsys.readouterr()
+    assert run_cli("series", "3", "3", "12", "--limit-states", "1910") == (3, "")
+    # the refusal names the cells the query needs and the limit
+    assert re.search(r"\b1911\b.*\b1910\b", capsys.readouterr().err)
     code, out = run_cli("table", "3", "3", "--kmax", "12", "--limit-states", "2000")
     assert code == 0 and out.splitlines()[-1] == "12 2"
     # a dump writes every coefficient, so it still expands uncapped

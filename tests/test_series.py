@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -11,7 +12,14 @@ from naryinv.dimensions import hilbert_series_prefix, invariant_dimension
 from naryinv.errors import ResourceLimitError, TruncationError
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
-from naryinv.series import MAX_TERMS, dump_series, expand_generating_series
+from naryinv.series import (
+    MAX_TERMS,
+    _places,
+    _span,
+    check_expansion_size,
+    dump_series,
+    expand_generating_series,
+)
 
 
 def test_expand_first_order_binary_linear():
@@ -149,6 +157,20 @@ def test_expansion_limit_checked_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_expansion_size_is_the_sum_of_the_layer_spans():
+    # the closed form counts what the layers span one by one (the per-layer
+    # count that nonzero unpacks by): a limit at that count passes, and
+    # one below it is refused with both numbers named
+    for dims, d, top in itertools.product(range(1, 4), range(1, 4), range(5)):
+        for caps in itertools.product(range(d * top + 1), repeat=dims):
+            places = _places(caps)
+            cells = sum(_span(d, k, caps, places) for k in range(top + 1))
+            check_expansion_size(d, top, caps, cells)
+            expected = f"at least {cells} cells, above the limit {cells - 1}$"
+            with pytest.raises(ResourceLimitError, match=expected):
+                check_expansion_size(d, top, caps, cells - 1)
 
 
 def test_dump_series_json_lines():

@@ -143,15 +143,6 @@ def test_orbit_terms_match_reference():
         assert signed_orbit_terms(n, shift) == _reference_orbit_terms(n, shift)
 
 
-def test_orbit_memo_is_bounded():
-    memo = weights_mod._aggregated_terms
-    cap = memo.cache_info().maxsize
-    assert cap is not None
-    for a in range(cap + 5):
-        signed_orbit_terms(3, shift=(a, 0))
-    assert memo.cache_info().currsize <= cap
-
-
 def test_orbit_rank_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
         signed_orbit_terms(9)
