@@ -13,7 +13,7 @@ from __future__ import annotations
 from .counting import CountCache, signed_counts
 from .errors import check_params
 from .series import MAX_TERMS, TruncatedSeries
-from .weights import check_dominant, signed_orbit_terms
+from .weights import check_dominant, signed_orbit_terms, to_ambient
 
 
 def highest_weight_multiplicity(
@@ -30,9 +30,13 @@ def highest_weight_multiplicity(
 
     Equals the number of linearly independent semi-invariants of that weight
     and degree: the signed orbit terms shifted by it, read at degree ``k``.
+    A term is feasible there only when no ambient entry exceeds
+    ``(k*d + sum(to_ambient(highest))) // n``, so the walk stops at that band.
     """
     check_params(n, d, k, max_terms)
-    terms = signed_orbit_terms(n, shift=check_dominant(n, highest))
+    highest = check_dominant(n, highest)
+    top = (k * d + sum(to_ambient(highest))) // n
+    terms = signed_orbit_terms(n, shift=highest, top=top)
     return signed_counts(n, d, [k], terms, max_terms, cache, series)[0]
 
 
@@ -57,6 +61,8 @@ def hilbert_series_prefix(
     max_terms: int = MAX_TERMS,
 ) -> list[int]:
     """Graded invariant dimensions ``[dim_0, dim_1, ..., dim_k_max]``: the
-    signed orbit terms read at every degree off one expansion."""
+    signed orbit terms read at every degree off one expansion, walked only
+    within the band of the top degree, ``(k_max*d) // n``."""
     check_params(n, d, k_max, max_terms)
-    return signed_counts(n, d, range(k_max + 1), signed_orbit_terms(n), max_terms)
+    terms = signed_orbit_terms(n, top=k_max * d // n)
+    return signed_counts(n, d, range(k_max + 1), terms, max_terms)

@@ -25,13 +25,31 @@ to_ambient(shift) + rho``.  Writing ``i = q[j]`` for the inverse ``q`` of
 ``p``, which has the same sign, gives ``{base[q[j]] - j}``: permute
 ``base``, subtract ``rho`` and sort.  Permutations act on positions, so
 ``base`` need not be sorted.  The vectors share one entry sum, so the
-sorted vector alone names the dominant weight, and each distinct one is
-converted to weight coordinates once.
+sorted vector alone names the dominant weight.
+
+:func:`signed_orbit_terms` never lists the n! permutations.  It fills
+positions one element at a time, in two halves: positions ``0..h-1``
+forward and ``n-1..h`` backward, ``h = n // 2``.  A walk state is one
+``int``: the multiset of entries placed so far, as a 4-bit count per entry
+value (enough for n <= 15), above the mask of used elements.  Each half
+keeps a dict from state to signed count, so paths that place the same
+entries with the same elements merge.  Placing element ``i`` flips the
+sign when an odd number of smaller elements are still unplaced (forward)
+or already placed (backward); together the flips count the inversions of
+``q``.  The halves meet on complementary masks, where adding two states
+joins their multisets.  Each state also keeps the entries of the first
+path to reach it, so each distinct joined multiset is sorted once into its
+weight, the gaps between its sorted entries.
+
+A term can be feasible at degree ``k`` only when no entry exceeds
+``(k*d + sum(to_ambient(shift))) // n`` (see
+:func:`naryinv.counting.moment_targets`); with that ``top`` the walk never
+places a larger entry, so it visits only the band of the orbit a query
+can read.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Iterable, NamedTuple
 
@@ -39,7 +57,9 @@ from .errors import ResourceLimitError, check_params
 
 Weight = tuple[int, ...]
 
-#: enumerating all n! permutations stays comfortable on a desk up to here
+#: each half of the orbit walk ends on up to C(n, h) * (n - h)! states,
+#: h = n // 2; that stays comfortable on a desk up to here, and going past
+#: it would need a bound on walk states
 MAX_ORBIT_RANK = 8
 
 
@@ -102,20 +122,47 @@ def weyl_vector(n: int) -> Weight:
     return (1,) * (n - 1)
 
 
-def _permutation_signs(n: int) -> list[int]:
-    """Signs of the permutations of ``range(n)`` in lexicographic order.
+def _half_walk(
+    positions: Iterable[int],
+    steps: list[list[tuple[int, int, tuple[int]]]],
+    every: int,
+    rivals: int,
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """Fill ``positions`` in turn, one unused element each, from nothing.
 
-    A leading entry ``j`` comes before ``j`` smaller entries, so it adds
-    ``j`` inversions to those of the rest, which run in the same order.
+    A state is one ``int``: packed entry counts above the mask of used
+    elements, which is ``state & every``.  ``steps[j]`` lists
+    ``(bit, step, (entry,))`` for each element that may go to position
+    ``j``; ``step`` adds its bit and one to its entry's count.  Placing an
+    element flips the sign when an odd number of smaller elements lie in
+    ``mask ^ rivals``: the unplaced ones when ``rivals`` is ``every``
+    (forward), the placed ones when it is 0 (backward).  Returns the signed
+    count of each state and its entries, as the first path to it placed them.
     """
-    signs = [1]
-    for m in range(1, n + 1):
-        signs = [-s if j % 2 else s for j in range(m) for s in signs]
-    return signs
+    layer = {0: 1}
+    entries: dict[int, tuple[int, ...]] = {0: ()}
+    for j in positions:
+        next_layer, next_entries = {}, {}
+        for state, count in layer.items():
+            mask = state & every
+            flips = mask ^ rivals
+            placed = entries[state]
+            for bit, step, entry in steps[j]:
+                if mask & bit:
+                    continue
+                signed = -count if (flips & (bit - 1)).bit_count() & 1 else count
+                state_after = state + step
+                if state_after in next_layer:
+                    next_layer[state_after] += signed
+                else:
+                    next_layer[state_after] = signed
+                    next_entries[state_after] = placed + entry
+        layer, entries = next_layer, next_entries
+    return layer, entries
 
 
 def signed_orbit_terms(
-    n: int, shift: Iterable[int] | None = None
+    n: int, shift: Iterable[int] | None = None, top: int | None = None
 ) -> list[SignedOrbitTerm]:
     """Aggregate ``(shift + rho - s(rho))*`` over all ``s`` in S_n with signs.
 
@@ -126,24 +173,63 @@ def signed_orbit_terms(
     formula; shifting by a dominant weight yields the term list for its
     highest-weight multiplicity.
 
+    With ``top``, only the terms whose ambient entries ``{base[q[j]] - j}``
+    are all at most ``top`` are kept: the walk never places a larger entry.
+
     The result is sorted by (largest component, lexicographic), which for
     n = 3 reproduces the classical five-term presentation order.
     """
     check_params(n)
     if n > MAX_ORBIT_RANK:
         raise ResourceLimitError(
-            f"orbit enumeration over {n}! permutations refused "
-            f"(limit n <= {MAX_ORBIT_RANK})"
+            f"orbit walk at rank n = {n} refused (limit n <= {MAX_ORBIT_RANK})"
         )
     if shift is None:
-        shift = (0,) * (n - 1)
-    shift = check_weight(n, shift, "shift")
-    base = [x + i for i, x in enumerate(to_ambient(shift))]
-    rho = range(n)
-    acc: dict[tuple[int, ...], int] = {}
-    for sign, perm in zip(_permutation_signs(n), itertools.permutations(base)):
-        key = tuple(sorted(map(operator.sub, perm, rho)))
-        acc[key] = acc.get(key, 0) + sign
-    terms = [SignedOrbitTerm(from_ambient(key), coef) for key, coef in acc.items() if coef]
-    terms.sort(key=lambda t: (max(t.dominant), t.dominant))
-    return terms
+        base = list(range(n))
+    else:
+        shift = check_weight(n, shift, "shift")
+        base = [x + i for i, x in enumerate(to_ambient(shift))]
+    cap = max(base) if top is None else top
+    # each entry value gets its own 4-bit count field above the n mask bits
+    field: dict[int, int] = {}
+    steps = []
+    for j in range(n):
+        row = []
+        for i, b in enumerate(base):
+            entry = b - j
+            if entry <= cap:
+                if entry not in field:
+                    field[entry] = 1 << (n + 4 * len(field))
+                row.append((1 << i, field[entry] | 1 << i, (entry,)))
+        steps.append(row)
+    half = n // 2
+    every = (1 << n) - 1
+    forward, forward_entries = _half_walk(range(half), steps, every, every)
+    backward, backward_entries = _half_walk(range(n - 1, half - 1, -1), steps, every, 0)
+    # the halves meet on complementary masks; every key's mask bits are set
+    by_mask: dict[int, list[tuple[int, int]]] = {}
+    for state, count in backward.items():
+        if count:
+            by_mask.setdefault(state & every, []).append((state, count))
+    acc: dict[int, int] = {}
+    first: dict[int, tuple[int, ...]] = {}
+    for front, front_count in forward.items():
+        if not front_count:
+            continue
+        front_entries = forward_entries[front]
+        for back, back_count in by_mask.get(every & ~front, ()):
+            key = front + back
+            if key in acc:
+                acc[key] += front_count * back_count
+            else:
+                acc[key] = front_count * back_count
+                first[key] = front_entries + backward_entries[back]
+    # flat (largest gap, *gaps, coefficient) rows sort faster than nested ones
+    rows = []
+    for key, coef in acc.items():
+        if coef:
+            entries = sorted(first[key])
+            gaps = list(map(operator.sub, entries[1:], entries))
+            rows.append((max(gaps), *gaps, coef))
+    rows.sort()
+    return [SignedOrbitTerm(row[1:-1], row[-1]) for row in rows]

@@ -257,6 +257,18 @@ def test_orbit_plain_output_rank_eight():
     )
 
 
+def test_orbit_plain_output_generic_shift():
+    # 28,853 terms, whose packed walk keys hold 25 entry values, 100 bits
+    # of counts; the digest of the plain output was taken before the orbit
+    # was walked in halves
+    code, out = run_cli("orbit", "8", "--lambda", "1,0,3,2,1,0,3")
+    assert code == 0
+    assert out.count("\n") == 28853
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "46a3b09ad0feff96a8f0f8c328bd5db86cb6dfb28a13041742cfa8c3264737b1"
+    )
+
+
 def test_orbit_with_shift_and_csv():
     code, out = run_cli("orbit", "2", "--lambda", "3", "--format", "csv")
     assert code == 0
@@ -455,9 +467,9 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     import naryinv.dimensions as dimensions_mod
     from naryinv.weights import SignedOrbitTerm, signed_orbit_terms
 
-    def flipped(n, shift=None):
+    def flipped(n, shift=None, top=None):
         # the identity term's sign flipped makes the signed sum negative
-        first, *rest = signed_orbit_terms(n, shift=shift)
+        first, *rest = signed_orbit_terms(n, shift=shift, top=top)
         return [SignedOrbitTerm(first.dominant, -first.coefficient), *rest]
 
     monkeypatch.setattr(dimensions_mod, "signed_orbit_terms", flipped)

@@ -38,6 +38,9 @@ def test_cli_under_optimize_flag():
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
     good = _cli_optimized("nu", "3", "3", "4")
     assert good.returncode == 0 and good.stdout == "1\n"
+    # a banded orbit walk at rank 7
+    banded = _cli_optimized("nu", "7", "2", "7")
+    assert banded.returncode == 0 and banded.stdout == "1\n"
     # check runs the oracles, whose refusals and cross-checks must survive -O
     checked = _cli_optimized("check", "3", "2", "--kmax", "3")
     rows = checked.stdout.splitlines()
@@ -117,6 +120,25 @@ def test_series_keeps_one_packed_engine():
         if isinstance(node, ast.AnnAssign) and node.target.id == "layers"
     )
     assert ast.unparse(layers.annotation) == "tuple[int, ...]"
+
+
+def test_orbit_keeps_one_walk():
+    # the orbit terms come from the walk over positions alone: weights.py
+    # imports no itertools, so no permutation loop can come back beside it
+    path = SRC / "naryinv" / "weights.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        (node.module or "").partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and not node.level
+    }
+    assert "itertools" not in imported
+    assert "operator" in imported
 
 
 def _package_imports(module):

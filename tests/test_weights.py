@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import naryinv.weights as weights_mod
+from naryinv.cli import main
+from naryinv.counting import moment_targets
 from naryinv.errors import ResourceLimitError
 from naryinv.weights import (
     dominant_representative,
@@ -93,11 +96,6 @@ def test_identity_term_always_present_with_coefficient_one():
         assert terms[(0,) * (n - 1)] == 1
 
 
-def test_raw_signs_sum_to_zero():
-    for n in range(2, 7):
-        assert sum(weights_mod._permutation_signs(n)) == 0
-
-
 def test_aggregated_coefficients_bounded_by_group_order():
     for n in range(2, 7):
         terms = signed_orbit_terms(n)
@@ -160,24 +158,78 @@ def test_shift_validation():
         signed_orbit_terms(1)
 
 
-def test_signed_permutations_cover_the_group():
-    for n in range(1, 6):
-        signs = weights_mod._permutation_signs(n)
-        perms = list(itertools.permutations(range(n)))
-        assert len(signs) == len(perms) == math.factorial(n)
-        # parity check against a direct transposition count
-        for sign, perm in zip(signs, perms):
-            parity = 1
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                length = 0
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    parity = -parity
-            assert sign == parity
+def _band_shifts(n, rng):
+    # zero, rho and two random dominant shifts
+    shifts = [(0,) * (n - 1), (1,) * (n - 1)]
+    shifts += [tuple(rng.randint(0, 3) for _ in range(n - 1)) for _ in range(2)]
+    return shifts
+
+
+def _largest_entry(n, total, weight):
+    # the largest of the term's ambient entries {base[q[j]] - j}, which sum
+    # to total: to_ambient(weight) moved by the constant that makes it so
+    ambient = to_ambient(weight)
+    lift, rest = divmod(total - sum(ambient), n)
+    assert rest == 0
+    return max(ambient) + lift
+
+
+def test_band_keeps_exactly_the_terms_within_it():
+    rng = random.Random(15)
+    for n in range(2, 8):
+        d = 2 + n % 2
+        for shift in _band_shifts(n, rng):
+            total = sum(to_ambient(shift))
+            whole = signed_orbit_terms(n, shift)
+            largest = [_largest_entry(n, total, t.dominant) for t in whole]
+            for k in range(3 * n + 1):
+                top = (k * d + total) // n
+                banded = signed_orbit_terms(n, shift, top)
+                # the band drops whole terms, never a sign: the kept terms
+                # are the whole walk's, in its order, with its coefficients
+                # (also where n does not divide k*d + sum, so no term is
+                # feasible: the band is a floor, not the divisibility test)
+                within = [t for t, x in zip(whole, largest) if x <= top]
+                assert banded == within, (n, shift, k)
+                if (k * d + total) % n == 0:
+                    feasible = [
+                        t for t in whole if moment_targets(n, d, k, t.dominant) is not None
+                    ]
+                    assert banded == feasible, (n, shift, k)
+
+
+def test_top_degree_band_keeps_every_lower_degree():
+    rng = random.Random(16)
+    for n in range(2, 8):
+        d = 1 + n % 3
+        for shift in _band_shifts(n, rng):
+            total = sum(to_ambient(shift))
+            k_max = 3 * n
+            banded = set(signed_orbit_terms(n, shift, (k_max * d + total) // n))
+            for t in signed_orbit_terms(n, shift):
+                targets = (moment_targets(n, d, k, t.dominant) for k in range(k_max + 1))
+                if any(x is not None for x in targets):
+                    assert t in banded, (n, d, shift, t)
+
+
+def test_band_below_the_mean_entry_is_empty():
+    # a term's entries sum to sum(to_ambient(shift)), so its largest entry
+    # is at least their mean; at the mean only the flat term is left
+    assert signed_orbit_terms(3, top=-1) == []
+    assert signed_orbit_terms(3, top=0) == [((0, 0), 1)]
+    assert signed_orbit_terms(4, (1, 0, 2), top=1) == []
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        ("nu 8 2 8", "1"),
+        ("nu 8 3 7", "0"),
+        ("gamma 8 3 8 --lambda 1,0,0,0,0,0,0", "0"),
+    ],
+)
+def test_banded_answers_at_rank_eight(argv, answer):
+    # answers of the whole-orbit sum, taken before the walk was banded
+    out = io.StringIO()
+    assert main(argv.split(), out=out) == 0
+    assert out.getvalue() == answer + "\n"
