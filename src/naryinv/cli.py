@@ -14,16 +14,19 @@ Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``.
 A weight whose first entry is negative must be attached with ``=``, as in
 ``--mu=-1,2``; otherwise argparse reads ``-1,2`` as an option.  The
 ``--lambda`` of ``gamma`` and ``orbit`` must be dominant (no negative entry).
-Common flags: ``--format plain|json|csv`` (default plain) and
-``--limit-states N`` (cap on the cells the degree layers of a series
-expansion span, at least 1, checked before anything is allocated; a query
-expands only up to the moments it reads).  ``series`` is the same
+Every subcommand takes ``--format plain|json|csv`` (default plain).  The
+six that expand (all but ``orbit``) take ``--limit-states N``: a cap on the
+cells the degree layers of a series expansion span, at least 1, checked
+before anything is allocated; a query expands only up to the moments it
+reads.  ``series`` is the same
 capped read as ``nu`` under its own method tag; only ``series --dump``, which
 writes every coefficient, expands uncapped.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
 unreadable records, which are skipped).  ``check`` prints the
-rows ``theorem1``, ``stripping`` and, at n = 2, ``classical-binary``.
+rows ``theorem1``, ``stripping`` and, at n = 2, ``classical-binary``, each
+oracle row timed on its own; it refuses an over-large character
+enumeration at its top degree before computing any row.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
@@ -49,7 +52,13 @@ from .dimensions import (
     invariant_dimension,
 )
 from .errors import InternalError, ResourceLimitError, check_params
-from .oracles import binary_invariant_dimension, brute_character, strip_decompose
+from .oracles import (
+    MAX_CHARACTER_MONOMIALS,
+    binary_invariant_dimension,
+    brute_character,
+    check_character_size,
+    strip_decompose,
+)
 from .series import MAX_TERMS, dump_series, expand_generating_series
 from .weights import check_dominant, signed_orbit_terms
 
@@ -196,17 +205,23 @@ def cmd_table(args, out) -> int:
 def cmd_check(args, out) -> int:
     """Compare the signed-orbit dimension against every applicable oracle."""
     n, d = args.n, args.d
+    # the largest enumeration is refused before any row is computed
+    check_character_size(n, d, args.kmax, MAX_CHARACTER_MONOMIALS)
+    oracles = {
+        "stripping": lambda k: strip_decompose(brute_character(n, d, k)).get((0,) * (n - 1), 0)
+    }
+    if n == 2:
+        oracles["classical-binary"] = lambda k: binary_invariant_dimension(d, k)
     records = []
     disagreements = []
     values, ms = _prefix(args)
     for k, main in enumerate(values):
-        stripped = strip_decompose(brute_character(n, d, k))
-        others = {"stripping": stripped.get((0,) * (n - 1), 0)}
-        if n == 2:
-            others["classical-binary"] = binary_invariant_dimension(d, k)
         records.append((n, d, k, None, main, "theorem1", ms))
-        for method, value in others.items():
-            records.append((n, d, k, None, value, method, 0.0))
+        others = {}
+        for method, oracle in oracles.items():
+            start = time.perf_counter()
+            others[method] = value = oracle(k)
+            records.append((n, d, k, None, value, method, (time.perf_counter() - start) * 1000.0))
             if value != main:
                 disagreements.append((k, method, main, value))
         if args.format == "plain":
@@ -236,23 +251,26 @@ def _commands() -> dict:
     """
     cache = ("--cache", dict(
         action="store_true", help="memoise weight multiplicities under $NARY_CACHE_DIR"))
+    # first among a command's own options, so that it lists right after --format
+    limit = ("--limit-states", dict(
+        type=int, default=MAX_TERMS, metavar="N", help="cap on the cells a series expansion spans"))
 
     def weight(flag, help_text):
         return flag, dict(dest="weight", required=True, metavar="W", help=help_text)
 
     return {
         "nu": (
-            "invariant dimension", cmd_point, "n d k", [cache],
+            "invariant dimension", cmd_point, "n d k", [limit, cache],
             dict(query=invariant_dimension, method="theorem1", flag=None, dump=None),
         ),
         "gamma": (
             "highest-weight multiplicity", cmd_point, "n d k",
-            [cache, weight("--lambda", "dominant weight, comma-separated, length n-1")],
+            [limit, cache, weight("--lambda", "dominant weight, comma-separated, length n-1")],
             dict(query=highest_weight_multiplicity, method="theorem2", flag="--lambda", dump=None),
         ),
         "count": (
             "multiplicity of a weight in the degree-k piece", cmd_point, "n d k",
-            [cache, weight("--mu", "weight, comma-separated, length n-1")],
+            [limit, cache, weight("--mu", "weight, comma-separated, length n-1")],
             dict(query=weight_multiplicity, method="counting", flag="--mu", dump=None),
         ),
         "orbit": (
@@ -264,16 +282,16 @@ def _commands() -> dict:
         ),
         "table": (
             "invariant dimensions for k = 0..K", cmd_table, "n d",
-            [("--kmax", dict(type=int, required=True, metavar="K"))], {},
+            [limit, ("--kmax", dict(type=int, required=True, metavar="K"))], {},
         ),
         "series": (
             "invariant dimension via the generating series", cmd_point, "n d k",
-            [("--dump", dict(metavar="FILE", help="write the truncated series as JSON lines"))],
+            [limit, ("--dump", dict(metavar="FILE", help="write the truncated series as JSON lines"))],
             dict(query=invariant_dimension, method="series", flag=None, cache=False),
         ),
         "check": (
             "cross-check against all applicable oracles", cmd_check, "n d",
-            [("--kmax", dict(type=int, default=6, metavar="K"))], {},
+            [limit, ("--kmax", dict(type=int, default=6, metavar="K"))], {},
         ),
     }
 
@@ -304,10 +322,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "--format", choices=["plain", "json", "csv"], default="plain",
             help="output format (default plain)",
         )
-        p.add_argument(
-            "--limit-states", type=int, default=MAX_TERMS, metavar="N",
-            help="cap on the cells a series expansion spans",
-        )
         for positional in positionals.split():
             p.add_argument(positional, type=int)
         for flag, kwargs in options:
@@ -326,7 +340,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         check_params(args.n)
-        if args.limit_states < 1:
+        if "limit_states" in args and args.limit_states < 1:
             raise ValueError(f"--limit-states must be at least 1 cell, got {args.limit_states}")
         return args.handler(args, out)
     except ResourceLimitError as exc:

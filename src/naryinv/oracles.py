@@ -58,6 +58,19 @@ def symmetric_power_dimension(n: int, d: int, k: int) -> int:
     return math.comb(index_count(n, d) + k - 1, k)
 
 
+def check_character_size(n: int, d: int, k: int, max_monomials: int) -> None:
+    """Refuse a degree-``k`` character enumeration over ``max_monomials``
+    monomials before any is visited; the count grows with ``k``, so one
+    check at the top degree covers every lower one."""
+    check_params(n, d, k)
+    total = symmetric_power_dimension(n, d, k)
+    if total > max_monomials:
+        raise ResourceLimitError(
+            f"character enumeration needs {total} monomials, above the "
+            f"limit {max_monomials}"
+        )
+
+
 def brute_character(
     n: int, d: int, k: int, max_monomials: int = MAX_CHARACTER_MONOMIALS
 ) -> CharacterTable:
@@ -74,13 +87,7 @@ def brute_character(
     converted to a weight once; distinct moment vectors of one degree have
     distinct weights.
     """
-    check_params(n, d, k)
-    total = symmetric_power_dimension(n, d, k)
-    if total > max_monomials:
-        raise ResourceLimitError(
-            f"character enumeration needs {total} monomials, above the "
-            f"limit {max_monomials}"
-        )
+    check_character_size(n, d, k, max_monomials)
     width = max(1, (d * k).bit_length())
     # degree 0 has one monomial, the empty product, and needs no index list
     packed = [
@@ -98,60 +105,45 @@ def brute_character(
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 
-def _dominated_partitions(top: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Descending integer vectors with the same sum, dominated by ``top``.
-
-    Dominance means every prefix sum is bounded by the corresponding prefix
-    sum of ``top``; with equal totals the last entry is then automatically
-    nonnegative.  These are exactly the dominant weights of the irreducible
-    module with highest weight ``top`` (in equal-sum ambient form).
-    """
-    n = len(top)
-    prefix_top = list(itertools.accumulate(top))
-    total = prefix_top[-1]
-    # one (prefix, prefix sum) row per admissible prefix, a slot at a time
-    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for pos in range(n - 1):
-        rows = [
-            (prefix + (v,), used + v)
-            for prefix, used in rows
-            # each later entry is at most v, so v must cover the remaining
-            # total spread over the slots left
-            for v in range(
-                -(-(total - used) // (n - pos)),
-                min(prefix[-1] if prefix else total, prefix_top[pos] - used) + 1,
-            )
-        ]
-    return [
-        prefix + (total - used,)
-        for prefix, used in rows
-        if 0 <= total - used <= prefix[-1]
-    ]
-
-
 @functools.lru_cache(maxsize=1024)
 def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
     """Freudenthal recursion over the dominant weights of one module.
 
     The recursion runs on descending ambient vectors sharing the highest
     weight's entry sum; the table returned is keyed by dominant weight,
-    each entry converted once.  Weights are processed from the top of the
-    dominance order down, so every weight reached by adding a positive root
-    is already computed.  Inner products use the scaled form
-    ``n * <x, y> - sum(x) * sum(y)``, which is the trace form with the mean
-    projected out, times ``n``; the recursion only ever uses ratios, so the
-    scaling cancels.
+    each entry converted once.  The dominant weights of the module are the
+    descending vectors the top dominates, and they are reached from the top
+    by covering moves of the dominance order: one unit moves from the last
+    entry of a run of equal entries to the first entry of a later run at
+    least 2 smaller, which keeps the vector descending.  Every cover is
+    such a move (Brylawski, "The lattice of integer partitions", Discrete
+    Math. 6, 1973), so the walk reaches every weight.  Weights are
+    processed by depth below the top, so every weight reached by adding a
+    positive root is already computed.  Every vector has the same entry
+    sum, so the trace form with the mean projected out differs from the
+    plain one only by a constant that cancels in the difference of norms,
+    and against a root, whose entries sum to 0, the two forms agree.
     """
     top = tuple(sorted(to_ambient(highest), reverse=True))
-    parts = _dominated_partitions(top)
+    parts = [top]
+    reached = {top}
+    for q in parts:  # the list grows while it is walked
+        for i in range(n - 1):
+            if q[i] > q[i + 1]:  # q[i] ends a run
+                for j in range(i + 1, n):
+                    # q[j] starts a later run, at least 2 below q[i]
+                    if q[j - 1] > q[j] and q[i] - q[j] > 1:
+                        moved = list(q)
+                        moved[i] -= 1
+                        moved[j] += 1
+                        below = tuple(moved)
+                        if below not in reached:
+                            reached.add(below)
+                            parts.append(below)
     parts.sort(key=lambda q: sum((n - t) * (top[t] - q[t]) for t in range(n)))
     positive_roots = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rho = tuple(range(n - 1, -1, -1))
-
-    def norm2(v: tuple[int, ...]) -> int:
-        return n * sum(x * x for x in v) - sum(v) ** 2
-
-    top_norm = norm2(tuple(top[t] + rho[t] for t in range(n)))
+    rho = range(n - 1, -1, -1)
+    top_norm = sum((x + r) ** 2 for x, r in zip(top, rho))
     table: dict[tuple[int, ...], int] = {top: 1}
     for q in parts[1:]:
         numerator = 0
@@ -166,8 +158,8 @@ def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
                     # first miss ends the string
                     break
                 numerator += mult * (v[a] - v[b])
-        denominator = top_norm - norm2(tuple(q[t] + rho[t] for t in range(n)))
-        value, remainder = divmod(2 * n * numerator, denominator)
+        denominator = top_norm - sum((x + r) ** 2 for x, r in zip(q, rho))
+        value, remainder = divmod(2 * numerator, denominator)
         if remainder or value <= 0:
             raise InternalError(
                 f"Freudenthal recursion produced a non-integer or nonpositive "

@@ -166,7 +166,8 @@ def test_output_matrix(capsys):
 
 # sha256 of json.dumps([exit code, stdout, stderr]) for help and usage
 # errors, at COLUMNS=80 with elapsed_ms masked, as argparse on Python 3.11
-# prints them; taken before the parser was built per command
+# prints them; taken before the parser was built per command, except
+# "orbit -h", re-taken when orbit stopped taking --limit-states
 HELP_AND_ERROR_DIGESTS = {
     "": "86eefdf75d9083c001b9df8d2c535ca2e6f40a53b5e4c4185aa16e49dc615d27",
     "-h": "98ec598b2aa0523e1fc3809aded569d5b752d31489d085d38a7133539fa85cc2",
@@ -185,7 +186,7 @@ HELP_AND_ERROR_DIGESTS = {
     "nu -h": "bc0edadca7d111f628cdf1f50cca1e9a9e68b4fb5a98d0e6f8e12d45fb0d031e",
     "gamma -h": "afc7941cde768a287e1489395d834feada0647ee81d940754f5ee01eca9fbc9a",
     "count -h": "4d11e221e6388553912b3fc15985f80225d4666f4ffc29b9340b3a7316e70d0e",
-    "orbit -h": "9decfb152e491fc3b30e42bdd04d82e3a6b46b5eb517797078036da0862c2575",
+    "orbit -h": "9e8ef9bbe652b0917472fb47e3111502cf255ca96b43888490b5646389958997",
     "table -h": "1551199e16865a24d75fca7afc744b6acc30e141d0c297b83204ea037dab7da8",
     "series -h": "bb28aa0a0deb1058e7bcf76ba46c13269f7ac96aa3c8ce57a499c41e76f50c7d",
     "check -h": "02d056928c76c4bb2eabf63ee4acfe37340a9138357b6f14cfe3cabe5e53657b",
@@ -402,6 +403,26 @@ def test_check_octonary_form_of_degree_30_at_degree_0():
     )
 
 
+def test_check_refuses_its_top_degree_before_any_row(capsys):
+    # the character at k = 16 needs C(30, 16) monomials; no lower degree is
+    # worked through or printed first, in any format
+    for fmt in ("plain", "json"):
+        assert run_cli("check", "3", "4", "--kmax", "16", "--format", fmt) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: character enumeration needs 145422675 monomials, "
+            "above the limit 10000000\n"
+        )
+
+
+def test_check_times_every_oracle_row():
+    code, out = run_cli("check", "3", "3", "--kmax", "4", "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    stripping = [r for r in rows if r["method"] == "stripping"]
+    assert [r["k"] for r in stripping] == [0, 1, 2, 3, 4]
+    assert all(r["elapsed_ms"] > 0 for r in stripping if r["k"] >= 2)
+
+
 def test_check_agrees_on_default_grid():
     for n in (2, 3):
         for d in (1, 2, 3):
@@ -446,6 +467,13 @@ def test_invalid_arguments_exit_code():
     assert (code, out) == (2, "")
     code, out = run_cli("orbit", "2", "--lambda=-3")
     assert (code, out) == (2, "")
+
+
+def test_orbit_rejects_limit_states(capsys):
+    # orbit expands nothing, so the flag is unknown there, not ignored; the
+    # six commands that expand list it in their pinned help bytes
+    assert run_cli("orbit", "3", "--limit-states", "5") == (2, "")
+    assert "unrecognized arguments: --limit-states 5" in capsys.readouterr().err
 
 
 def test_bad_limit_names_the_flag_and_its_unit(capsys):

@@ -125,6 +125,9 @@ def _orbit_size(ambient):
 def test_freudenthal_multiplicities_sum_to_weyl_dimension():
     rng = random.Random(17)
     samples = [(2, (6,)), (3, (2, 2)), (3, (3, 1)), (4, (1, 0, 1)), (4, (2, 1, 2))]
+    # long runs of equal entries and trailing zeros in the top, where the
+    # covering moves of the walk skip the most positions
+    samples += [(5, (0, 3, 0, 0)), (5, (2, 0, 0, 2)), (5, (4, 0, 0, 0)), (4, (0, 5, 0))]
     samples += [
         (n, tuple(rng.randint(0, 3) for _ in range(n - 1)))
         for n in (2, 3, 4)
@@ -144,6 +147,9 @@ def test_freudenthal_multiplicities_sum_to_weyl_dimension():
             mult = freudenthal_multiplicity(n, top, from_ambient(sorted(ambient)))
             total += mult * _orbit_size(ambient)
         assert total == weyl_dimension(n, top)
+        # the table itself holds those weights and no others
+        table = oracles_mod._dominant_multiplicity_table(n, top)
+        assert sum(m * _orbit_size(to_ambient(w)) for w, m in table.items()) == total
 
 
 def test_freudenthal_memo_is_bounded():

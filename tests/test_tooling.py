@@ -46,6 +46,10 @@ def test_cli_under_optimize_flag():
     rows = checked.stdout.splitlines()
     assert checked.returncode == 0 and len(rows) == 4
     assert all(row.endswith(" ok") for row in rows)
+    # and its size refusal comes before any row
+    refused = _cli_optimized("check", "3", "4", "--kmax", "16")
+    assert refused.returncode == 3 and refused.stdout == ""
+    assert refused.stderr.startswith("error:")
 
 
 def test_benchmark_imports_resolve():
