@@ -24,9 +24,10 @@ writes every coefficient, expands uncapped.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
 unreadable records, which are skipped).  ``check`` prints the
-rows ``theorem1``, ``stripping`` and, at n = 2, ``classical-binary``, each
-oracle row timed on its own; it refuses an over-large character
-enumeration at its top degree before computing any row.
+rows ``theorem1``, ``stripping`` (each degree's character from one pass of
+Newton's identity, stripped into irreducibles) and, at n = 2,
+``classical-binary``, each oracle row timed on its own; it refuses an
+over-large character at its top degree before computing any row.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
@@ -55,7 +56,7 @@ from .errors import InternalError, ResourceLimitError, check_params
 from .oracles import (
     MAX_CHARACTER_MONOMIALS,
     binary_invariant_dimension,
-    brute_character,
+    character_tables,
     check_character_size,
     strip_decompose,
 )
@@ -205,10 +206,13 @@ def cmd_table(args, out) -> int:
 def cmd_check(args, out) -> int:
     """Compare the signed-orbit dimension against every applicable oracle."""
     n, d = args.n, args.d
-    # the largest enumeration is refused before any row is computed
+    # an over-large character is refused at its top degree before any row
     check_character_size(n, d, args.kmax, MAX_CHARACTER_MONOMIALS)
+    # each stripping row takes the next degree's character, so its time
+    # includes the Newton step for that degree
+    characters = character_tables(n, d, args.kmax)
     oracles = {
-        "stripping": lambda k: strip_decompose(brute_character(n, d, k)).get((0,) * (n - 1), 0)
+        "stripping": lambda k: strip_decompose(next(characters)).get((0,) * (n - 1), 0)
     }
     if n == 2:
         oracles["classical-binary"] = lambda k: binary_invariant_dimension(d, k)

@@ -1,16 +1,18 @@
 """Independent verification paths for the dimension formulas.
 
-Nothing here shares machinery with the signed-orbit route: characters are
-tallied by enumerating every monomial, one combination of indices each,
-and counting its moment vector, packed into one ``int`` with a field per
-moment wide enough that no sum of ``k`` factors carries; irreducible
-weight multiplicities come from the Freudenthal recursion, tabulated per
-module by dominant weight, the coordinates every caller uses; highest
-weights are extracted by greedy stripping in order of height, and the
-binary case is a bounded-partition difference.  Within the package this
-module imports only ``errors``, ``forms`` and ``weights``, never the
-counting engine.  These oracles exist to certify the main formulas on
-small instances, not to be fast at scale.
+Nothing here shares machinery with the signed-orbit route.  ``check``
+takes its characters from Newton's identity for the plethysm
+``h_k[h_d]``, one pass for every degree up to its top; ``brute_character``
+is the exhaustive reference, which enumerates every monomial, one
+combination of indices each, and counts its moment vector.  Both pack a
+moment vector into one ``int`` with a field per moment wide enough that no
+sum carries.  Irreducible weight multiplicities come from the Freudenthal
+recursion, tabulated per module by dominant weight, the coordinates every
+caller uses; highest weights are extracted by greedy stripping in order
+of height, and the binary case is a bounded-partition difference.  Within
+the package this module imports only ``errors``, ``forms`` and
+``weights``, never the counting engine.  These oracles exist to certify
+the main formulas on small instances, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from typing import Iterator
 
 from .errors import InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
@@ -105,6 +108,58 @@ def brute_character(
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 
+def character_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
+    """Yield the character of each degree ``0..kmax`` in turn.
+
+    Newton's identity for the plethysm ``h_k[h_d]``,
+    ``k * h_k = sum_{r=1..k} p_r * h_{k-r}`` with ``p_r = sum_i x^(r*i)``
+    over the coefficient indices, gives each degree from the lower ones
+    without visiting a monomial.  Each ``h_k`` is a dict keyed by packed
+    moments, as :func:`brute_character` packs them, with fields wide enough
+    for ``d * kmax``, the largest moment of any degree here; a factor
+    ``x^(r*i)`` adds ``r`` times the packed index, and no field carries.
+    Every division by ``k`` must be exact.  Each key of a degree is
+    converted to a weight once.  The monomial bound is checked at ``kmax``
+    before the first table, so the walk is refused where
+    :func:`brute_character` would refuse its top degree.
+    """
+    check_character_size(n, d, kmax, MAX_CHARACTER_MONOMIALS)
+    # degree 0 has one monomial, the empty product, and needs no index list
+    yield CharacterTable(n=n, d=d, k=0, multiplicities={(0,) * (n - 1): 1})
+    if not kmax:
+        return
+    width = (d * kmax).bit_length()
+    field_mask = (1 << width) - 1
+    packed = [
+        sum(x << (s * width) for s, x in enumerate(index))
+        for index in enumerate_indices(n, d)
+    ]
+    powers = [{0: 1}]
+    for k in range(1, kmax + 1):
+        sums: dict[int, int] = {}
+        for r in range(1, k + 1):
+            terms = powers[k - r].items()
+            for x in packed:
+                shift = r * x
+                for key, c in terms:
+                    key += shift
+                    sums[key] = sums.get(key, 0) + c
+        power = {}
+        table = {}
+        for key, total in sums.items():
+            value, remainder = divmod(total, k)
+            if remainder:
+                raise InternalError(
+                    f"Newton's identity left {total} at degree {k}, not a "
+                    f"multiple of {k}"
+                )
+            power[key] = value
+            moments = [(key >> (s * width)) & field_mask for s in range(n - 1)]
+            table[weight_from_moments(n, d, k, moments)] = value
+        powers.append(power)
+        yield CharacterTable(n=n, d=d, k=k, multiplicities=table)
+
+
 @functools.lru_cache(maxsize=1024)
 def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
     """Freudenthal recursion over the dominant weights of one module.
@@ -118,8 +173,10 @@ def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
     least 2 smaller, which keeps the vector descending.  Every cover is
     such a move (Brylawski, "The lattice of integer partitions", Discrete
     Math. 6, 1973), so the walk reaches every weight.  Weights are
-    processed by depth below the top, so every weight reached by adding a
-    positive root is already computed.  Every vector has the same entry
+    processed by decreasing squared norm of ``q + rho``, which is also the
+    denominator: a strictly higher dominant weight has a strictly larger
+    norm, so every weight reached by adding a positive root is already
+    computed.  Every vector has the same entry
     sum, so the trace form with the mean projected out differs from the
     plain one only by a constant that cancels in the difference of norms,
     and against a root, whose entries sum to 0, the two forms agree.
@@ -140,25 +197,30 @@ def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
                         if below not in reached:
                             reached.add(below)
                             parts.append(below)
-    parts.sort(key=lambda q: sum((n - t) * (top[t] - q[t]) for t in range(n)))
     positive_roots = [(a, b) for a in range(n) for b in range(a + 1, n)]
     rho = range(n - 1, -1, -1)
-    top_norm = sum((x + r) ** 2 for x, r in zip(top, rho))
+    ordered = sorted(
+        ((sum((x + r) ** 2 for x, r in zip(q, rho)), q) for q in parts), reverse=True
+    )
+    top_norm = ordered[0][0]
     table: dict[tuple[int, ...], int] = {top: 1}
-    for q in parts[1:]:
+    for norm, q in ordered[1:]:
         numerator = 0
         for a, b in positive_roots:
+            qa, qb = q[a], q[b]
             v = list(q)
+            t = 1
             while True:
-                v[a] += 1
-                v[b] -= 1
+                v[a] = qa + t
+                v[b] = qb - t
                 mult = table.get(tuple(sorted(v, reverse=True)))
                 if not mult:
                     # weights along a root string form an interval, so the
                     # first miss ends the string
                     break
-                numerator += mult * (v[a] - v[b])
-        denominator = top_norm - sum((x + r) ** 2 for x, r in zip(q, rho))
+                numerator += mult * (qa - qb + 2 * t)
+                t += 1
+        denominator = top_norm - norm
         value, remainder = divmod(2 * numerator, denominator)
         if remainder or value <= 0:
             raise InternalError(

@@ -396,7 +396,7 @@ def test_reach_octonary_form_of_degree_30_at_degree_0():
 
 
 def test_check_octonary_form_of_degree_30_at_degree_0():
-    # the brute-force character of degree 0 is the empty product alone, so
+    # the character of degree 0 is the empty product alone, so
     # the oracles need no index list either
     assert run_cli("check", "8", "30", "--kmax", "0") == (
         0, "k=0 theorem1=1 stripping=1 ok\n"
@@ -412,6 +412,22 @@ def test_check_refuses_its_top_degree_before_any_row(capsys):
             "error: character enumeration needs 145422675 monomials, "
             "above the limit 10000000\n"
         )
+
+
+def test_check_enumerates_no_monomial(monkeypatch):
+    import naryinv.cli as cli_mod
+    import naryinv.oracles as oracles_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check enumerated monomials")
+
+    # its characters come from Newton's identity, not from brute force
+    monkeypatch.setattr(oracles_mod, "brute_character", refuse)
+    monkeypatch.setattr(cli_mod, "brute_character", refuse, raising=False)
+    code, out = run_cli("check", "3", "3", "--kmax", "6")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 7 and all(line.endswith(" ok") for line in lines)
 
 
 def test_check_times_every_oracle_row():

@@ -32,21 +32,49 @@ def test_hilbert_series_prefixes():
         assert hilbert_series_prefix(n, d, 0) == [1]
 
 
+def _rational_series(numerator, denominator, kmax):
+    """Coefficients through ``t^kmax`` of ``sum(t^e for e in numerator)``
+    over ``prod(1 - t^a for a in denominator)``."""
+    series = [0] * (kmax + 1)
+    for e in numerator:
+        if e <= kmax:
+            series[e] += 1
+    for a in denominator:
+        for k in range(a, kmax + 1):
+            series[k] += series[k - a]
+    return series
+
+
 def test_quadratic_forms_have_periodic_dimensions():
     # the invariant ring of a quadratic form is generated by its
     # discriminant, of degree n in the coefficients
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         prefix = hilbert_series_prefix(n, 2, 2 * n)
         assert prefix == [1 if k % n == 0 else 0 for k in range(2 * n + 1)]
 
 
 def test_linear_form_has_only_constants():
-    assert hilbert_series_prefix(2, 1, 6) == [1, 0, 0, 0, 0, 0, 0]
+    for n in (2, 3, 4, 5, 6):
+        assert hilbert_series_prefix(n, 1, 6) == [1, 0, 0, 0, 0, 0, 0]
+
+
+def test_binary_quartic_series():
+    # 1/((1-t^2)(1-t^3)): the invariants I and J
+    assert hilbert_series_prefix(2, 4, 40) == _rational_series([0], [2, 3], 40)
 
 
 def test_binary_quintic_prefix():
-    # free generators in degrees 4 and 8 below degree 12
-    assert hilbert_series_prefix(2, 5, 8) == [1, 0, 0, 0, 1, 0, 0, 0, 2]
+    # (1+t^18)/((1-t^4)(1-t^8)(1-t^12)): free generators in degrees 4, 8
+    # and 12, and one more in degree 18 whose square lies in their ring
+    expected = _rational_series([0, 18], [4, 8, 12], 40)
+    assert expected[:9] == [1, 0, 0, 0, 1, 0, 0, 0, 2]
+    assert hilbert_series_prefix(2, 5, 40) == expected
+
+
+def test_binary_sextic_series():
+    # (1+t^15)/((1-t^2)(1-t^4)(1-t^6)(1-t^10))
+    expected = _rational_series([0, 15], [2, 4, 6, 10], 40)
+    assert hilbert_series_prefix(2, 6, 40) == expected
 
 
 def test_binary_reduction_matches_classical_count():

@@ -14,6 +14,7 @@ from naryinv.oracles import (
     alternating_multiplicity_sum,
     binary_invariant_dimension,
     brute_character,
+    character_tables,
     freudenthal_multiplicity,
     strip_decompose,
     symmetric_power_dimension,
@@ -59,11 +60,23 @@ BRUTE_DIGESTS = {
 }
 
 
+def _newton_character(n, d, k):
+    """The last table of the Newton walk to ``k``, whose fields are sized
+    for ``d * k``, as brute force sizes its own."""
+    *_, table = character_tables(n, d, k)
+    return table
+
+
+# both routes to a character: the exhaustive tally and Newton's identity
+CHARACTER_ROUTES = (brute_character, _newton_character)
+
+
 @pytest.mark.parametrize("query", sorted(BRUTE_DIGESTS))
 def test_brute_character_tables_pinned(query):
-    table = brute_character(*query).multiplicities
-    text = repr(sorted(table.items()))
-    assert hashlib.sha256(text.encode()).hexdigest() == BRUTE_DIGESTS[query]
+    for route in CHARACTER_ROUTES:
+        table = route(*query).multiplicities
+        text = repr(sorted(table.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == BRUTE_DIGESTS[query], route
 
 
 def _tally_per_monomial(n, d, k):
@@ -82,7 +95,32 @@ def _tally_per_monomial(n, d, k):
      (5, 2, 2), (3, 4, 4), (5, 2, 4), (4, 5, 3), (3, 5, 3), (4, 1, 7)],
 )
 def test_brute_character_matches_a_per_monomial_tally(query):
-    assert brute_character(*query).multiplicities == _tally_per_monomial(*query)
+    tally = _tally_per_monomial(*query)
+    for route in CHARACTER_ROUTES:
+        assert route(*query).multiplicities == tally, route
+
+
+# the `check` grids of the benchmark's verify pool
+VERIFY_GRIDS = [
+    (3, 3, 8), (4, 2, 8), (3, 4, 6), (2, 5, 12), (2, 6, 10), (3, 2, 12),
+    (2, 4, 14), (4, 3, 5), (5, 2, 5), (3, 5, 5), (2, 3, 20),
+]
+
+
+@pytest.mark.parametrize("grid", VERIFY_GRIDS)
+def test_newton_characters_match_brute_force_at_every_degree(grid):
+    n, d, kmax = grid
+    tables = list(character_tables(n, d, kmax))
+    assert [t.k for t in tables] == list(range(kmax + 1))
+    for table in tables:
+        assert table.multiplicities == brute_character(n, d, table.k).multiplicities
+
+
+def test_newton_characters_refuse_their_top_degree_first():
+    # the bound and its message are brute force's, checked at kmax before
+    # the first table
+    with pytest.raises(ResourceLimitError, match="145422675 monomials"):
+        next(character_tables(3, 4, 16))
 
 
 def test_brute_character_resource_limit():
