@@ -7,7 +7,7 @@ route is a parity-signed sum of weight multiplicities over a Weyl orbit,
 each multiplicity one coefficient of a truncated generating series that a
 single expansion computes, one big integer per degree, and the
 :mod:`naryinv.oracles` module holds fully independent verification paths
-(brute-force character tallies, Freudenthal multiplicities with greedy
+(brute-force character tallies, Kostka-number multiplicities with greedy
 stripping, and the classical bounded-partition count for binary forms).
 """
 

@@ -53,13 +53,7 @@ from .dimensions import (
     invariant_dimension,
 )
 from .errors import InternalError, ResourceLimitError, check_params
-from .oracles import (
-    MAX_CHARACTER_MONOMIALS,
-    binary_invariant_dimension,
-    character_tables,
-    check_character_size,
-    strip_decompose,
-)
+from .oracles import binary_invariant_dimension, character_tables, strip_decompose
 from .series import MAX_TERMS, dump_series, expand_generating_series
 from .weights import check_dominant, signed_orbit_terms
 
@@ -206,10 +200,9 @@ def cmd_table(args, out) -> int:
 def cmd_check(args, out) -> int:
     """Compare the signed-orbit dimension against every applicable oracle."""
     n, d = args.n, args.d
-    # an over-large character is refused at its top degree before any row
-    check_character_size(n, d, args.kmax, MAX_CHARACTER_MONOMIALS)
-    # each stripping row takes the next degree's character, so its time
-    # includes the Newton step for that degree
+    # an over-large character is refused here, at its top degree, before
+    # any row; each stripping row takes the next degree's character, so its
+    # time includes the Newton step for that degree
     characters = character_tables(n, d, args.kmax)
     oracles = {
         "stripping": lambda k: strip_decompose(next(characters)).get((0,) * (n - 1), 0)

@@ -6,10 +6,11 @@ takes its characters from Newton's identity for the plethysm
 is the exhaustive reference, which enumerates every monomial, one
 combination of indices each, and counts its moment vector.  Both pack a
 moment vector into one ``int`` with a field per moment wide enough that no
-sum carries.  Irreducible weight multiplicities come from the Freudenthal
-recursion, tabulated per module by dominant weight, the coordinates every
-caller uses; highest weights are extracted by greedy stripping in order
-of height, and the binary case is a bounded-partition difference.  Within
+sum carries.  Irreducible weight multiplicities are Kostka numbers,
+counts of semistandard tableaux by content, tabulated per module by
+dominant weight, the coordinates every caller uses; highest weights are
+extracted by greedy stripping in order of height, and the binary case is
+a bounded-partition difference.  Within
 the package this module imports only ``errors``, ``forms`` and
 ``weights``, never the counting engine.  These oracles exist to certify
 the main formulas on small instances, not to be fast at scale.
@@ -109,7 +110,7 @@ def brute_character(
 
 
 def character_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
-    """Yield the character of each degree ``0..kmax`` in turn.
+    """An iterator over the character of each degree ``0..kmax`` in turn.
 
     Newton's identity for the plethysm ``h_k[h_d]``,
     ``k * h_k = sum_{r=1..k} p_r * h_{k-r}`` with ``p_r = sum_i x^(r*i)``
@@ -120,10 +121,15 @@ def character_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
     ``x^(r*i)`` adds ``r`` times the packed index, and no field carries.
     Every division by ``k`` must be exact.  Each key of a degree is
     converted to a weight once.  The monomial bound is checked at ``kmax``
-    before the first table, so the walk is refused where
-    :func:`brute_character` would refuse its top degree.
+    when this is called, before any table is asked for, so the walk is
+    refused where :func:`brute_character` would refuse its top degree.
     """
     check_character_size(n, d, kmax, MAX_CHARACTER_MONOMIALS)
+    return _newton_tables(n, d, kmax)
+
+
+def _newton_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
+    """The Newton pass of :func:`character_tables`, once its size is checked."""
     # degree 0 has one monomial, the empty product, and needs no index list
     yield CharacterTable(n=n, d=d, k=0, multiplicities={(0,) * (n - 1): 1})
     if not kmax:
@@ -160,80 +166,43 @@ def character_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
         yield CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 
+@functools.lru_cache(maxsize=4096)
+def _tableau_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Semistandard tableaux of ``shape``, a descending vector with one row
+    per letter (zeros allowed), counted by descending content.
+
+    The entries equal to the largest letter form a horizontal strip
+    ``shape / nu``, where ``nu`` interlaces ``shape`` (Gelfand--Tsetlin
+    branching).  A content is descending only if the content of the smaller
+    letters is, so each content of ``nu`` is extended only when its last
+    entry is at least the strip.  Modules share sub-shapes, hence the memo.
+    """
+    if len(shape) == 1:
+        return {shape: 1}
+    total = sum(shape)
+    out: dict[tuple[int, ...], int] = {}
+    for nu in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:]))):
+        strip = total - sum(nu)
+        for mu, c in _tableau_contents(nu).items():
+            if mu[-1] >= strip:
+                key = mu + (strip,)
+                out[key] = out.get(key, 0) + c
+    return out
+
+
 @functools.lru_cache(maxsize=1024)
 def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
-    """Freudenthal recursion over the dominant weights of one module.
-
-    The recursion runs on descending ambient vectors sharing the highest
-    weight's entry sum; the table returned is keyed by dominant weight,
-    each entry converted once.  The dominant weights of the module are the
-    descending vectors the top dominates, and they are reached from the top
-    by covering moves of the dominance order: one unit moves from the last
-    entry of a run of equal entries to the first entry of a later run at
-    least 2 smaller, which keeps the vector descending.  Every cover is
-    such a move (Brylawski, "The lattice of integer partitions", Discrete
-    Math. 6, 1973), so the walk reaches every weight.  Weights are
-    processed by decreasing squared norm of ``q + rho``, which is also the
-    denominator: a strictly higher dominant weight has a strictly larger
-    norm, so every weight reached by adding a positive root is already
-    computed.  Every vector has the same entry
-    sum, so the trace form with the mean projected out differs from the
-    plain one only by a constant that cancels in the difference of norms,
-    and against a root, whose entries sum to 0, the two forms agree.
-    """
+    """Multiplicities of one module at its dominant weights: the Kostka
+    numbers ``K(top, mu)`` of its descending ambient vector ``top`` at every
+    descending ``mu``, keyed by dominant weight, each converted once."""
     top = tuple(sorted(to_ambient(highest), reverse=True))
-    parts = [top]
-    reached = {top}
-    for q in parts:  # the list grows while it is walked
-        for i in range(n - 1):
-            if q[i] > q[i + 1]:  # q[i] ends a run
-                for j in range(i + 1, n):
-                    # q[j] starts a later run, at least 2 below q[i]
-                    if q[j - 1] > q[j] and q[i] - q[j] > 1:
-                        moved = list(q)
-                        moved[i] -= 1
-                        moved[j] += 1
-                        below = tuple(moved)
-                        if below not in reached:
-                            reached.add(below)
-                            parts.append(below)
-    positive_roots = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rho = range(n - 1, -1, -1)
-    ordered = sorted(
-        ((sum((x + r) ** 2 for x, r in zip(q, rho)), q) for q in parts), reverse=True
-    )
-    top_norm = ordered[0][0]
-    table: dict[tuple[int, ...], int] = {top: 1}
-    for norm, q in ordered[1:]:
-        numerator = 0
-        for a, b in positive_roots:
-            qa, qb = q[a], q[b]
-            v = list(q)
-            t = 1
-            while True:
-                v[a] = qa + t
-                v[b] = qb - t
-                mult = table.get(tuple(sorted(v, reverse=True)))
-                if not mult:
-                    # weights along a root string form an interval, so the
-                    # first miss ends the string
-                    break
-                numerator += mult * (qa - qb + 2 * t)
-                t += 1
-        denominator = top_norm - norm
-        value, remainder = divmod(2 * numerator, denominator)
-        if remainder or value <= 0:
-            raise InternalError(
-                f"Freudenthal recursion produced a non-integer or nonpositive "
-                f"multiplicity at {q} in module {highest}"
-            )
-        table[q] = value
-    return {from_ambient(q[::-1]): mult for q, mult in table.items()}
+    return {from_ambient(mu[::-1]): c for mu, c in _tableau_contents(top).items()}
 
 
-def freudenthal_multiplicity(n: int, highest, weight) -> int:
+def kostka_number(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
-    dominant highest weight, looked up at its dominant representative; 0
+    dominant highest weight: the Kostka number of the module's ambient
+    vector at the weight's, looked up at its dominant representative; 0
     for weights outside the module or its highest weight's root-lattice
     coset, whose representatives are not keys."""
     table = _dominant_multiplicity_table(n, check_dominant(n, highest))
@@ -246,7 +215,7 @@ def alternating_multiplicity_sum(n: int, highest) -> int:
     for every other dominant weight."""
     w = check_dominant(n, highest)
     return sum(
-        coef * freudenthal_multiplicity(n, w, dominant)
+        coef * kostka_number(n, w, dominant)
         for dominant, coef in signed_orbit_terms(n)
     )
 
@@ -277,7 +246,7 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     decreasing height ``<w, 2 rho^vee> = sum((s + 1) * (n - 1 - s) * w[s])``,
     reads the remaining multiplicity at each weight as the multiplicity of
     the irreducible with that highest weight, and subtracts that module's
-    dominant character via the Freudenthal table.  Every positive root has
+    dominant character via its table of Kostka numbers.  Every positive root has
     positive height, so each weight comes after all that dominate it;
     weights of equal height are incomparable, so neither module reaches the
     other.  The zero-weight entry of the result is an independent

@@ -15,7 +15,7 @@ from naryinv.oracles import (
     binary_invariant_dimension,
     brute_character,
     character_tables,
-    freudenthal_multiplicity,
+    kostka_number,
     strip_decompose,
     symmetric_power_dimension,
     weyl_dimension,
@@ -117,10 +117,10 @@ def test_newton_characters_match_brute_force_at_every_degree(grid):
 
 
 def test_newton_characters_refuse_their_top_degree_first():
-    # the bound and its message are brute force's, checked at kmax before
-    # the first table
+    # the bound and its message are brute force's, checked at kmax when the
+    # iterator is made, before any table is asked for
     with pytest.raises(ResourceLimitError, match="145422675 monomials"):
-        next(character_tables(3, 4, 16))
+        character_tables(3, 4, 16)
 
 
 def test_brute_character_resource_limit():
@@ -133,24 +133,22 @@ def test_highest_weight_has_multiplicity_one():
     for _ in range(30):
         n = rng.randint(2, 4)
         w = tuple(rng.randint(0, 4) for _ in range(n - 1))
-        assert freudenthal_multiplicity(n, w, w) == 1
+        assert kostka_number(n, w, w) == 1
 
 
 def test_freudenthal_known_multiplicities():
-    assert freudenthal_multiplicity(3, (1, 1), (0, 0)) == 2
-    assert freudenthal_multiplicity(2, (2,), (0,)) == 1
-    assert freudenthal_multiplicity(2, (2,), (2,)) == 1
-    assert freudenthal_multiplicity(2, (2,), (-2,)) == 1
+    assert kostka_number(3, (1, 1), (0, 0)) == 2
+    assert kostka_number(2, (2,), (0,)) == 1
+    assert kostka_number(2, (2,), (2,)) == 1
+    assert kostka_number(2, (2,), (-2,)) == 1
     # outside the module
-    assert freudenthal_multiplicity(2, (2,), (1,)) == 0
-    assert freudenthal_multiplicity(2, (2,), (4,)) == 0
-    assert freudenthal_multiplicity(3, (1, 1), (3, 0)) == 0
+    assert kostka_number(2, (2,), (1,)) == 0
+    assert kostka_number(2, (2,), (4,)) == 0
+    assert kostka_number(3, (1, 1), (3, 0)) == 0
 
 
 def test_freudenthal_is_orbit_symmetric():
-    assert freudenthal_multiplicity(3, (2, 2), (2, -1)) == freudenthal_multiplicity(
-        3, (2, 2), (1, 1)
-    )
+    assert kostka_number(3, (2, 2), (2, -1)) == kostka_number(3, (2, 2), (1, 1))
 
 
 def _orbit_size(ambient):
@@ -164,7 +162,7 @@ def test_freudenthal_multiplicities_sum_to_weyl_dimension():
     rng = random.Random(17)
     samples = [(2, (6,)), (3, (2, 2)), (3, (3, 1)), (4, (1, 0, 1)), (4, (2, 1, 2))]
     # long runs of equal entries and trailing zeros in the top, where the
-    # covering moves of the walk skip the most positions
+    # interlacing ranges of the tableau recursion collapse to one value
     samples += [(5, (0, 3, 0, 0)), (5, (2, 0, 0, 2)), (5, (4, 0, 0, 0)), (4, (0, 5, 0))]
     samples += [
         (n, tuple(rng.randint(0, 3) for _ in range(n - 1)))
@@ -182,7 +180,7 @@ def test_freudenthal_multiplicities_sum_to_weyl_dimension():
                 continue
             if list(ambient) != sorted(ambient, reverse=True):
                 continue
-            mult = freudenthal_multiplicity(n, top, from_ambient(sorted(ambient)))
+            mult = kostka_number(n, top, from_ambient(sorted(ambient)))
             total += mult * _orbit_size(ambient)
         assert total == weyl_dimension(n, top)
         # the table itself holds those weights and no others
@@ -203,7 +201,7 @@ def test_freudenthal_memo_is_bounded():
         if sum(w) == total
     )
     for n, w in itertools.islice(small, cap + 5):
-        assert freudenthal_multiplicity(n, w, w) == 1
+        assert kostka_number(n, w, w) == 1
     assert memo.cache_info().currsize <= cap
 
 
@@ -215,12 +213,46 @@ FREUDENTHAL_DIGEST = "da0be7c18a25ac551bd13c58ce95b9aa6e64c6bfd37f4d653dcd644622
 
 def test_freudenthal_multiplicities_pinned():
     values = [
-        freudenthal_multiplicity(n, top, w)
+        kostka_number(n, top, w)
         for n in (2, 3, 4)
         for top in itertools.product(range(4), repeat=n - 1)
         for w in itertools.product(range(-4, 5), repeat=n - 1)
     ]
     assert hashlib.sha256(repr(values).encode()).hexdigest() == FREUDENTHAL_DIGEST
+
+
+def _partitions(total, largest):
+    """Partitions of ``total`` into parts at most ``largest``, descending."""
+    if total == 0:
+        yield ()
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+def _standard_tableaux(shape):
+    """Standard tableaux of ``shape`` by the hook-length formula."""
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = math.prod(
+        (row - j) + (columns[j] - i) - 1
+        for i, row in enumerate(shape)
+        for j in range(row)
+    )
+    return math.factorial(sum(shape)) // hooks
+
+
+def test_zero_weight_multiplicity_is_the_hook_length_formula():
+    # the zero weight of the module with ambient vector lam, a partition of
+    # n padded to n parts, has content (1, ..., 1): its multiplicity is the
+    # number of standard tableaux of lam, past the ranks the digests pin
+    checked = 0
+    for n in range(2, 9):
+        for lam in _partitions(n, n):
+            lam += (0,) * (n - len(lam))
+            top = from_ambient(lam[::-1])
+            assert kostka_number(n, top, (0,) * (n - 1)) == _standard_tableaux(lam), lam
+            checked += 1
+    assert checked == 65
 
 
 def test_weyl_dimension_examples():
@@ -276,7 +308,7 @@ def test_strip_decompose_pinned(query):
 
 def _character(n, modules):
     """The full character of a sum of modules, ``{highest: copies}``, built
-    orbit by orbit from Freudenthal multiplicities.  ``strip_decompose``
+    orbit by orbit from Kostka numbers.  ``strip_decompose``
     reads only ``n`` and the multiplicities, so ``d`` and ``k`` are
     placeholders."""
     table = Counter()
@@ -284,7 +316,7 @@ def _character(n, modules):
         # a dominant weight of the module spans at most the ambient range
         # of the highest weight, which is the sum of its entries
         for w in itertools.product(range(sum(top) + 1), repeat=n - 1):
-            mult = freudenthal_multiplicity(n, top, w)
+            mult = kostka_number(n, top, w)
             for ambient in set(itertools.permutations(to_ambient(w))):
                 table[from_ambient(ambient)] += copies * mult
     # the orbit walk missed no weight

@@ -24,6 +24,43 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _functools_name(node, aliases):
+    """The ``functools`` name a node refers to, or None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.attr if node.value.id == "functools" else None
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    return None
+
+
+def test_every_memo_is_bounded():
+    # a process-wide memo lives as long as the process: each one must state
+    # a finite maxsize, so none can grow with the queries a process answers
+    found = []
+    for path in sorted((SRC / "naryinv").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+        }
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _functools_name(node.func, aliases) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(
+                    isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+                    for size in sizes
+                ):
+                    bounded.add(id(node.func))
+        for node in ast.walk(tree):
+            name = _functools_name(node, aliases)
+            if name == "cache" or (name == "lru_cache" and id(node) not in bounded):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _cli_optimized(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("NARY_CACHE_DIR", None)
