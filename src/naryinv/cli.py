@@ -16,9 +16,9 @@ A weight whose first entry is negative must be attached with ``=``, as in
 ``--lambda`` of ``gamma`` and ``orbit`` must be dominant (no negative entry).
 Every subcommand takes ``--format plain|json|csv`` (default plain).  The
 six that expand (all but ``orbit``) take ``--limit-states N``: a cap on the
-cells the degree layers of a series expansion span, at least 1, checked
-before anything is allocated; a query expands only up to the moments it
-reads.  ``series`` is the same
+states a query holds (the cells a series expansion spans, up to the moments
+it reads; ``check``'s character entries), at least 1, checked before
+anything is allocated.  ``series`` is the same
 capped read as ``nu`` under its own method tag; only ``series --dump``, which
 writes every coefficient, expands uncapped.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
@@ -26,8 +26,8 @@ and ``count`` also take ``--cache``: memoise weight multiplicities in
 unreadable records, which are skipped).  ``check`` prints the
 rows ``theorem1``, ``stripping`` (each degree's character from one pass of
 Newton's identity, stripped into irreducibles) and, at n = 2,
-``classical-binary``, each oracle row timed on its own; it refuses an
-over-large character at its top degree before computing any row.
+``classical-binary``, each oracle row timed on its own; it refuses
+character tables of more entries than the cap before computing any row.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
@@ -52,9 +52,9 @@ from .dimensions import (
     hilbert_series_prefix,
     invariant_dimension,
 )
-from .errors import InternalError, ResourceLimitError, check_params
+from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .oracles import binary_invariant_dimension, character_tables, strip_decompose
-from .series import MAX_TERMS, dump_series, expand_generating_series
+from .series import dump_series, expand_generating_series
 from .weights import check_dominant, signed_orbit_terms
 
 EXIT_OK = 0
@@ -200,10 +200,10 @@ def cmd_table(args, out) -> int:
 def cmd_check(args, out) -> int:
     """Compare the signed-orbit dimension against every applicable oracle."""
     n, d = args.n, args.d
-    # an over-large character is refused here, at its top degree, before
-    # any row; each stripping row takes the next degree's character, so its
-    # time includes the Newton step for that degree
-    characters = character_tables(n, d, args.kmax)
+    # over-large character tables are refused here, before any row; each
+    # stripping row takes the next degree's character, so its time includes
+    # the Newton step for that degree
+    characters = character_tables(n, d, args.kmax, args.limit_states)
     oracles = {
         "stripping": lambda k: strip_decompose(next(characters)).get((0,) * (n - 1), 0)
     }
@@ -250,7 +250,8 @@ def _commands() -> dict:
         action="store_true", help="memoise weight multiplicities under $NARY_CACHE_DIR"))
     # first among a command's own options, so that it lists right after --format
     limit = ("--limit-states", dict(
-        type=int, default=MAX_TERMS, metavar="N", help="cap on the cells a series expansion spans"))
+        type=int, default=MAX_TERMS, metavar="N",
+        help="cap on the states a query holds: series cells, character entries"))
 
     def weight(flag, help_text):
         return flag, dict(dest="weight", required=True, metavar="W", help=help_text)

@@ -19,13 +19,8 @@ import json
 import os
 from typing import Sequence
 
-from .errors import InternalError, check_params
-from .series import (
-    MAX_TERMS,
-    TruncatedSeries,
-    check_expansion_size,
-    expand_generating_series,
-)
+from .errors import MAX_TERMS, InternalError, check_params
+from .series import TruncatedSeries, check_expansion_size, expand_generating_series
 from .weights import Weight, check_weight
 
 CACHE_ENV_VAR = "NARY_CACHE_DIR"

@@ -11,8 +11,8 @@ orbit terms and degrees; :func:`naryinv.counting.signed_counts` reads them.
 from __future__ import annotations
 
 from .counting import CountCache, signed_counts
-from .errors import check_params
-from .series import MAX_TERMS, TruncatedSeries
+from .errors import MAX_TERMS, check_params
+from .series import TruncatedSeries
 from .weights import check_dominant, signed_orbit_terms, to_ambient
 
 

@@ -1,4 +1,7 @@
-"""Exceptions and the parameter validator shared across the package."""
+"""Exceptions, the size bound and the parameter validator of the package."""
+
+#: the one bound on the states a query holds: series cells, character entries
+MAX_TERMS = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):

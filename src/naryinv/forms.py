@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import ResourceLimitError, check_params
+from .errors import MAX_TERMS, ResourceLimitError, check_params
 from .weights import Weight
 
 MultiIndex = tuple[int, ...]
-
-MAX_INDEX_COUNT = 10_000_000
 
 
 def _check_index(n: int, d: int, index) -> MultiIndex:
@@ -39,12 +37,12 @@ def index_count(n: int, d: int) -> int:
 def enumerate_indices(n: int, d: int) -> list[MultiIndex]:
     """All coefficient indices with ``|i| <= d``, in lexicographic order.
 
-    Refused past ``MAX_INDEX_COUNT``.
+    Refused past ``MAX_TERMS``.
     """
     total = index_count(n, d)
-    if total > MAX_INDEX_COUNT:
+    if total > MAX_TERMS:
         raise ResourceLimitError(
-            f"index set has {total} elements, above the limit {MAX_INDEX_COUNT}"
+            f"index set has {total} elements, above the limit {MAX_TERMS}"
         )
     out: list[MultiIndex] = [()]
     for _ in range(n - 1):

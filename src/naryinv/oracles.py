@@ -6,14 +6,16 @@ takes its characters from Newton's identity for the plethysm
 is the exhaustive reference, which enumerates every monomial, one
 combination of indices each, and counts its moment vector.  Both pack a
 moment vector into one ``int`` with a field per moment wide enough that no
-sum carries.  Irreducible weight multiplicities are Kostka numbers,
-counts of semistandard tableaux by content, tabulated per module by
-dominant weight, the coordinates every caller uses; highest weights are
-extracted by greedy stripping in order of height, and the binary case is
-a bounded-partition difference.  Within
-the package this module imports only ``errors``, ``forms`` and
-``weights``, never the counting engine.  These oracles exist to certify
-the main formulas on small instances, not to be fast at scale.
+sum carries.  Under ``MAX_TERMS``, the Newton pass is refused by the
+entries it would hold, brute force by the monomials it would visit.
+Irreducible weight multiplicities are Kostka numbers, counts of
+semistandard tableaux by content, tabulated per module by dominant
+weight, the coordinates every caller uses; highest weights are extracted
+by greedy stripping in order of height, and the binary case is a
+bounded-partition difference.  Within the package this module imports
+only ``errors``, ``forms`` and ``weights``, never the counting engine.
+These oracles exist to certify the main formulas, not to be fast at
+scale.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from collections import Counter
 from typing import Iterator
 
-from .errors import InternalError, ResourceLimitError, check_params
+from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
 from .weights import (
     Weight,
@@ -35,8 +37,6 @@ from .weights import (
     signed_orbit_terms,
     to_ambient,
 )
-
-MAX_CHARACTER_MONOMIALS = 10_000_000
 
 
 class CharacterTable:
@@ -62,22 +62,7 @@ def symmetric_power_dimension(n: int, d: int, k: int) -> int:
     return math.comb(index_count(n, d) + k - 1, k)
 
 
-def check_character_size(n: int, d: int, k: int, max_monomials: int) -> None:
-    """Refuse a degree-``k`` character enumeration over ``max_monomials``
-    monomials before any is visited; the count grows with ``k``, so one
-    check at the top degree covers every lower one."""
-    check_params(n, d, k)
-    total = symmetric_power_dimension(n, d, k)
-    if total > max_monomials:
-        raise ResourceLimitError(
-            f"character enumeration needs {total} monomials, above the "
-            f"limit {max_monomials}"
-        )
-
-
-def brute_character(
-    n: int, d: int, k: int, max_monomials: int = MAX_CHARACTER_MONOMIALS
-) -> CharacterTable:
+def brute_character(n: int, d: int, k: int, max_monomials: int = MAX_TERMS) -> CharacterTable:
     """Tally the weight of every degree-``k`` monomial in the coefficients.
 
     Exhaustive: every multiset of ``k`` indices is visited once, as one
@@ -91,7 +76,13 @@ def brute_character(
     converted to a weight once; distinct moment vectors of one degree have
     distinct weights.
     """
-    check_character_size(n, d, k, max_monomials)
+    check_params(n, d, k)
+    total = symmetric_power_dimension(n, d, k)
+    if total > max_monomials:
+        raise ResourceLimitError(
+            f"character enumeration needs {total} monomials, above the "
+            f"limit {max_monomials}"
+        )
     width = max(1, (d * k).bit_length())
     # degree 0 has one monomial, the empty product, and needs no index list
     packed = [
@@ -109,7 +100,9 @@ def brute_character(
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 
-def character_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
+def character_tables(
+    n: int, d: int, kmax: int, max_terms: int = MAX_TERMS
+) -> Iterator[CharacterTable]:
     """An iterator over the character of each degree ``0..kmax`` in turn.
 
     Newton's identity for the plethysm ``h_k[h_d]``,
@@ -120,11 +113,22 @@ def character_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
     for ``d * kmax``, the largest moment of any degree here; a factor
     ``x^(r*i)`` adds ``r`` times the packed index, and no field carries.
     Every division by ``k`` must be exact.  Each key of a degree is
-    converted to a weight once.  The monomial bound is checked at ``kmax``
-    when this is called, before any table is asked for, so the walk is
-    refused where :func:`brute_character` would refuse its top degree.
+    converted to a weight once.
+
+    The pass keeps every degree, and degree ``k`` holds one entry per
+    moment vector ``m >= 0`` with ``|m| <= d * k`` (each splits into ``k``
+    indices): ``C(d * k + n - 1, n - 1)``.  Summed from ``kmax`` down,
+    past ``max_terms`` entries the pass is refused before any is built.
     """
-    check_character_size(n, d, kmax, MAX_CHARACTER_MONOMIALS)
+    check_params(n, d, kmax, max_terms)
+    entries = 0
+    for k in range(kmax, -1, -1):
+        entries += math.comb(d * k + n - 1, n - 1)
+        if entries > max_terms:
+            raise ResourceLimitError(
+                f"character tables would hold at least {entries} entries, "
+                f"above the limit {max_terms}"
+            )
     return _newton_tables(n, d, kmax)
 
 

@@ -35,10 +35,8 @@ import math
 import operator
 from typing import IO, Iterable, Iterator
 
-from .errors import InternalError, ResourceLimitError, TruncationError, check_params
+from .errors import MAX_TERMS, InternalError, ResourceLimitError, TruncationError, check_params
 
-#: the one bound on the cells the layers of an expansion span
-MAX_TERMS = 5_000_000
 
 def _places(caps: tuple[int, ...]) -> tuple[int, ...]:
     """Cell of each unit moment vector: the mixed-radix place values."""

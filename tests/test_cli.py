@@ -167,7 +167,9 @@ def test_output_matrix(capsys):
 # sha256 of json.dumps([exit code, stdout, stderr]) for help and usage
 # errors, at COLUMNS=80 with elapsed_ms masked, as argparse on Python 3.11
 # prints them; taken before the parser was built per command, except
-# "orbit -h", re-taken when orbit stopped taking --limit-states
+# "orbit -h", re-taken when orbit stopped taking --limit-states, and the
+# other "-h" of a command, re-taken when --limit-states came to cap
+# character entries as well as series cells
 HELP_AND_ERROR_DIGESTS = {
     "": "86eefdf75d9083c001b9df8d2c535ca2e6f40a53b5e4c4185aa16e49dc615d27",
     "-h": "98ec598b2aa0523e1fc3809aded569d5b752d31489d085d38a7133539fa85cc2",
@@ -183,13 +185,13 @@ HELP_AND_ERROR_DIGESTS = {
     "nu 3 3 4 --bogus": "2bb3fad17f5e85a0b234833ea585430a7352bf6b3f717c26cd622b022c882e1d",
     "nu 3 3 4 --limit-states 0": "44e8d25b9a89074717ff90953eee7f8d5bea1dd14dfd39fdf76ed904b0dcc81e",
     "check 2 2 --kmax x": "9deff7bfe487d73e0763bb714baf095cf3956356c458ec09d8bd0d28198a1cd8",
-    "nu -h": "bc0edadca7d111f628cdf1f50cca1e9a9e68b4fb5a98d0e6f8e12d45fb0d031e",
-    "gamma -h": "afc7941cde768a287e1489395d834feada0647ee81d940754f5ee01eca9fbc9a",
-    "count -h": "4d11e221e6388553912b3fc15985f80225d4666f4ffc29b9340b3a7316e70d0e",
+    "nu -h": "fb28f9e41f619577c3da0b4d9e2b473120db3477a918e27e4a5b670f16fb49b7",
+    "gamma -h": "a89459ba26d817e2d23df9f95616e7762aa24e9434a75aeb32e02559bb59cc4f",
+    "count -h": "6e9c9e3cf642457469ccd7f69d99b6441f028c31a57d0026ab647536c7df4b78",
     "orbit -h": "9e8ef9bbe652b0917472fb47e3111502cf255ca96b43888490b5646389958997",
-    "table -h": "1551199e16865a24d75fca7afc744b6acc30e141d0c297b83204ea037dab7da8",
-    "series -h": "bb28aa0a0deb1058e7bcf76ba46c13269f7ac96aa3c8ce57a499c41e76f50c7d",
-    "check -h": "02d056928c76c4bb2eabf63ee4acfe37340a9138357b6f14cfe3cabe5e53657b",
+    "table -h": "cfe4cf112a55876c1a272673f5a7da6295474e12350b29a32b128a08cafc599c",
+    "series -h": "874b6b8da3dc22c6a856c422f78ca8254c02bd29c38639af4dcce3af4c7f29d4",
+    "check -h": "dbe6bdbe3d3324fade6406fb13e32730b949ce7bcb00c0f892f6be055ee83568",
 }
 
 
@@ -404,14 +406,37 @@ def test_check_octonary_form_of_degree_30_at_degree_0():
 
 
 def test_check_refuses_its_top_degree_before_any_row(capsys):
-    # the character at k = 16 needs C(30, 16) monomials; no lower degree is
-    # worked through or printed first, in any format
+    # the tables to k = 30 hold 20,359,312 entries; the two top degrees
+    # alone pass the limit, and no lower degree is worked through or
+    # printed first, in any format
     for fmt in ("plain", "json"):
-        assert run_cli("check", "3", "4", "--kmax", "16", "--format", fmt) == (3, "")
+        assert run_cli("check", "5", "3", "--kmax", "30", "--format", fmt) == (3, "")
         assert capsys.readouterr().err == (
-            "error: character enumeration needs 145422675 monomials, "
-            "above the limit 10000000\n"
+            "error: character tables would hold at least 5722171 entries, "
+            "above the limit 5000000\n"
         )
+
+
+def test_check_limit_states_caps_the_character_entries(capsys):
+    # the tables of (3, 3) to k = 6 hold sum C(3k + 2, 2) = 511 entries
+    assert run_cli("check", "3", "3", "--kmax", "6", "--limit-states", "510") == (3, "")
+    assert capsys.readouterr().err == (
+        "error: character tables would hold at least 511 entries, "
+        "above the limit 510\n"
+    )
+
+
+def test_check_reaches_past_brute_force():
+    # C(30, 16) = 145,422,675 monomials at k = 16, but 12,801 table entries
+    code, out = run_cli("check", "3", "4", "--kmax", "16")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 17 and all(row[-1] == "ok" for row in rows)
+    code, table = run_cli("table", "3", "4", "--kmax", "16")
+    assert code == 0
+    expected = [line.split()[1] for line in table.splitlines()]
+    assert [row[1].removeprefix("theorem1=") for row in rows] == expected
+    assert expected[12] == "7" and expected[15] == "11"
 
 
 def test_check_enumerates_no_monomial(monkeypatch):

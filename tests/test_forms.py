@@ -30,7 +30,7 @@ def test_enumeration_matches_counting_formula():
 
 
 def test_enumeration_resource_limit(monkeypatch):
-    monkeypatch.setattr(forms_mod, "MAX_INDEX_COUNT", 1000)
+    monkeypatch.setattr(forms_mod, "MAX_TERMS", 1000)
     with pytest.raises(ResourceLimitError):
         enumerate_indices(6, 50)
 

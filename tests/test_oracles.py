@@ -117,10 +117,21 @@ def test_newton_characters_match_brute_force_at_every_degree(grid):
 
 
 def test_newton_characters_refuse_their_top_degree_first():
-    # the bound and its message are brute force's, checked at kmax when the
-    # iterator is made, before any table is asked for
-    with pytest.raises(ResourceLimitError, match="145422675 monomials"):
-        character_tables(3, 4, 16)
+    # the entries are summed from kmax down when the iterator is made,
+    # before any table is asked for: the top two degrees pass the limit
+    with pytest.raises(ResourceLimitError, match="at least 5722171 entries"):
+        character_tables(5, 3, 30)
+
+
+def test_newton_characters_hold_the_entries_they_are_sized_by():
+    for n, d, kmax in itertools.product(range(2, 5), range(1, 4), range(5)):
+        count = sum(math.comb(d * k + n - 1, n - 1) for k in range(kmax + 1))
+        tables = character_tables(n, d, kmax, max_terms=count)
+        assert sum(len(t.multiplicities) for t in tables) == count, (n, d, kmax)
+        if kmax:  # at kmax = 0 the count is 1, and no limit is below it
+            with pytest.raises(ResourceLimitError) as refused:
+                character_tables(n, d, kmax, max_terms=count - 1)
+            assert f" {count} entries, above the limit {count - 1}" in str(refused.value)
 
 
 def test_brute_character_resource_limit():

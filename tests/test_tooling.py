@@ -84,7 +84,7 @@ def test_cli_under_optimize_flag():
     assert checked.returncode == 0 and len(rows) == 4
     assert all(row.endswith(" ok") for row in rows)
     # and its size refusal comes before any row
-    refused = _cli_optimized("check", "3", "4", "--kmax", "16")
+    refused = _cli_optimized("check", "5", "3", "--kmax", "30")
     assert refused.returncode == 3 and refused.stdout == ""
     assert refused.stderr.startswith("error:")
 
@@ -211,3 +211,17 @@ def test_engine_shares_no_code_with_the_oracles():
     # the brute-force oracle's walk in `forms` certifies it independently
     for module in ("series", "counting", "dimensions"):
         assert not _package_imports(module) & {"forms", "oracles"}, module
+
+
+def test_one_size_bound_and_the_rank_bound():
+    # every size bound defaults to errors.MAX_TERMS, the default of
+    # --limit-states; only the orbit walk keeps a bound of its own, on rank
+    found = [
+        f"{path.stem}.{target.id}"
+        for path in sorted((SRC / "naryinv").glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    assert found == ["errors.MAX_TERMS", "weights.MAX_ORBIT_RANK"]
