@@ -192,6 +192,17 @@ HELP_AND_ERROR_DIGESTS = {
     "table -h": "cfe4cf112a55876c1a272673f5a7da6295474e12350b29a32b128a08cafc599c",
     "series -h": "874b6b8da3dc22c6a856c422f78ca8254c02bd29c38639af4dcce3af4c7f29d4",
     "check -h": "dbe6bdbe3d3324fade6406fb13e32730b949ce7bcb00c0f892f6be055ee83568",
+    # taken while a query was still parsed by the top-level parser and its
+    # subparser: leftovers, an abbreviated option, options before the
+    # positionals, a negative weight not attached with "=", an option of
+    # another command, and "--"
+    "table 2 3 --kmax 2 extra": "2e519a1a1142bfb290cf37373ae450e5b04aae49db21ce8c1d13f6fac7c83cec",
+    "table 2 3 --km 2": "c4669b26644e3a293c2d4787b167232bdf09ad250773e2e098040bc6d569d84d",
+    "nu --format=json 3 3 4": "a72f08cd239381fe560680acb4718a5de33467dc68aae5bb00ef9ac67e40f4c1",
+    "count 3 3 4 --mu -1,2": "906233edc7acf05393aa059166d9da05ac81475d97ab466ae851f7109459dfd0",
+    "orbit 3 --limit-states 5": "3c0ff60e4805c524891ec92d4753be8cfb97f8bbb1772198a12f4a4a99d29c5f",
+    "check 2 2 --kmax 2 x y": "4b15e506b396ad951febf8d8d612a523ec55b00a6dd96bb3365df5949f877647",
+    "nu 3 3 4 -- 5": "37fd56cf64375f194cf4656dd14545a2e6b9ff76f58b283d71e0a9003d3241fc",
 }
 
 
