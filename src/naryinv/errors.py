@@ -26,7 +26,7 @@ def check_params(
     k: int | None = None,
     max_terms: int | None = None,
 ) -> None:
-    """Reject an out-of-range rank, form degree, monomial degree or cell
+    """Reject an out-of-range rank, form degree, monomial degree or state
     limit with a :class:`ValueError`; ``None`` skips that parameter."""
     if n < 2:
         raise ValueError(f"rank parameter n must be >= 2, got {n}")
@@ -35,4 +35,4 @@ def check_params(
     if k is not None and k < 0:
         raise ValueError(f"monomial degree k must be >= 0, got {k}")
     if max_terms is not None and max_terms < 1:
-        raise ValueError(f"cell limit must be >= 1, got {max_terms}")
+        raise ValueError(f"state limit must be >= 1, got {max_terms}")

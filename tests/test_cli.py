@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from naryinv import cli
 from naryinv.cli import build_parser, main, parse_weight
 from naryinv.counting import weight_multiplicity
 
@@ -183,7 +184,7 @@ HELP_AND_ERROR_DIGESTS = {
     "table 3 3": "a8fb8a736501a3c90ce73b7527b039f3d05bb3122906f88c677013fb968feacb",
     "nu 3 3 4 --format xml": "5e60b017030cab5ef9a4d9888988403562ed881c1a5acc1e40ad4eb1c41fb713",
     "nu 3 3 4 --bogus": "2bb3fad17f5e85a0b234833ea585430a7352bf6b3f717c26cd622b022c882e1d",
-    "nu 3 3 4 --limit-states 0": "44e8d25b9a89074717ff90953eee7f8d5bea1dd14dfd39fdf76ed904b0dcc81e",
+    "nu 3 3 4 --limit-states 0": "1f2fcfa6b721d82c0782e1a04ad3455874ae1c9be3f395548b5e082315050ff3",
     "check 2 2 --kmax x": "9deff7bfe487d73e0763bb714baf095cf3956356c458ec09d8bd0d28198a1cd8",
     "nu -h": "fb28f9e41f619577c3da0b4d9e2b473120db3477a918e27e4a5b670f16fb49b7",
     "gamma -h": "a89459ba26d817e2d23df9f95616e7762aa24e9434a75aeb32e02559bb59cc4f",
@@ -223,29 +224,62 @@ def _subparsers(parser):
     ).choices
 
 
-def test_a_query_builds_only_its_subparser(monkeypatch, capsys):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+# one valid query per command, in the order of the help
+QUERIES = {
+    "nu": "nu 2 3 4",
+    "gamma": "gamma 2 3 4 --lambda 0",
+    "count": "count 2 3 4 --mu 0",
+    "orbit": "orbit 3",
+    "table": "table 2 3 --kmax 2",
+    "series": "series 2 3 4",
+    "check": "check 2 2 --kmax 2",
+}
 
-    def counted(self, name, **kwargs):
-        added.append(name)
-        return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert run_cli("table", "2", "3", "--kmax", "2")[0] == 0
-    assert added == ["table"]
-    added.clear()
-    assert main(["-h"]) == 0
-    assert added == ["nu", "gamma", "count", "orbit", "table", "series", "check"]
+def test_a_query_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert list(QUERIES) == list(cli._commands())
+    for name, argv in QUERIES.items():
+        # the second call builds its parser again: none is kept
+        for _ in range(2):
+            built.clear()
+            assert run_cli(*argv.split())[0] == 0, argv
+            assert built == [f"naryinv {name}"], argv
+    full = ["naryinv"] + [f"naryinv {name}" for name in QUERIES]
+    for argv, code in (["-h"], 0), ([], 2), (["foo"], 2):
+        built.clear()
+        assert main(argv) == code
+        assert built == full, argv
+    # a leftover argument is reported by the top-level parser, built for it
+    built.clear()
+    assert main(["table", "2", "3", "--kmax", "2", "extra"]) == 2
+    assert built == ["naryinv table", "naryinv", "naryinv table"]
+    capsys.readouterr()
 
 
 def test_one_command_parser_matches_the_full_parser():
     full = build_parser()
+    commands = cli._commands()
     for name, sub in _subparsers(full).items():
         one = build_parser(name)
         assert list(_subparsers(one)) == [name]
         assert one.format_usage() == full.format_usage()
         assert _subparsers(one)[name].format_help() == sub.format_help(), name
+        alone = cli._command_parser(name, commands[name])
+        assert alone.format_usage() == sub.format_usage(), name
+        assert alone.format_help() == sub.format_help(), name
+        # and a query parses to the same arguments, but for the command name
+        argv = QUERIES[name].split()
+        parsed = vars(full.parse_args(argv))
+        assert parsed.pop("command") == name
+        assert vars(alone.parse_args(argv[1:])) == parsed, name
 
 
 def test_orbit_plain_output():
@@ -530,7 +564,7 @@ def test_orbit_rejects_limit_states(capsys):
 
 def test_bad_limit_names_the_flag_and_its_unit(capsys):
     assert main(["nu", "3", "3", "4", "--limit-states", "0"]) == 2
-    assert capsys.readouterr().err == "error: --limit-states must be at least 1 cell, got 0\n"
+    assert capsys.readouterr().err == "error: --limit-states must be at least 1 state, got 0\n"
     # the rank is still checked first, in its own words
     assert main(["nu", "1", "3", "4", "--limit-states", "0"]) == 2
     assert capsys.readouterr().err == "error: rank parameter n must be >= 2, got 1\n"

@@ -75,6 +75,10 @@ def test_cli_under_optimize_flag():
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
     good = _cli_optimized("nu", "3", "3", "4")
     assert good.returncode == 0 and good.stdout == "1\n"
+    # a leftover argument falls back to the top-level parser's error
+    leftover = _cli_optimized("nu", "3", "3", "4", "extra")
+    assert leftover.returncode == 2 and leftover.stdout == ""
+    assert leftover.stderr.startswith("usage: naryinv [-h]")
     # a banded orbit walk at rank 7
     banded = _cli_optimized("nu", "7", "2", "7")
     assert banded.returncode == 0 and banded.stdout == "1\n"
