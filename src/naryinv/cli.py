@@ -314,27 +314,22 @@ def _command_parser(name: str, spec: tuple) -> argparse.ArgumentParser:
     return _add_arguments(argparse.ArgumentParser(prog=f"naryinv {name}"), spec)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's full parser, with one subcommand or all of them.
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full parser, with all seven subcommands.
 
     A query does not use it: :func:`main` parses a query with the one
     parser of its command.  This one is built for what must speak as the
-    top-level parser: with ``command``, only that subparser, for the
-    ``unrecognized arguments`` error, whose usage line still lists every
-    command; without (``--help``, no command, an unknown one), all of
-    them, so that the help and the invalid-choice error list them all.
+    top-level parser: leftover arguments (its ``unrecognized arguments``
+    error), ``--help``, no command and an unknown one, so that the usage,
+    the help and the invalid-choice error list every command.
     """
     parser = argparse.ArgumentParser(
         prog="naryinv",
         description="Exact dimension counts for invariants of n-ary forms.",
     )
-    commands = _commands()
-    names, metavar = list(commands), None
-    if command in commands:
-        names, metavar = [command], "{" + ",".join(commands) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        _add_arguments(sub.add_parser(name, help=commands[name][0]), commands[name])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in _commands().items():
+        _add_arguments(sub.add_parser(name, help=spec[0]), spec)
     return parser
 
 
@@ -342,12 +337,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """Run one CLI query and return its exit code.
 
     A query builds one ``ArgumentParser``, its command's, and parses the
-    arguments after the command's name with it; dropping the top-level
-    parser took the benchmark's ``sweep`` p50 from 0.72 to 0.55 ms (a
-    2-vCPU Xeon).  Arguments left over, help, no command and an unknown
-    command go to :func:`build_parser`, so they print the top-level
-    parser's words.  No parser is kept across calls: each call pays for
-    its own, as a fresh process would.
+    arguments after the command's name with it.  Arguments left over,
+    help, no command and an unknown command go to :func:`build_parser`,
+    so they print the top-level parser's words.  No parser is kept across
+    calls: each call pays for its own, as a fresh process would.
     """
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv
@@ -357,7 +350,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             args, leftover = _command_parser(argv[0], commands[argv[0]]).parse_known_args(argv[1:])
             if leftover:
                 # its subparser leaves the same arguments, and it exits 2
-                build_parser(argv[0]).parse_args(argv)
+                build_parser().parse_args(argv)
         else:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -260,7 +260,7 @@ def test_a_query_builds_one_parser(monkeypatch, capsys):
     # a leftover argument is reported by the top-level parser, built for it
     built.clear()
     assert main(["table", "2", "3", "--kmax", "2", "extra"]) == 2
-    assert built == ["naryinv table", "naryinv", "naryinv table"]
+    assert built == ["naryinv table"] + full
     capsys.readouterr()
 
 
@@ -268,10 +268,6 @@ def test_one_command_parser_matches_the_full_parser():
     full = build_parser()
     commands = cli._commands()
     for name, sub in _subparsers(full).items():
-        one = build_parser(name)
-        assert list(_subparsers(one)) == [name]
-        assert one.format_usage() == full.format_usage()
-        assert _subparsers(one)[name].format_help() == sub.format_help(), name
         alone = cli._command_parser(name, commands[name])
         assert alone.format_usage() == sub.format_usage(), name
         assert alone.format_help() == sub.format_help(), name
