@@ -31,6 +31,14 @@ character tables of more entries than the cap before computing any row.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
+A plain query is read straight off the table of commands, and builds no
+``ArgumentParser``: the command comes first, every positional is an ASCII
+decimal literal, and each flag comes at most once, as ``--flag value`` or
+``--flag=value`` (``--cache`` bare), its value not starting with ``-``
+unless attached with ``=``.  Every other form, such as ``-h``, ``--``, an
+abbreviated or repeated flag or a numeral like ``+5``, goes through
+argparse, which reads it with the same result or prints its usage error.
+
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
 (``$NARY_CACHE_DIR``, ``--dump``), 3 resource limit exceeded, 4 oracle
 disagreement (from ``check``), 5 internal error (a result broke an
@@ -147,7 +155,10 @@ def cmd_point(args, out) -> int:
         value = args.query(*inputs, **options)
         ms = (time.perf_counter() - start) * 1000.0
         if fh:
-            fh.truncate(0)
+            if fh.seekable() and fh.tell():
+                # a file that holds an earlier dump is replaced; a pipe or a
+                # device such as /dev/null holds none, and refuses truncate
+                fh.truncate(0)
             written = dump_series(options["series"], fh)
             print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
     _emit_records([(*query, weight, value, args.method, ms)], args.format, out)
@@ -240,11 +251,16 @@ def _commands() -> dict:
     """The one table of subcommands, in the order the help lists them:
     name -> (help, handler, positionals, options, defaults).
 
-    The point queries carry their query function, method tag and weight
-    flag in the defaults.  Built per call, so each handler and query
-    function is the one this module binds when the parser is built (a
-    wrapper or a patch put there takes effect).
+    The positionals are the names of the command's int arguments; each
+    option is a flag and its ``add_argument`` keywords.  Both
+    :func:`build_parser` and :func:`_read_query` read them from here.  The
+    point queries carry their query function, method tag and weight flag
+    in the defaults.  Built per call, so each handler and query function is
+    the one this module binds when the query is read (a wrapper or a patch
+    put there takes effect).
     """
+    fmt = ("--format", dict(
+        choices=["plain", "json", "csv"], default="plain", help="output format (default plain)"))
     cache = ("--cache", dict(
         action="store_true", help="memoise weight multiplicities under $NARY_CACHE_DIR"))
     # first among a command's own options, so that it lists right after --format
@@ -257,104 +273,161 @@ def _commands() -> dict:
 
     return {
         "nu": (
-            "invariant dimension", cmd_point, "n d k", [limit, cache],
+            "invariant dimension", cmd_point, "n d k", [fmt, limit, cache],
             dict(query=invariant_dimension, method="theorem1", flag=None, dump=None),
         ),
         "gamma": (
             "highest-weight multiplicity", cmd_point, "n d k",
-            [limit, cache, weight("--lambda", "dominant weight, comma-separated, length n-1")],
+            [fmt, limit, cache, weight("--lambda", "dominant weight, comma-separated, length n-1")],
             dict(query=highest_weight_multiplicity, method="theorem2", flag="--lambda", dump=None),
         ),
         "count": (
             "multiplicity of a weight in the degree-k piece", cmd_point, "n d k",
-            [limit, cache, weight("--mu", "weight, comma-separated, length n-1")],
+            [fmt, limit, cache, weight("--mu", "weight, comma-separated, length n-1")],
             dict(query=weight_multiplicity, method="counting", flag="--mu", dump=None),
         ),
         "orbit": (
             "signed Weyl-orbit terms", cmd_orbit, "n",
-            [("--lambda", dict(
+            [fmt, ("--lambda", dict(
                 dest="highest", default=None, metavar="W",
                 help="optional dominant shift, comma-separated, length n-1"))],
             {},
         ),
         "table": (
             "invariant dimensions for k = 0..K", cmd_table, "n d",
-            [limit, ("--kmax", dict(type=int, required=True, metavar="K"))], {},
+            [fmt, limit, ("--kmax", dict(type=int, required=True, metavar="K"))], {},
         ),
         "series": (
             "invariant dimension via the generating series", cmd_point, "n d k",
-            [limit, ("--dump", dict(metavar="FILE", help="write the truncated series as JSON lines"))],
+            [fmt, limit, ("--dump", dict(metavar="FILE", help="write the truncated series as JSON lines"))],
             dict(query=invariant_dimension, method="series", flag=None, cache=False),
         ),
         "check": (
             "cross-check against all applicable oracles", cmd_check, "n d",
-            [limit, ("--kmax", dict(type=int, default=6, metavar="K"))], {},
+            [fmt, limit, ("--kmax", dict(type=int, default=6, metavar="K"))], {},
         ),
     }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, spec: tuple) -> argparse.ArgumentParser:
-    """Give ``parser`` the arguments and defaults of one ``_commands()`` entry."""
-    _help, handler, positionals, options, defaults = spec
-    parser.add_argument(
-        "--format", choices=["plain", "json", "csv"], default="plain",
-        help="output format (default plain)",
-    )
-    for positional in positionals.split():
-        parser.add_argument(positional, type=int)
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    parser.set_defaults(handler=handler, **defaults)
-    return parser
+def _decimal(text: str) -> int | None:
+    """``text`` as an int if it is an ASCII decimal literal, else None.
+
+    Narrower than argparse's ``type=int``, which also takes ``" 5"``,
+    ``"+5"``, ``"1_0"`` and non-ASCII digits; those are left to the full
+    parser.
+    """
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return None
 
 
-def _command_parser(name: str, spec: tuple) -> argparse.ArgumentParser:
-    """One subcommand's parser on its own, for the arguments after its name;
-    its usage and help are those of its subparser in :func:`build_parser`."""
-    return _add_arguments(argparse.ArgumentParser(prog=f"naryinv {name}"), spec)
+def _dest(flag: str, kwargs: dict) -> str:
+    """The attribute argparse stores a flag under."""
+    return kwargs.get("dest", flag[2:].replace("-", "_"))
+
+
+def _read_query(argv: list[str], commands: dict) -> argparse.Namespace | None:
+    """The arguments of a plain query, read off its ``commands`` entry, or
+    None if ``argv`` is not one.
+
+    A plain query names its command first.  Every positional is an ASCII
+    decimal literal.  Each declared flag comes at most once, as ``--flag
+    value`` or ``--flag=value``, and a ``store_true`` flag bare; an ``int``
+    flag's value is ASCII decimal, a flag with choices takes one of them,
+    and every required flag is there.  A token that starts with ``-`` where
+    a value or a positional is due is not plain.  Every plain query is one
+    that :func:`build_parser` accepts, and the Namespace is the one it
+    gives, less ``command``: action defaults, then the command's defaults,
+    then what was read.
+    """
+    if not argv or argv[0] not in commands:
+        return None
+    _help, handler, positionals, options, defaults = commands[argv[0]]
+    declared = dict(options)
+    numerals, read = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            numerals.append(token)
+            continue
+        flag, attached, value = token.partition("=")
+        kwargs = declared.get(flag)
+        if kwargs is None or _dest(flag, kwargs) in read:
+            return None
+        if kwargs.get("action") == "store_true":
+            if attached:
+                return None
+            value = True
+        else:
+            if not attached:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            if kwargs.get("type") is int:
+                value = _decimal(value)
+                if value is None:
+                    return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        read[_dest(flag, kwargs)] = value
+    names = positionals.split()
+    values = [_decimal(token) for token in numerals]
+    if len(values) != len(names) or None in values:
+        return None
+    if any(kwargs.get("required") and _dest(flag, kwargs) not in read for flag, kwargs in options):
+        return None
+    fields = {
+        _dest(flag, kwargs): kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        for flag, kwargs in options
+    }
+    fields.update(defaults, handler=handler, **read)
+    fields.update(zip(names, values))
+    return argparse.Namespace(**fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's full parser, with all seven subcommands.
 
-    A query does not use it: :func:`main` parses a query with the one
-    parser of its command.  This one is built for what must speak as the
-    top-level parser: leftover arguments (its ``unrecognized arguments``
-    error), ``--help``, no command and an unknown one, so that the usage,
-    the help and the invalid-choice error list every command.
+    A plain query does not use it: :func:`main` reads one with
+    :func:`_read_query`.  This one reads every other form (help, no
+    command or an unknown one, an abbreviated or repeated flag, ``--``, a
+    negative or otherwise unusual numeral, an argument left over) and
+    prints the usage errors, so that they list every command.
     """
     parser = argparse.ArgumentParser(
         prog="naryinv",
         description="Exact dimension counts for invariants of n-ary forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in _commands().items():
-        _add_arguments(sub.add_parser(name, help=spec[0]), spec)
+    for name, (help_text, handler, positionals, options, defaults) in _commands().items():
+        command = sub.add_parser(name, help=help_text)
+        for positional in positionals.split():
+            command.add_argument(positional, type=int)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """Run one CLI query and return its exit code.
 
-    A query builds one ``ArgumentParser``, its command's, and parses the
-    arguments after the command's name with it.  Arguments left over,
-    help, no command and an unknown command go to :func:`build_parser`,
-    so they print the top-level parser's words.  No parser is kept across
-    calls: each call pays for its own, as a fresh process would.
+    A plain query (see :func:`_read_query`) builds no ``ArgumentParser``.
+    Every other form goes to :func:`build_parser`, which reads it or exits
+    with its help or its usage error.  Nothing is kept across calls: each call reads its
+    arguments afresh, as a fresh process would.
     """
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv
-    commands = _commands()
-    try:
-        if argv and argv[0] in commands:
-            args, leftover = _command_parser(argv[0], commands[argv[0]]).parse_known_args(argv[1:])
-            if leftover:
-                # its subparser leaves the same arguments, and it exits 2
-                build_parser().parse_args(argv)
-        else:
+    args = _read_query(argv, _commands())
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else EXIT_OK
     try:
         check_params(args.n)
         if "limit_states" in args and args.limit_states < 1:

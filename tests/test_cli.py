@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import hashlib
 import io
+import itertools
 import json
+import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryinv import cli
 from naryinv.cli import build_parser, main, parse_weight
@@ -217,14 +222,7 @@ def test_help_and_error_bytes_pinned(monkeypatch, capsys, argv):
     assert hashlib.sha256(blob).hexdigest() == HELP_AND_ERROR_DIGESTS[argv]
 
 
-def _subparsers(parser):
-    return next(
-        action for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ).choices
-
-
-# one valid query per command, in the order of the help
+# one plain query per command, in the order of the help
 QUERIES = {
     "nu": "nu 2 3 4",
     "gamma": "gamma 2 3 4 --lambda 0",
@@ -236,7 +234,8 @@ QUERIES = {
 }
 
 
-def test_a_query_builds_one_parser(monkeypatch, capsys):
+def _count_parsers(monkeypatch) -> list:
+    """The progs of the ``ArgumentParser``s built from now on."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -245,37 +244,147 @@ def test_a_query_builds_one_parser(monkeypatch, capsys):
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_a_plain_query_builds_no_parser(monkeypatch):
+    built = _count_parsers(monkeypatch)
     assert list(QUERIES) == list(cli._commands())
-    for name, argv in QUERIES.items():
-        # the second call builds its parser again: none is kept
-        for _ in range(2):
-            built.clear()
-            assert run_cli(*argv.split())[0] == 0, argv
-            assert built == [f"naryinv {name}"], argv
+    for argv in QUERIES.values():
+        assert run_cli(*argv.split())[0] == 0, argv
+        assert built == [], argv
+
+
+def test_other_forms_build_the_full_parser_alone(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
     full = ["naryinv"] + [f"naryinv {name}" for name in QUERIES]
-    for argv, code in (["-h"], 0), ([], 2), (["foo"], 2):
+    for argv, code in (
+        ["-h"], 0), ([], 2), (["foo"], 2), (
+        ["table", "2", "3", "--kmax", "2", "extra"], 2), (
+        # a declined form that argparse reads: an abbreviated flag
+        ["table", "2", "3", "--km", "2"], 0,
+    ):
         built.clear()
-        assert main(argv) == code
+        assert main(argv) == code, argv
         assert built == full, argv
-    # a leftover argument is reported by the top-level parser, built for it
-    built.clear()
-    assert main(["table", "2", "3", "--kmax", "2", "extra"]) == 2
-    assert built == ["naryinv table"] + full
     capsys.readouterr()
 
 
-def test_one_command_parser_matches_the_full_parser():
-    full = build_parser()
-    commands = cli._commands()
-    for name, sub in _subparsers(full).items():
-        alone = cli._command_parser(name, commands[name])
-        assert alone.format_usage() == sub.format_usage(), name
-        assert alone.format_help() == sub.format_help(), name
-        # and a query parses to the same arguments, but for the command name
-        argv = QUERIES[name].split()
-        parsed = vars(full.parse_args(argv))
-        assert parsed.pop("command") == name
-        assert vars(alone.parse_args(argv[1:])) == parsed, name
+def test_each_call_reads_its_query_afresh(monkeypatch):
+    # nothing read is kept: the second call sees what the module binds then
+    assert run_cli("nu", "2", "3", "4") == (0, "1\n")
+    monkeypatch.setattr(cli, "invariant_dimension", lambda *args, **kwargs: 7)
+    assert run_cli("nu", "2", "3", "4") == (0, "7\n")
+
+
+def _full_parse(argv):
+    """``vars`` of the full parser's Namespace, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# plain forms: every flag, attached with "=" or not, and options before,
+# between and after the positionals
+PLAIN = [
+    *QUERIES.values(),
+    "nu --format=json 3 3 4",
+    "nu 3 --cache 3 4 --limit-states 9",
+    "gamma 3 3 4 --lambda=1,1 --format csv",
+    "count 3 3 2 --mu=-1,2 --cache",
+    "count 3 3 2 --mu= --limit-states=007",
+    "orbit 3 --lambda 1,0 --format=plain",
+    "table --kmax=3 2 4",
+    "series 2 2 2 --dump out.jsonl --limit-states 5",
+    "check 2 2",
+]
+# forms the full parser reads that the reader leaves to it
+UNUSUAL = [
+    "table 2 3 --km 2",
+    "nu 3 3 4 --format json --format csv",
+    "nu +3 3 4",
+    "nu 3 3 1_0",
+    "nu 3 3 \u0663",
+    "nu 3 3 4 --limit-states -5",
+    "nu -- 3 3 4",
+    "nu 3 3 4 --cache --cache",
+]
+
+
+@pytest.mark.parametrize("query", PLAIN)
+def test_a_plain_query_reads_as_the_full_parser_reads_it(query):
+    argv = query.split()
+    read = cli._read_query(argv, cli._commands())
+    assert read is not None
+    full = _full_parse(argv)
+    assert full.pop("command") == argv[0]
+    assert vars(read) == full
+
+
+@pytest.mark.parametrize("query", UNUSUAL)
+def test_an_unusual_form_is_left_to_the_full_parser(query):
+    argv = query.split()
+    assert cli._read_query(argv, cli._commands()) is None
+    assert _full_parse(argv) is not None
+
+
+DECIMALS = ["0", "2", "3", "4", "12"]
+NUMERALS = [*DECIMALS, "-1", "+5", "1_0", "\u0663", "", " 5"]
+FLAGS = sorted({flag for spec in cli._commands().values() for flag, _ in spec[3]})
+VALUES = ["json", "xml", "1,1", "-1,2", "x", *NUMERALS]
+ODD = ["-h", "--", "--km", "--lim", "--bogus", *(f"{f}={v}" for f in FLAGS for v in VALUES)]
+
+
+@st.composite
+def _argvs(draw):
+    """A plain query of a drawn command, with up to two odd groups of
+    tokens put in, a group maybe taken out, and the groups shuffled."""
+    name = draw(st.sampled_from([*QUERIES, "foo"]))
+    _help, _handler, positionals, options, _defaults = cli._commands().get(name, cli._commands()["nu"])
+    groups = [[draw(st.sampled_from(DECIMALS))] for _ in positionals.split()]
+    for flag, kwargs in options:
+        if not (kwargs.get("required") or draw(st.booleans())):
+            continue
+        if kwargs.get("action"):
+            groups.append([flag])
+            continue
+        fitting = kwargs.get("choices") or (DECIMALS if kwargs.get("type") else ["1,1", "0", "-1,2"])
+        value = draw(st.sampled_from(fitting))
+        groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    own = [flag for flag, _ in options]
+    groups += draw(st.lists(st.one_of(
+        st.sampled_from([*NUMERALS, *FLAGS, *ODD]).map(lambda token: [token]),
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
+        st.tuples(st.sampled_from(own), st.sampled_from(VALUES)).map(lambda pair: ["=".join(pair)]),
+    ), max_size=2))
+    if groups and draw(st.booleans()):
+        del groups[draw(st.integers(0, len(groups) - 1))]
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(groups)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_reader_never_disagrees_with_the_full_parser(argv):
+    read = cli._read_query(argv, cli._commands())
+    full = _full_parse(argv)
+    if full is None:
+        assert read is None
+    elif read is not None:
+        assert full.pop("command") == argv[0]
+        assert vars(read) == full
+
+
+def test_the_reader_knows_every_keyword_of_the_table():
+    # the reader mirrors these keywords alone; another action or type
+    # would need it taught first
+    for spec in cli._commands().values():
+        for flag, kwargs in spec[3]:
+            assert flag.startswith("--"), flag
+            assert set(kwargs) <= {"action", "choices", "default", "dest", "help", "metavar", "required", "type"}
+            assert kwargs.get("action", "store_true") == "store_true", flag
+            assert kwargs.get("type", int) is int, flag
 
 
 def test_orbit_plain_output():
@@ -390,6 +499,24 @@ def test_series_dump(tmp_path):
     code, _ = run_cli("series", "2", "2", "2", "--dump", str(path), "--limit-states", "2")
     assert code == 3
     assert path.read_text().splitlines() == [json.dumps(r) for r in records]
+
+
+def test_series_dump_to_a_device_or_a_pipe(capsys):
+    # neither can be truncated; both take the dump as it is written
+    assert run_cli("series", "2", "2", "2", "--dump", os.devnull) == (0, "1\n")
+    assert capsys.readouterr().err == f"wrote 9 coefficients to {os.devnull}\n"
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    read, write = os.pipe()
+    with os.fdopen(read, encoding="utf-8") as pipe:
+        try:
+            # nine short lines fit in the pipe's buffer, so no write blocks
+            result = run_cli("series", "2", "2", "2", "--dump", f"/dev/fd/{write}")
+        finally:
+            os.close(write)
+        assert result == (0, "1\n")
+        assert len(pipe.read().splitlines()) == 9
+    assert "wrote 9 coefficients" in capsys.readouterr().err
 
 
 def test_capped_reads_under_a_small_term_limit(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_highest_weight_has_multiplicity_one():
         assert kostka_number(n, w, w) == 1
 
 
-def test_freudenthal_known_multiplicities():
+def test_kostka_known_multiplicities():
     assert kostka_number(3, (1, 1), (0, 0)) == 2
     assert kostka_number(2, (2,), (0,)) == 1
     assert kostka_number(2, (2,), (2,)) == 1
@@ -158,7 +158,7 @@ def test_freudenthal_known_multiplicities():
     assert kostka_number(3, (1, 1), (3, 0)) == 0
 
 
-def test_freudenthal_is_orbit_symmetric():
+def test_kostka_is_orbit_symmetric():
     assert kostka_number(3, (2, 2), (2, -1)) == kostka_number(3, (2, 2), (1, 1))
 
 
@@ -169,7 +169,7 @@ def _orbit_size(ambient):
     return size
 
 
-def test_freudenthal_multiplicities_sum_to_weyl_dimension():
+def test_kostka_multiplicities_sum_to_weyl_dimension():
     rng = random.Random(17)
     samples = [(2, (6,)), (3, (2, 2)), (3, (3, 1)), (4, (1, 0, 1)), (4, (2, 1, 2))]
     # long runs of equal entries and trailing zeros in the top, where the
@@ -199,7 +199,7 @@ def test_freudenthal_multiplicities_sum_to_weyl_dimension():
         assert sum(m * _orbit_size(to_ambient(w)) for w, m in table.items()) == total
 
 
-def test_freudenthal_memo_is_bounded():
+def test_kostka_memo_is_bounded():
     memo = oracles_mod._dominant_multiplicity_table
     cap = memo.cache_info().maxsize
     assert cap is not None
@@ -219,17 +219,17 @@ def test_freudenthal_memo_is_bounded():
 # sha256 of the multiplicities over every n <= 4, highest weight with
 # entries below 4 and weight with entries in -4..4 (47,988 lookups), taken
 # while the Freudenthal tables were keyed by descending ambient vectors
-FREUDENTHAL_DIGEST = "da0be7c18a25ac551bd13c58ce95b9aa6e64c6bfd37f4d653dcd6446227f38ad"
+KOSTKA_DIGEST = "da0be7c18a25ac551bd13c58ce95b9aa6e64c6bfd37f4d653dcd6446227f38ad"
 
 
-def test_freudenthal_multiplicities_pinned():
+def test_kostka_multiplicities_pinned():
     values = [
         kostka_number(n, top, w)
         for n in (2, 3, 4)
         for top in itertools.product(range(4), repeat=n - 1)
         for w in itertools.product(range(-4, 5), repeat=n - 1)
     ]
-    assert hashlib.sha256(repr(values).encode()).hexdigest() == FREUDENTHAL_DIGEST
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == KOSTKA_DIGEST
 
 
 def _partitions(total, largest):

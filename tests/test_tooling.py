@@ -5,6 +5,7 @@ the CLI's documented commands in step with its parser."""
 import argparse
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -127,6 +128,27 @@ def test_benchmark_imports_resolve():
     } <= reached
     # the worker builds its cache records from the package-level expansion
     assert callable(importlib.import_module("naryinv").expand_generating_series)
+
+
+def test_every_benchmark_query_is_plain():
+    # the benchmark's speed rests on its queries being read off the command
+    # table; the worker sends the cached pools with --cache appended
+    from naryinv import cli
+
+    pools = json.loads((PERFBENCH / "answers.json").read_text())["pools"]
+    queries = [
+        query.split() + (["--cache"] if pool.startswith("cached_") else [])
+        for pool, listed in sorted(pools.items())
+        for query in listed
+    ]
+    assert len(queries) == 383
+    parser = cli.build_parser()
+    for argv in queries:
+        read = cli._read_query(argv, cli._commands())
+        assert read is not None, argv
+        assert vars(read) == {
+            key: value for key, value in vars(parser.parse_args(argv)).items() if key != "command"
+        }, argv
 
 
 def test_cli_docstring_lists_every_subcommand(capsys):
