@@ -258,12 +258,14 @@ def test_a_plain_query_builds_no_parser(monkeypatch):
 def test_other_forms_build_the_full_parser_alone(monkeypatch, capsys):
     built = _count_parsers(monkeypatch)
     full = ["naryinv"] + [f"naryinv {name}" for name in QUERIES]
-    for argv, code in (
-        ["-h"], 0), ([], 2), (["foo"], 2), (
-        ["table", "2", "3", "--kmax", "2", "extra"], 2), (
-        # a declined form that argparse reads: an abbreviated flag
-        ["table", "2", "3", "--km", "2"], 0,
-    ):
+    for argv, code in [
+        (["-h"], 0),
+        ([], 2),
+        (["foo"], 2),
+        (["table", "2", "3", "--kmax", "2", "extra"], 2),
+        # a form that argparse reads and the reader declines: an abbreviation
+        (["table", "2", "3", "--km", "2"], 0),
+    ]:
         built.clear()
         assert main(argv) == code, argv
         assert built == full, argv
@@ -348,7 +350,8 @@ def _argvs(draw):
         if not (kwargs.get("required") or draw(st.booleans())):
             continue
         if kwargs.get("action"):
-            groups.append([flag])
+            groups.append(draw(st.one_of(
+                st.just([flag]), st.sampled_from(VALUES).map(lambda value: [f"{flag}={value}"]))))
             continue
         fitting = kwargs.get("choices") or (DECIMALS if kwargs.get("type") else ["1,1", "0", "-1,2"])
         value = draw(st.sampled_from(fitting))
@@ -670,6 +673,9 @@ def test_invalid_arguments_exit_code():
     code, _ = run_cli("nu", "1", "2", "3")
     assert code == 2
     code, _ = run_cli("nu", "2", "3", "4", "--limit-states", "-5")
+    assert code == 2
+    # more digits than int() converts: argparse's usage error, not a traceback
+    code, _ = run_cli("nu", "2", "3", "9" * 5000)
     assert code == 2
     # orbit's shift must be dominant, as gamma's --lambda must
     code, out = run_cli("orbit", "3", "--lambda", "1,-1")
