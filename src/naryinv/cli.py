@@ -24,8 +24,9 @@ writes every coefficient, expands uncapped.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
 unreadable records, which are skipped).  ``check`` prints the
-rows ``theorem1``, ``stripping`` (each degree's character from one pass of
-Newton's identity, stripped into irreducibles) and, at n = 2,
+rows ``theorem1``, ``stripping`` (each degree's character from one
+expansion of the product ``prod_i 1/(1 - t x^wt(i))`` over the coefficient
+indices, stripped into irreducibles) and, at n = 2,
 ``classical-binary``, each oracle row timed on its own; it refuses
 character tables of more entries than the cap before computing any row.
 Results are always printed as decimal strings; they can exceed 64 bits.
@@ -42,7 +43,8 @@ argparse, which reads it with the same result or prints its usage error.
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
 (``$NARY_CACHE_DIR``, ``--dump``), 3 resource limit exceeded, 4 oracle
 disagreement (from ``check``), 5 internal error (a result broke an
-invariant that holds for every valid input: a bug, not bad input).
+invariant that holds for every valid input: a bug, not bad input), 141 a
+reader closed stdout early (128 + SIGPIPE; nothing more is printed).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -70,6 +73,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 CSV_HEADER = ["n", "d", "k", "mu_or_lambda", "result", "method"]
 
@@ -211,8 +215,8 @@ def cmd_check(args, out) -> int:
     """Compare the signed-orbit dimension against every applicable oracle."""
     n, d = args.n, args.d
     # over-large character tables are refused here, before any row; each
-    # stripping row takes the next degree's character, so its time includes
-    # the Newton step for that degree
+    # stripping row takes the next degree's character, and the whole pass
+    # runs at the first, so the k=0 row's time includes it
     characters = character_tables(n, d, args.kmax, args.limit_states)
     oracles = {
         "stripping": lambda k: strip_decompose(next(characters)).get((0,) * (n - 1), 0)
@@ -439,6 +443,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to the null
+        # device, so the interpreter's flush at exit cannot fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

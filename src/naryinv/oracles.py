@@ -1,13 +1,14 @@
 """Independent verification paths for the dimension formulas.
 
 Nothing here shares machinery with the signed-orbit route.  ``check``
-takes its characters from Newton's identity for the plethysm
-``h_k[h_d]``, one pass for every degree up to its top; ``brute_character``
-is the exhaustive reference, which enumerates every monomial, one
-combination of indices each, and counts its moment vector.  Both pack a
-moment vector into one ``int`` with a field per moment wide enough that no
-sum carries.  Under ``MAX_TERMS``, the Newton pass is refused by the
-entries it would hold, brute force by the monomials it would visit.
+takes its characters from the product ``prod_i 1/(1 - t x^wt(i))`` over
+the coefficient indices, expanded one index at a time for every degree up
+to its top, with weights packed into one ``int``; ``brute_character`` is
+the exhaustive reference, which enumerates every monomial, one combination
+of indices each, and counts its packed moment vector.  Both give each
+packed component a field wide enough that no sum carries.  Under
+``MAX_TERMS``, the product pass is refused by the entries it would hold,
+brute force by the monomials it would visit.
 Irreducible weight multiplicities are Kostka numbers, counts of
 semistandard tableaux by content, tabulated per module by dominant
 weight, the coordinates every caller uses; highest weights are extracted
@@ -105,20 +106,23 @@ def character_tables(
 ) -> Iterator[CharacterTable]:
     """An iterator over the character of each degree ``0..kmax`` in turn.
 
-    Newton's identity for the plethysm ``h_k[h_d]``,
-    ``k * h_k = sum_{r=1..k} p_r * h_{k-r}`` with ``p_r = sum_i x^(r*i)``
-    over the coefficient indices, gives each degree from the lower ones
-    without visiting a monomial.  Each ``h_k`` is a dict keyed by packed
-    moments, as :func:`brute_character` packs them, with fields wide enough
-    for ``d * kmax``, the largest moment of any degree here; a factor
-    ``x^(r*i)`` adds ``r`` times the packed index, and no field carries.
-    Every division by ``k`` must be exact.  Each key of a degree is
-    converted to a weight once.
+    The characters of all degrees are the coefficients of ``t^k`` in the
+    product ``prod_i 1 / (1 - t x^wt(i))`` over the coefficient indices,
+    expanded one index at a time without visiting a monomial: for each
+    index, degree ``k = 1..kmax`` in turn, upward and in place, gains
+    degree ``k - 1`` shifted by the index's weight.  Each degree is a dict
+    keyed by packed weights: field ``s`` holds the sum of ``wt_s + d`` over
+    the factors, at most ``2 * d * kmax``, so no field carries and degree
+    ``k`` reads each weight back as its fields minus ``k * d``.  The whole
+    pass runs when the first table is asked for; every degree's total mass
+    must then equal the symmetric-power dimension.  Each degree is
+    converted to weights only when it is yielded.
 
-    The pass keeps every degree, and degree ``k`` holds one entry per
-    moment vector ``m >= 0`` with ``|m| <= d * k`` (each splits into ``k``
-    indices): ``C(d * k + n - 1, n - 1)``.  Summed from ``kmax`` down,
-    past ``max_terms`` entries the pass is refused before any is built.
+    Degree ``k`` holds one entry per moment vector ``m >= 0`` with
+    ``|m| <= d * k`` (each splits into ``k`` indices):
+    ``C(d * k + n - 1, n - 1)``; a partial product holds fewer.  Summed
+    from ``kmax`` down, past ``max_terms`` entries the pass is refused
+    before any is built.
     """
     check_params(n, d, kmax, max_terms)
     entries = 0
@@ -129,44 +133,39 @@ def character_tables(
                 f"character tables would hold at least {entries} entries, "
                 f"above the limit {max_terms}"
             )
-    return _newton_tables(n, d, kmax)
+    return _product_tables(n, d, kmax)
 
 
-def _newton_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
-    """The Newton pass of :func:`character_tables`, once its size is checked."""
-    # degree 0 has one monomial, the empty product, and needs no index list
-    yield CharacterTable(n=n, d=d, k=0, multiplicities={(0,) * (n - 1): 1})
-    if not kmax:
-        return
-    width = (d * kmax).bit_length()
+def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
+    """The product pass of :func:`character_tables`, once its size is checked."""
+    width = (2 * d * kmax).bit_length()
     field_mask = (1 << width) - 1
-    packed = [
-        sum(x << (s * width) for s, x in enumerate(index))
-        for index in enumerate_indices(n, d)
+    offsets = [s * width for s in range(n - 1)]
+    # degree 0 has one monomial, the empty product, and needs no index list
+    shifts = [
+        sum((w + d) << offset for w, offset in zip(weight_from_moments(n, d, 1, i), offsets))
+        for i in (enumerate_indices(n, d) if kmax else ())
     ]
-    powers = [{0: 1}]
-    for k in range(1, kmax + 1):
-        sums: dict[int, int] = {}
-        for r in range(1, k + 1):
-            terms = powers[k - r].items()
-            for x in packed:
-                shift = r * x
-                for key, c in terms:
-                    key += shift
-                    sums[key] = sums.get(key, 0) + c
-        power = {}
-        table = {}
-        for key, total in sums.items():
-            value, remainder = divmod(total, k)
-            if remainder:
-                raise InternalError(
-                    f"Newton's identity left {total} at degree {k}, not a "
-                    f"multiple of {k}"
-                )
-            power[key] = value
-            moments = [(key >> (s * width)) & field_mask for s in range(n - 1)]
-            table[weight_from_moments(n, d, k, moments)] = value
-        powers.append(power)
+    degrees: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(kmax)]
+    for shift in shifts:
+        for lower, packed in zip(degrees, degrees[1:]):
+            get = packed.get
+            for key, c in lower.items():
+                key += shift
+                packed[key] = get(key, 0) + c
+    for k, packed in enumerate(degrees):
+        mass, expected = sum(packed.values()), symmetric_power_dimension(n, d, k)
+        if mass != expected:
+            raise InternalError(
+                f"the character of degree {k} has mass {mass}, not {expected}"
+            )
+    for k, packed in enumerate(degrees):
+        degrees[k] = {}  # the generator's last reference goes at the next degree
+        base = k * d
+        table = {
+            tuple([((key >> offset) & field_mask) - base for offset in offsets]): c
+            for key, c in packed.items()
+        }
         yield CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 

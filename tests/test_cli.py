@@ -5,7 +5,10 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 from naryinv import cli
 from naryinv.cli import build_parser, main, parse_weight
 from naryinv.counting import weight_multiplicity
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -617,7 +622,7 @@ def test_check_enumerates_no_monomial(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("check enumerated monomials")
 
-    # its characters come from Newton's identity, not from brute force
+    # its characters come from the product recurrence, not from brute force
     monkeypatch.setattr(oracles_mod, "brute_character", refuse)
     monkeypatch.setattr(cli_mod, "brute_character", refuse, raising=False)
     code, out = run_cli("check", "3", "3", "--kmax", "6")
@@ -720,6 +725,53 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 5 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _python(*args):
+    """A Python process that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("NARY_CACHE_DIR", None)
+    return subprocess.Popen(
+        [sys.executable, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+
+
+# `check` with one coefficient index dropped from the oracles' walk
+DROP_AN_INDEX = """
+import sys
+import naryinv.oracles as oracles
+walk = oracles.enumerate_indices
+oracles.enumerate_indices = lambda n, d: walk(n, d)[1:]
+from naryinv.cli import main
+sys.exit(main(["check", "3", "3", "--kmax", "2"]))
+"""
+
+
+def test_check_refuses_a_character_of_the_wrong_mass(monkeypatch, capsys):
+    import naryinv.oracles as oracles_mod
+
+    walk = oracles_mod.enumerate_indices
+    monkeypatch.setattr(oracles_mod, "enumerate_indices", lambda n, d: walk(n, d)[1:])
+    code, out = run_cli("check", "3", "3", "--kmax", "2")
+    err = capsys.readouterr().err
+    assert code == 5 and out == ""
+    assert err.startswith("error: internal:") and "mass" in err
+    # the mass check is a raise, not an assert, so python -O keeps it
+    with _python("-O", "-c", DROP_AN_INDEX) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 5 and out == ""
+    assert err.startswith("error: internal:") and "mass" in err
+
+
+def test_closed_pipe_ends_quietly():
+    # the dump is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader goes
+    with _python("-m", "naryinv.cli", "series", "3", "3", "12", "--dump", "/dev/stdout") as proc:
+        assert proc.stdout.readline().startswith('{"k": 0,')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == ""
 
 
 def test_cache_flag(tmp_path, monkeypatch):

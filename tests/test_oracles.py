@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import naryinv.oracles as oracles_mod
-from naryinv.errors import ResourceLimitError
+from naryinv.errors import InternalError, ResourceLimitError
 from naryinv.forms import enumerate_indices, monomial_weight
 from naryinv.oracles import (
     CharacterTable,
@@ -60,15 +60,15 @@ BRUTE_DIGESTS = {
 }
 
 
-def _newton_character(n, d, k):
-    """The last table of the Newton walk to ``k``, whose fields are sized
-    for ``d * k``, as brute force sizes its own."""
+def _product_character(n, d, k):
+    """The last table of the product expansion to ``k``, whose fields are
+    sized for ``2 * d * k``, twice the moment field brute force sizes."""
     *_, table = character_tables(n, d, k)
     return table
 
 
-# both routes to a character: the exhaustive tally and Newton's identity
-CHARACTER_ROUTES = (brute_character, _newton_character)
+# both routes to a character: the exhaustive tally and the product recurrence
+CHARACTER_ROUTES = (brute_character, _product_character)
 
 
 @pytest.mark.parametrize("query", sorted(BRUTE_DIGESTS))
@@ -116,14 +116,14 @@ def test_newton_characters_match_brute_force_at_every_degree(grid):
         assert table.multiplicities == brute_character(n, d, table.k).multiplicities
 
 
-def test_newton_characters_refuse_their_top_degree_first():
+def test_product_characters_refuse_their_top_degree_first():
     # the entries are summed from kmax down when the iterator is made,
     # before any table is asked for: the top two degrees pass the limit
     with pytest.raises(ResourceLimitError, match="at least 5722171 entries"):
         character_tables(5, 3, 30)
 
 
-def test_newton_characters_hold_the_entries_they_are_sized_by():
+def test_product_characters_hold_the_entries_they_are_sized_by():
     for n, d, kmax in itertools.product(range(2, 5), range(1, 4), range(5)):
         count = sum(math.comb(d * k + n - 1, n - 1) for k in range(kmax + 1))
         tables = character_tables(n, d, kmax, max_terms=count)
@@ -132,6 +132,21 @@ def test_newton_characters_hold_the_entries_they_are_sized_by():
             with pytest.raises(ResourceLimitError) as refused:
                 character_tables(n, d, kmax, max_terms=count - 1)
             assert f" {count} entries, above the limit {count - 1}" in str(refused.value)
+
+
+def test_product_characters_check_their_mass(monkeypatch):
+    # one index dropped from the walk: every degree >= 1 falls short of the
+    # symmetric-power dimension, and the pass raises before the first table
+    walk = oracles_mod.enumerate_indices
+    monkeypatch.setattr(oracles_mod, "enumerate_indices", lambda n, d: walk(n, d)[1:])
+    with pytest.raises(InternalError, match="degree 1 has mass 9, not 10"):
+        next(character_tables(3, 3, 2))
+
+
+def test_product_characters_reach_a_large_degree():
+    # Sym^k of the binary linear form is the irreducible of highest weight k
+    for table in character_tables(2, 1, 600):
+        assert table.multiplicities == {(table.k - 2 * j,): 1 for j in range(table.k + 1)}
 
 
 def test_brute_character_resource_limit():
