@@ -23,22 +23,14 @@ from .dimensions import (
     invariant_dimension,
 )
 from .errors import InternalError, ResourceLimitError, TruncationError
-from .forms import (
-    MultiIndex,
-    coefficient_weight,
-    enumerate_indices,
-    index_count,
-    monomial_weight,
-)
+from .forms import enumerate_indices, index_count
 from .series import TruncatedSeries, dump_series, expand_generating_series
 from .weights import (
     SignedOrbitTerm,
     Weight,
-    dominant_representative,
     from_ambient,
     signed_orbit_terms,
     to_ambient,
-    weyl_vector,
 )
 from . import oracles
 
@@ -47,15 +39,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CountCache",
     "InternalError",
-    "MultiIndex",
     "ResourceLimitError",
     "SignedOrbitTerm",
     "TruncatedSeries",
     "TruncationError",
     "Weight",
     "cache_from_env",
-    "coefficient_weight",
-    "dominant_representative",
     "dump_series",
     "enumerate_indices",
     "expand_generating_series",
@@ -65,10 +54,8 @@ __all__ = [
     "index_count",
     "invariant_dimension",
     "moment_targets",
-    "monomial_weight",
     "oracles",
     "signed_orbit_terms",
     "to_ambient",
     "weight_multiplicity",
-    "weyl_vector",
 ]

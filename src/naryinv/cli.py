@@ -151,7 +151,7 @@ def cmd_point(args, out) -> int:
     options = {"max_terms": args.limit_states, "cache": _open_cache(args.cache)}
     # opened first, so that a bad path fails before the expansion, and for
     # appending, so that a failed expansion leaves an existing file as it was
-    with open(args.dump, "a", encoding="utf-8") if args.dump else nullcontext() as fh:
+    with open(args.dump, "a", encoding="utf-8") if args.dump is not None else nullcontext() as fh:
         start = time.perf_counter()
         if fh:
             # only a dump needs every coefficient; otherwise the read is capped

@@ -11,12 +11,13 @@ packed component a field wide enough that no sum carries.  Under
 brute force by the monomials it would visit.
 Irreducible weight multiplicities are Kostka numbers, counts of
 semistandard tableaux by content, tabulated per module by dominant
-weight, the coordinates every caller uses; highest weights are extracted
+weight, the only weights stripping reads; highest weights are extracted
 by greedy stripping in order of height, and the binary case is a
 bounded-partition difference.  Within the package this module imports
-only ``errors``, ``forms`` and ``weights``, never the counting engine.
-These oracles exist to certify the main formulas, not to be fast at
-scale.
+only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type and
+the ambient-coordinate conversions: never the counting engine, and never
+the orbit walk.  These oracles exist to certify the main formulas, not to
+be fast at scale.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from typing import Iterator
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
-from .weights import (
-    Weight,
-    check_dominant,
-    check_weight,
-    dominant_representative,
-    from_ambient,
-    signed_orbit_terms,
-    to_ambient,
-)
+from .weights import Weight, from_ambient, to_ambient
 
 
 class CharacterTable:
@@ -53,9 +46,6 @@ class CharacterTable:
         self.d = d
         self.k = k
         self.multiplicities = multiplicities
-
-    def total(self) -> int:
-        return sum(self.multiplicities.values())
 
 
 def symmetric_power_dimension(n: int, d: int, k: int) -> int:
@@ -200,45 +190,6 @@ def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
     descending ``mu``, keyed by dominant weight, each converted once."""
     top = tuple(sorted(to_ambient(highest), reverse=True))
     return {from_ambient(mu[::-1]): c for mu, c in _tableau_contents(top).items()}
-
-
-def kostka_number(n: int, highest, weight) -> int:
-    """Multiplicity of ``weight`` in the irreducible module with the given
-    dominant highest weight: the Kostka number of the module's ambient
-    vector at the weight's, looked up at its dominant representative; 0
-    for weights outside the module or its highest weight's root-lattice
-    coset, whose representatives are not keys."""
-    table = _dominant_multiplicity_table(n, check_dominant(n, highest))
-    return table.get(dominant_representative(check_weight(n, weight)), 0)
-
-
-def alternating_multiplicity_sum(n: int, highest) -> int:
-    """Parity-signed sum of the module's multiplicities over the dominant
-    orbit-difference weights; equals 1 for the zero highest weight and 0
-    for every other dominant weight."""
-    w = check_dominant(n, highest)
-    return sum(
-        coef * kostka_number(n, w, dominant)
-        for dominant, coef in signed_orbit_terms(n)
-    )
-
-
-def weyl_dimension(n: int, highest) -> int:
-    """Dimension of the irreducible module, by the product formula."""
-    w = check_dominant(n, highest)
-    shifted = [a + t for t, a in enumerate(to_ambient(w))]
-    numerator = 1
-    denominator = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            numerator *= shifted[b] - shifted[a]
-            denominator *= b - a
-    value, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InternalError(
-            f"Weyl dimension formula gave {numerator}/{denominator} for {w}"
-        )
-    return value
 
 
 def strip_decompose(table: CharacterTable) -> dict[Weight, int]:

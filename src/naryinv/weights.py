@@ -107,21 +107,6 @@ def from_ambient(ambient: Iterable[int]) -> Weight:
     return tuple(a[s + 1] - a[s] for s in range(len(a) - 1))
 
 
-def dominant_representative(weight: Iterable[int]) -> Weight:
-    """The unique dominant weight on the S_n orbit of ``weight``.
-
-    Sorting the ambient vector ascending makes every consecutive difference
-    nonnegative, which is exactly dominance.  Idempotent.
-    """
-    return from_ambient(sorted(to_ambient(weight)))
-
-
-def weyl_vector(n: int) -> Weight:
-    """The weight ``(1, 1, ..., 1)``: half the sum of the positive roots."""
-    check_params(n)
-    return (1,) * (n - 1)
-
-
 def _half_walk(
     positions: Iterable[int],
     steps: list[list[tuple[int, int, tuple[int]]]],

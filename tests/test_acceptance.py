@@ -17,15 +17,14 @@ from naryinv.dimensions import (
     invariant_dimension,
 )
 from naryinv.oracles import (
-    alternating_multiplicity_sum,
     binary_invariant_dimension,
     brute_character,
     strip_decompose,
     symmetric_power_dimension,
-    weyl_dimension,
 )
 from naryinv.series import expand_generating_series
 from naryinv.counting import weight_multiplicity
+from reference import alternating_multiplicity_sum, weyl_dimension
 
 
 def _report(number, label, ok):

@@ -836,6 +836,15 @@ def test_dump_to_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("dump", [["--dump="], ["--dump", ""]])
+def test_dump_to_an_empty_path_exits_2(dump, capsys):
+    # an empty path is a path that fails to open, not a request for no dump
+    code, out = run_cli("series", "3", "3", "6", *dump)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cache_flag_without_env(monkeypatch, capsys):
     monkeypatch.delenv("NARY_CACHE_DIR", raising=False)
     code, out = run_cli("nu", "2", "2", "2", "--cache")

