@@ -28,7 +28,6 @@ from .series import TruncatedSeries, dump_series, expand_generating_series
 from .weights import (
     SignedOrbitTerm,
     Weight,
-    from_ambient,
     signed_orbit_terms,
     to_ambient,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "dump_series",
     "enumerate_indices",
     "expand_generating_series",
-    "from_ambient",
     "hilbert_series_prefix",
     "highest_weight_multiplicity",
     "index_count",

@@ -27,8 +27,10 @@ unreadable records, which are skipped).  ``check`` prints the
 rows ``theorem1``, ``stripping`` (each degree's character from one
 expansion of the product ``prod_i 1/(1 - t x^wt(i))`` over the coefficient
 indices, stripped into irreducibles) and, at n = 2,
-``classical-binary``, each oracle row timed on its own; it refuses
-character tables of more entries than the cap before computing any row.
+``classical-binary``.  Each method's column, k = 0..K, comes from one
+call, and each of its rows carries the column's mean time per degree; the
+rows are written once every column is done, and character tables of more
+entries than the cap are refused before any column is computed.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
@@ -41,7 +43,8 @@ abbreviated or repeated flag or a numeral like ``+5``, goes through
 argparse, which reads it with the same result or prints its usage error.
 
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
-(``$NARY_CACHE_DIR``, ``--dump``), 3 resource limit exceeded, 4 oracle
+(``$NARY_CACHE_DIR``, ``--dump``; the message names the flag), 3 resource
+limit exceeded or a ``MemoryError`` (one ``error:`` line), 4 oracle
 disagreement (from ``check``), 5 internal error (a result broke an
 invariant that holds for every valid input: a bug, not bad input), 141 a
 reader closed stdout early (128 + SIGPIPE; nothing more is printed).
@@ -151,7 +154,11 @@ def cmd_point(args, out) -> int:
     options = {"max_terms": args.limit_states, "cache": _open_cache(args.cache)}
     # opened first, so that a bad path fails before the expansion, and for
     # appending, so that a failed expansion leaves an existing file as it was
-    with open(args.dump, "a", encoding="utf-8") if args.dump is not None else nullcontext() as fh:
+    try:
+        dump = open(args.dump, "a", encoding="utf-8") if args.dump is not None else nullcontext()
+    except OSError as exc:
+        raise OSError(f"--dump: {args.dump!r} cannot be opened ({exc.strerror or exc})") from exc
+    with dump as fh:
         start = time.perf_counter()
         if fh:
             # only a dump needs every coefficient; otherwise the read is capped
@@ -194,15 +201,16 @@ def cmd_orbit(args, out) -> int:
     return EXIT_OK
 
 
-def _prefix(args) -> tuple[list[int], float]:
-    """Invariant dimensions for k = 0..kmax and the mean time per degree."""
+def _column(compute, *inputs) -> tuple[list[int], float]:
+    """``compute(*inputs)``, one method's values for k = 0..kmax, and its
+    mean time per degree in ms."""
     start = time.perf_counter()
-    values = hilbert_series_prefix(args.n, args.d, args.kmax, args.limit_states)
+    values = compute(*inputs)
     return values, (time.perf_counter() - start) * 1000.0 / len(values)
 
 
 def cmd_table(args, out) -> int:
-    values, ms = _prefix(args)
+    values, ms = _column(hilbert_series_prefix, args.n, args.d, args.kmax, args.limit_states)
     if args.format == "plain":
         out.writelines(f"{k} {v}\n" for k, v in enumerate(values))
     else:
@@ -212,34 +220,36 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    """Compare the signed-orbit dimension against every applicable oracle."""
-    n, d = args.n, args.d
-    # over-large character tables are refused here, before any row; each
-    # stripping row takes the next degree's character, and the whole pass
-    # runs at the first, so the k=0 row's time includes it
-    characters = character_tables(n, d, args.kmax, args.limit_states)
-    oracles = {
-        "stripping": lambda k: strip_decompose(next(characters)).get((0,) * (n - 1), 0)
+    """Compare the signed-orbit dimension against every applicable oracle.
+
+    Each method's column, its values for k = 0..kmax, comes from one timed
+    call, and each of its rows carries the column's mean time per degree.
+    Rows are written once every column is done.
+    """
+    n, d, kmax = args.n, args.d, args.kmax
+    zero = (0,) * (n - 1)
+    # over-large character tables are refused here, before any column; the
+    # iterator is lazy, so the product pass is timed with the stripping
+    characters = character_tables(n, d, kmax, args.limit_states)
+    columns = {
+        "theorem1": _column(hilbert_series_prefix, n, d, kmax, args.limit_states),
+        "stripping": _column(list, (strip_decompose(t).get(zero, 0) for t in characters)),
     }
     if n == 2:
-        oracles["classical-binary"] = lambda k: binary_invariant_dimension(d, k)
-    records = []
-    disagreements = []
-    values, ms = _prefix(args)
-    for k, main in enumerate(values):
-        records.append((n, d, k, None, main, "theorem1", ms))
-        others = {}
-        for method, oracle in oracles.items():
-            start = time.perf_counter()
-            others[method] = value = oracle(k)
-            records.append((n, d, k, None, value, method, (time.perf_counter() - start) * 1000.0))
-            if value != main:
-                disagreements.append((k, method, main, value))
-        if args.format == "plain":
-            detail = " ".join(f"{m}={v}" for m, v in others.items())
-            status = "ok" if all(v == main for v in others.values()) else "MISMATCH"
-            out.write(f"k={k} theorem1={main} {detail} {status}\n")
-    if args.format != "plain":
+        columns["classical-binary"] = _column(
+            list, (binary_invariant_dimension(d, k) for k in range(kmax + 1))
+        )
+    records, rows, disagreements = [], [], []
+    for k, main in enumerate(columns["theorem1"][0]):
+        records += [(n, d, k, None, values[k], method, ms) for method, (values, ms) in columns.items()]
+        others = {method: values[k] for method, (values, _) in columns.items() if method != "theorem1"}
+        disagreements += [(k, method, main, value) for method, value in others.items() if value != main]
+        detail = " ".join(f"{m}={v}" for m, v in others.items())
+        status = "ok" if all(v == main for v in others.values()) else "MISMATCH"
+        rows.append(f"k={k} theorem1={main} {detail} {status}\n")
+    if args.format == "plain":
+        out.writelines(rows)
+    else:
         _emit_records(records, args.format, out)
     if disagreements:
         for k, method, main, value in disagreements:
@@ -437,8 +447,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if "limit_states" in args and args.limit_states < 1:
             raise ValueError(f"--limit-states must be at least 1 state, got {args.limit_states}")
         return args.handler(args, out)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # a MemoryError the interpreter raises carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -10,14 +10,14 @@ packed component a field wide enough that no sum carries.  Under
 ``MAX_TERMS``, the product pass is refused by the entries it would hold,
 brute force by the monomials it would visit.
 Irreducible weight multiplicities are Kostka numbers, counts of
-semistandard tableaux by content, tabulated per module by dominant
-weight, the only weights stripping reads; highest weights are extracted
-by greedy stripping in order of height, and the binary case is a
+semistandard tableaux by content, tabulated per module at its dominant
+weights, the only weights stripping reads; stripping keys each dominant
+weight by its partition, which it computes itself, and extracts highest
+weights greedily in order of height.  The binary case is a
 bounded-partition difference.  Within the package this module imports
-only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type and
-the ambient-coordinate conversions: never the counting engine, and never
-the orbit walk.  These oracles exist to certify the main formulas, not to
-be fast at scale.
+only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type:
+never the counting engine, the orbit walk or its coordinates.  These
+oracles exist to certify the main formulas, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
-from .weights import Weight, from_ambient, to_ambient
+from .weights import Weight
 
 
 class CharacterTable:
@@ -184,55 +184,55 @@ def _tableau_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _dominant_multiplicity_table(n: int, highest: Weight) -> dict[Weight, int]:
-    """Multiplicities of one module at its dominant weights: the Kostka
-    numbers ``K(top, mu)`` of its descending ambient vector ``top`` at every
-    descending ``mu``, keyed by dominant weight, each converted once."""
-    top = tuple(sorted(to_ambient(highest), reverse=True))
-    return {from_ambient(mu[::-1]): c for mu, c in _tableau_contents(top).items()}
+def _module_table(top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Multiplicities of the module with partition ``top`` at its dominant
+    weights, keyed by partition: the Kostka numbers ``K(top, mu)`` at every
+    descending content ``mu``, less its full columns (its last entry)."""
+    return {tuple([x - mu[-1] for x in mu]): c for mu, c in _tableau_contents(top).items()}
 
 
 def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     """Greedy top-down extraction of irreducible multiplicities.
 
     Restricts the character to its dominant weights (no information is lost:
-    characters are symmetric under the Weyl group), walks them by
-    decreasing height ``<w, 2 rho^vee> = sum((s + 1) * (n - 1 - s) * w[s])``,
-    reads the remaining multiplicity at each weight as the multiplicity of
-    the irreducible with that highest weight, and subtracts that module's
-    dominant character via its table of Kostka numbers.  Every positive root has
-    positive height, so each weight comes after all that dominate it;
-    weights of equal height are incomparable, so neither module reaches the
-    other.  The zero-weight entry of the result is an independent
+    characters are symmetric under the Weyl group) and keys each by its
+    partition ``lam``: the weight's prefix sums, reversed, with last part 0.
+    Walks them by decreasing height ``sum((n - 1 - 2i) * lam[i])``, which is
+    ``<w, 2 rho^vee>``, reads the remaining multiplicity at each as the
+    multiplicity of the irreducible with that highest weight, and subtracts
+    that module's dominant character via its table of Kostka numbers.  Every
+    positive root has positive height, so each weight comes after all that
+    dominate it; weights of equal height are incomparable, so neither module
+    reaches the other.  Only the highest weights found are converted back to
+    weights.  The zero-weight entry of the result is an independent
     computation of the invariant dimension.  Raises if any remaining
     multiplicity would go negative, which would mean the input was not a
     genuine character.
     """
     n = table.n
-    remaining = {
-        w: m for w, m in table.multiplicities.items() if all(x >= 0 for x in w)
-    }
-    coroot = [(s + 1) * (n - 1 - s) for s in range(n - 1)]  # 2 rho^vee
+    dominant = ((w, m) for w, m in table.multiplicities.items() if min(w) >= 0)
+    remaining = {tuple(itertools.accumulate(w, initial=0))[::-1]: m for w, m in dominant}
+    coroot = range(n - 1, -n, -2)  # 2 rho^vee, in partition coordinates
     out: dict[Weight, int] = {}
-    for w in sorted(remaining, key=lambda w: sum(c * x for c, x in zip(coroot, w)), reverse=True):
-        count = remaining[w]
+    for lam in sorted(remaining, key=lambda lam: sum(c * x for c, x in zip(coroot, lam)), reverse=True):
+        count = remaining[lam]
         if count == 0:
             continue
         if count < 0:
             raise InternalError(
-                f"negative remaining multiplicity {count} at {w} while stripping"
+                f"negative remaining multiplicity {count} at partition {lam} while stripping"
             )
-        out[w] = count
-        for target, mult in _dominant_multiplicity_table(n, w).items():
+        out[tuple(a - b for a, b in zip(lam[-2::-1], lam[::-1]))] = count
+        for target, mult in _module_table(lam).items():
             left = remaining.get(target, 0) - count * mult
             if left < 0:
                 raise InternalError(
-                    f"stripping {w} drove the multiplicity at {target} to {left}"
+                    f"stripping partition {lam} drove the multiplicity at {target} to {left}"
                 )
             remaining[target] = left
-    leftover = {w: v for w, v in remaining.items() if v}
+    leftover = {lam: v for lam, v in remaining.items() if v}
     if leftover:
-        raise InternalError(f"stripping left multiplicities {leftover} unexplained")
+        raise InternalError(f"stripping left multiplicities {leftover}, by partition, unexplained")
     return out
 
 

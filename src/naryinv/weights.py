@@ -101,12 +101,6 @@ def to_ambient(weight: Iterable[int]) -> tuple[int, ...]:
     return tuple(v - lo for v in out)
 
 
-def from_ambient(ambient: Iterable[int]) -> Weight:
-    """Inverse of :func:`to_ambient`; insensitive to constant shifts."""
-    a = tuple(ambient)
-    return tuple(a[s + 1] - a[s] for s in range(len(a) - 1))
-
-
 def _half_walk(
     positions: Iterable[int],
     steps: list[list[tuple[int, int, tuple[int]]]],

@@ -12,17 +12,30 @@ from typing import Iterable, Mapping
 
 from naryinv.errors import InternalError, check_params
 from naryinv.forms import weight_from_moments
-from naryinv.oracles import _dominant_multiplicity_table
+from naryinv.oracles import _module_table
 from naryinv.weights import (
     Weight,
     check_dominant,
     check_weight,
-    from_ambient,
     signed_orbit_terms,
     to_ambient,
 )
 
 MultiIndex = tuple[int, ...]
+
+
+def from_ambient(ambient: Iterable[int]) -> Weight:
+    """Inverse of :func:`~naryinv.weights.to_ambient`; insensitive to
+    constant shifts."""
+    a = tuple(ambient)
+    return tuple(a[s + 1] - a[s] for s in range(len(a) - 1))
+
+
+def partition(weight: Iterable[int]) -> tuple[int, ...]:
+    """The ambient vector of ``weight`` sorted descending, so with last part
+    0: the key of its dominant representative in the oracles' Kostka
+    tables."""
+    return tuple(sorted(to_ambient(weight), reverse=True))
 
 
 def dominant_representative(weight: Iterable[int]) -> Weight:
@@ -76,12 +89,12 @@ def monomial_weight(n: int, d: int, exponent: Mapping[MultiIndex, int]) -> Weigh
 
 def kostka_number(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
-    dominant highest weight: the Kostka number of the module's ambient
-    vector at the weight's, looked up at its dominant representative; 0
-    for weights outside the module or its highest weight's root-lattice
-    coset, whose representatives are not keys."""
-    table = _dominant_multiplicity_table(n, check_dominant(n, highest))
-    return table.get(dominant_representative(check_weight(n, weight)), 0)
+    dominant highest weight: the Kostka number of the module's partition at
+    the partition of the weight's dominant representative; 0 for weights
+    outside the module or its highest weight's root-lattice coset, whose
+    partitions are not keys."""
+    table = _module_table(partition(check_dominant(n, highest)))
+    return table.get(partition(check_weight(n, weight)), 0)
 
 
 def alternating_multiplicity_sum(n: int, highest) -> int:

@@ -632,12 +632,16 @@ def test_check_enumerates_no_monomial(monkeypatch):
 
 
 def test_check_times_every_oracle_row():
-    code, out = run_cli("check", "3", "3", "--kmax", "4", "--format", "json")
+    # each method's column is computed in one call, and every row of it
+    # carries the column's mean time per degree
+    code, out = run_cli("check", "2", "3", "--kmax", "4", "--format", "json")
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    stripping = [r for r in rows if r["method"] == "stripping"]
-    assert [r["k"] for r in stripping] == [0, 1, 2, 3, 4]
-    assert all(r["elapsed_ms"] > 0 for r in stripping if r["k"] >= 2)
+    for method in ("theorem1", "stripping", "classical-binary"):
+        column = [r for r in rows if r["method"] == method]
+        assert [r["k"] for r in column] == [0, 1, 2, 3, 4], method
+        assert len({r["elapsed_ms"] for r in column}) == 1, method
+        assert column[0]["elapsed_ms"] > 0, method
 
 
 def test_check_agrees_on_default_grid():
@@ -725,6 +729,28 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 5 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "where, argv",
+    [
+        ("invariant_dimension", ["nu", "3", "3", "4"]),
+        ("strip_decompose", ["check", "3", "3", "--kmax", "4"]),
+        ("binary_invariant_dimension", ["check", "2", "3", "--kmax", "4"]),
+    ],
+)
+def test_memory_error_exit_code(monkeypatch, capsys, where, argv):
+    import naryinv.cli as cli_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, where, exhausted)
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    # check writes its rows only once every column is done
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def _python(*args):
@@ -833,6 +859,7 @@ def test_dump_to_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert "--dump" in err and str(target) in err
     assert not target.parent.exists()
 
 
@@ -843,6 +870,7 @@ def test_dump_to_an_empty_path_exits_2(dump, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert "--dump" in err and "''" in err
 
 
 def test_cache_flag_without_env(monkeypatch, capsys):

@@ -130,6 +130,18 @@ def test_benchmark_imports_resolve():
     assert callable(importlib.import_module("naryinv").expand_generating_series)
 
 
+def test_benchmark_answers_confirm():
+    # the import check above sees names only; this runs confirm.py, which
+    # re-derives every expected answer of the benchmark, among them from
+    # strip_decompose over brute-force characters
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "confirm.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "all 390 answers confirmed"
+
+
 def test_every_benchmark_query_is_plain():
     # the benchmark's speed rests on its queries being read off the command
     # table; the worker sends the cached pools with --cache appended
@@ -227,7 +239,7 @@ def test_oracles_share_no_code_with_the_engine():
     # the oracles certify the counting route, so within the package they may
     # import only the coefficient and weight vocabulary, never the engine
     # (`series`, `counting`, `dimensions`), and from `weights` only the
-    # coordinates, never the signed-orbit walk
+    # `Weight` type, never the signed-orbit walk or its coordinates
     local = _package_imports("oracles")
     assert local <= {"errors", "forms", "weights"}
     assert {"forms", "weights"} <= local
@@ -238,7 +250,7 @@ def test_oracles_share_no_code_with_the_engine():
         if isinstance(node, ast.ImportFrom) and node.module == "weights"
         for alias in node.names
     }
-    assert from_weights <= {"Weight", "from_ambient", "to_ambient"}
+    assert from_weights == {"Weight"}
 
 
 def test_engine_shares_no_code_with_the_oracles():

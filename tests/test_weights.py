@@ -10,8 +10,8 @@ import naryinv.weights as weights_mod
 from naryinv.cli import main
 from naryinv.counting import moment_targets
 from naryinv.errors import ResourceLimitError
-from naryinv.weights import from_ambient, signed_orbit_terms, to_ambient
-from reference import dominant_representative
+from naryinv.weights import signed_orbit_terms, to_ambient
+from reference import dominant_representative, from_ambient
 
 
 def test_to_ambient_examples():
