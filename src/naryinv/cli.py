@@ -10,7 +10,8 @@ Subcommands::
     series <n> <d> <k> [--dump FILE]  invariant dimension via the series
     check <n> <d> [--kmax K]          cross-check against all oracles
 
-Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``.
+Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``;
+another length exits 2 (``--mu must have length n - 1 = 2, got 3``).
 A weight whose first entry is negative must be attached with ``=``, as in
 ``--mu=-1,2``; otherwise argparse reads ``-1,2`` as an option.  The
 ``--lambda`` of ``gamma`` and ``orbit`` must be dominant (no negative entry).
@@ -20,7 +21,9 @@ states a query holds (the cells a series expansion spans, up to the moments
 it reads; ``check``'s character entries), at least 1, checked before
 anything is allocated.  ``series`` is the same
 capped read as ``nu`` under its own method tag; only ``series --dump``, which
-writes every coefficient, expands uncapped.  ``nu``, ``gamma``
+writes every coefficient, expands uncapped.  It reports ``wrote N
+coefficients`` once the file is closed; a refused query leaves an existing
+dump file as it was and removes one it created.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
 unreadable records, which are skipped).  ``check`` prints the
@@ -43,11 +46,12 @@ abbreviated or repeated flag or a numeral like ``+5``, goes through
 argparse, which reads it with the same result or prints its usage error.
 
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
-(``$NARY_CACHE_DIR``, ``--dump``; the message names the flag), 3 resource
-limit exceeded or a ``MemoryError`` (one ``error:`` line), 4 oracle
-disagreement (from ``check``), 5 internal error (a result broke an
-invariant that holds for every valid input: a bug, not bad input), 141 a
-reader closed stdout early (128 + SIGPIPE; nothing more is printed).
+(``$NARY_CACHE_DIR``, ``--dump`` in opening or in writing; the message
+names the flag), 3 resource limit exceeded or a ``MemoryError`` (one
+``error:`` line), 4 oracle disagreement (from ``check``), 5 internal error
+(a result broke an invariant that holds for every valid input: a bug, not
+bad input), 141 a reader closed stdout early (128 + SIGPIPE; nothing more
+is printed).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from .counting import CountCache, cache_from_env, weight_multiplicity
 from .dimensions import (
@@ -69,7 +73,7 @@ from .dimensions import (
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .oracles import binary_invariant_dimension, character_tables, strip_decompose
 from .series import dump_series, expand_generating_series
-from .weights import check_dominant, signed_orbit_terms
+from .weights import check_dominant, check_weight, signed_orbit_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,14 +86,8 @@ CSV_HEADER = ["n", "d", "k", "mu_or_lambda", "result", "method"]
 
 
 def parse_weight(text: str, n: int, option: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    if len(parts) != n - 1:
-        raise ValueError(
-            f"{option} must have n - 1 = {n - 1} comma-separated integers, "
-            f"got {len(parts)}"
-        )
     values = []
-    for pos, raw in enumerate(parts, start=1):
+    for pos, raw in enumerate(text.split(","), start=1):
         raw = raw.strip()
         try:
             values.append(int(raw))
@@ -97,20 +95,23 @@ def parse_weight(text: str, n: int, option: str) -> tuple[int, ...]:
             raise ValueError(
                 f"{option} position {pos}: {raw!r} is not an integer"
             ) from None
-    return tuple(values)
+    return check_weight(n, values, option)
 
 
 def _weight_str(weight) -> str:
     return ",".join(str(x) for x in weight)
 
 
-def _emit_records(records: list[tuple], fmt: str, out) -> None:
+def _emit_records(records: list[tuple], fmt: str, out, plain: list[str] | None = None) -> None:
     """Render ``(n, d, k, weight, result, method, elapsed_ms)`` records.
 
-    plain: the bare result (``table`` and ``check`` write their own rows);
-    json: one object per line with the full record; csv: fixed header
-    ``n,d,k,mu_or_lambda,result,method``.
+    plain: the lines of ``plain`` when given (the rows of ``table`` and
+    ``check``), else each bare result; json: one object per line with the
+    full record; csv: fixed header ``n,d,k,mu_or_lambda,result,method``.
     """
+    if fmt == "plain":
+        out.writelines(plain if plain is not None else [f"{record[4]}\n" for record in records])
+        return
     if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(CSV_HEADER)
@@ -119,11 +120,9 @@ def _emit_records(records: list[tuple], fmt: str, out) -> None:
             shown = None if weight is None else list(weight)
             obj = dict(zip(CSV_HEADER, [n, d, k, shown, str(result), method]))
             out.write(json.dumps({**obj, "elapsed_ms": round(ms, 3)}) + "\n")
-        elif fmt == "csv":
+        else:
             shown = "" if weight is None else _weight_str(weight)
             writer.writerow([n, d, k, shown, result, method])
-        else:
-            out.write(f"{result}\n")
 
 
 def _open_cache(enabled: bool) -> CountCache | None:
@@ -144,6 +143,35 @@ def _open_cache(enabled: bool) -> CountCache | None:
     return cache
 
 
+@contextmanager
+def _dump_file(path: str | None):
+    """The ``--dump`` file, open for appending, or None without one.
+
+    Opened before the expansion, so that a bad path fails first, and for
+    appending, so that a failed query leaves an existing file as it was; a
+    file the query created is removed if it fails with the file still
+    empty.  An error in writing or closing the file names the flag and
+    the path; a closed pipe stays a ``BrokenPipeError``.
+    """
+    if path is None:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    try:
+        fh = open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"--dump: {path!r} cannot be opened ({exc.strerror or exc})") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        if created and not os.path.getsize(path):
+            os.remove(path)
+        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
+            raise OSError(f"--dump: {path!r} cannot be written ({exc.strerror or exc})") from exc
+        raise
+
+
 def cmd_point(args, out) -> int:
     """``nu``, ``gamma``, ``count`` and ``series``: one value at one
     ``(n, d, k)``, from the query function, method tag and weight flag that
@@ -152,13 +180,7 @@ def cmd_point(args, out) -> int:
     weight = parse_weight(args.weight, args.n, args.flag) if args.flag else None
     inputs = query if weight is None else (*query, weight)
     options = {"max_terms": args.limit_states, "cache": _open_cache(args.cache)}
-    # opened first, so that a bad path fails before the expansion, and for
-    # appending, so that a failed expansion leaves an existing file as it was
-    try:
-        dump = open(args.dump, "a", encoding="utf-8") if args.dump is not None else nullcontext()
-    except OSError as exc:
-        raise OSError(f"--dump: {args.dump!r} cannot be opened ({exc.strerror or exc})") from exc
-    with dump as fh:
+    with _dump_file(args.dump) as fh:
         start = time.perf_counter()
         if fh:
             # only a dump needs every coefficient; otherwise the read is capped
@@ -171,7 +193,8 @@ def cmd_point(args, out) -> int:
                 # device such as /dev/null holds none, and refuses truncate
                 fh.truncate(0)
             written = dump_series(options["series"], fh)
-            print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
+    if args.dump is not None:
+        print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
     _emit_records([(*query, weight, value, args.method, ms)], args.format, out)
     return EXIT_OK
 
@@ -211,11 +234,8 @@ def _column(compute, *inputs) -> tuple[list[int], float]:
 
 def cmd_table(args, out) -> int:
     values, ms = _column(hilbert_series_prefix, args.n, args.d, args.kmax, args.limit_states)
-    if args.format == "plain":
-        out.writelines(f"{k} {v}\n" for k, v in enumerate(values))
-    else:
-        records = [(args.n, args.d, k, None, v, "theorem1", ms) for k, v in enumerate(values)]
-        _emit_records(records, args.format, out)
+    records = [(args.n, args.d, k, None, v, "theorem1", ms) for k, v in enumerate(values)]
+    _emit_records(records, args.format, out, [f"{k} {v}\n" for k, v in enumerate(values)])
     return EXIT_OK
 
 
@@ -247,10 +267,7 @@ def cmd_check(args, out) -> int:
         detail = " ".join(f"{m}={v}" for m, v in others.items())
         status = "ok" if all(v == main for v in others.values()) else "MISMATCH"
         rows.append(f"k={k} theorem1={main} {detail} {status}\n")
-    if args.format == "plain":
-        out.writelines(rows)
-    else:
-        _emit_records(records, args.format, out)
+    _emit_records(records, args.format, out, rows)
     if disagreements:
         for k, method, main, value in disagreements:
             print(

@@ -13,11 +13,12 @@ Irreducible weight multiplicities are Kostka numbers, counts of
 semistandard tableaux by content, tabulated per module at its dominant
 weights, the only weights stripping reads; stripping keys each dominant
 weight by its partition, which it computes itself, and extracts highest
-weights greedily in order of height.  The binary case is a
-bounded-partition difference.  Within the package this module imports
-only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type:
-never the counting engine, the orbit walk or its coordinates.  These
-oracles exist to certify the main formulas, not to be fast at scale.
+weights greedily in decreasing lexicographic order of partitions, which
+extends dominance.  The binary case is a bounded-partition difference.
+Within the package this module imports only ``errors``, ``forms`` and,
+from ``weights``, the ``Weight`` type: never the counting engine, the
+orbit walk or its coordinates.  These oracles exist to certify the main
+formulas, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -26,26 +27,20 @@ import functools
 import itertools
 import math
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, index_count, weight_from_moments
 from .weights import Weight
 
 
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Weight multiplicities of the degree-``k`` coefficient monomials."""
 
     n: int
     d: int
     k: int
     multiplicities: dict[Weight, int]
-
-    def __init__(self, n, d, k, multiplicities) -> None:
-        self.n = n
-        self.d = d
-        self.k = k
-        self.multiplicities = multiplicities
 
 
 def symmetric_power_dimension(n: int, d: int, k: int) -> int:
@@ -197,24 +192,24 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     Restricts the character to its dominant weights (no information is lost:
     characters are symmetric under the Weyl group) and keys each by its
     partition ``lam``: the weight's prefix sums, reversed, with last part 0.
-    Walks them by decreasing height ``sum((n - 1 - 2i) * lam[i])``, which is
-    ``<w, 2 rho^vee>``, reads the remaining multiplicity at each as the
-    multiplicity of the irreducible with that highest weight, and subtracts
-    that module's dominant character via its table of Kostka numbers.  Every
-    positive root has positive height, so each weight comes after all that
-    dominate it; weights of equal height are incomparable, so neither module
-    reaches the other.  Only the highest weights found are converted back to
-    weights.  The zero-weight entry of the result is an independent
-    computation of the invariant dimension.  Raises if any remaining
-    multiplicity would go negative, which would mean the input was not a
-    genuine character.
+    Walks them in decreasing lexicographic order, reads the remaining
+    multiplicity at each as the multiplicity of the irreducible with that
+    highest weight, and subtracts that module's dominant character via its
+    table of Kostka numbers.  Every other key of that table is
+    lexicographically below ``lam``: a content ``mu`` with last part 0 is
+    dominated by ``lam``, and dominance implies lexicographic order; one
+    with last part ``m > 0`` is keyed by ``mu - m``, whose first part
+    ``mu[0] - m`` is below ``lam[0]``.  So every module that reaches a
+    partition is stripped before that partition is read.  Only the highest
+    weights found are converted back to weights.
+    The zero-weight entry of the result is an independent computation of
+    the invariant dimension.  Raises if any remaining multiplicity would go
+    negative, which would mean the input was not a genuine character.
     """
-    n = table.n
     dominant = ((w, m) for w, m in table.multiplicities.items() if min(w) >= 0)
     remaining = {tuple(itertools.accumulate(w, initial=0))[::-1]: m for w, m in dominant}
-    coroot = range(n - 1, -n, -2)  # 2 rho^vee, in partition coordinates
     out: dict[Weight, int] = {}
-    for lam in sorted(remaining, key=lambda lam: sum(c * x for c, x in zip(coroot, lam)), reverse=True):
+    for lam in sorted(remaining, reverse=True):
         count = remaining[lam]
         if count == 0:
             continue

@@ -90,26 +90,25 @@ class TruncatedSeries:
     ``width``-bit field at cell ``sum(m[s] * places[s])``.  Moment ``s``
     is kept only up to ``caps[s]``; an uncapped expansion has every cap at
     ``d * degree_bound``, above which no moment of a stored degree reaches.
+    ``places`` are the place values of ``caps``, computed by the expansion.
     """
 
     n: int
     d: int
     degree_bound: int
     caps: tuple[int, ...]
+    places: tuple[int, ...]
     width: int
     layers: tuple[int, ...]
 
-    def __init__(self, n, d, degree_bound, caps, width, layers) -> None:
+    def __init__(self, n, d, degree_bound, caps, places, width, layers) -> None:
         self.n = n
         self.d = d
         self.degree_bound = degree_bound
         self.caps = caps
+        self.places = places
         self.width = width
         self.layers = layers
-
-    @functools.cached_property
-    def places(self) -> tuple[int, ...]:
-        return _places(self.caps)
 
     def coefficient(self, k: int, moments: Iterable[int]) -> int:
         """Coefficient at ``t^k q^moments`` (0 if no monomial has them).
@@ -235,7 +234,7 @@ def expand_generating_series(
                         room = _repeat(room, p * width, c - i + 1)
                 below &= room
             layers[k] += below << shift
-    return TruncatedSeries(n, d, degree_bound, caps, width, tuple(layers))
+    return TruncatedSeries(n, d, degree_bound, caps, places, width, tuple(layers))
 
 
 def invariant_dimension_by_series(n: int, d: int, k: int) -> int:

@@ -873,6 +873,38 @@ def test_dump_to_an_empty_path_exits_2(dump, capsys):
     assert "--dump" in err and "''" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # refused at the default limit: 45,562,504 cells
+        ["series", "7", "2", "7"],
+        ["series", "3", "3", "4", "--limit-states", "3"],
+    ],
+)
+def test_refused_dump_leaves_no_new_file(tmp_path, argv, capsys):
+    path = tmp_path / "new.jsonl"
+    code, out = run_cli(*argv, "--dump", str(path))
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "wrote" not in err
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_dump_write_error_names_the_flag(capsys):
+    # nine short lines stay buffered, so the device refuses them at close
+    code, out = run_cli("series", "2", "2", "2", "--dump", "/dev/full")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "wrote" not in err
+    assert "--dump" in err and "/dev/full" in err
+
+
+def test_wrong_length_weight_names_the_flag(capsys):
+    assert run_cli("count", "3", "3", "2", "--mu", "1,2,3") == (2, "")
+    assert capsys.readouterr().err == "error: --mu must have length n - 1 = 2, got 3\n"
+
+
 def test_cache_flag_without_env(monkeypatch, capsys):
     monkeypatch.delenv("NARY_CACHE_DIR", raising=False)
     code, out = run_cli("nu", "2", "2", "2", "--cache")

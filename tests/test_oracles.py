@@ -338,9 +338,8 @@ def test_strip_decompose_pinned(query):
 
 def _character(n, modules):
     """The full character of a sum of modules, ``{highest: copies}``, built
-    orbit by orbit from Kostka numbers.  ``strip_decompose``
-    reads only ``n`` and the multiplicities, so ``d`` and ``k`` are
-    placeholders."""
+    orbit by orbit from Kostka numbers.  ``strip_decompose`` reads only the
+    multiplicities, so ``d`` and ``k`` are placeholders."""
     table = Counter()
     for top, copies in modules.items():
         # a dominant weight of the module spans at most the ambient range
@@ -357,15 +356,32 @@ def _character(n, modules):
 @pytest.mark.parametrize(
     "n, modules",
     [
-        # (3, 0) and (0, 3) have equal height and neither dominates the other
+        # neither of (3, 0) and (0, 3) dominates the other; their partitions
+        # (3, 3, 0) and (3, 0, 0) are walked in lexicographic order
         (3, {(3, 0): 2, (0, 3): 1, (1, 1): 3, (0, 0): 1}),
         (3, {(2, 2): 1, (4, 1): 2, (1, 4): 2, (0, 0): 4}),
-        # (2, 0, 0), (1, 0, 1) and (0, 0, 2) share height 6
+        # (2, 0, 0), (1, 0, 1) and (0, 0, 2) are pairwise incomparable; their
+        # partitions (2, 2, 2, 0), (2, 1, 1, 0) and (2, 0, 0, 0) are walked
+        # in lexicographic order
         (4, {(2, 0, 0): 1, (1, 0, 1): 2, (0, 0, 2): 3, (0, 1, 0): 1, (0, 0, 0): 2}),
     ],
 )
 def test_strip_decompose_inverts_a_sum_of_modules(n, modules):
     assert strip_decompose(_character(n, modules)) == modules
+
+
+def test_module_tables_lie_lexicographically_below_their_partition():
+    # strip_decompose walks partitions in decreasing lexicographic order, so
+    # no module may reach a partition above its own
+    keys = 0
+    for n in range(2, 6):
+        for parts in itertools.combinations_with_replacement(range(13), n - 1):
+            if sum(parts) <= 12:
+                lam = (*sorted(parts, reverse=True), 0)
+                table = oracles_mod._module_table(lam)
+                assert table[lam] == 1 and all(key <= lam for key in table)
+                keys += len(table)
+    assert keys == 4097
 
 
 def test_binary_invariant_dimension_examples():

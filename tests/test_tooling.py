@@ -1,6 +1,7 @@
 """Checks on the package as a whole: it must hold under ``python -O``,
-which strips ``assert``, keep every name the benchmark imports, and keep
-the CLI's documented commands in step with its parser."""
+which strips ``assert``, keep every name the benchmark imports and answer
+its queries, and keep the CLI's documented commands in step with its
+parser."""
 
 import argparse
 import ast
@@ -10,6 +11,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = SRC.parent / "perfbench"
@@ -95,9 +98,8 @@ def test_cli_under_optimize_flag():
 
 
 def test_benchmark_imports_resolve():
-    # nothing else in the suite runs the benchmark's worker or confirm.py,
-    # so a package name they import that a refactor drops would only show
-    # when the benchmark is set up
+    # a package name the benchmark's worker or confirm.py imports that a
+    # refactor drops shows here by name, before either script is run
     imported, unresolved = [], []
     for script in ("worker.py", "confirm.py"):
         tree = ast.parse((PERFBENCH / script).read_text(), script)
@@ -140,6 +142,24 @@ def test_benchmark_answers_confirm():
     )
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
     assert result.stdout.splitlines()[-1] == "all 390 answers confirmed"
+
+
+@pytest.mark.parametrize("workload", ["sweep", "single", "verify", "cached"])
+def test_benchmark_worker_answers_every_query(tmp_path, workload):
+    # one pass of the workload's pool through the path the benchmark times,
+    # each answer checked against answers.json by the worker itself
+    env = {key: value for key, value in os.environ.items() if key != "NARY_CACHE_DIR"}
+    if workload == "cached":
+        env["NARY_CACHE_DIR"] = str(tmp_path / "cache")
+    result = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+         "--seed", "1", "--passes", "1", "--workdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    ready, report = result.stdout.splitlines()
+    assert ready == "READY"
+    assert json.loads(report)["failures"] == []
 
 
 def test_every_benchmark_query_is_plain():
