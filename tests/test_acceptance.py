@@ -145,3 +145,42 @@ def test_criterion_9_divisibility_vanishing():
         if invariant_dimension(n, d, k) != 0:
             ok = False
     _report(9, "dimension vanishes when n does not divide k*d", ok)
+
+
+def _abstract_system_count(n, d, k, counts, m):
+    """c_{n,d}(k, m): the multisets of k indices whose moments solve the
+    abstract's system 2*w_1 + w_2 + ... + w_{n-1} = d*k - m_1 and
+    w_r - w_{r+1} = m_{r+1}, read off the tally of moment vectors."""
+    return sum(
+        count
+        for w, count in counts.items()
+        if 2 * w[0] + sum(w[1:]) == d * k - m[0]
+        and all(w[r] - w[r + 1] == m[r + 1] for r in range(n - 2))
+    )
+
+
+def test_criterion_10_abstract_system_summed_over_weyl_group():
+    start = time.perf_counter()
+    ok = True
+    for n, d, kmax in [(2, 3, 8), (2, 4, 8), (3, 2, 6), (3, 3, 6), (4, 2, 4), (3, 4, 4)]:
+        # I_{n,d}: the exponents i in Z_+^{n-1} with |i| <= d
+        indices = [i for i in itertools.product(range(d + 1), repeat=n - 1) if sum(i) <= d]
+        # the Weyl group acts on the ambient rho = (0, ..., n-1); each
+        # permutation gives (rho - s(rho))* as the gaps of the sorted
+        # differences, signed by the parity of its inversions
+        orbit = []
+        for p in itertools.permutations(range(n)):
+            ambient = sorted(i - p[i] for i in range(n))
+            gaps = tuple(b - a for a, b in zip(ambient, ambient[1:]))
+            inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            orbit.append((gaps, -1 if inversions % 2 else 1))
+        for k in range(kmax + 1):
+            counts = {}
+            for alpha in itertools.combinations_with_replacement(indices, k):
+                w = tuple(map(sum, zip(*alpha))) if alpha else (0,) * (n - 1)
+                counts[w] = counts.get(w, 0) + 1
+            nu = sum(sign * _abstract_system_count(n, d, k, counts, m) for m, sign in orbit)
+            if nu != invariant_dimension(n, d, k):
+                ok = False
+    elapsed = time.perf_counter() - start
+    _report(10, "the abstract's system summed over the Weyl group", ok and elapsed < 10.0)

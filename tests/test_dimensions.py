@@ -8,6 +8,7 @@ from naryinv.dimensions import (
     invariant_dimension,
 )
 from naryinv.oracles import (
+    _box_partition_counts,
     binary_invariant_dimension,
     brute_character,
     strip_decompose,
@@ -82,6 +83,22 @@ def test_binary_reduction_matches_classical_count():
         for k in range(13):
             assert invariant_dimension(2, d, k) == binary_invariant_dimension(d, k)
 
+
+
+def test_binary_multiplicities_at_every_order():
+    # Sylvester-Cayley at every highest weight m: the binary d-ic's degree-k
+    # covariants of order m number p(w) - p(w - 1), where w = (k*d - m)/2 and
+    # p counts the partitions of w that fit in a k by d box
+    nonzero = 0
+    for d in range(1, 9):
+        for k in range(13):
+            p = _box_partition_counts(min(k, d), max(k, d), k * d)
+            for m in range(k * d + 1):
+                w, odd = divmod(k * d - m, 2)
+                expected = 0 if odd else p[w] - (p[w - 1] if w else 0)
+                assert highest_weight_multiplicity(2, d, k, (m,)) == expected, (d, k, m)
+                nonzero += expected != 0
+    assert nonzero == 1284
 
 def test_divisibility_vanishing():
     rng = random.Random(314159)

@@ -322,3 +322,78 @@ def test_one_size_bound_and_the_rank_bound():
         if isinstance(target, ast.Name) and target.id.startswith("MAX_")
     ]
     assert found == ["errors.MAX_TERMS", "weights.MAX_ORBIT_RANK"]
+
+
+TOP_LEVEL = [
+    "InternalError",
+    "ResourceLimitError",
+    "TruncationError",
+    "expand_generating_series",
+    "highest_weight_multiplicity",
+    "hilbert_series_prefix",
+    "invariant_dimension",
+    "signed_orbit_terms",
+    "weight_multiplicity",
+]
+
+# each name the top level does not hold, with the one module it comes from
+FROM_MODULES = {
+    "counting": ["CountCache", "cache_from_env", "moment_targets"],
+    "forms": ["enumerate_indices", "index_count"],
+    "series": ["TruncatedSeries", "dump_series"],
+    "weights": ["SignedOrbitTerm", "Weight", "to_ambient"],
+}
+
+
+def test_top_level_holds_the_documented_api_and_loads_only_the_engine():
+    # `import naryinv` must not load the oracles or the index walk they use;
+    # the oracles load as a submodule, and no module `__getattr__` serves them
+    probe = (
+        "import sys, naryinv\n"
+        "print(sorted(m for m in sys.modules if m in ('naryinv.oracles', 'naryinv.forms')))\n"
+        "print(sorted(naryinv.__all__), '__getattr__' in vars(naryinv))\n"
+        "from naryinv import oracles\n"
+        "print(oracles.__name__)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", f"{TOP_LEVEL} False", "naryinv.oracles"]
+    # `__all__` lists every public name `__init__` binds, and nothing else
+    path = SRC / "naryinv" / "__init__.py"
+    bound = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(target.id for target in node.targets)
+    assert sorted(bound - {"__all__", "__version__"}) == TOP_LEVEL
+    for module, names in FROM_MODULES.items():
+        imported = importlib.import_module(f"naryinv.{module}")
+        assert all(hasattr(imported, name) for name in names), module
+
+
+def test_readme_library_examples_run():
+    # the README's Library block, run as written: each expression's value,
+    # in order, and each value its comment states as a literal
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values, stated = {}, [], []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            values.append(eval(code, namespace))
+        except SyntaxError:  # a statement, or a blank line
+            exec(code, namespace)
+            continue
+        try:
+            stated.append((values[-1], ast.literal_eval(comment.strip())))
+        except (SyntaxError, ValueError):  # a comment in words
+            pass
+    five_terms = [((0, 0), 1), ((1, 1), -2), ((2, 2), -1), ((0, 3), 1), ((3, 0), 1)]
+    assert values == [2, 1, 2, five_terms, [1, 0, 1, 1, 1, 1, 2], {(4,): 1, (0,): 1}]
+    assert len(stated) == 5 and all(value == literal for value, literal in stated)
