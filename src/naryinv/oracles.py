@@ -3,18 +3,20 @@
 Nothing here shares machinery with the signed-orbit route.  ``check``
 takes its characters from the product ``prod_i 1/(1 - t x^wt(i))`` over
 the coefficient indices, expanded one index at a time for every degree up
-to its top, with weights packed into one ``int``; ``brute_character`` is
+to its top, with weights packed into one ``int``, and reads out only the
+dominant weights, the only ones stripping reads; ``brute_character`` is
 the exhaustive reference, which enumerates every monomial, one combination
-of indices each, and counts its packed moment vector.  Both give each
-packed component a field wide enough that no sum carries.  Under
-``MAX_TERMS``, the product pass is refused by the entries it would hold,
-brute force by the monomials it would visit.
+of indices each, and counts its packed moment vector into the whole
+character.  Both give each packed component a field wide enough that no
+sum carries.  Under ``MAX_TERMS``, the product pass is refused by the
+entries it would hold, brute force by the monomials it would visit.
 Irreducible weight multiplicities are Kostka numbers, counts of
-semistandard tableaux by content, tabulated per module at its dominant
-weights, the only weights stripping reads; stripping keys each dominant
-weight by its partition, which it computes itself, and extracts highest
-weights greedily in decreasing lexicographic order of partitions, which
-extends dominance.  The binary case is a bounded-partition difference.
+semistandard tableaux by content, which permuting the content leaves
+unchanged: they are counted at ascending contents and tabulated per
+module at its dominant weights; stripping keys each
+dominant weight by its partition, which it computes itself, and extracts
+highest weights greedily in decreasing lexicographic order of partitions,
+which extends dominance.  The binary case is a bounded-partition difference.
 Within the package this module imports only ``errors``, ``forms`` and,
 from ``weights``, the ``Weight`` type: never the counting engine, the
 orbit walk or its coordinates.  These oracles exist to certify the main
@@ -35,7 +37,9 @@ from .weights import Weight
 
 
 class CharacterTable(NamedTuple):
-    """Weight multiplicities of the degree-``k`` coefficient monomials."""
+    """Weight multiplicities of the degree-``k`` coefficient monomials:
+    at every weight from :func:`brute_character`, at the dominant weights
+    only from :func:`character_tables` (the rest follow by Weyl symmetry)."""
 
     n: int
     d: int
@@ -89,7 +93,8 @@ def brute_character(n: int, d: int, k: int, max_monomials: int = MAX_TERMS) -> C
 def character_tables(
     n: int, d: int, kmax: int, max_terms: int = MAX_TERMS
 ) -> Iterator[CharacterTable]:
-    """An iterator over the character of each degree ``0..kmax`` in turn.
+    """An iterator over the character of each degree ``0..kmax`` in turn,
+    at its dominant weights only.
 
     The characters of all degrees are the coefficients of ``t^k`` in the
     product ``prod_i 1 / (1 - t x^wt(i))`` over the coefficient indices,
@@ -97,11 +102,14 @@ def character_tables(
     index, degree ``k = 1..kmax`` in turn, upward and in place, gains
     degree ``k - 1`` shifted by the index's weight.  Each degree is a dict
     keyed by packed weights: field ``s`` holds the sum of ``wt_s + d`` over
-    the factors, at most ``2 * d * kmax``, so no field carries and degree
-    ``k`` reads each weight back as its fields minus ``k * d``.  The whole
-    pass runs when the first table is asked for; every degree's total mass
-    must then equal the symmetric-power dimension.  Each degree is
-    converted to weights only when it is yielded.
+    the factors, at most ``2 * d * kmax``, in ``(2 * d * kmax).bit_length()``
+    bits and one spare bit above them, so no field carries.  The whole pass
+    runs when the first table is asked for; every degree's total mass,
+    over every packed entry, must then equal the symmetric-power
+    dimension.  Each degree is read out only when it is yielded, and only
+    at its dominant weights (every ``wt_s >= 0``): a character is
+    Weyl-symmetric, so they determine the rest.  Degree ``k`` reads each
+    weight back as its fields minus ``k * d``.
 
     Degree ``k`` holds one entry per moment vector ``m >= 0`` with
     ``|m| <= d * k`` (each splits into ``k`` indices):
@@ -122,10 +130,20 @@ def character_tables(
 
 
 def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
-    """The product pass of :func:`character_tables`, once its size is checked."""
-    width = (2 * d * kmax).bit_length()
+    """The product pass of :func:`character_tables`, once its size is checked.
+
+    Every field holds a value in ``0..2 * d * kmax``, below ``half``, the
+    field's spare bit.  Degree ``k`` adds ``half - k * d`` to every field:
+    the sum stays below ``2 * half``, so nothing carries into the next
+    field, and the spare bit is set exactly when the field held at least
+    ``k * d``, a weight component of at least 0.  A key with every spare
+    bit set is a dominant weight, and only those keys are converted.
+    """
+    width = (2 * d * kmax).bit_length() + 1
     field_mask = (1 << width) - 1
     offsets = [s * width for s in range(n - 1)]
+    half = 1 << (width - 1)
+    high = sum(half << offset for offset in offsets)
     # degree 0 has one monomial, the empty product, and needs no index list
     shifts = [
         sum((w + d) << offset for w, offset in zip(weight_from_moments(n, d, 1, i), offsets))
@@ -147,9 +165,11 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
     for k, packed in enumerate(degrees):
         degrees[k] = {}  # the generator's last reference goes at the next degree
         base = k * d
+        adj = sum((half - base) << offset for offset in offsets)
         table = {
             tuple([((key >> offset) & field_mask) - base for offset in offsets]): c
             for key, c in packed.items()
+            if (key + adj) & high == high
         }
         yield CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
@@ -157,13 +177,19 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
 @functools.lru_cache(maxsize=4096)
 def _tableau_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Semistandard tableaux of ``shape``, a descending vector with one row
-    per letter (zeros allowed), counted by descending content.
+    per letter (zeros allowed), counted by ascending content.
 
-    The entries equal to the largest letter form a horizontal strip
-    ``shape / nu``, where ``nu`` interlaces ``shape`` (Gelfand--Tsetlin
-    branching).  A content is descending only if the content of the smaller
-    letters is, so each content of ``nu`` is extended only when its last
-    entry is at least the strip.  Modules share sub-shapes, hence the memo.
+    A Kostka number does not change when its content is permuted, so the
+    ascending contents hold every one; the largest letter then holds the
+    largest count, and the inner shapes stay small.  The entries equal to
+    the largest letter form a horizontal strip ``shape / nu``, where ``nu``
+    interlaces ``shape`` (Gelfand--Tsetlin branching).  A content is
+    ascending only if the content of the smaller letters is, so each
+    content of ``nu`` is extended only when its last entry is at most the
+    strip; and ``nu`` is skipped before it is recursed into when ``shape``
+    holds more than ``len(shape)`` times the strip, since no count of an
+    ascending content exceeds its last.  Modules share sub-shapes, hence
+    the memo.
     """
     if len(shape) == 1:
         return {shape: 1}
@@ -171,8 +197,10 @@ def _tableau_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
     for nu in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:]))):
         strip = total - sum(nu)
+        if total > len(shape) * strip:
+            continue
         for mu, c in _tableau_contents(nu).items():
-            if mu[-1] >= strip:
+            if mu[-1] <= strip:
                 key = mu + (strip,)
                 out[key] = out.get(key, 0) + c
     return out
@@ -182,8 +210,12 @@ def _tableau_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _module_table(top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Multiplicities of the module with partition ``top`` at its dominant
     weights, keyed by partition: the Kostka numbers ``K(top, mu)`` at every
-    descending content ``mu``, less its full columns (its last entry)."""
-    return {tuple([x - mu[-1] for x in mu]): c for mu, c in _tableau_contents(top).items()}
+    ascending content ``mu``, reversed, less its full columns (its first
+    entry)."""
+    return {
+        tuple([x - mu[0] for x in reversed(mu)]): c
+        for mu, c in _tableau_contents(top).items()
+    }
 
 
 def strip_decompose(table: CharacterTable) -> dict[Weight, int]:

@@ -8,6 +8,7 @@ rest.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping
 
 from naryinv.errors import InternalError, check_params
@@ -29,6 +30,21 @@ def from_ambient(ambient: Iterable[int]) -> Weight:
     constant shifts."""
     a = tuple(ambient)
     return tuple(a[s + 1] - a[s] for s in range(len(a) - 1))
+
+
+def orbit_expansion(dominant: Mapping[Weight, int]) -> dict[Weight, int]:
+    """The full character whose dominant weights are ``dominant``: each
+    count at every weight on its S_n orbit, the distinct permutations of
+    the weight's ambient vector read back through :func:`from_ambient`.
+    A character is Weyl-symmetric, so nothing else is in it.  Raises on a
+    weight that is not dominant: its orbit is a dominant weight's."""
+    out: dict[Weight, int] = {}
+    for w, c in dominant.items():
+        if min(w) < 0:
+            raise ValueError(f"weight {w} is not dominant")
+        for ambient in set(itertools.permutations(to_ambient(w))):
+            out[from_ambient(ambient)] = c
+    return out
 
 
 def partition(weight: Iterable[int]) -> tuple[int, ...]:

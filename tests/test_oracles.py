@@ -23,6 +23,7 @@ from reference import (
     from_ambient,
     kostka_number,
     monomial_weight,
+    orbit_expansion,
     weyl_dimension,
 )
 
@@ -66,9 +67,10 @@ BRUTE_DIGESTS = {
 
 def _product_character(n, d, k):
     """The last table of the product expansion to ``k``, whose fields are
-    sized for ``2 * d * k``, twice the moment field brute force sizes."""
+    sized for ``2 * d * k`` with a spare bit, expanded from its dominant
+    weights over their orbits to the whole character."""
     *_, table = character_tables(n, d, k)
-    return table
+    return table._replace(multiplicities=orbit_expansion(table.multiplicities))
 
 
 # both routes to a character: the exhaustive tally and the product recurrence
@@ -117,7 +119,8 @@ def test_product_characters_match_brute_force_at_every_degree(grid):
     tables = list(character_tables(n, d, kmax))
     assert [t.k for t in tables] == list(range(kmax + 1))
     for table in tables:
-        assert table.multiplicities == brute_character(n, d, table.k).multiplicities
+        full = orbit_expansion(table.multiplicities)
+        assert full == brute_character(n, d, table.k).multiplicities
 
 
 def test_product_characters_refuse_their_top_degree_first():
@@ -131,7 +134,9 @@ def test_product_characters_hold_the_entries_they_are_sized_by():
     for n, d, kmax in itertools.product(range(2, 5), range(1, 4), range(5)):
         count = sum(math.comb(d * k + n - 1, n - 1) for k in range(kmax + 1))
         tables = character_tables(n, d, kmax, max_terms=count)
-        assert sum(len(t.multiplicities) for t in tables) == count, (n, d, kmax)
+        # the tables hold dominant weights only; their orbits hold every entry
+        orbits = sum(_orbit_size(to_ambient(w)) for t in tables for w in t.multiplicities)
+        assert orbits == count, (n, d, kmax)
         if kmax:  # at kmax = 0 the count is 1, and no limit is below it
             with pytest.raises(ResourceLimitError) as refused:
                 character_tables(n, d, kmax, max_terms=count - 1)
@@ -150,7 +155,26 @@ def test_product_characters_check_their_mass(monkeypatch):
 def test_product_characters_reach_a_large_degree():
     # Sym^k of the binary linear form is the irreducible of highest weight k
     for table in character_tables(2, 1, 600):
-        assert table.multiplicities == {(table.k - 2 * j,): 1 for j in range(table.k + 1)}
+        full = orbit_expansion(table.multiplicities)
+        assert full == {(table.k - 2 * j,): 1 for j in range(table.k + 1)}
+
+
+# 2 * d * kmax a power of two: at the top degree the largest field value
+# fills its (2 * d * kmax).bit_length() bits, right below the spare bit
+@pytest.mark.parametrize("grid", [(2, 4, 8), (4, 2, 4), (3, 1, 8), (2, 1, 8)])
+def test_product_characters_read_out_only_dominant_weights(grid):
+    n, d, kmax = grid
+    edges = Counter()
+    for table in character_tables(n, d, kmax):
+        brute = brute_character(n, d, table.k).multiplicities
+        assert orbit_expansion(table.multiplicities) == brute
+        assert table.multiplicities == {w: c for w, c in brute.items() if min(w) >= 0}
+        # the mask's edges: a zero component is kept, a -1 component dropped
+        edges["zero kept"] += sum(0 in w for w in table.multiplicities)
+        edges["-1 dropped"] += sum(-1 in w for w in brute)
+    assert edges["zero kept"]
+    # binary weights of an even-degree form are even, so never -1
+    assert bool(edges["-1 dropped"]) == (n > 2 or d % 2 == 1)
 
 
 def test_brute_character_resource_limit():
@@ -283,6 +307,54 @@ def test_zero_weight_multiplicity_is_the_hook_length_formula():
             assert kostka_number(n, top, (0,) * (n - 1)) == _standard_tableaux(lam), lam
             checked += 1
     assert checked == 65
+
+
+def _fillings(shape, content):
+    """Semistandard tableaux of ``shape`` with ``content``, counted by
+    filling one cell at a time in reading order: each row weakly
+    increasing, each column strictly increasing, letter ``i`` used
+    ``content[i - 1]`` times."""
+    cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
+    grid = {}
+    left = list(content)
+
+    def fill(at):
+        if at == len(cells):
+            return 1
+        r, c = cells[at]
+        lowest = max(grid.get((r, c - 1), 1), grid.get((r - 1, c), 0) + 1)
+        found = 0
+        for letter in range(lowest, len(content) + 1):
+            if left[letter - 1]:
+                left[letter - 1] -= 1
+                grid[r, c] = letter
+                found += fill(at + 1)
+                left[letter - 1] += 1
+        return found
+
+    return fill(0)
+
+
+def test_module_tables_match_tableaux_filled_cell_by_cell():
+    # every top, repeated parts and trailing zeros included, where the
+    # recursion's inner shapes collapse and its size skip is tight
+    def padded(total, n):
+        return [lam + (0,) * (n - len(lam)) for lam in _partitions(total, total) if len(lam) <= n]
+
+    tops = [
+        top
+        for n, most in [(2, 8), (3, 8), (4, 8), (5, 8), (6, 6)]
+        for size in range(most + 1)
+        for top in padded(size, n)
+    ]
+    assert len(tops) == 209
+    for top in tops:
+        expected = {}
+        for mu in padded(sum(top), len(top)):
+            count = _fillings(top, mu)
+            if count:
+                expected[tuple(x - mu[-1] for x in mu)] = count
+        assert oracles_mod._module_table(top) == expected, top
 
 
 def test_weyl_dimension_examples():

@@ -91,6 +91,12 @@ def test_cli_under_optimize_flag():
     rows = checked.stdout.splitlines()
     assert checked.returncode == 0 and len(rows) == 4
     assert all(row.endswith(" ok") for row in rows)
+    # at rank 5, through the Kostka recursion's size skip and the product
+    # pass's dominant mask
+    ranked = _cli_optimized("check", "5", "2", "--kmax", "5")
+    rows = ranked.stdout.splitlines()
+    assert ranked.returncode == 0 and len(rows) == 6
+    assert all(row.endswith(" ok") for row in rows)
     # and its size refusal comes before any row
     refused = _cli_optimized("check", "5", "3", "--kmax", "30")
     assert refused.returncode == 3 and refused.stdout == ""
