@@ -151,7 +151,8 @@ class CountCache:
     Counts are stored as decimal strings because they can exceed 64 bits.
     The file is append-only; existing records are loaded once at open.
     Lines that do not hold such a record (a torn last line from a crash
-    during an append, say) are skipped and counted in ``skipped``.
+    during an append, say) are skipped and counted in ``skipped``.  A path
+    that is not a regular file (a FIFO, a device) raises :class:`OSError`.
     """
 
     def __init__(self, directory: str):
@@ -161,6 +162,9 @@ class CountCache:
         self.skipped = 0
         line = "\n"
         if os.path.exists(self.path):
+            # a FIFO blocks the open and a device may read without end
+            if not os.path.isfile(self.path):
+                raise OSError(f"{self.path} is not a regular file")
             with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
                     try:

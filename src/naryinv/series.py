@@ -28,12 +28,11 @@ imported from :mod:`naryinv.forms`, whose walk the oracles use.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import operator
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, TruncationError, check_params
 
@@ -82,7 +81,7 @@ def _cells(
             yield from _cells(caps, places, budget - x, (*prefix, x), at + x * place)
 
 
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Truncated expansion of the coefficient generating series.
 
     ``layers[k]`` packs the counts of the degree-``k`` monomials, for ``k``
@@ -100,15 +99,6 @@ class TruncatedSeries:
     places: tuple[int, ...]
     width: int
     layers: tuple[int, ...]
-
-    def __init__(self, n, d, degree_bound, caps, places, width, layers) -> None:
-        self.n = n
-        self.d = d
-        self.degree_bound = degree_bound
-        self.caps = caps
-        self.places = places
-        self.width = width
-        self.layers = layers
 
     def coefficient(self, k: int, moments: Iterable[int]) -> int:
         """Coefficient at ``t^k q^moments`` (0 if no monomial has them).
@@ -150,9 +140,10 @@ class TruncatedSeries:
                 if value:
                     yield (k, m), value
 
-    @functools.cached_property
+    @property
     def coefficients(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        """Every nonzero coefficient, keyed by ``(degree, moment vector)``."""
+        """Every nonzero coefficient, keyed by ``(degree, moment vector)``:
+        a fresh dict on each read, built by :meth:`nonzero`."""
         return dict(self.nonzero())
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
@@ -845,6 +846,27 @@ def test_cache_dir_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert "NARY_CACHE_DIR" in err and str(not_a_dir) in err and "--cache" in err
+
+
+@pytest.mark.parametrize("make", ["fifo", "device"])
+def test_cache_file_that_is_not_a_regular_file_exits_2(tmp_path, make):
+    # a FIFO blocks the open and /dev/zero reads without end, so the query
+    # runs in its own process under a timeout and a 512 MB address-space
+    # cap: a regression fails, and neither hangs the suite nor fills memory
+    cache_file = tmp_path / "weight-counts.jsonl"
+    if make == "fifo":
+        os.mkfifo(cache_file)
+    else:
+        cache_file.symlink_to("/dev/zero")
+    env = dict(os.environ, PYTHONPATH=str(SRC), NARY_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "naryinv.cli", "nu", "3", "3", "6", "--cache"],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: --cache: NARY_CACHE_DIR=")
+    assert "is not a usable directory" in proc.stderr and "not a regular file" in proc.stderr
 
 
 def test_dump_to_missing_directory_exits_2(tmp_path, monkeypatch, capsys):

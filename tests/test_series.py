@@ -37,6 +37,17 @@ def test_expand_degree_zero():
         assert series.coefficients == {(0, (0,) * (n - 1)): 1}
 
 
+def test_series_is_an_immutable_value():
+    series = expand_generating_series(3, 3, 4)
+    assert isinstance(series, tuple)
+    with pytest.raises(AttributeError):
+        series.layers = ()
+    # equal expansions are equal values, and each read of the dict is fresh
+    assert series == expand_generating_series(3, 3, 4)
+    assert series.coefficients is not series.coefficients
+    assert series.coefficients == dict(series.nonzero())
+
+
 def test_coefficient_examples():
     series = expand_generating_series(2, 2, 2)
     assert series.coefficient(0, (0,)) == 1
@@ -52,14 +63,16 @@ def test_series_matches_brute_character_tally():
     for n, d, bound in [(2, 2, 5), (2, 3, 4), (3, 2, 4), (3, 3, 3)]:
         series = expand_generating_series(n, d, bound)
         tallies = [brute_character(n, d, k).multiplicities for k in range(bound + 1)]
-        for (k, mom), value in series.coefficients.items():
+        # a fresh dict on each read, so read it once
+        coefficients = series.coefficients
+        for (k, mom), value in coefficients.items():
             assert tallies[k][weight_from_moments(n, d, k, mom)] == value
         # absent entries are genuinely zero counts
         rng = random.Random(bound * 7 + n)
         for _ in range(20):
             k = rng.randint(0, bound)
             probe = tuple(rng.randint(0, d * bound) for _ in range(n - 1))
-            if (k, probe) not in series.coefficients:
+            if (k, probe) not in coefficients:
                 assert series.coefficient(k, probe) == 0
                 weight = weight_from_moments(n, d, k, probe)
                 assert tallies[k].get(weight, 0) == 0
@@ -76,8 +89,9 @@ def test_moment_bounds_invariant():
 def test_truncation_monotonicity():
     small = expand_generating_series(3, 2, 3)
     large = expand_generating_series(3, 2, 5)
+    large_coefficients = large.coefficients
     for key, value in small.coefficients.items():
-        assert large.coefficients[key] == value
+        assert large_coefficients[key] == value
 
 
 def test_moment_shift_denominator_and_target_relation():

@@ -225,6 +225,16 @@ def test_series_keeps_one_packed_engine():
         if isinstance(node, ast.AnnAssign) and node.target.id == "layers"
     )
     assert ast.unparse(layers.annotation) == "tuple[int, ...]"
+    # the expansion is an immutable tuple, and nothing caches a dict of its
+    # cells on it: ``coefficients`` rebuilds one from the layers on each read
+    from naryinv.series import TruncatedSeries
+
+    assert issubclass(TruncatedSeries, tuple)
+    names = {
+        getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+    }
+    assert "cached_property" not in names
 
 
 def test_orbit_keeps_one_walk():
