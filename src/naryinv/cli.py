@@ -26,7 +26,9 @@ coefficients`` once the file is closed; a refused query leaves an existing
 dump file as it was and removes one it created.  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
-unreadable records, which are skipped).  ``check`` prints the
+unreadable records, which are skipped).  This module is the package's one
+reader of the environment: it opens the cache and hands it to the query.
+``check`` prints the
 rows ``theorem1``, ``stripping`` (each degree's character from one
 expansion of the product ``prod_i 1/(1 - t x^wt(i))`` over the coefficient
 indices, stripped into irreducibles) and, at n = 2,
@@ -47,7 +49,8 @@ argparse, which reads it with the same result or prints its usage error.
 
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
 (``$NARY_CACHE_DIR``, ``--dump`` in opening or in writing; the message
-names the flag), 3 resource limit exceeded or a ``MemoryError`` (one
+names the flag) or a cache file whose count turns a sum negative (the
+message names the file), 3 resource limit exceeded or a ``MemoryError`` (one
 ``error:`` line), 4 oracle disagreement (from ``check``), 5 internal error
 (a result broke an invariant that holds for every valid input: a bug, not
 bad input), 141 a reader closed stdout early (128 + SIGPIPE; nothing more
@@ -64,7 +67,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .counting import CountCache, cache_from_env, weight_multiplicity
+from .counting import CountCache, weight_multiplicity
 from .dimensions import (
     highest_weight_multiplicity,
     hilbert_series_prefix,
@@ -126,16 +129,23 @@ def _emit_records(records: list[tuple], fmt: str, out, plain: list[str] | None =
 
 
 def _open_cache(enabled: bool) -> CountCache | None:
+    """The cache rooted at ``$NARY_CACHE_DIR`` when ``--cache`` is given and it is set."""
     if not enabled:
         return None
-    cache = cache_from_env()
-    if cache is None:
+    directory = os.environ.get("NARY_CACHE_DIR")
+    if not directory:
         print(
             "warning: --cache requested but NARY_CACHE_DIR is unset; "
             "caching disabled",
             file=sys.stderr,
         )
-    elif cache.skipped:
+        return None
+    try:
+        cache = CountCache(directory)
+    except OSError as exc:
+        where = f"--cache: NARY_CACHE_DIR={directory!r} is not a usable directory"
+        raise OSError(f"{where} ({exc.strerror or exc})") from exc
+    if cache.skipped:
         print(
             f"warning: skipped {cache.skipped} unreadable records in {cache.path}",
             file=sys.stderr,

@@ -9,7 +9,8 @@ expanded in :mod:`naryinv.series`.  :func:`signed_counts` is the one
 reader: every query hands it signed weight terms and degrees.  It
 decomposes each term once, tests it for feasibility at every degree, and
 reads the feasible ones off a single expansion, capped at the largest
-targets among them.  An optional on-disk cache memoises the counts.
+targets among them.  An optional on-disk cache, which the CLI opens,
+memoises the counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import MAX_TERMS, InternalError, check_params
 from .series import TruncatedSeries, check_expansion_size, expand_generating_series
 from .weights import Weight, check_weight
 
-CACHE_ENV_VAR = "NARY_CACHE_DIR"
 CACHE_FILENAME = "weight-counts.jsonl"
 
 
@@ -82,7 +82,9 @@ def signed_counts(
     ``cache`` when it holds them, otherwise from ``series`` or, without one,
     from one expansion to the highest degree read, capped at the coordinatewise
     maximum of the targets still missing.  Computed values are added to
-    ``cache``.  A negative sum raises :class:`InternalError`.
+    ``cache``.  A negative sum raises :class:`ValueError` naming the cache
+    file when its degree read a count from ``cache``, else
+    :class:`InternalError`.
 
     Reads are listed from the last degree down.  Without ``series``, the
     first degree with a read to expand sizes the caps found so far, a
@@ -96,6 +98,7 @@ def signed_counts(
     counts: dict[tuple[int, Weight], int] = {}
     missing: dict[tuple[int, Weight], tuple[int, ...]] = {}
     sized = series is not None
+    from_cache = set()
     for k in reversed(degrees):
         check_params(n, d, k)
         kd = k * d
@@ -108,6 +111,7 @@ def signed_counts(
                 missing[k, w] = targets
             else:
                 counts[k, w] = hit
+                from_cache.add(k)
         if missing and not sized:
             sized = True
             caps = tuple(min(max(column), d * k) for column in zip(*missing.values()))
@@ -122,7 +126,10 @@ def signed_counts(
     sums = [sum(c * counts.get((k, w), 0) for w, c, _ in plan) for k in degrees]
     for k, total in zip(degrees, sums):
         if total < 0:
-            raise InternalError(f"negative multiplicity {total} at (n={n}, d={d}, k={k})")
+            where = f"negative multiplicity {total} at (n={n}, d={d}, k={k})"
+            if k in from_cache:
+                raise ValueError(f"{where}: {cache.path} holds a bad count")
+            raise InternalError(where)
     return sums
 
 
@@ -196,14 +203,3 @@ class CountCache:
     def __len__(self) -> int:
         return len(self._mem)
 
-
-def cache_from_env() -> CountCache | None:
-    """Cache rooted at ``$NARY_CACHE_DIR``, or ``None`` when unset."""
-    directory = os.environ.get(CACHE_ENV_VAR)
-    if not directory:
-        return None
-    try:
-        return CountCache(directory)
-    except OSError as exc:
-        where = f"--cache: {CACHE_ENV_VAR}={directory!r} is not a usable directory"
-        raise OSError(f"{where} ({exc.strerror or exc})") from exc

@@ -12,16 +12,8 @@ engine walks its own indices, so the oracles' walk here shares no code with it.
 
 from __future__ import annotations
 
-import math
-
 from .errors import check_params
 from .weights import Weight
-
-
-def index_count(n: int, d: int) -> int:
-    """Number of coefficient indices: binomial(n - 1 + d, n - 1)."""
-    check_params(n, d)
-    return math.comb(n - 1 + d, n - 1)
 
 
 def enumerate_indices(n: int, d: int) -> list[tuple[int, ...]]:

@@ -32,7 +32,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
-from .forms import enumerate_indices, index_count, weight_from_moments
+from .forms import enumerate_indices, weight_from_moments
 from .weights import Weight
 
 
@@ -48,8 +48,10 @@ class CharacterTable(NamedTuple):
 
 
 def symmetric_power_dimension(n: int, d: int, k: int) -> int:
-    """Dimension of the space of degree-``k`` coefficient monomials."""
-    return math.comb(index_count(n, d) + k - 1, k)
+    """Dimension of the space of degree-``k`` coefficient monomials, in the
+    ``binomial(n - 1 + d, n - 1)`` coefficients of the form."""
+    check_params(n, d)
+    return math.comb(math.comb(n - 1 + d, n - 1) + k - 1, k)
 
 
 def brute_character(n: int, d: int, k: int, max_monomials: int = MAX_TERMS) -> CharacterTable:

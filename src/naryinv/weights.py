@@ -41,11 +41,11 @@ joins their multisets.  Each state also keeps the entries of the first
 path to reach it, so each distinct joined multiset is sorted once into its
 weight, the gaps between its sorted entries.
 
-A term can be feasible at degree ``k`` only when no entry exceeds
-``(k*d + sum(to_ambient(shift))) // n`` (see
-:func:`naryinv.counting.moment_targets`); with that ``top`` the walk never
-places a larger entry, so it visits only the band of the orbit a query
-can read.
+Every term's entries sum to ``sum(base) - n(n-1)/2``, so a term can be
+feasible at the degree budget ``kd = k * d`` only when no entry exceeds
+``(kd + sum(base) - n(n-1)/2) // n`` (see
+:func:`naryinv.counting.moment_targets`).  Given ``kd``, the walk places no
+larger entry: it visits only the band of the orbit a query can read.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _half_walk(
 
 
 def signed_orbit_terms(
-    n: int, shift: Iterable[int] | None = None, top: int | None = None
+    n: int, shift: Iterable[int] | None = None, kd: int | None = None
 ) -> list[SignedOrbitTerm]:
     """Aggregate ``(shift + rho - s(rho))*`` over all ``s`` in S_n with signs.
 
@@ -152,8 +152,11 @@ def signed_orbit_terms(
     formula; shifting by a dominant weight yields the term list for its
     highest-weight multiplicity.
 
-    With ``top``, only the terms whose ambient entries ``{base[q[j]] - j}``
-    are all at most ``top`` are kept: the walk never places a larger entry.
+    With the degree budget ``kd = k * d``, only terms that may be feasible
+    at degree ``k`` or below are kept: those whose ambient entries
+    ``{base[q[j]] - j}`` are all at most ``(kd + sum(base) - n(n-1)/2) // n``,
+    with ``base = to_ambient(shift) + rho``.  The walk never places a larger
+    entry.
 
     The result is sorted by (largest component, lexicographic), which for
     n = 3 reproduces the classical five-term presentation order.
@@ -163,12 +166,9 @@ def signed_orbit_terms(
         raise ResourceLimitError(
             f"orbit walk at rank n = {n} refused (limit n <= {MAX_ORBIT_RANK})"
         )
-    if shift is None:
-        base = list(range(n))
-    else:
-        shift = check_weight(n, shift, "shift")
-        base = [x + i for i, x in enumerate(to_ambient(shift))]
-    cap = max(base) if top is None else top
+    shift = check_weight(n, (0,) * (n - 1) if shift is None else shift, "shift")
+    base = [x + i for i, x in enumerate(to_ambient(shift))]
+    cap = max(base) if kd is None else (kd + sum(base) - n * (n - 1) // 2) // n
     # each entry value gets its own 4-bit count field above the n mask bits
     field: dict[int, int] = {}
     steps = []

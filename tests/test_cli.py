@@ -720,9 +720,9 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     import naryinv.dimensions as dimensions_mod
     from naryinv.weights import SignedOrbitTerm, signed_orbit_terms
 
-    def flipped(n, shift=None, top=None):
+    def flipped(n, shift=None, kd=None):
         # the identity term's sign flipped makes the signed sum negative
-        first, *rest = signed_orbit_terms(n, shift=shift, top=top)
+        first, *rest = signed_orbit_terms(n, shift=shift, kd=kd)
         return [SignedOrbitTerm(first.dominant, -first.coefficient), *rest]
 
     monkeypatch.setattr(dimensions_mod, "signed_orbit_terms", flipped)
@@ -929,9 +929,25 @@ def test_wrong_length_weight_names_the_flag(capsys):
 
 def test_cache_flag_without_env(monkeypatch, capsys):
     monkeypatch.delenv("NARY_CACHE_DIR", raising=False)
-    code, out = run_cli("nu", "2", "2", "2", "--cache")
-    assert code == 0 and out.strip() == "1"
-    assert "NARY_CACHE_DIR" in capsys.readouterr().err
+    warning = "warning: --cache requested but NARY_CACHE_DIR is unset; caching disabled\n"
+    assert run_cli("nu", "2", "2", "2", "--cache") == (0, "1\n")
+    assert capsys.readouterr().err == warning
+    # an empty NARY_CACHE_DIR counts as unset
+    monkeypatch.setenv("NARY_CACHE_DIR", "")
+    assert run_cli("nu", "2", "2", "2", "--cache") == (0, "1\n")
+    assert capsys.readouterr().err == warning
+
+
+def test_cache_with_a_bad_count_exits_2(tmp_path, monkeypatch, capsys):
+    # a count no expansion gives turns the signed sum negative: the file is
+    # at fault, not the program, so the message names it and no flag
+    monkeypatch.setenv("NARY_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "weight-counts.jsonl"
+    cache_file.write_text('{"n":3,"d":3,"k":40,"mu":[0,0],"count":"999"}\n')
+    assert run_cli("nu", "3", "3", "40", "--cache") == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: negative multiplicity")
+    assert f"{cache_file} holds a bad count" in err and "--cache" not in err
 
 
 def test_weight_with_negative_first_entry_attached_with_equals():

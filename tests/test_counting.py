@@ -6,7 +6,6 @@ import pytest
 
 from naryinv.counting import (
     CountCache,
-    cache_from_env,
     moment_targets,
     signed_counts,
     weight_multiplicity,
@@ -242,13 +241,3 @@ def test_weight_multiplicity_consults_cache(tmp_path):
     fresh = CountCache(str(tmp_path / "fresh"))
     assert weight_multiplicity(2, 2, 2, (0,), cache=fresh) == 2
     assert fresh.get(2, 2, 2, (0,)) == 2
-
-
-def test_cache_from_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("NARY_CACHE_DIR", raising=False)
-    assert cache_from_env() is None
-    monkeypatch.setenv("NARY_CACHE_DIR", str(tmp_path))
-    cache = cache_from_env()
-    assert cache is not None
-    cache.put(2, 1, 1, (1,), 1)
-    assert (tmp_path / "weight-counts.jsonl").exists()

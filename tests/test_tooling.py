@@ -271,6 +271,17 @@ def _package_imports(module):
     return local
 
 
+def _names_from(module, source):
+    """The names ``module`` imports from the package module ``source``."""
+    path = SRC / "naryinv" / f"{module}.py"
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == source
+        for alias in node.names
+    }
+
+
 def test_oracles_share_no_code_with_the_engine():
     # the oracles certify the counting route, so within the package they may
     # import only the coefficient and weight vocabulary, never the engine
@@ -279,14 +290,31 @@ def test_oracles_share_no_code_with_the_engine():
     local = _package_imports("oracles")
     assert local <= {"errors", "forms", "weights"}
     assert {"forms", "weights"} <= local
-    path = SRC / "naryinv" / "oracles.py"
-    from_weights = {
-        alias.name
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.ImportFrom) and node.module == "weights"
-        for alias in node.names
-    }
-    assert from_weights == {"Weight"}
+    assert _names_from("oracles", "weights") == {"Weight"}
+
+
+def test_the_orbit_walk_derives_its_own_band():
+    # dimensions hands the walk a degree budget; the band and the ambient
+    # coordinates it is stated in stay in `weights`
+    assert _names_from("dimensions", "weights") == {"check_dominant", "signed_orbit_terms"}
+
+
+def test_only_the_cli_reads_the_environment():
+    # the library takes what it needs as arguments; the CLI alone reads
+    # NARY_CACHE_DIR and opens the cache (an attribute of any name counts,
+    # so `import os as o` cannot hide a read)
+    found = set()
+    for path in sorted((SRC / "naryinv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"environ", "getenv"}:
+                found.add(path.name)
+    assert sorted(found) == ["cli.py"]
 
 
 def test_engine_shares_no_code_with_the_oracles():
@@ -354,8 +382,8 @@ TOP_LEVEL = [
 
 # each name the top level does not hold, with the one module it comes from
 FROM_MODULES = {
-    "counting": ["CountCache", "cache_from_env", "moment_targets"],
-    "forms": ["enumerate_indices", "index_count"],
+    "counting": ["CountCache", "moment_targets"],
+    "forms": ["enumerate_indices"],
     "series": ["TruncatedSeries", "dump_series"],
     "weights": ["SignedOrbitTerm", "Weight", "to_ambient"],
 }

@@ -171,7 +171,7 @@ def test_band_keeps_exactly_the_terms_within_it():
             largest = [_largest_entry(n, total, t.dominant) for t in whole]
             for k in range(3 * n + 1):
                 top = (k * d + total) // n
-                banded = signed_orbit_terms(n, shift, top)
+                banded = signed_orbit_terms(n, shift, k * d)
                 # the band drops whole terms, never a sign: the kept terms
                 # are the whole walk's, in its order, with its coefficients
                 # (also where n does not divide k*d + sum, so no term is
@@ -190,9 +190,8 @@ def test_top_degree_band_keeps_every_lower_degree():
     for n in range(2, 8):
         d = 1 + n % 3
         for shift in _band_shifts(n, rng):
-            total = sum(to_ambient(shift))
             k_max = 3 * n
-            banded = set(signed_orbit_terms(n, shift, (k_max * d + total) // n))
+            banded = set(signed_orbit_terms(n, shift, k_max * d))
             for t in signed_orbit_terms(n, shift):
                 targets = (moment_targets(n, d, k, t.dominant) for k in range(k_max + 1))
                 if any(x is not None for x in targets):
@@ -202,9 +201,10 @@ def test_top_degree_band_keeps_every_lower_degree():
 def test_band_below_the_mean_entry_is_empty():
     # a term's entries sum to sum(to_ambient(shift)), so its largest entry
     # is at least their mean; at the mean only the flat term is left
-    assert signed_orbit_terms(3, top=-1) == []
-    assert signed_orbit_terms(3, top=0) == [((0, 0), 1)]
-    assert signed_orbit_terms(4, (1, 0, 2), top=1) == []
+    # (budgets picked so that the band's largest entry is -1, 0 and 1)
+    assert signed_orbit_terms(3, kd=-3) == []
+    assert signed_orbit_terms(3, kd=0) == [((0, 0), 1)]
+    assert signed_orbit_terms(4, (1, 0, 2), kd=0) == []
 
 
 @pytest.mark.parametrize(
