@@ -254,7 +254,8 @@ def cmd_check(args, out) -> int:
 
     Each method's column, its values for k = 0..kmax, comes from one timed
     call, and each of its rows carries the column's mean time per degree.
-    Rows are written once every column is done.
+    Rows are written once every column is done.  One list of disagreement
+    lines gives each row's status, the stderr lines and the exit code 4.
     """
     n, d, kmax = args.n, args.d, args.kmax
     zero = (0,) * (n - 1)
@@ -273,19 +274,17 @@ def cmd_check(args, out) -> int:
     for k, main in enumerate(columns["theorem1"][0]):
         records += [(n, d, k, None, values[k], method, ms) for method, (values, ms) in columns.items()]
         others = {method: values[k] for method, (values, _) in columns.items() if method != "theorem1"}
-        disagreements += [(k, method, main, value) for method, value in others.items() if value != main]
+        lines = [
+            f"disagreement at k={k}: theorem1={main} but {m}={v}\n"
+            for m, v in others.items()
+            if v != main
+        ]
         detail = " ".join(f"{m}={v}" for m, v in others.items())
-        status = "ok" if all(v == main for v in others.values()) else "MISMATCH"
-        rows.append(f"k={k} theorem1={main} {detail} {status}\n")
+        rows.append(f"k={k} theorem1={main} {detail} {'MISMATCH' if lines else 'ok'}\n")
+        disagreements += lines
     _emit_records(records, args.format, out, rows)
-    if disagreements:
-        for k, method, main, value in disagreements:
-            print(
-                f"disagreement at k={k}: theorem1={main} but {method}={value}",
-                file=sys.stderr,
-            )
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    sys.stderr.write("".join(disagreements))
+    return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
 def _commands() -> dict:

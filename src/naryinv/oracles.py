@@ -237,8 +237,10 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     partition is stripped before that partition is read.  Only the highest
     weights found are converted back to weights.
     The zero-weight entry of the result is an independent computation of
-    the invariant dimension.  Raises if any remaining multiplicity would go
-    negative, which would mean the input was not a genuine character.
+    the invariant dimension.  A table that is not a character raises
+    :class:`InternalError` at one of two guards: a negative count at a
+    partition as it is read, or a count left after the last read, which is
+    where a partition the table never lists, and so never reads, shows.
     """
     dominant = ((w, m) for w, m in table.multiplicities.items() if min(w) >= 0)
     remaining = {tuple(itertools.accumulate(w, initial=0))[::-1]: m for w, m in dominant}
@@ -253,15 +255,13 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
             )
         out[tuple(a - b for a, b in zip(lam[-2::-1], lam[::-1]))] = count
         for target, mult in _module_table(lam).items():
-            left = remaining.get(target, 0) - count * mult
-            if left < 0:
-                raise InternalError(
-                    f"stripping partition {lam} drove the multiplicity at {target} to {left}"
-                )
-            remaining[target] = left
-    leftover = {lam: v for lam, v in remaining.items() if v}
+            remaining[target] = remaining.get(target, 0) - count * mult
+    leftover = [(lam, v) for lam, v in remaining.items() if v]
     if leftover:
-        raise InternalError(f"stripping left multiplicities {leftover}, by partition, unexplained")
+        lam, v = leftover[0]
+        raise InternalError(
+            f"stripping left {v} at partition {lam}, one of {len(leftover)} left unexplained"
+        )
     return out
 
 

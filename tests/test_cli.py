@@ -666,9 +666,14 @@ def test_oracle_disagreement_exit_code(monkeypatch, capsys):
     import naryinv.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "binary_invariant_dimension", lambda d, k: 7)
-    code, _ = run_cli("check", "2", "2", "--kmax", "1")
+    code, text = run_cli("check", "2", "2", "--kmax", "1")
     assert code == 4
-    assert "disagreement" in capsys.readouterr().err
+    # each row's status and each stderr line name the same disagreement
+    assert [row.split()[-1] for row in text.splitlines()] == ["MISMATCH", "MISMATCH"]
+    assert capsys.readouterr().err == (
+        "disagreement at k=0: theorem1=1 but classical-binary=7\n"
+        "disagreement at k=1: theorem1=0 but classical-binary=7\n"
+    )
 
 
 def test_invalid_arguments_exit_code():

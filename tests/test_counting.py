@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -204,6 +205,10 @@ def test_validation():
 def test_cache_round_trip(tmp_path):
     cache = CountCache(str(tmp_path))
     cache.put(3, 2, 4, (1, 1), 123456789012345678901234567890)
+    size = os.path.getsize(cache.path)
+    # a second put of a stored key appends nothing and keeps the first count
+    cache.put(3, 2, 4, (1, 1), 7)
+    assert os.path.getsize(cache.path) == size
     reloaded = CountCache(str(tmp_path))
     assert reloaded.get(3, 2, 4, (1, 1)) == 123456789012345678901234567890
     assert len(reloaded) == 1

@@ -442,6 +442,23 @@ def test_strip_decompose_inverts_a_sum_of_modules(n, modules):
     assert strip_decompose(_character(n, modules)) == modules
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        # a negative entry: stripping (2, 0) leaves -2 at the partition (0, 0)
+        CharacterTable(2, 1, 2, {(2,): 1, (0,): -1}),
+        # a listed weight too small: stripping (2, 0) leaves -1 at (0, 0)
+        CharacterTable(2, 1, 2, {(2,): 1, (0,): 0}),
+        # weights the module of (3, 3, 0) needs are never listed, so what
+        # stripping it leaves there is never read
+        CharacterTable(3, 1, 3, {(3, 0): 1}),
+    ],
+)
+def test_strip_decompose_refuses_a_table_that_is_not_a_character(table):
+    with pytest.raises(InternalError, match=r"partition \(\d+(, \d+)*\)"):
+        strip_decompose(table)
+
+
 def test_module_tables_lie_lexicographically_below_their_partition():
     # strip_decompose walks partitions in decreasing lexicographic order, so
     # no module may reach a partition above its own

@@ -9,7 +9,7 @@ import pytest
 
 from naryinv.counting import moment_targets
 from naryinv.dimensions import hilbert_series_prefix, invariant_dimension
-from naryinv.errors import ResourceLimitError, TruncationError
+from naryinv.errors import InternalError, ResourceLimitError, TruncationError
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import brute_character
 from naryinv.series import (
@@ -57,6 +57,16 @@ def test_coefficient_examples():
         series.coefficient(3, (0,))
     with pytest.raises(ValueError):
         series.coefficient(-1, (0,))
+    with pytest.raises(ValueError, match="length n - 1 = 1, got 2"):
+        series.coefficient(2, (1, 1))
+
+
+def test_nonzero_refuses_a_count_past_the_cells_a_layer_spans():
+    series = expand_generating_series(2, 2, 2)
+    # layer 0 spans one cell; a count in the next field lies past it
+    bad = series._replace(layers=(1 << series.width, *series.layers[1:]))
+    with pytest.raises(InternalError, match="layer 0 holds a count past the cells it spans"):
+        list(bad.nonzero())
 
 
 def test_series_matches_brute_character_tally():

@@ -10,7 +10,7 @@ import naryinv.weights as weights_mod
 from naryinv.cli import main
 from naryinv.counting import moment_targets
 from naryinv.errors import ResourceLimitError
-from naryinv.weights import signed_orbit_terms, to_ambient
+from naryinv.weights import check_weight, signed_orbit_terms, to_ambient
 from reference import dominant_representative, from_ambient
 
 
@@ -143,6 +143,11 @@ def test_shift_validation():
         signed_orbit_terms(3, shift=(1,))
     with pytest.raises(ValueError):
         signed_orbit_terms(1)
+
+
+def test_check_weight_names_the_entry_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="weight position 2: 1.5 is not an integer"):
+        check_weight(3, (1, 1.5))
 
 
 def _band_shifts(n, rng):
