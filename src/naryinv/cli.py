@@ -22,8 +22,9 @@ it reads; ``check``'s character entries), at least 1, checked before
 anything is allocated.  ``series`` is the same
 capped read as ``nu`` under its own method tag; only ``series --dump``, which
 writes every coefficient, expands uncapped.  It reports ``wrote N
-coefficients`` once the file is closed; a refused query leaves an existing
-dump file as it was and removes one it created.  ``nu``, ``gamma``
+coefficients`` once the file is closed; a refused or interrupted query
+leaves an existing dump file as it was and removes one it created (a
+regular file is replaced only by a complete dump).  ``nu``, ``gamma``
 and ``count`` also take ``--cache``: memoise weight multiplicities in
 ``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
 unreadable records, which are skipped).  This module is the package's one
@@ -63,7 +64,9 @@ import argparse
 import csv
 import json
 import os
+import stat
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 
@@ -155,28 +158,46 @@ def _open_cache(enabled: bool) -> CountCache | None:
 
 @contextmanager
 def _dump_file(path: str | None):
-    """The ``--dump`` file, open for appending, or None without one.
+    """The ``--dump`` file to write, or None without one.
 
-    Opened before the expansion, so that a bad path fails first, and for
-    appending, so that a failed query leaves an existing file as it was; a
-    file the query created is removed if it fails with the file still
-    empty.  An error in writing or closing the file names the flag and
-    the path; a closed pipe stays a ``BrokenPipeError``.
+    The path is opened before the expansion, so that a bad path fails
+    first, and for appending, so that a failed query leaves an existing
+    file as it was; a file the query created is removed if it fails with
+    the file still empty.  A regular file is not written in place: the
+    dump goes to a new file beside the one the path resolves to (so a
+    symlink keeps its link), with its mode, and replaces it only once
+    complete, so an interrupted dump leaves the old file as it was.  A
+    pipe or a device takes the dump as it is written.  An error in writing
+    or closing the file names the flag and the path; a closed pipe stays a
+    ``BrokenPipeError``.
     """
     if path is None:
         yield None
         return
-    created = not os.path.lexists(path)
+    created = not os.path.exists(path)  # through a symlink, to what it names
     try:
         fh = open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise OSError(f"--dump: {path!r} cannot be opened ({exc.strerror or exc})") from exc
+    staged = None
     try:
         with fh:
-            yield fh
+            mode = os.fstat(fh.fileno()).st_mode
+            if not stat.S_ISREG(mode):
+                yield fh
+                return
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
+        fd, staged = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
+        with open(fd, "w", encoding="utf-8") as stage:
+            os.fchmod(stage.fileno(), stat.S_IMODE(mode))
+            yield stage
+        os.replace(staged, target)
     except BaseException as exc:
+        if staged is not None and os.path.lexists(staged):
+            os.remove(staged)
         if created and not os.path.getsize(path):
-            os.remove(path)
+            os.remove(os.path.realpath(path))
         if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
             raise OSError(f"--dump: {path!r} cannot be written ({exc.strerror or exc})") from exc
         raise
@@ -198,10 +219,6 @@ def cmd_point(args, out) -> int:
         value = args.query(*inputs, **options)
         ms = (time.perf_counter() - start) * 1000.0
         if fh:
-            if fh.seekable() and fh.tell():
-                # a file that holds an earlier dump is replaced; a pipe or a
-                # device such as /dev/null holds none, and refuses truncate
-                fh.truncate(0)
             written = dump_series(options["series"], fh)
     if args.dump is not None:
         print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)

@@ -76,61 +76,68 @@ def signed_counts(
     degree ``k`` in ``degrees``: the one reader behind every query.
 
     Each weight comes checked, as :func:`~naryinv.weights.signed_orbit_terms`
-    builds it, and each term is decomposed once, not once per degree; at each
-    degree a divisibility and a sign test (the formula of :func:`moment_targets`)
-    pick the terms whose moment system is feasible.  Only those are read: from
-    ``cache`` when it holds them, otherwise from ``series`` or, without one,
-    from one expansion to the highest degree read, capped at the coordinatewise
-    maximum of the targets still missing.  Computed values are added to
-    ``cache``.  A negative sum raises :class:`ValueError` naming the cache
-    file when its degree read a count from ``cache``, else
-    :class:`InternalError`.
+    builds it, and each term is decomposed once, not once per degree.  The
+    degrees are walked once, from the last down.  At each, a divisibility and
+    a sign test (the formula of :func:`moment_targets`) pick the terms whose
+    moment system is feasible; a count ``cache`` holds goes straight into the
+    degree's sum, and every other feasible term is listed as a read of its
+    targets.  The listed reads are then taken from ``series`` or, without
+    one, from one expansion to the highest degree read, capped at the
+    coordinatewise maximum of their targets, and added into the same sums;
+    computed values are added to ``cache``.  A negative sum raises
+    :class:`ValueError` naming the cache file when its degree read a count
+    from ``cache``, else :class:`InternalError`.
 
-    Reads are listed from the last degree down.  Without ``series``, the
-    first degree with a read to expand sizes the caps found so far, a
-    lower bound on the final expansion, so a refused read is refused
-    before the degrees below it are listed.
+    Without ``series``, the first degree with a read sizes the caps of its
+    own reads, a lower bound on the final expansion, so a refused read is
+    refused before the degrees below it are listed.
     """
     check_params(n, d, None, max_terms)
     if series is not None and (series.n, series.d) != (n, d):
         raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
     plan = [(w, c, _decompose(w)) for w, c in terms]
-    counts: dict[tuple[int, Weight], int] = {}
-    missing: dict[tuple[int, Weight], tuple[int, ...]] = {}
+    sums: dict[int, int] = {}
+    reads: dict[int, list[tuple[Weight, int, tuple[int, ...]]]] = {}
     sized = series is not None
     from_cache = set()
     for k in reversed(degrees):
         check_params(n, d, k)
         kd = k * d
-        for w, _, term in plan:
+        total, listed = 0, []
+        for w, c, term in plan:
             targets = _targets(n, kd, term)
             if targets is None:
                 continue
             hit = cache.get(n, d, k, w) if cache is not None else None
             if hit is None:
-                missing[k, w] = targets
+                listed.append((w, c, targets))
             else:
-                counts[k, w] = hit
+                total += c * hit
                 from_cache.add(k)
-        if missing and not sized:
-            sized = True
-            caps = tuple(min(max(column), d * k) for column in zip(*missing.values()))
-            check_expansion_size(d, k, caps, max_terms)
-    if missing and series is None:
-        caps = [max(column) for column in zip(*missing.values())]
-        series = expand_generating_series(n, d, max(k for k, _ in missing), max_terms, caps)
-    for (k, w), targets in missing.items():
-        counts[k, w] = series.coefficient(k, targets)
-        if cache is not None:
-            cache.put(n, d, k, w, counts[k, w])
-    sums = [sum(c * counts.get((k, w), 0) for w, c, _ in plan) for k in degrees]
-    for k, total in zip(degrees, sums):
+        sums[k] = total
+        if listed:
+            reads[k] = listed
+            if not sized:
+                sized = True
+                caps = tuple(min(max(column), d * k) for column in zip(*(t for _, _, t in listed)))
+                check_expansion_size(d, k, caps, max_terms)
+    if reads and series is None:
+        caps = [max(column) for column in zip(*(t for ts in reads.values() for _, _, t in ts))]
+        series = expand_generating_series(n, d, max(reads), max_terms, caps)
+    for k, listed in reads.items():
+        for w, c, targets in listed:
+            count = series.coefficient(k, targets)
+            sums[k] += c * count
+            if cache is not None:
+                cache.put(n, d, k, w, count)
+    totals = [sums[k] for k in degrees]
+    for k, total in zip(degrees, totals):
         if total < 0:
             where = f"negative multiplicity {total} at (n={n}, d={d}, k={k})"
             if k in from_cache:
                 raise ValueError(f"{where}: {cache.path} holds a bad count")
             raise InternalError(where)
-    return sums
+    return totals
 
 
 def weight_multiplicity(

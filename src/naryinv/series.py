@@ -115,11 +115,11 @@ class TruncatedSeries(NamedTuple):
         m = tuple(moments)
         if len(m) != self.n - 1:
             raise ValueError(f"moments must have length n - 1 = {self.n - 1}, got {len(m)}")
-        if any(x < 0 or x > self.d * k for x in m):
+        if min(m) < 0 or max(m) > self.d * k:
             return 0
-        if any(x > c for x, c in zip(m, self.caps)):
+        if any(map(operator.gt, m, self.caps)):
             raise TruncationError(f"moments {m} beyond the expansion caps {self.caps}")
-        cell = sum(x * p for x, p in zip(m, self.places))
+        cell = sum(map(operator.mul, m, self.places))
         return (self.layers[k] >> (cell * self.width)) & ((1 << self.width) - 1)
 
     def nonzero(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:

@@ -528,6 +528,52 @@ def test_series_dump_to_a_device_or_a_pipe(capsys):
     assert "wrote 9 coefficients" in capsys.readouterr().err
 
 
+def test_interrupted_dump_leaves_the_old_file(tmp_path, monkeypatch):
+    import naryinv.cli as cli_mod
+
+    path = tmp_path / "series.jsonl"
+    assert run_cli("series", "3", "3", "6", "--dump", str(path))[0] == 0
+    old = path.read_bytes()
+    assert len(old.splitlines()) == 511
+
+    def interrupted(series, stream):
+        for i, ((k, mom), value) in enumerate(series.nonzero()):
+            if i == 5:
+                raise KeyboardInterrupt
+            stream.write(json.dumps({"k": k, "moments": list(mom), "coefficient": str(value)}) + "\n")
+
+    monkeypatch.setattr(cli_mod, "dump_series", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("series", "3", "3", "6", "--dump", str(path))
+    assert path.read_bytes() == old
+    # nothing staged is left beside it
+    assert os.listdir(tmp_path) == ["series.jsonl"]
+
+
+def test_dump_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
+    target = tmp_path / "data" / "series.jsonl"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert run_cli("series", "2", "2", "2", "--dump", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert len(target.read_text().splitlines()) == 9
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(target.parent)) == ["series.jsonl"]
+    # a new dump gets the mode of any new file, not a private one
+    fresh, plain = tmp_path / "fresh.jsonl", tmp_path / "plain"
+    plain.touch()
+    assert run_cli("series", "2", "2", "2", "--dump", str(fresh))[0] == 0
+    assert fresh.stat().st_mode == plain.stat().st_mode
+    # a refused dump through a link to no file creates none, and keeps the link
+    dangling = tmp_path / "dangling.jsonl"
+    dangling.symlink_to(tmp_path / "absent.jsonl")
+    assert run_cli("series", "3", "3", "4", "--limit-states", "3", "--dump", str(dangling))[0] == 3
+    assert dangling.is_symlink() and not (tmp_path / "absent.jsonl").exists()
+
+
 def test_capped_reads_under_a_small_term_limit(tmp_path, capsys):
     # the layers of the (3, 3) series up to degree 12 span 1,911 cells when
     # capped at the targets of the orbit terms; uncapped they span 8,905

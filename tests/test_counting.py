@@ -11,11 +11,12 @@ from naryinv.counting import (
     signed_counts,
     weight_multiplicity,
 )
-from naryinv.dimensions import invariant_dimension
+from naryinv.dimensions import hilbert_series_prefix, invariant_dimension
 from naryinv.errors import ResourceLimitError
 from naryinv.forms import enumerate_indices, weight_from_moments
 from naryinv.oracles import brute_character, symmetric_power_dimension
 from naryinv.series import TruncatedSeries, check_expansion_size, expand_generating_series
+from naryinv.weights import signed_orbit_terms
 from reference import dominant_representative
 
 
@@ -246,3 +247,52 @@ def test_weight_multiplicity_consults_cache(tmp_path):
     fresh = CountCache(str(tmp_path / "fresh"))
     assert weight_multiplicity(2, 2, 2, (0,), cache=fresh) == 2
     assert fresh.get(2, 2, 2, (0,)) == 2
+
+
+def _half_cached(directory, n, d, kmax):
+    """The orbit terms of a table to ``kmax``, its feasible ``(k, w, c)``,
+    and a cache holding the right count at every other one of them."""
+    terms = signed_orbit_terms(n, kd=kmax * d)
+    feasible = [
+        (k, w, c) for k in range(kmax + 1) for w, c in terms
+        if moment_targets(n, d, k, w) is not None
+    ]
+    cache = CountCache(str(directory))
+    for k, w, _ in feasible[::2]:
+        cache.put(n, d, k, w, weight_multiplicity(n, d, k, w))
+    return terms, feasible, cache
+
+
+@pytest.mark.parametrize("n, d, kmax", [(2, 4, 12), (3, 3, 10), (4, 2, 6)])
+def test_cached_and_expanded_reads_in_one_call(tmp_path, monkeypatch, n, d, kmax):
+    # cache hits and expanded reads in one call add up to the uncached table
+    terms, feasible, cache = _half_cached(tmp_path, n, d, kmax)
+    misses = [(k, w) for k, w, _ in feasible[1::2]]
+    before = os.path.getsize(cache.path)
+    expected = hilbert_series_prefix(n, d, kmax)
+    real = TruncatedSeries.coefficient
+    reads = []
+
+    def recording(self, k, moments):
+        reads.append(k)
+        return real(self, k, moments)
+
+    monkeypatch.setattr(TruncatedSeries, "coefficient", recording)
+    assert signed_counts(n, d, range(kmax + 1), terms, cache=cache) == expected
+    assert sorted(reads) == sorted(k for k, _ in misses)
+    # the misses are appended, each once; the hits are not
+    with open(cache.path, encoding="utf-8") as fh:
+        fh.seek(before)
+        appended = [json.loads(line) for line in fh]
+    assert sorted((r["k"], tuple(r["mu"])) for r in appended) == sorted(misses)
+
+
+def test_a_bad_cached_count_among_expanded_reads_names_the_cache(tmp_path):
+    n, d, kmax = 3, 3, 10
+    terms, feasible, cache = _half_cached(tmp_path, n, d, kmax)
+    # one negative term's count, far too large, drives its degree negative
+    k, w = next((k, w) for k, w, c in feasible[1::2] if c < 0)
+    cache.put(n, d, k, w, 10**6)
+    with pytest.raises(ValueError, match=f"at \\(n=3, d=3, k={k}\\): .*holds a bad count") as info:
+        signed_counts(n, d, range(kmax + 1), terms, cache=cache)
+    assert cache.path in str(info.value)

@@ -59,6 +59,20 @@ def test_coefficient_examples():
         series.coefficient(-1, (0,))
     with pytest.raises(ValueError, match="length n - 1 = 1, got 2"):
         series.coefficient(2, (1, 1))
+    # a negative moment is out of reach: it reads 0
+    assert series.coefficient(2, (-1,)) == 0
+    # the checks run in order: the length, then the reach, then the caps
+    capped = expand_generating_series(3, 2, 2, caps=(1, 4))
+    assert capped.caps == (1, 4)
+    with pytest.raises(ValueError, match="length n - 1 = 2, got 3"):
+        capped.coefficient(2, (-1, 9, 9))
+    # one moment past a cap, another past d * k: out of reach, so 0
+    assert capped.coefficient(2, (2, 5)) == 0
+    assert capped.coefficient(2, (-1, 2)) == 0
+    # within reach but past a cap: the expansion dropped it
+    with pytest.raises(TruncationError, match="beyond the expansion caps"):
+        capped.coefficient(2, (2, 0))
+    assert capped.coefficient(2, (1, 3)) == expand_generating_series(3, 2, 2).coefficient(2, (1, 3))
 
 
 def test_nonzero_refuses_a_count_past_the_cells_a_layer_spans():

@@ -299,6 +299,21 @@ def test_the_orbit_walk_derives_its_own_band():
     assert _names_from("dimensions", "weights") == {"check_dominant", "signed_orbit_terms"}
 
 
+def test_plethysm_tests_share_no_code_with_the_package():
+    # the classical plethysms check gamma with their own partitions: the
+    # test imports gamma from the top level, and nothing else of naryinv
+    path = SRC.parent / "tests" / "test_plethysm.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert {name for name in imported if name.startswith("naryinv")} == {
+        "naryinv.highest_weight_multiplicity"
+    }
+
+
 def test_only_the_cli_reads_the_environment():
     # the library takes what it needs as arguments; the CLI alone reads
     # NARY_CACHE_DIR and opens the cache (an attribute of any name counts,
