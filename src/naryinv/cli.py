@@ -44,9 +44,10 @@ A plain query is read straight off the table of commands, and builds no
 ``ArgumentParser``: the command comes first, every positional is an ASCII
 decimal literal, and each flag comes at most once, as ``--flag value`` or
 ``--flag=value`` (``--cache`` bare), its value not starting with ``-``
-unless attached with ``=``.  Every other form, such as ``-h``, ``--``, an
-abbreviated or repeated flag or a numeral like ``+5``, goes through
-argparse, which reads it with the same result or prints its usage error.
+unless attached with ``=``; options may come before, between or after the
+positionals.  Every other form, such as ``-h``, ``--``, an abbreviated or
+repeated flag or a numeral like ``+5``, goes through argparse, which reads
+it with the same result or prints its usage error.
 
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
 (``$NARY_CACHE_DIR``, ``--dump`` in opening or in writing; the message
@@ -489,6 +490,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         check_params(args.n)
         if "limit_states" in args and args.limit_states < 1:
             raise ValueError(f"--limit-states must be at least 1 state, got {args.limit_states}")
+        if "kmax" in args and args.kmax < 0:
+            raise ValueError(f"--kmax must be at least 0, got {args.kmax}")
         return args.handler(args, out)
     except (ResourceLimitError, MemoryError) as exc:
         # a MemoryError the interpreter raises carries no message

@@ -102,16 +102,18 @@ def character_tables(
     product ``prod_i 1 / (1 - t x^wt(i))`` over the coefficient indices,
     expanded one index at a time without visiting a monomial: for each
     index, degree ``k = 1..kmax`` in turn, upward and in place, gains
-    degree ``k - 1`` shifted by the index's weight.  Each degree is a dict
-    keyed by packed weights: field ``s`` holds the sum of ``wt_s + d`` over
-    the factors, at most ``2 * d * kmax``, in ``(2 * d * kmax).bit_length()``
-    bits and one spare bit above them, so no field carries.  The whole pass
-    runs when the first table is asked for; every degree's total mass,
-    over every packed entry, must then equal the symmetric-power
-    dimension.  Each degree is read out only when it is yielded, and only
-    at its dominant weights (every ``wt_s >= 0``): a character is
-    Weyl-symmetric, so they determine the rest.  Degree ``k`` reads each
-    weight back as its fields minus ``k * d``.
+    degree ``k - 1`` shifted by the index's weight, so the pass makes at
+    most ``|indices| * sum_k |h_k|`` updates, ``|h_k|`` the entries of
+    degree ``k``.  Each degree is a dict keyed by packed weights: field
+    ``s`` holds the sum of ``wt_s + d`` over the factors, at most
+    ``2 * d * kmax``, in ``(2 * d * kmax).bit_length()`` bits and one spare
+    bit above them, so no field carries.  The whole pass runs when the
+    first table is asked for; every degree's total mass, over every packed
+    entry, must then equal the symmetric-power dimension, else
+    :class:`InternalError`.  Each degree is read out only when it is
+    yielded, and only at its dominant weights (every ``wt_s >= 0``): a
+    character is Weyl-symmetric, so they determine the rest.  Degree ``k``
+    reads each weight back as its fields minus ``k * d``.
 
     Degree ``k`` holds one entry per moment vector ``m >= 0`` with
     ``|m| <= d * k`` (each splits into ``k`` indices):

@@ -143,7 +143,8 @@ class TruncatedSeries(NamedTuple):
     @property
     def coefficients(self) -> dict[tuple[int, tuple[int, ...]], int]:
         """Every nonzero coefficient, keyed by ``(degree, moment vector)``:
-        a fresh dict on each read, built by :meth:`nonzero`."""
+        a fresh dict on each read, built by :meth:`nonzero`, so bind it once
+        before reading it in a loop."""
         return dict(self.nonzero())
 
 

@@ -760,6 +760,14 @@ def test_bad_limit_names_the_flag_and_its_unit(capsys):
     assert capsys.readouterr().err == "error: rank parameter n must be >= 2, got 1\n"
 
 
+@pytest.mark.parametrize("command", ["table", "check"])
+def test_negative_kmax_names_the_flag(command, capsys):
+    # the user typed --kmax, not the library's monomial degree k
+    assert run_cli(command, "3", "3", "--kmax=-1") == (2, "")
+    assert capsys.readouterr().err == "error: --kmax must be at least 0, got -1\n"
+    assert run_cli(command, "3", "3", "--kmax=0")[0] == 0
+
+
 def test_resource_limit_exit_code():
     code, _ = run_cli("nu", "9", "2", "2")
     assert code == 3

@@ -1,14 +1,16 @@
 """Checks on the package as a whole: it must hold under ``python -O``,
 which strips ``assert``, keep every name the benchmark imports and answer
-its queries, and keep the CLI's documented commands in step with its
-parser."""
+its queries, and keep the CLI's documented commands, and the README's
+examples, limits, exit codes and layout, in step with the code."""
 
 import argparse
 import ast
 import importlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = SRC.parent / "perfbench"
+README = SRC.parent / "README.md"
 
 
 def test_package_has_no_assert_statements():
@@ -456,3 +459,97 @@ def test_readme_library_examples_run():
     five_terms = [((0, 0), 1), ((1, 1), -2), ((2, 2), -1), ((0, 3), 1), ((3, 0), 1)]
     assert values == [2, 1, 2, five_terms, [1, 0, 1, 1, 1, 1, 2], {(4,): 1, (0,): 1}]
     assert len(stated) == 5 and all(value == literal for value, literal in stated)
+
+
+def _readme_transcript(heading):
+    """``(argv, tail, lines)`` for each ``$ naryinv ...`` line of the first
+    ``sh`` block under ``heading``: its arguments, the N of a trailing
+    ``| tail -N`` (None without one) and the lines shown below it."""
+    block = README.read_text().split(f"\n{heading}\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    sessions = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            command, _, tail = line[2:].partition(" | tail -")
+            program, *argv = command.split()
+            assert program == "naryinv", line
+            sessions.append((argv, int(tail) if tail else None, []))
+        elif line:
+            sessions[-1][2].append(line)
+    return sessions
+
+
+def test_readme_command_examples_run(capsys):
+    # the Examples block, run as written: one example per command, each
+    # printing the lines below it once its `| tail -N` is applied
+    from naryinv import cli
+
+    sessions = _readme_transcript("### Examples")
+    assert sorted(argv[0] for argv, _, _ in sessions) == sorted(cli._commands())
+    for argv, tail, lines in sessions:
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == cli.EXIT_OK, argv
+        printed = out.getvalue().splitlines()
+        assert (printed[-tail:] if tail else printed) == lines, argv
+        assert capsys.readouterr().err == "", argv
+
+
+def test_readme_refusals_are_reproduced(tmp_path, monkeypatch, capsys):
+    # every refusal the Limits block quotes exits 3 at once with the quoted
+    # line on stderr, byte for byte, prints nothing and creates no file
+    from naryinv import cli
+
+    monkeypatch.chdir(tmp_path)
+    sessions = _readme_transcript("### Limits")
+    assert [" ".join(argv) for argv, _, _ in sessions] == [
+        "nu 9 2 2",
+        "nu 4 3 64",
+        "series 7 2 7 --dump out.jsonl",
+        "check 3 4 --kmax 16 --limit-states 12800",
+    ]
+    for argv, tail, lines in sessions:
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == cli.EXIT_RESOURCE, argv
+        assert tail is None and out.getvalue() == ""
+        assert capsys.readouterr().err == "".join(f"{line}\n" for line in lines), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_states_the_rank_bound_and_the_default_limit():
+    from naryinv.errors import MAX_TERMS
+    from naryinv.weights import MAX_ORBIT_RANK
+
+    readme = README.read_text()
+    ranks = {int(rank) for rank in re.findall(r"n <= (\d+)", readme)}
+    assert ranks == {MAX_ORBIT_RANK}
+    default = re.search(r"`--limit-states N` \(default ([\d,]+)", readme).group(1)
+    assert int(default.replace(",", "")) == MAX_TERMS
+
+
+def test_readme_lists_every_exit_code():
+    from naryinv import cli
+
+    block = README.read_text().split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [int(code) for code in re.findall(r"^- `(\d+)`", block, re.M)]
+    assert sorted(listed) == sorted(v for name, v in vars(cli).items() if name.startswith("EXIT_"))
+
+
+def test_readme_names_no_private_function():
+    # a private name is the docstrings' business: the README states the
+    # user surface only
+    readme = README.read_text()
+    private = {
+        node.name
+        for path in (SRC / "naryinv").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    assert "_cells" in private
+    assert sorted(name for name in private if re.search(rf"(?<!\w){name}\b", readme)) == []
+
+
+def test_readme_layout_lists_every_module_once():
+    block = README.read_text().split("## Layout\n", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    package = block.split("src/naryinv/\n", 1)[1].split("\ntests/", 1)[0]
+    listed = [line.split()[0] for line in package.splitlines()]
+    assert sorted(listed) == sorted(path.name for path in (SRC / "naryinv").glob("*.py"))
