@@ -12,11 +12,19 @@ sum carries.  Under ``MAX_TERMS``, the product pass is refused by the
 entries it would hold, brute force by the monomials it would visit.
 Irreducible weight multiplicities are Kostka numbers, counts of
 semistandard tableaux by content, which permuting the content leaves
-unchanged: they are counted at ascending contents and tabulated per
-module at its dominant weights; stripping keys each
-dominant weight by its partition, which it computes itself, and extracts
-highest weights greedily in decreasing lexicographic order of partitions,
-which extends dominance.  The binary case is a bounded-partition difference.
+unchanged: they are counted at ascending contents, down to a two-row base
+case where each is 1, and tabulated per module at its dominant weights;
+stripping keys each dominant weight by its partition, which it computes
+itself, and extracts highest weights greedily in decreasing lexicographic
+order of partitions, which extends dominance.  Contents and partitions are
+one ``int`` each, one ``FIELD``-bit field per entry: a content's count of
+letter ``s + 1`` in field ``s``, a partition's part ``i`` in field
+``len - 1 - i``.  The first part is then the most significant, so while no
+field carries, the numeric order of partitions is their lexicographic
+order.  No part or count exceeds the partition's sum; a partition whose
+sum needs more than ``FIELD`` bits is refused with
+:class:`ResourceLimitError` (exit 3), out of reach under the default
+``MAX_TERMS``.  The binary case is a bounded-partition difference.
 Within the package this module imports only ``errors``, ``forms`` and,
 from ``weights``, the ``Weight`` type: never the counting engine, the
 orbit walk or its coordinates.  These oracles exist to certify the main
@@ -28,6 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import struct
 from collections import Counter
 from typing import Iterator, NamedTuple
 
@@ -178,48 +188,90 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
         yield CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
 
+FIELD = 32
+"""Bits per field of a packed partition or content: one 32-bit word, as
+:func:`_unpack` reads it."""
+
+
+def _pack(parts: tuple[int, ...]) -> int:
+    """A partition as one ``int``: part ``i`` in field ``len(parts) - 1 - i``,
+    at bit ``(len(parts) - 1 - i) * FIELD``, so the first part is the most
+    significant.  Every part must be below ``2 ** FIELD``."""
+    key = 0
+    for part in parts:
+        key = (key << FIELD) | part
+    return key
+
+
+def _unpack(key: int, rows: int) -> tuple[int, ...]:
+    """The ``rows`` parts of a key packed by :func:`_pack`: its bytes read
+    as big-endian unsigned 32-bit words, one per field."""
+    return struct.unpack(f">{rows}I", key.to_bytes(rows * 4, "big"))
+
+
+def _check_packable(size: int) -> None:
+    """Refuse a partition of ``size``, which bounds each of its parts and
+    each count of a content of its shape, once a field cannot hold it."""
+    if size >> FIELD:
+        raise ResourceLimitError(
+            f"stripping a partition of {size} needs fields wider than {FIELD} bits"
+        )
+
+
 @functools.lru_cache(maxsize=4096)
-def _tableau_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _tableau_contents(shape: tuple[int, ...]) -> dict[int, int]:
     """Semistandard tableaux of ``shape``, a descending vector with one row
-    per letter (zeros allowed), counted by ascending content.
+    per letter (zeros allowed, at least two rows), counted by ascending
+    content, each content packed into one ``int``: the count of letter
+    ``s + 1`` in field ``s``.
 
     A Kostka number does not change when its content is permuted, so the
     ascending contents hold every one; the largest letter then holds the
     largest count, and the inner shapes stay small.  The entries equal to
     the largest letter form a horizontal strip ``shape / nu``, where ``nu``
-    interlaces ``shape`` (Gelfand--Tsetlin branching).  A content is
-    ascending only if the content of the smaller letters is, so each
-    content of ``nu`` is extended only when its last entry is at most the
-    strip; and ``nu`` is skipped before it is recursed into when ``shape``
-    holds more than ``len(shape)`` times the strip, since no count of an
-    ascending content exceeds its last.  Modules share sub-shapes, hence
-    the memo.
+    interlaces ``shape`` (Gelfand--Tsetlin branching); adding the strip
+    sets the top field.  A content is ascending only if the content of the
+    smaller letters is, so each content of ``nu`` is extended only when its
+    last entry, its top field, is at most the strip; and ``nu`` is skipped
+    before it is recursed into when ``shape`` holds more than
+    ``len(shape)`` times the strip, since no count of an ascending content
+    exceeds its last.  Two rows ``(a, b)`` are the base case: every
+    ascending content ``(p, a + b - p)`` with ``p >= b`` fills them in
+    exactly one way (the ``p`` ones start the first row, the second row is
+    all twos), and no other fills them at all.  Modules share sub-shapes,
+    hence the memo.
     """
-    if len(shape) == 1:
-        return {shape: 1}
+    rows = len(shape)
+    if rows == 2:
+        a, b = shape
+        return {p + ((a + b - p) << FIELD): 1 for p in range(b, (a + b) // 2 + 1)}
     total = sum(shape)
-    out: dict[tuple[int, ...], int] = {}
+    last, top = (rows - 2) * FIELD, (rows - 1) * FIELD
+    out: dict[int, int] = {}
     for nu in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:]))):
         strip = total - sum(nu)
-        if total > len(shape) * strip:
+        if total > rows * strip:
             continue
+        added = strip << top
         for mu, c in _tableau_contents(nu).items():
-            if mu[-1] <= strip:
-                key = mu + (strip,)
+            if mu >> last <= strip:
+                key = mu + added
                 out[key] = out.get(key, 0) + c
     return out
 
 
 @functools.lru_cache(maxsize=1024)
-def _module_table(top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _module_table(top: tuple[int, ...]) -> dict[int, int]:
     """Multiplicities of the module with partition ``top`` at its dominant
-    weights, keyed by partition: the Kostka numbers ``K(top, mu)`` at every
-    ascending content ``mu``, reversed, less its full columns (its first
-    entry)."""
-    return {
-        tuple([x - mu[0] for x in reversed(mu)]): c
-        for mu, c in _tableau_contents(top).items()
-    }
+    weights, keyed by packed partition: the Kostka numbers ``K(top, mu)``
+    at every ascending content ``mu``, whose packed fields are already the
+    parts of ``mu`` reversed, less its full columns (its first entry, field
+    0, taken from every field at once).  A ``top`` whose sum needs more
+    than ``FIELD`` bits is refused with :class:`ResourceLimitError` before
+    any table is built."""
+    _check_packable(sum(top))
+    mask, ones = (1 << FIELD) - 1, _pack((1,) * len(top))
+    return {key - (key & mask) * ones: c for key, c in _tableau_contents(top).items()}
 
 
 def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
@@ -227,8 +279,11 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
 
     Restricts the character to its dominant weights (no information is lost:
     characters are symmetric under the Weyl group) and keys each by its
-    partition ``lam``: the weight's prefix sums, reversed, with last part 0.
-    Walks them in decreasing lexicographic order, reads the remaining
+    partition ``lam``: the weight's prefix sums, reversed, with last part 0,
+    packed by :func:`_pack` straight from the prefix sums (prefix sum ``s``
+    in field ``s``).  Every part is below ``2 ** FIELD``, so no field
+    carries and the numeric order of the keys is the lexicographic order of
+    the partitions.  Walks them in decreasing order, reads the remaining
     multiplicity at each as the multiplicity of the irreducible with that
     highest weight, and subtracts that module's dominant character via its
     table of Kostka numbers.  Every other key of that table is
@@ -237,15 +292,22 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     with last part ``m > 0`` is keyed by ``mu - m``, whose first part
     ``mu[0] - m`` is below ``lam[0]``.  So every module that reaches a
     partition is stripped before that partition is read.  Only the highest
-    weights found are converted back to weights.
+    weights found, and a partition a guard names, are unpacked.
     The zero-weight entry of the result is an independent computation of
-    the invariant dimension.  A table that is not a character raises
+    the invariant dimension.  A table with a partition whose sum needs more
+    than ``FIELD`` bits is refused with :class:`ResourceLimitError` before
+    anything is packed.  A table that is not a character raises
     :class:`InternalError` at one of two guards: a negative count at a
     partition as it is read, or a count left after the last read, which is
     where a partition the table never lists, and so never reads, shows.
     """
-    dominant = ((w, m) for w, m in table.multiplicities.items() if min(w) >= 0)
-    remaining = {tuple(itertools.accumulate(w, initial=0))[::-1]: m for w, m in dominant}
+    n = table.n
+    dominant = [(w, m) for w, m in table.multiplicities.items() if min(w) >= 0]
+    _check_packable(max((sum(itertools.accumulate(w)) for w, _ in dominant), default=0))
+    shifts = range(FIELD, n * FIELD, FIELD)
+    remaining = {
+        sum(map(operator.lshift, itertools.accumulate(w), shifts)): m for w, m in dominant
+    }
     out: dict[Weight, int] = {}
     for lam in sorted(remaining, reverse=True):
         count = remaining[lam]
@@ -253,16 +315,19 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
             continue
         if count < 0:
             raise InternalError(
-                f"negative remaining multiplicity {count} at partition {lam} while stripping"
+                f"negative remaining multiplicity {count} at partition "
+                f"{_unpack(lam, n)} while stripping"
             )
-        out[tuple(a - b for a, b in zip(lam[-2::-1], lam[::-1]))] = count
-        for target, mult in _module_table(lam).items():
+        top = _unpack(lam, n)
+        out[tuple(a - b for a, b in zip(top[-2::-1], top[::-1]))] = count
+        for target, mult in _module_table(top).items():
             remaining[target] = remaining.get(target, 0) - count * mult
     leftover = [(lam, v) for lam, v in remaining.items() if v]
     if leftover:
         lam, v = leftover[0]
         raise InternalError(
-            f"stripping left {v} at partition {lam}, one of {len(leftover)} left unexplained"
+            f"stripping left {v} at partition {_unpack(lam, n)}, one of "
+            f"{len(leftover)} left unexplained"
         )
     return out
 

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from naryinv.errors import InternalError, check_params
 from naryinv.forms import weight_from_moments
-from naryinv.oracles import _module_table
+from naryinv.oracles import _module_table, _pack
 from naryinv.weights import (
     Weight,
     check_dominant,
@@ -110,7 +110,7 @@ def kostka_number(n: int, highest, weight) -> int:
     outside the module or its highest weight's root-lattice coset, whose
     partitions are not keys."""
     table = _module_table(partition(check_dominant(n, highest)))
-    return table.get(partition(check_weight(n, weight)), 0)
+    return table.get(_pack(partition(check_weight(n, weight))), 0)
 
 
 def alternating_multiplicity_sum(n: int, highest) -> int:

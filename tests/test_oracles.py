@@ -239,13 +239,14 @@ def test_kostka_multiplicities_sum_to_weyl_dimension():
         assert total == weyl_dimension(n, top)
         # the table itself holds those weights and no others
         table = oracles_mod._module_table(tuple(top_ambient))
-        assert sum(m * _orbit_size(lam) for lam, m in table.items()) == total
+        assert sum(m * _orbit_size(oracles_mod._unpack(lam, n)) for lam, m in table.items()) == total
 
 
 def test_kostka_memo_is_bounded():
     memo = oracles_mod._module_table
     cap = memo.cache_info().maxsize
     assert cap is not None
+    assert oracles_mod._tableau_contents.cache_info().maxsize is not None
     # the cheapest modules first: small weights of rank 3, 4 and 5
     small = (
         (n, w)
@@ -354,7 +355,54 @@ def test_module_tables_match_tableaux_filled_cell_by_cell():
             count = _fillings(top, mu)
             if count:
                 expected[tuple(x - mu[-1] for x in mu)] = count
-        assert oracles_mod._module_table(top) == expected, top
+        table = oracles_mod._module_table(top)
+        assert {oracles_mod._unpack(key, len(top)): c for key, c in table.items()} == expected, top
+
+
+def test_two_row_contents_match_tableaux_filled_cell_by_cell():
+    # the recursion's base case, with the nonzero last rows it reaches
+    # inside larger shapes though no stripped top ends in one
+    for a in range(9):
+        for b in range(a + 1):
+            expected = {}
+            for p in range((a + b) // 2 + 1):
+                count = _fillings((a, b), (p, a + b - p))
+                if count:
+                    expected[p, a + b - p] = count
+            contents = oracles_mod._tableau_contents((a, b))
+            # field s counts letter s + 1; _unpack reads the top field first
+            assert {oracles_mod._unpack(key, 2)[::-1]: c for key, c in contents.items()} == expected
+
+
+def test_packed_partitions_round_trip_in_lexicographic_order():
+    checked = 0
+    for rows in range(1, 6):
+        parts = [
+            tuple(sorted(p, reverse=True))
+            for p in itertools.combinations_with_replacement(range(13), rows)
+        ]
+        for p in parts:
+            assert oracles_mod._unpack(oracles_mod._pack(p), rows) == p
+        assert sorted(parts, key=oracles_mod._pack) == sorted(parts)
+        checked += len(parts)
+    assert checked == 8567
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: strip_decompose(CharacterTable(2, 1, 0, {(2**32,): 1})),
+        lambda: oracles_mod._module_table((2**32, 0)),
+    ],
+)
+def test_a_partition_too_large_for_its_fields_is_refused_before_any_table(call, monkeypatch):
+    # a table of (2**32, 0) would hold 2**31 contents, so building one fails at once
+    def build(shape):
+        raise AssertionError(f"the contents of {shape} were built")
+
+    monkeypatch.setattr(oracles_mod, "_tableau_contents", build)
+    with pytest.raises(ResourceLimitError, match="wider than 32 bits"):
+        call()
 
 
 def test_weyl_dimension_examples():
@@ -468,7 +516,8 @@ def test_module_tables_lie_lexicographically_below_their_partition():
             if sum(parts) <= 12:
                 lam = (*sorted(parts, reverse=True), 0)
                 table = oracles_mod._module_table(lam)
-                assert table[lam] == 1 and all(key <= lam for key in table)
+                assert table[oracles_mod._pack(lam)] == 1
+                assert all(oracles_mod._unpack(key, n) <= lam for key in table)
                 keys += len(table)
     assert keys == 4097
 
