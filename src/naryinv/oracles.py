@@ -13,22 +13,24 @@ entries it would hold, brute force by the monomials it would visit.
 Irreducible weight multiplicities are Kostka numbers, counts of
 semistandard tableaux by content, which permuting the content leaves
 unchanged: they are counted at ascending contents, down to a two-row base
-case where each is 1, and tabulated per module at its dominant weights;
-stripping keys each dominant weight by its partition, which it computes
-itself, and extracts highest weights greedily in decreasing lexicographic
-order of partitions, which extends dominance.  Contents and partitions are
+case where each is 1.  Stripping keys each dominant weight by its
+partition, which it computes itself, extracts highest weights greedily in
+decreasing lexicographic order of partitions, which extends dominance, and
+subtracts each module's counts where they stand: an ascending content's
+fields are its partition's parts reversed, less the full columns it
+removes as it subtracts each entry.  Contents and partitions are
 one ``int`` each, one ``FIELD``-bit field per entry: a content's count of
 letter ``s + 1`` in field ``s``, a partition's part ``i`` in field
 ``len - 1 - i``.  The first part is then the most significant, so while no
 field carries, the numeric order of partitions is their lexicographic
-order.  No part or count exceeds the partition's sum; a partition whose
-sum needs more than ``FIELD`` bits is refused with
-:class:`ResourceLimitError` (exit 3), out of reach under the default
-``MAX_TERMS``.  The binary case is a bounded-partition difference.
-Within the package this module imports only ``errors``, ``forms`` and,
-from ``weights``, the ``Weight`` type: never the counting engine, the
-orbit walk or its coordinates.  These oracles exist to certify the main
-formulas, not to be fast at scale.
+order.  No part or count exceeds the partition's sum; stripping, the one
+reader of the tables, refuses a partition whose sum needs more than
+``FIELD`` bits with :class:`ResourceLimitError` (exit 3) before it reads
+any, out of reach under the default ``MAX_TERMS``.  The binary case is a
+bounded-partition difference.  Within the package this module imports
+only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type:
+never the counting engine, the orbit walk or its coordinates.  These
+oracles exist to certify the main formulas, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -209,15 +211,6 @@ def _unpack(key: int, rows: int) -> tuple[int, ...]:
     return struct.unpack(f">{rows}I", key.to_bytes(rows * 4, "big"))
 
 
-def _check_packable(size: int) -> None:
-    """Refuse a partition of ``size``, which bounds each of its parts and
-    each count of a content of its shape, once a field cannot hold it."""
-    if size >> FIELD:
-        raise ResourceLimitError(
-            f"stripping a partition of {size} needs fields wider than {FIELD} bits"
-        )
-
-
 @functools.lru_cache(maxsize=4096)
 def _tableau_contents(shape: tuple[int, ...]) -> dict[int, int]:
     """Semistandard tableaux of ``shape``, a descending vector with one row
@@ -260,20 +253,6 @@ def _tableau_contents(shape: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _module_table(top: tuple[int, ...]) -> dict[int, int]:
-    """Multiplicities of the module with partition ``top`` at its dominant
-    weights, keyed by packed partition: the Kostka numbers ``K(top, mu)``
-    at every ascending content ``mu``, whose packed fields are already the
-    parts of ``mu`` reversed, less its full columns (its first entry, field
-    0, taken from every field at once).  A ``top`` whose sum needs more
-    than ``FIELD`` bits is refused with :class:`ResourceLimitError` before
-    any table is built."""
-    _check_packable(sum(top))
-    mask, ones = (1 << FIELD) - 1, _pack((1,) * len(top))
-    return {key - (key & mask) * ones: c for key, c in _tableau_contents(top).items()}
-
-
 def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     """Greedy top-down extraction of irreducible multiplicities.
 
@@ -285,29 +264,45 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     carries and the numeric order of the keys is the lexicographic order of
     the partitions.  Walks them in decreasing order, reads the remaining
     multiplicity at each as the multiplicity of the irreducible with that
-    highest weight, and subtracts that module's dominant character via its
-    table of Kostka numbers.  Every other key of that table is
-    lexicographically below ``lam``: a content ``mu`` with last part 0 is
-    dominated by ``lam``, and dominance implies lexicographic order; one
-    with last part ``m > 0`` is keyed by ``mu - m``, whose first part
-    ``mu[0] - m`` is below ``lam[0]``.  So every module that reaches a
-    partition is stripped before that partition is read.  Only the highest
-    weights found, and a partition a guard names, are unpacked.
-    The zero-weight entry of the result is an independent computation of
-    the invariant dimension.  A table with a partition whose sum needs more
-    than ``FIELD`` bits is refused with :class:`ResourceLimitError` before
-    anything is packed.  A table that is not a character raises
-    :class:`InternalError` at one of two guards: a negative count at a
-    partition as it is read, or a count left after the last read, which is
-    where a partition the table never lists, and so never reads, shows.
+    highest weight, and subtracts that module's dominant character: each
+    Kostka number ``K(top, mu)`` of :func:`_tableau_contents` at the packed
+    partition of ``mu`` (an ascending content's fields are its parts
+    reversed) less its full columns (field 0 taken from every field at
+    once).  The contents of one shape share their sum, so no two meet at
+    one key.  Every key but ``lam`` is lexicographically below it: a content
+    with last part 0 is dominated by ``lam``, and dominance implies
+    lexicographic order; one with last part ``m > 0`` is keyed by
+    ``mu - m``, whose first part ``mu[0] - m`` is below ``lam[0]``.  So
+    every module that reaches a partition is stripped before that partition
+    is read.  Only the highest weights found, and a partition a guard
+    names, are unpacked.  The zero-weight entry of the result is an
+    independent computation of the invariant dimension.  A rank below 2 or
+    a weight whose length is not ``n - 1`` is refused with
+    :class:`ValueError`.  Every module read has the sum of one of the
+    table's partitions, which bounds its parts and counts, so a table with
+    a partition whose sum needs more than ``FIELD`` bits is refused with
+    :class:`ResourceLimitError` before anything is packed.  A table that
+    is not a character raises :class:`InternalError` at one of two guards:
+    a negative count at a partition as it is read, or a count left after
+    the last read, which is where a partition the table never lists, and so
+    never reads, shows.
     """
     n = table.n
+    check_params(n)
+    for w in table.multiplicities:
+        if len(w) != n - 1:
+            raise ValueError(f"weight {w} must have length n - 1 = {n - 1}")
     dominant = [(w, m) for w, m in table.multiplicities.items() if min(w) >= 0]
-    _check_packable(max((sum(itertools.accumulate(w)) for w, _ in dominant), default=0))
+    size = max((sum(itertools.accumulate(w)) for w, _ in dominant), default=0)
+    if size >> FIELD:
+        raise ResourceLimitError(
+            f"stripping a partition of {size} needs fields wider than {FIELD} bits"
+        )
     shifts = range(FIELD, n * FIELD, FIELD)
     remaining = {
         sum(map(operator.lshift, itertools.accumulate(w), shifts)): m for w, m in dominant
     }
+    mask, ones = (1 << FIELD) - 1, _pack((1,) * n)
     out: dict[Weight, int] = {}
     for lam in sorted(remaining, reverse=True):
         count = remaining[lam]
@@ -320,7 +315,8 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
             )
         top = _unpack(lam, n)
         out[tuple(a - b for a, b in zip(top[-2::-1], top[::-1]))] = count
-        for target, mult in _module_table(top).items():
+        for mu, mult in _tableau_contents(top).items():
+            target = mu - (mu & mask) * ones
             remaining[target] = remaining.get(target, 0) - count * mult
     leftover = [(lam, v) for lam, v in remaining.items() if v]
     if leftover:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from reference import (
     alternating_multiplicity_sum,
     from_ambient,
     kostka_number,
+    module_table,
     monomial_weight,
     orbit_expansion,
     weyl_dimension,
@@ -238,26 +240,8 @@ def test_kostka_multiplicities_sum_to_weyl_dimension():
             total += mult * _orbit_size(ambient)
         assert total == weyl_dimension(n, top)
         # the table itself holds those weights and no others
-        table = oracles_mod._module_table(tuple(top_ambient))
+        table = module_table(tuple(top_ambient))
         assert sum(m * _orbit_size(oracles_mod._unpack(lam, n)) for lam, m in table.items()) == total
-
-
-def test_kostka_memo_is_bounded():
-    memo = oracles_mod._module_table
-    cap = memo.cache_info().maxsize
-    assert cap is not None
-    assert oracles_mod._tableau_contents.cache_info().maxsize is not None
-    # the cheapest modules first: small weights of rank 3, 4 and 5
-    small = (
-        (n, w)
-        for total in itertools.count()
-        for n in (3, 4, 5)
-        for w in itertools.product(range(total + 1), repeat=n - 1)
-        if sum(w) == total
-    )
-    for n, w in itertools.islice(small, cap + 5):
-        assert kostka_number(n, w, w) == 1
-    assert memo.cache_info().currsize <= cap
 
 
 # sha256 of the multiplicities over every n <= 4, highest weight with
@@ -336,26 +320,43 @@ def _fillings(shape, content):
     return fill(0)
 
 
-def test_module_tables_match_tableaux_filled_cell_by_cell():
-    # every top, repeated parts and trailing zeros included, where the
-    # recursion's inner shapes collapse and its size skip is tight
-    def padded(total, n):
-        return [lam + (0,) * (n - len(lam)) for lam in _partitions(total, total) if len(lam) <= n]
+def _padded(total, n):
+    """Partitions of ``total`` into at most ``n`` parts, padded to ``n``."""
+    return [lam + (0,) * (n - len(lam)) for lam in _partitions(total, total) if len(lam) <= n]
 
-    tops = [
-        top
-        for n, most in [(2, 8), (3, 8), (4, 8), (5, 8), (6, 6)]
-        for size in range(most + 1)
-        for top in padded(size, n)
-    ]
-    assert len(tops) == 209
-    for top in tops:
+
+# every top, repeated parts and trailing zeros included, where the
+# recursion's inner shapes collapse and its size skip is tight
+TOPS = [
+    top
+    for n, most in [(2, 8), (3, 8), (4, 8), (5, 8), (6, 6)]
+    for size in range(most + 1)
+    for top in _padded(size, n)
+]
+
+
+def test_tableau_contents_match_tableaux_filled_cell_by_cell():
+    # the package's own counts, before stripping removes any full column
+    for top in TOPS:
         expected = {}
-        for mu in padded(sum(top), len(top)):
+        for mu in _padded(sum(top), len(top)):
+            count = _fillings(top, mu[::-1])
+            if count:
+                expected[mu[::-1]] = count
+        contents = oracles_mod._tableau_contents(top)
+        # field s counts letter s + 1; _unpack reads the top field first
+        assert {oracles_mod._unpack(key, len(top))[::-1]: c for key, c in contents.items()} == expected, top
+
+
+def test_module_tables_match_tableaux_filled_cell_by_cell():
+    assert len(TOPS) == 209
+    for top in TOPS:
+        expected = {}
+        for mu in _padded(sum(top), len(top)):
             count = _fillings(top, mu)
             if count:
                 expected[tuple(x - mu[-1] for x in mu)] = count
-        table = oracles_mod._module_table(top)
+        table = module_table(top)
         assert {oracles_mod._unpack(key, len(top)): c for key, c in table.items()} == expected, top
 
 
@@ -392,11 +393,17 @@ def test_packed_partitions_round_trip_in_lexicographic_order():
     "call",
     [
         lambda: strip_decompose(CharacterTable(2, 1, 0, {(2**32,): 1})),
-        lambda: oracles_mod._module_table((2**32, 0)),
+        # the ordinary partition (2**31, 0, 0, 0, 0) comes first in the walk,
+        # above the too-wide (2**30, 2**30, 2**30, 2**30, 0), a sum of 2**32
+        lambda: strip_decompose(
+            CharacterTable(
+                5, 1, 0,
+                {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, 0, 0, 2**31): 1, (2**30, 0, 0, 0): 1},
+            )
+        ),
     ],
 )
 def test_a_partition_too_large_for_its_fields_is_refused_before_any_table(call, monkeypatch):
-    # a table of (2**32, 0) would hold 2**31 contents, so building one fails at once
     def build(shape):
         raise AssertionError(f"the contents of {shape} were built")
 
@@ -507,6 +514,21 @@ def test_strip_decompose_refuses_a_table_that_is_not_a_character(table):
         strip_decompose(table)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        # too long: the extra entry is not dropped
+        CharacterTable(2, 1, 1, {(1, 0): 1}),
+        # too short: bad input, not a fault of the code (InternalError)
+        CharacterTable(3, 1, 1, {(1,): 1}),
+    ],
+)
+def test_strip_decompose_refuses_a_weight_of_the_wrong_length(table):
+    (weight,) = table.multiplicities
+    with pytest.raises(ValueError, match=re.escape(f"weight {weight} must have length")):
+        strip_decompose(table)
+
+
 def test_module_tables_lie_lexicographically_below_their_partition():
     # strip_decompose walks partitions in decreasing lexicographic order, so
     # no module may reach a partition above its own
@@ -515,7 +537,7 @@ def test_module_tables_lie_lexicographically_below_their_partition():
         for parts in itertools.combinations_with_replacement(range(13), n - 1):
             if sum(parts) <= 12:
                 lam = (*sorted(parts, reverse=True), 0)
-                table = oracles_mod._module_table(lam)
+                table = module_table(lam)
                 assert table[oracles_mod._pack(lam)] == 1
                 assert all(oracles_mod._unpack(key, n) <= lam for key in table)
                 keys += len(table)

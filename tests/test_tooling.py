@@ -7,6 +7,7 @@ import argparse
 import ast
 import importlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -66,6 +67,43 @@ def test_every_memo_is_bounded():
             if name == "cache" or (name == "lru_cache" and id(node) not in bounded):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_only_memo_is_the_kostka_contents():
+    # each Kostka table is held once, by the tableau recursion, and
+    # stripping reads it there; more shapes than it holds keep it at its bound
+    uses, memos = [], []
+    for path in sorted((SRC / "naryinv").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if _functools_name(node, aliases) in ("cache", "lru_cache"):
+                uses.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef):
+                memos += [
+                    (f"{path.name}:{dec.lineno}", f"{path.stem}.{node.name}")
+                    for dec in node.decorator_list
+                    if _functools_name(getattr(dec, "func", dec), aliases) in ("cache", "lru_cache")
+                ]
+    assert [memo for _, memo in memos] == ["oracles._tableau_contents"]
+    assert uses == [line for line, _ in memos]
+    from naryinv.oracles import _tableau_contents
+
+    cap = _tableau_contents.cache_info().maxsize
+    shapes = (
+        (total - b - c, b, c)
+        for total in itertools.count()
+        for c in range(total // 3 + 1)
+        for b in range(c, (total - c) // 2 + 1)
+    )
+    for shape in itertools.islice(shapes, cap + 5):
+        _tableau_contents(shape)
+    assert _tableau_contents.cache_info().currsize <= cap
 
 
 def _cli_optimized(*argv):
