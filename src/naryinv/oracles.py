@@ -4,29 +4,29 @@ Nothing here shares machinery with the signed-orbit route.  ``check``
 takes its characters from the product ``prod_i 1/(1 - t x^wt(i))`` over
 the coefficient indices, expanded one index at a time for every degree up
 to its top, with weights packed into one ``int``, and reads out only the
-dominant weights, the only ones stripping reads; ``brute_character`` is
-the exhaustive reference, which enumerates every monomial, one combination
-of indices each, and counts its packed moment vector into the whole
-character.  Both give each packed component a field wide enough that no
-sum carries.  Under ``MAX_TERMS``, the product pass is refused by the
-entries it would hold, brute force by the monomials it would visit.
-Irreducible weight multiplicities are Kostka numbers, counts of
-semistandard tableaux by content, which permuting the content leaves
-unchanged: they are counted at ascending contents, down to a two-row base
-case where each is 1.  Stripping keys each dominant weight by its
-partition, which it computes itself, extracts highest weights greedily in
-decreasing lexicographic order of partitions, which extends dominance, and
-subtracts each module's counts where they stand: an ascending content's
-fields are its partition's parts reversed, less the full columns it
-removes as it subtracts each entry.  Contents and partitions are
-one ``int`` each, one ``FIELD``-bit field per entry: a content's count of
-letter ``s + 1`` in field ``s``, a partition's part ``i`` in field
-``len - 1 - i``.  The first part is then the most significant, so while no
-field carries, the numeric order of partitions is their lexicographic
-order.  No part or count exceeds the partition's sum; stripping, the one
-reader of the tables, refuses a partition whose sum needs more than
-``FIELD`` bits with :class:`ResourceLimitError` (exit 3) before it reads
-any, out of reach under the default ``MAX_TERMS``.  The binary case is a
+dominant weights, the only ones stripping reads, each straight into its
+packed partition; ``brute_character`` is the exhaustive reference, which
+enumerates every monomial, one combination of indices each, and counts its
+packed moment vector into the whole character.  Both give each packed
+component a field wide enough that no sum carries.  Under ``MAX_TERMS``,
+the product pass is refused by the entries it would hold, brute force by
+the monomials it would visit.  Irreducible weight multiplicities are
+Kostka numbers, counts of semistandard tableaux by content, which
+permuting the content leaves unchanged: they are counted at ascending
+contents, down to a two-row base case where each is 1.  Stripping walks
+the partitions of the dominant weights in decreasing lexicographic order,
+which extends dominance, extracts highest weights greedily, and subtracts
+each module's counts where they stand: an ascending content's fields are
+its partition's parts reversed, less the full columns it removes as it
+subtracts each entry.  Contents and partitions are one ``int`` each, one
+field per entry: a content's count of letter ``s + 1`` in field ``s``, a
+partition's part ``i`` in field ``len - 1 - i``.  The first part is then
+the most significant, so while no field carries, the numeric order of
+partitions is their lexicographic order.  Each table has one field width,
+which its product pass, its stripping and the Kostka tables it reads
+share: fixed by ``(n, d, kmax)`` for ``check``, by its largest partition
+sum for a weight-keyed table.  No part or count exceeds a partition's sum,
+so the width holds every key at any size.  The binary case is a
 bounded-partition difference.  Within the package this module imports
 only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type:
 never the counting engine, the orbit walk or its coordinates.  These
@@ -39,9 +39,8 @@ import functools
 import itertools
 import math
 import operator
-import struct
 from collections import Counter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
 from .forms import enumerate_indices, weight_from_moments
@@ -49,14 +48,26 @@ from .weights import Weight
 
 
 class CharacterTable(NamedTuple):
-    """Weight multiplicities of the degree-``k`` coefficient monomials:
-    at every weight from :func:`brute_character`, at the dominant weights
-    only from :func:`character_tables` (the rest follow by Weyl symmetry)."""
+    """Weight multiplicities of the degree-``k`` coefficient monomials at
+    every weight, as :func:`brute_character` tallies them."""
 
     n: int
     d: int
     k: int
     multiplicities: dict[Weight, int]
+
+
+class PartitionTable(NamedTuple):
+    """The degree-``k`` character at its dominant weights only (the rest
+    follow by Weyl symmetry), as :func:`character_tables` yields it: each
+    weight's multiplicity keyed by its partition, packed by :func:`_pack`
+    in ``width``-bit fields."""
+
+    n: int
+    d: int
+    k: int
+    width: int
+    partitions: dict[int, int]
 
 
 def symmetric_power_dimension(n: int, d: int, k: int) -> int:
@@ -106,9 +117,9 @@ def brute_character(n: int, d: int, k: int, max_monomials: int = MAX_TERMS) -> C
 
 def character_tables(
     n: int, d: int, kmax: int, max_terms: int = MAX_TERMS
-) -> Iterator[CharacterTable]:
+) -> Iterator[PartitionTable]:
     """An iterator over the character of each degree ``0..kmax`` in turn,
-    at its dominant weights only.
+    at its dominant weights only, each keyed by its packed partition.
 
     The characters of all degrees are the coefficients of ``t^k`` in the
     product ``prod_i 1 / (1 - t x^wt(i))`` over the coefficient indices,
@@ -118,14 +129,16 @@ def character_tables(
     most ``|indices| * sum_k |h_k|`` updates, ``|h_k|`` the entries of
     degree ``k``.  Each degree is a dict keyed by packed weights: field
     ``s`` holds the sum of ``wt_s + d`` over the factors, at most
-    ``2 * d * kmax``, in ``(2 * d * kmax).bit_length()`` bits and one spare
-    bit above them, so no field carries.  The whole pass runs when the
-    first table is asked for; every degree's total mass, over every packed
-    entry, must then equal the symmetric-power dimension, else
+    ``2 * d * kmax``, below a spare bit, so no field carries.  Every table
+    has one field width, ``_field_width(n, d * kmax)``, which the product
+    pass, stripping and the Kostka memo share.  The whole pass runs when
+    the first table is asked for; every degree's total mass, over every
+    packed entry, must then equal the symmetric-power dimension, else
     :class:`InternalError`.  Each degree is read out only when it is
     yielded, and only at its dominant weights (every ``wt_s >= 0``): a
-    character is Weyl-symmetric, so they determine the rest.  Degree ``k``
-    reads each weight back as its fields minus ``k * d``.
+    character is Weyl-symmetric, so they determine the rest.  Each is read
+    out straight into the packed partition that :func:`strip_decompose`
+    reads, with no weight tuple in between.
 
     Degree ``k`` holds one entry per moment vector ``m >= 0`` with
     ``|m| <= d * k`` (each splits into ``k`` indices):
@@ -145,7 +158,7 @@ def character_tables(
     return _product_tables(n, d, kmax)
 
 
-def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
+def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
     """The product pass of :func:`character_tables`, once its size is checked.
 
     Every field holds a value in ``0..2 * d * kmax``, below ``half``, the
@@ -153,13 +166,15 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
     the sum stays below ``2 * half``, so nothing carries into the next
     field, and the spare bit is set exactly when the field held at least
     ``k * d``, a weight component of at least 0.  A key with every spare
-    bit set is a dominant weight, and only those keys are converted.
+    bit set is a dominant weight; less ``k * d`` in every field, it holds
+    the weight one component per field, which :func:`_partitions` turns
+    into its packed partition.  Only those keys are read out.
     """
-    width = (2 * d * kmax).bit_length() + 1
-    field_mask = (1 << width) - 1
-    offsets = [s * width for s in range(n - 1)]
+    width = _field_width(n, d * kmax)
+    offsets = range(0, (n - 1) * width, width)
+    ones = _pack((1,) * (n - 1), width)
     half = 1 << (width - 1)
-    high = sum(half << offset for offset in offsets)
+    high = half * ones
     # degree 0 has one monomial, the empty product, and needs no index list
     shifts = [
         sum((w + d) << offset for w, offset in zip(weight_from_moments(n, d, 1, i), offsets))
@@ -180,43 +195,62 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[CharacterTable]:
             )
     for k, packed in enumerate(degrees):
         degrees[k] = {}  # the generator's last reference goes at the next degree
-        base = k * d
-        adj = sum((half - base) << offset for offset in offsets)
-        table = {
-            tuple([((key >> offset) & field_mask) - base for offset in offsets]): c
-            for key, c in packed.items()
-            if (key + adj) & high == high
-        }
-        yield CharacterTable(n=n, d=d, k=k, multiplicities=table)
+        adj, base = (half - k * d) * ones, k * d * ones
+        dominant = ((key - base, c) for key, c in packed.items() if (key + adj) & high == high)
+        yield PartitionTable(n, d, k, width, _partitions(dominant, n, width))
 
 
-FIELD = 32
-"""Bits per field of a packed partition or content: one 32-bit word, as
-:func:`_unpack` reads it."""
+def _field_width(n: int, budget: int) -> int:
+    """Bits per field of every packed key of one table, when ``budget``
+    bounds each component of its dominant weights and each part of their
+    partitions (``d * kmax`` in the product pass).  The product pass's
+    fields hold up to ``2 * budget``, below a spare bit; a partition's sum,
+    which bounds every part and every Kostka content count, is at most
+    ``(n - 1) * budget``."""
+    return max((2 * budget).bit_length() + 1, ((n - 1) * budget).bit_length())
 
 
-def _pack(parts: tuple[int, ...]) -> int:
+def _pack(parts: tuple[int, ...], width: int) -> int:
     """A partition as one ``int``: part ``i`` in field ``len(parts) - 1 - i``,
-    at bit ``(len(parts) - 1 - i) * FIELD``, so the first part is the most
-    significant.  Every part must be below ``2 ** FIELD``."""
+    at bit ``(len(parts) - 1 - i) * width``, so the first part is the most
+    significant.  Every part must be below ``2 ** width``."""
     key = 0
     for part in parts:
-        key = (key << FIELD) | part
+        key = (key << width) | part
     return key
 
 
-def _unpack(key: int, rows: int) -> tuple[int, ...]:
-    """The ``rows`` parts of a key packed by :func:`_pack`: its bytes read
-    as big-endian unsigned 32-bit words, one per field."""
-    return struct.unpack(f">{rows}I", key.to_bytes(rows * 4, "big"))
+def _unpack(key: int, rows: int, width: int) -> tuple[int, ...]:
+    """The ``rows`` parts of a key packed by :func:`_pack`."""
+    mask = (1 << width) - 1
+    return tuple((key >> shift) & mask for shift in range((rows - 1) * width, -1, -width))
+
+
+def _partitions(weights: Iterable[tuple[int, int]], n: int, width: int) -> dict[int, int]:
+    """The packed partitions of ``(weight, count)`` pairs, each dominant
+    weight packed one component per field, component ``s`` in field ``s``.
+
+    The partition's parts are the weight's prefix sums, reversed, with last
+    part 0: prefix sum ``t`` (of components ``0..t-1``) in field ``t``, for
+    ``t = 0..n-1``.  Multiplying by ``sum_{j=1..n-1} 2 ** (j * width)``
+    adds component ``s`` into every field ``s + j``, which puts each prefix
+    sum in its field; the mask drops the fields above ``n - 1``.  Every
+    component is at least 0 and every prefix sum at most the partition's
+    sum, below ``2 ** width``, so nothing borrows or carries below the
+    mask."""
+    spread, mask = _pack((1,) * (n - 1), width) << width, (1 << (n * width)) - 1
+    return {(key * spread) & mask: c for key, c in weights}
 
 
 @functools.lru_cache(maxsize=4096)
-def _tableau_contents(shape: tuple[int, ...]) -> dict[int, int]:
+def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     """Semistandard tableaux of ``shape``, a descending vector with one row
     per letter (zeros allowed, at least two rows), counted by ascending
-    content, each content packed into one ``int``: the count of letter
-    ``s + 1`` in field ``s``.
+    content, each content packed into one ``int`` of ``width``-bit fields:
+    the count of letter ``s + 1`` in field ``s``.  A letter fills at most
+    one box of each column, so no count exceeds the first part, which must
+    be below ``2 ** width``.  The memo is keyed by shape and width, so one
+    shape's tables at two widths are two entries.
 
     A Kostka number does not change when its content is permuted, so the
     ascending contents hold every one; the largest letter then holds the
@@ -237,35 +271,58 @@ def _tableau_contents(shape: tuple[int, ...]) -> dict[int, int]:
     rows = len(shape)
     if rows == 2:
         a, b = shape
-        return {p + ((a + b - p) << FIELD): 1 for p in range(b, (a + b) // 2 + 1)}
+        return {p + ((a + b - p) << width): 1 for p in range(b, (a + b) // 2 + 1)}
     total = sum(shape)
-    last, top = (rows - 2) * FIELD, (rows - 1) * FIELD
+    last, top = (rows - 2) * width, (rows - 1) * width
     out: dict[int, int] = {}
     for nu in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:]))):
         strip = total - sum(nu)
         if total > rows * strip:
             continue
         added = strip << top
-        for mu, c in _tableau_contents(nu).items():
+        for mu, c in _tableau_contents(nu, width).items():
             if mu >> last <= strip:
                 key = mu + added
                 out[key] = out.get(key, 0) + c
     return out
 
 
-def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
+def _partition_table(table: CharacterTable) -> PartitionTable:
+    """A weight-keyed table at its dominant weights, keyed by packed
+    partition at the width its largest partition sum needs.  A weight whose
+    length is not ``n - 1``, or a weight entry or multiplicity that is not
+    an ``int``, is refused with :class:`ValueError`."""
+    n = table.n
+    for w, m in table.multiplicities.items():
+        if len(w) != n - 1:
+            raise ValueError(f"weight {w} must have length n - 1 = {n - 1}")
+        for pos, x in enumerate(w, start=1):
+            if not isinstance(x, int):
+                raise ValueError(f"weight {w} position {pos}: {x!r} is not an integer")
+        if not isinstance(m, int):
+            raise ValueError(f"multiplicity of weight {w}: {m!r} is not an integer")
+    dominant = [(w, m) for w, m in table.multiplicities.items() if min(w) >= 0]
+    size = max((sum(itertools.accumulate(w)) for w, _ in dominant), default=0)
+    width = _field_width(n, size)
+    offsets = range(0, (n - 1) * width, width)
+    packed = ((sum(map(operator.lshift, w, offsets)), m) for w, m in dominant)
+    return PartitionTable(n, table.d, table.k, width, _partitions(packed, n, width))
+
+
+def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]:
     """Greedy top-down extraction of irreducible multiplicities.
 
-    Restricts the character to its dominant weights (no information is lost:
-    characters are symmetric under the Weyl group) and keys each by its
-    partition ``lam``: the weight's prefix sums, reversed, with last part 0,
-    packed by :func:`_pack` straight from the prefix sums (prefix sum ``s``
-    in field ``s``).  Every part is below ``2 ** FIELD``, so no field
-    carries and the numeric order of the keys is the lexicographic order of
-    the partitions.  Walks them in decreasing order, reads the remaining
-    multiplicity at each as the multiplicity of the irreducible with that
-    highest weight, and subtracts that module's dominant character: each
-    Kostka number ``K(top, mu)`` of :func:`_tableau_contents` at the packed
+    Reads the character at its dominant weights only (no information is
+    lost: characters are symmetric under the Weyl group), each keyed by its
+    partition ``lam``, packed by :func:`_pack`: a :class:`PartitionTable`
+    from :func:`character_tables` is keyed so already, and a
+    :class:`CharacterTable` is converted once by :func:`_partition_table`.
+    No field carries, so the numeric order of the keys is the lexicographic
+    order of the partitions.  Walks them in decreasing order, reads the
+    remaining multiplicity at each as the multiplicity of the irreducible
+    with that highest weight, and subtracts that module's dominant
+    character: each Kostka number ``K(top, mu)`` of
+    :func:`_tableau_contents`, at the table's width, at the packed
     partition of ``mu`` (an ascending content's fields are its parts
     reversed) less its full columns (field 0 taken from every field at
     once).  The contents of one shape share their sum, so no two meet at
@@ -275,34 +332,21 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
     ``mu - m``, whose first part ``mu[0] - m`` is below ``lam[0]``.  So
     every module that reaches a partition is stripped before that partition
     is read.  Only the highest weights found, and a partition a guard
-    names, are unpacked.  The zero-weight entry of the result is an
-    independent computation of the invariant dimension.  A rank below 2 or
-    a weight whose length is not ``n - 1`` is refused with
-    :class:`ValueError`.  Every module read has the sum of one of the
-    table's partitions, which bounds its parts and counts, so a table with
-    a partition whose sum needs more than ``FIELD`` bits is refused with
-    :class:`ResourceLimitError` before anything is packed.  A table that
-    is not a character raises :class:`InternalError` at one of two guards:
-    a negative count at a partition as it is read, or a count left after
-    the last read, which is where a partition the table never lists, and so
-    never reads, shows.
+    names, are unpacked.  Every module read has the sum of one of the
+    table's partitions, which bounds its parts and counts, so the table's
+    width holds them all.  The zero-weight entry of the result is an
+    independent computation of the invariant dimension.  A rank below 2 is
+    refused with :class:`ValueError`.  A table that is not a character
+    raises :class:`InternalError` at one of two guards: a negative count at
+    a partition as it is read, or a count left after the last read, which
+    is where a partition the table never lists, and so never reads, shows.
     """
-    n = table.n
-    check_params(n)
-    for w in table.multiplicities:
-        if len(w) != n - 1:
-            raise ValueError(f"weight {w} must have length n - 1 = {n - 1}")
-    dominant = [(w, m) for w, m in table.multiplicities.items() if min(w) >= 0]
-    size = max((sum(itertools.accumulate(w)) for w, _ in dominant), default=0)
-    if size >> FIELD:
-        raise ResourceLimitError(
-            f"stripping a partition of {size} needs fields wider than {FIELD} bits"
-        )
-    shifts = range(FIELD, n * FIELD, FIELD)
-    remaining = {
-        sum(map(operator.lshift, itertools.accumulate(w), shifts)): m for w, m in dominant
-    }
-    mask, ones = (1 << FIELD) - 1, _pack((1,) * n)
+    check_params(table.n)
+    if isinstance(table, CharacterTable):
+        table = _partition_table(table)
+    n, width = table.n, table.width
+    remaining = dict(table.partitions)
+    mask, ones = (1 << width) - 1, _pack((1,) * n, width)
     out: dict[Weight, int] = {}
     for lam in sorted(remaining, reverse=True):
         count = remaining[lam]
@@ -311,18 +355,18 @@ def strip_decompose(table: CharacterTable) -> dict[Weight, int]:
         if count < 0:
             raise InternalError(
                 f"negative remaining multiplicity {count} at partition "
-                f"{_unpack(lam, n)} while stripping"
+                f"{_unpack(lam, n, width)} while stripping"
             )
-        top = _unpack(lam, n)
+        top = _unpack(lam, n, width)
         out[tuple(a - b for a, b in zip(top[-2::-1], top[::-1]))] = count
-        for mu, mult in _tableau_contents(top).items():
+        for mu, mult in _tableau_contents(top, width).items():
             target = mu - (mu & mask) * ones
             remaining[target] = remaining.get(target, 0) - count * mult
     leftover = [(lam, v) for lam, v in remaining.items() if v]
     if leftover:
         lam, v = leftover[0]
         raise InternalError(
-            f"stripping left {v} at partition {_unpack(lam, n)}, one of "
+            f"stripping left {v} at partition {_unpack(lam, n, width)}, one of "
             f"{len(leftover)} left unexplained"
         )
     return out

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from naryinv.errors import InternalError, check_params
 from naryinv.forms import weight_from_moments
-from naryinv.oracles import FIELD, _pack, _tableau_contents
+from naryinv.oracles import PartitionTable, _pack, _tableau_contents, _unpack
 from naryinv.weights import (
     Weight,
     check_dominant,
@@ -103,24 +103,39 @@ def monomial_weight(n: int, d: int, exponent: Mapping[MultiIndex, int]) -> Weigh
     return weight_from_moments(n, d, degree, moments)
 
 
-def module_table(top: tuple[int, ...]) -> dict[int, int]:
+def module_table(top: tuple[int, ...], width: int) -> dict[int, int]:
     """Multiplicities of the module with partition ``top`` at its dominant
-    weights, keyed by packed partition: the Kostka numbers ``K(top, mu)``
-    at every ascending content ``mu``, whose packed fields are the parts of
-    ``mu`` reversed, less its full columns (field 0 taken from every
-    field), as :func:`~naryinv.oracles.strip_decompose` subtracts them."""
-    mask, ones = (1 << FIELD) - 1, _pack((1,) * len(top))
-    return {mu - (mu & mask) * ones: c for mu, c in _tableau_contents(top).items()}
+    weights, keyed by partition packed in ``width``-bit fields: the Kostka
+    numbers ``K(top, mu)`` at every ascending content ``mu``, whose packed
+    fields are the parts of ``mu`` reversed, less its full columns (field 0
+    taken from every field), as :func:`~naryinv.oracles.strip_decompose`
+    subtracts them."""
+    mask, ones = (1 << width) - 1, _pack((1,) * len(top), width)
+    return {mu - (mu & mask) * ones: c for mu, c in _tableau_contents(top, width).items()}
 
 
 def kostka_number(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
     dominant highest weight: the Kostka number of the module's partition at
-    the partition of the weight's dominant representative; 0 for weights
-    outside the module or its highest weight's root-lattice coset, whose
-    partitions are not keys."""
-    table = module_table(partition(check_dominant(n, highest)))
-    return table.get(_pack(partition(check_weight(n, weight))), 0)
+    the partition of the weight's dominant representative, both packed at
+    the width their larger sum needs; 0 for weights outside the module or
+    its highest weight's root-lattice coset, whose partitions are not
+    keys."""
+    top = partition(check_dominant(n, highest))
+    lam = partition(check_weight(n, weight))
+    width = max(1, sum(top).bit_length(), sum(lam).bit_length())
+    return module_table(top, width).get(_pack(lam, width), 0)
+
+
+def dominant_weights(table: PartitionTable) -> dict[Weight, int]:
+    """A product table's multiplicities keyed by weight: each packed
+    partition unpacked, and its consecutive differences read back from
+    the last part up."""
+    out = {}
+    for key, c in table.partitions.items():
+        parts = _unpack(key, table.n, table.width)[::-1]
+        out[tuple(b - a for a, b in zip(parts, parts[1:]))] = c
+    return out
 
 
 def alternating_multiplicity_sum(n: int, highest) -> int:

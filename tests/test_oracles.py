@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from collections import Counter
 import pytest
 
 import naryinv.oracles as oracles_mod
+from naryinv.cli import main
 from naryinv.errors import InternalError, ResourceLimitError
 from naryinv.forms import enumerate_indices
 from naryinv.oracles import (
@@ -21,6 +23,7 @@ from naryinv.oracles import (
 from naryinv.weights import to_ambient
 from reference import (
     alternating_multiplicity_sum,
+    dominant_weights,
     from_ambient,
     kostka_number,
     module_table,
@@ -69,10 +72,10 @@ BRUTE_DIGESTS = {
 
 def _product_character(n, d, k):
     """The last table of the product expansion to ``k``, whose fields are
-    sized for ``2 * d * k`` with a spare bit, expanded from its dominant
-    weights over their orbits to the whole character."""
+    sized for ``2 * d * k`` with a spare bit, unpacked to its dominant
+    weights and expanded over their orbits to the whole character."""
     *_, table = character_tables(n, d, k)
-    return table._replace(multiplicities=orbit_expansion(table.multiplicities))
+    return CharacterTable(n, d, k, orbit_expansion(dominant_weights(table)))
 
 
 # both routes to a character: the exhaustive tally and the product recurrence
@@ -121,7 +124,7 @@ def test_product_characters_match_brute_force_at_every_degree(grid):
     tables = list(character_tables(n, d, kmax))
     assert [t.k for t in tables] == list(range(kmax + 1))
     for table in tables:
-        full = orbit_expansion(table.multiplicities)
+        full = orbit_expansion(dominant_weights(table))
         assert full == brute_character(n, d, table.k).multiplicities
 
 
@@ -137,7 +140,7 @@ def test_product_characters_hold_the_entries_they_are_sized_by():
         count = sum(math.comb(d * k + n - 1, n - 1) for k in range(kmax + 1))
         tables = character_tables(n, d, kmax, max_terms=count)
         # the tables hold dominant weights only; their orbits hold every entry
-        orbits = sum(_orbit_size(to_ambient(w)) for t in tables for w in t.multiplicities)
+        orbits = sum(_orbit_size(to_ambient(w)) for t in tables for w in dominant_weights(t))
         assert orbits == count, (n, d, kmax)
         if kmax:  # at kmax = 0 the count is 1, and no limit is below it
             with pytest.raises(ResourceLimitError) as refused:
@@ -157,7 +160,7 @@ def test_product_characters_check_their_mass(monkeypatch):
 def test_product_characters_reach_a_large_degree():
     # Sym^k of the binary linear form is the irreducible of highest weight k
     for table in character_tables(2, 1, 600):
-        full = orbit_expansion(table.multiplicities)
+        full = orbit_expansion(dominant_weights(table))
         assert full == {(table.k - 2 * j,): 1 for j in range(table.k + 1)}
 
 
@@ -169,14 +172,35 @@ def test_product_characters_read_out_only_dominant_weights(grid):
     edges = Counter()
     for table in character_tables(n, d, kmax):
         brute = brute_character(n, d, table.k).multiplicities
-        assert orbit_expansion(table.multiplicities) == brute
-        assert table.multiplicities == {w: c for w, c in brute.items() if min(w) >= 0}
+        dominant = dominant_weights(table)
+        assert orbit_expansion(dominant) == brute
+        assert dominant == {w: c for w, c in brute.items() if min(w) >= 0}
         # the mask's edges: a zero component is kept, a -1 component dropped
-        edges["zero kept"] += sum(0 in w for w in table.multiplicities)
+        edges["zero kept"] += sum(0 in w for w in dominant)
         edges["-1 dropped"] += sum(-1 in w for w in brute)
     assert edges["zero kept"]
     # binary weights of an even-degree form are even, so never -1
     assert bool(edges["-1 dropped"]) == (n > 2 or d % 2 == 1)
+
+
+# the first three grids fill a field exactly: (2, 4, 8) has 2 * d * kmax =
+# 64, the top bit below the spare bit; (3, 2, 8) has 2 * d * kmax =
+# (n - 1) * d * kmax = 32; (5, 1, 8) has (n - 1) * d * kmax = 32, the top
+# bit of a field.  At (6, 1, 7) the partition sum, up to 35, sets the width
+# a bit above the spare-bit rule's 5
+@pytest.mark.parametrize(
+    "grid, width", [((2, 4, 8), 8), ((3, 2, 8), 7), ((5, 1, 8), 6), ((6, 1, 7), 6)]
+)
+def test_product_characters_at_the_edges_of_their_field_width(grid, width):
+    n, d, kmax = grid
+    for table in character_tables(n, d, kmax):
+        assert table.width == width
+        brute = brute_character(n, d, table.k).multiplicities
+        assert dominant_weights(table) == {w: c for w, c in brute.items() if min(w) >= 0}
+    out = io.StringIO()
+    assert main(["check", str(n), str(d), "--kmax", str(kmax)], out=out) == 0
+    rows = out.getvalue().splitlines()
+    assert len(rows) == kmax + 1 and all(row.endswith(" ok") for row in rows)
 
 
 def test_brute_character_resource_limit():
@@ -214,6 +238,13 @@ def _orbit_size(ambient):
     return size
 
 
+def _narrowest(top):
+    """The fewest bits per field that hold the parts of ``top``.  They hold
+    its contents too: a letter fills at most one box of each column, so no
+    count exceeds the first part."""
+    return max(1, top[0].bit_length())
+
+
 def test_kostka_multiplicities_sum_to_weyl_dimension():
     rng = random.Random(17)
     samples = [(2, (6,)), (3, (2, 2)), (3, (3, 1)), (4, (1, 0, 1)), (4, (2, 1, 2))]
@@ -240,8 +271,9 @@ def test_kostka_multiplicities_sum_to_weyl_dimension():
             total += mult * _orbit_size(ambient)
         assert total == weyl_dimension(n, top)
         # the table itself holds those weights and no others
-        table = module_table(tuple(top_ambient))
-        assert sum(m * _orbit_size(oracles_mod._unpack(lam, n)) for lam, m in table.items()) == total
+        width = _narrowest(top_ambient)
+        table = module_table(tuple(top_ambient), width)
+        assert sum(m * _orbit_size(oracles_mod._unpack(lam, n, width)) for lam, m in table.items()) == total
 
 
 # sha256 of the multiplicities over every n <= 4, highest weight with
@@ -343,9 +375,30 @@ def test_tableau_contents_match_tableaux_filled_cell_by_cell():
             count = _fillings(top, mu[::-1])
             if count:
                 expected[mu[::-1]] = count
-        contents = oracles_mod._tableau_contents(top)
+        width = _narrowest(top)
+        contents = oracles_mod._tableau_contents(top, width)
         # field s counts letter s + 1; _unpack reads the top field first
-        assert {oracles_mod._unpack(key, len(top))[::-1]: c for key, c in contents.items()} == expected, top
+        assert {oracles_mod._unpack(key, len(top), width)[::-1]: c for key, c in contents.items()} == expected, top
+
+
+def test_tableau_contents_agree_across_widths():
+    # the memo is keyed by shape and width: one shape at the narrowest
+    # width that holds it and at a wider one is two entries, one table
+    contents = oracles_mod._tableau_contents
+    for top in TOPS:
+        contents.cache_clear()
+        widths = (_narrowest(top), _narrowest(top) + 9)
+        built = {width: contents(top, width) for width in widths}
+        assert built[widths[0]] is not built[widths[1]]
+        info = contents.cache_info()
+        assert all(contents(top, width) is built[width] for width in widths)
+        assert contents.cache_info().hits == info.hits + 2
+        assert contents.cache_info().misses == info.misses
+        unpacked = [
+            {oracles_mod._unpack(key, len(top), width): c for key, c in built[width].items()}
+            for width in widths
+        ]
+        assert unpacked[0] == unpacked[1], top
 
 
 def test_module_tables_match_tableaux_filled_cell_by_cell():
@@ -356,8 +409,9 @@ def test_module_tables_match_tableaux_filled_cell_by_cell():
             count = _fillings(top, mu)
             if count:
                 expected[tuple(x - mu[-1] for x in mu)] = count
-        table = module_table(top)
-        assert {oracles_mod._unpack(key, len(top)): c for key, c in table.items()} == expected, top
+        width = _narrowest(top)
+        table = module_table(top, width)
+        assert {oracles_mod._unpack(key, len(top), width): c for key, c in table.items()} == expected, top
 
 
 def test_two_row_contents_match_tableaux_filled_cell_by_cell():
@@ -370,46 +424,57 @@ def test_two_row_contents_match_tableaux_filled_cell_by_cell():
                 count = _fillings((a, b), (p, a + b - p))
                 if count:
                     expected[p, a + b - p] = count
-            contents = oracles_mod._tableau_contents((a, b))
+            width = _narrowest((a, b))
+            contents = oracles_mod._tableau_contents((a, b), width)
             # field s counts letter s + 1; _unpack reads the top field first
-            assert {oracles_mod._unpack(key, 2)[::-1]: c for key, c in contents.items()} == expected
+            assert {oracles_mod._unpack(key, 2, width)[::-1]: c for key, c in contents.items()} == expected
 
 
 def test_packed_partitions_round_trip_in_lexicographic_order():
-    checked = 0
-    for rows in range(1, 6):
-        parts = [
-            tuple(sorted(p, reverse=True))
-            for p in itertools.combinations_with_replacement(range(13), rows)
-        ]
-        for p in parts:
-            assert oracles_mod._unpack(oracles_mod._pack(p), rows) == p
-        assert sorted(parts, key=oracles_mod._pack) == sorted(parts)
-        checked += len(parts)
-    assert checked == 8567
+    # parts up to 12: 4 bits hold them, 32 bits hold them with room
+    for width in (4, 32):
+        checked = 0
+        for rows in range(1, 6):
+            parts = [
+                tuple(sorted(p, reverse=True))
+                for p in itertools.combinations_with_replacement(range(13), rows)
+            ]
+            for p in parts:
+                assert oracles_mod._unpack(oracles_mod._pack(p, width), rows, width) == p
+            assert sorted(parts, key=lambda p: oracles_mod._pack(p, width)) == sorted(parts)
+            checked += len(parts)
+        assert checked == 8567
 
 
 @pytest.mark.parametrize(
-    "call",
+    "table, shape",
     [
-        lambda: strip_decompose(CharacterTable(2, 1, 0, {(2**32,): 1})),
+        (CharacterTable(2, 1, 0, {(2**32,): 1}), (2**32, 0)),
         # the ordinary partition (2**31, 0, 0, 0, 0) comes first in the walk,
-        # above the too-wide (2**30, 2**30, 2**30, 2**30, 0), a sum of 2**32
-        lambda: strip_decompose(
+        # but the width is set by (2**30, 2**30, 2**30, 2**30, 0), a sum of 2**32
+        (
             CharacterTable(
                 5, 1, 0,
                 {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, 0, 0, 2**31): 1, (2**30, 0, 0, 0): 1},
-            )
+            ),
+            (2**31, 0, 0, 0, 0),
         ),
     ],
 )
-def test_a_partition_too_large_for_its_fields_is_refused_before_any_table(call, monkeypatch):
-    def build(shape):
-        raise AssertionError(f"the contents of {shape} were built")
+def test_the_field_width_adapts_to_the_largest_partition(table, shape, monkeypatch):
+    # a partition of 2**32 needs 33 bits a field, more than 32; its table
+    # would have 2**31 entries, so the first one asked for stops the run
+    calls = []
+
+    def build(*args):
+        calls.append(args)
+        raise LookupError("stop before building")
 
     monkeypatch.setattr(oracles_mod, "_tableau_contents", build)
-    with pytest.raises(ResourceLimitError, match="wider than 32 bits"):
-        call()
+    with pytest.raises(LookupError, match="stop before building"):
+        strip_decompose(table)
+    ((top, width),) = calls
+    assert top == shape and width >= 34
 
 
 def test_weyl_dimension_examples():
@@ -529,6 +594,27 @@ def test_strip_decompose_refuses_a_weight_of_the_wrong_length(table):
         strip_decompose(table)
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # a fractional multiplicity was stripped as a number: (0,) kept 0.5
+        (
+            CharacterTable(2, 1, 2, {(2,): 1, (0,): 1.5, (-2,): 1}),
+            "multiplicity of weight (0,): 1.5 is not an integer",
+        ),
+        # a float weight entry failed deep in the packing with a TypeError
+        (
+            CharacterTable(2, 1, 1, {(1.0,): 1, (-1.0,): 1}),
+            "weight (1.0,) position 1: 1.0 is not an integer",
+        ),
+    ],
+    ids=["fractional-multiplicity", "float-weight"],
+)
+def test_strip_decompose_refuses_an_entry_that_is_not_an_integer(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strip_decompose(table)
+
+
 def test_module_tables_lie_lexicographically_below_their_partition():
     # strip_decompose walks partitions in decreasing lexicographic order, so
     # no module may reach a partition above its own
@@ -537,9 +623,10 @@ def test_module_tables_lie_lexicographically_below_their_partition():
         for parts in itertools.combinations_with_replacement(range(13), n - 1):
             if sum(parts) <= 12:
                 lam = (*sorted(parts, reverse=True), 0)
-                table = module_table(lam)
-                assert table[oracles_mod._pack(lam)] == 1
-                assert all(oracles_mod._unpack(key, n) <= lam for key in table)
+                width = _narrowest(lam)
+                table = module_table(lam, width)
+                assert table[oracles_mod._pack(lam, width)] == 1
+                assert all(oracles_mod._unpack(key, n, width) <= lam for key in table)
                 keys += len(table)
     assert keys == 4097
 

@@ -101,9 +101,28 @@ def test_the_only_memo_is_the_kostka_contents():
         for c in range(total // 3 + 1)
         for b in range(c, (total - c) // 2 + 1)
     )
+    # keyed by shape and width: 8 bits hold every part of these shapes
     for shape in itertools.islice(shapes, cap + 5):
-        _tableau_contents(shape)
+        _tableau_contents(shape, 8)
     assert _tableau_contents.cache_info().currsize <= cap
+
+
+def test_check_strips_each_degree_through_strip_decompose(monkeypatch):
+    # the benchmark's tracer counts stripping by wrapping strip_decompose,
+    # so check must strip every degree through it, not around it
+    import naryinv.cli as cli_mod
+
+    strip, degrees = cli_mod.strip_decompose, []
+
+    def spy(table):
+        degrees.append(table.k)
+        return strip(table)
+
+    monkeypatch.setattr(cli_mod, "strip_decompose", spy)
+    out = io.StringIO()
+    assert cli_mod.main(["check", "3", "3", "--kmax", "4"], out=out) == 0
+    assert degrees == [0, 1, 2, 3, 4]
+    assert len(out.getvalue().splitlines()) == 5
 
 
 def _cli_optimized(*argv):
