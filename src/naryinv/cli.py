@@ -77,10 +77,10 @@ from .dimensions import (
     hilbert_series_prefix,
     invariant_dimension,
 )
-from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
+from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params, check_weight
 from .oracles import binary_invariant_dimension, character_tables, strip_decompose
 from .series import dump_series, expand_generating_series
-from .weights import check_dominant, check_weight, signed_orbit_terms
+from .weights import check_dominant, signed_orbit_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -20,9 +20,9 @@ import json
 import os
 from typing import Sequence
 
-from .errors import MAX_TERMS, InternalError, check_params
+from .errors import MAX_TERMS, InternalError, check_params, check_weight
 from .series import TruncatedSeries, check_expansion_size, expand_generating_series
-from .weights import Weight, check_weight
+from .weights import Weight
 
 CACHE_FILENAME = "weight-counts.jsonl"
 

@@ -1,4 +1,6 @@
-"""Exceptions, the size bound and the parameter validator of the package."""
+"""Exceptions, the size bound and the validators of the package."""
+
+from typing import Iterable
 
 #: the one bound on the states a query holds: series cells, character entries
 MAX_TERMS = 5_000_000
@@ -36,3 +38,15 @@ def check_params(
         raise ValueError(f"monomial degree k must be >= 0, got {k}")
     if max_terms is not None and max_terms < 1:
         raise ValueError(f"state limit must be >= 1, got {max_terms}")
+
+
+def check_weight(n: int, weight: Iterable[int], name: str = "weight") -> tuple[int, ...]:
+    """Validate and normalise a weight of rank ``n`` to a plain tuple."""
+    check_params(n)
+    w = tuple(weight)
+    if len(w) != n - 1:
+        raise ValueError(f"{name} must have length n - 1 = {n - 1}, got {len(w)}")
+    for pos, x in enumerate(w, start=1):
+        if not isinstance(x, int):
+            raise ValueError(f"{name} position {pos}: {x!r} is not an integer")
+    return w

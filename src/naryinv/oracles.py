@@ -7,30 +7,38 @@ to its top, with weights packed into one ``int``, and reads out only the
 dominant weights, the only ones stripping reads, each straight into its
 packed partition; ``brute_character`` is the exhaustive reference, which
 enumerates every monomial, one combination of indices each, and counts its
-packed moment vector into the whole character.  Both give each packed
-component a field wide enough that no sum carries.  Under ``MAX_TERMS``,
-the product pass is refused by the entries it would hold, brute force by
-the monomials it would visit.  Irreducible weight multiplicities are
-Kostka numbers, counts of semistandard tableaux by content, which
-permuting the content leaves unchanged: they are counted at ascending
-contents, down to a two-row base case where each is 1.  Stripping walks
-the partitions of the dominant weights in decreasing lexicographic order,
-which extends dominance, extracts highest weights greedily, and subtracts
-each module's counts where they stand: an ascending content's fields are
-its partition's parts reversed, less the full columns it removes as it
-subtracts each entry.  Contents and partitions are one ``int`` each, one
-field per entry: a content's count of letter ``s + 1`` in field ``s``, a
-partition's part ``i`` in field ``len - 1 - i``.  The first part is then
-the most significant, so while no field carries, the numeric order of
-partitions is their lexicographic order.  Each table has one field width,
-which its product pass, its stripping and the Kostka tables it reads
-share: fixed by ``(n, d, kmax)`` for ``check``, by its largest partition
-sum for a weight-keyed table.  No part or count exceeds a partition's sum,
-so the width holds every key at any size.  The binary case is a
-bounded-partition difference.  Within the package this module imports
-only ``errors``, ``forms`` and, from ``weights``, the ``Weight`` type:
-never the counting engine, the orbit walk or its coordinates.  These
-oracles exist to certify the main formulas, not to be fast at scale.
+packed moment vector into the whole character.  Under ``MAX_TERMS``, the
+product pass is refused by the entries it would hold, brute force by the
+monomials it would visit.  Irreducible weight multiplicities are Kostka
+numbers, counts of semistandard tableaux by content, which permuting the
+content leaves unchanged: they are counted at ascending contents, down to
+a two-row base case where each is 1.  Stripping walks the partitions of
+the dominant weights in decreasing lexicographic order, which extends
+dominance, extracts highest weights greedily, and subtracts each module's
+counts where they stand.  The binary case is a bounded-partition
+difference.
+
+Every key is a vector packed into one ``int`` by :func:`_pack`, entry
+``j`` in the ``width``-bit field at bit ``j * width``: a moment vector, a
+weight (each component offset to be nonnegative), a Kostka content (the
+count of letter ``j + 1`` in field ``j``) or a partition, packed as its
+ascending (ambient) vector.  A partition's first part is then its most
+significant field, so while no field carries, adding keys adds vectors and
+the numeric order of partitions is their lexicographic order.  The keys of
+one table share one width, ``_field_width(budget)``, where ``budget``
+bounds the first part of every partition in it: ``d * kmax`` for
+``check``, whose product pass, stripping and Kostka tables share it, and
+the largest first part for a weight-keyed table (for brute force's
+moments, ``d * k`` bounds every entry).  The width holds ``2 * budget``
+below a spare bit, which the product pass needs.  No part exceeds the
+first, and no Kostka count exceeds the first part of its shape, since a
+letter fills at most one box of each column, so the width holds every key
+at any size.
+
+Within the package this module imports only ``errors``, ``forms`` and,
+from ``weights``, the ``Weight`` type: never the counting engine, the orbit
+walk or its coordinates.  These oracles exist to certify the main
+formulas, not to be fast at scale.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import operator
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params
+from .errors import MAX_TERMS, InternalError, ResourceLimitError, check_params, check_weight
 from .forms import enumerate_indices, weight_from_moments
 from .weights import Weight
 
@@ -60,8 +68,8 @@ class CharacterTable(NamedTuple):
 class PartitionTable(NamedTuple):
     """The degree-``k`` character at its dominant weights only (the rest
     follow by Weyl symmetry), as :func:`character_tables` yields it: each
-    weight's multiplicity keyed by its partition, packed by :func:`_pack`
-    in ``width``-bit fields."""
+    weight's multiplicity keyed by its partition, packed in the module's
+    layout in ``width``-bit fields."""
 
     n: int
     d: int
@@ -82,12 +90,11 @@ def brute_character(n: int, d: int, k: int, max_monomials: int = MAX_TERMS) -> C
 
     Exhaustive: every multiset of ``k`` indices is visited once, as one
     combination, and the total mass of the table is the full
-    symmetric-power dimension.  Each index's moment vector is packed into
-    one ``int``, entry ``s`` in the ``width``-bit field at bit
-    ``s * width``, so a monomial's moments are one small-int sum of its
-    factors.  No moment of a degree-``k`` monomial exceeds ``d * k``, which
-    fits in ``width`` bits, so no field carries into the next and distinct
-    moment vectors give distinct sums.  Each distinct sum is unpacked and
+    symmetric-power dimension.  Each index's moment vector is packed by
+    :func:`_pack`, so a monomial's moments are one small-int sum of its
+    factors.  No moment of a degree-``k`` monomial exceeds ``d * k``, the
+    width's budget, so no field carries into the next and distinct moment
+    vectors give distinct sums.  Each distinct sum is unpacked and
     converted to a weight once; distinct moment vectors of one degree have
     distinct weights.
     """
@@ -98,19 +105,12 @@ def brute_character(n: int, d: int, k: int, max_monomials: int = MAX_TERMS) -> C
             f"character enumeration needs {total} monomials, above the "
             f"limit {max_monomials}"
         )
-    width = max(1, (d * k).bit_length())
+    width = _field_width(d * k)
     # degree 0 has one monomial, the empty product, and needs no index list
-    packed = [
-        sum(x << (s * width) for s, x in enumerate(index))
-        for index in (enumerate_indices(n, d) if k else ())
-    ]
+    packed = [_pack(index, width) for index in (enumerate_indices(n, d) if k else ())]
     tally = Counter(map(sum, itertools.combinations_with_replacement(packed, k)))
-    field_mask = (1 << width) - 1
     table = {
-        weight_from_moments(
-            n, d, k, [(key >> (s * width)) & field_mask for s in range(n - 1)]
-        ): c
-        for key, c in tally.items()
+        weight_from_moments(n, d, k, _unpack(key, n - 1, width)): c for key, c in tally.items()
     }
     return CharacterTable(n=n, d=d, k=k, multiplicities=table)
 
@@ -130,8 +130,7 @@ def character_tables(
     degree ``k``.  Each degree is a dict keyed by packed weights: field
     ``s`` holds the sum of ``wt_s + d`` over the factors, at most
     ``2 * d * kmax``, below a spare bit, so no field carries.  Every table
-    has one field width, ``_field_width(n, d * kmax)``, which the product
-    pass, stripping and the Kostka memo share.  The whole pass runs when
+    has the width ``_field_width(d * kmax)``.  The whole pass runs when
     the first table is asked for; every degree's total mass, over every
     packed entry, must then equal the symmetric-power dimension, else
     :class:`InternalError`.  Each degree is read out only when it is
@@ -170,14 +169,13 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
     the weight one component per field, which :func:`_partitions` turns
     into its packed partition.  Only those keys are read out.
     """
-    width = _field_width(n, d * kmax)
-    offsets = range(0, (n - 1) * width, width)
+    width = _field_width(d * kmax)
     ones = _pack((1,) * (n - 1), width)
     half = 1 << (width - 1)
     high = half * ones
     # degree 0 has one monomial, the empty product, and needs no index list
     shifts = [
-        sum((w + d) << offset for w, offset in zip(weight_from_moments(n, d, 1, i), offsets))
+        _pack([w + d for w in weight_from_moments(n, d, 1, i)], width)
         for i in (enumerate_indices(n, d) if kmax else ())
     ]
     degrees: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(kmax)]
@@ -200,45 +198,36 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
         yield PartitionTable(n, d, k, width, _partitions(dominant, n, width))
 
 
-def _field_width(n: int, budget: int) -> int:
-    """Bits per field of every packed key of one table, when ``budget``
-    bounds each component of its dominant weights and each part of their
-    partitions (``d * kmax`` in the product pass).  The product pass's
-    fields hold up to ``2 * budget``, below a spare bit; a partition's sum,
-    which bounds every part and every Kostka content count, is at most
-    ``(n - 1) * budget``."""
-    return max((2 * budget).bit_length() + 1, ((n - 1) * budget).bit_length())
+def _field_width(budget: int) -> int:
+    """Bits per field of one table's packed keys, when ``budget`` bounds the
+    first part of every partition in it (the module docstring's rule)."""
+    return (2 * budget).bit_length() + 1
 
 
-def _pack(parts: tuple[int, ...], width: int) -> int:
-    """A partition as one ``int``: part ``i`` in field ``len(parts) - 1 - i``,
-    at bit ``(len(parts) - 1 - i) * width``, so the first part is the most
-    significant.  Every part must be below ``2 ** width``."""
-    key = 0
-    for part in parts:
-        key = (key << width) | part
-    return key
+def _pack(entries: Iterable[int], width: int) -> int:
+    """A vector as one ``int``: entry ``j`` in the ``width``-bit field at bit
+    ``j * width``.  Every entry must be in ``0..2 ** width - 1``."""
+    return sum(x << (j * width) for j, x in enumerate(entries))
 
 
 def _unpack(key: int, rows: int, width: int) -> tuple[int, ...]:
-    """The ``rows`` parts of a key packed by :func:`_pack`."""
+    """The ``rows`` entries of a key packed by :func:`_pack`, in order."""
     mask = (1 << width) - 1
-    return tuple((key >> shift) & mask for shift in range((rows - 1) * width, -1, -width))
+    return tuple((key >> shift) & mask for shift in range(0, rows * width, width))
 
 
 def _partitions(weights: Iterable[tuple[int, int]], n: int, width: int) -> dict[int, int]:
     """The packed partitions of ``(weight, count)`` pairs, each dominant
-    weight packed one component per field, component ``s`` in field ``s``.
+    weight packed by :func:`_pack`.
 
-    The partition's parts are the weight's prefix sums, reversed, with last
-    part 0: prefix sum ``t`` (of components ``0..t-1``) in field ``t``, for
-    ``t = 0..n-1``.  Multiplying by ``sum_{j=1..n-1} 2 ** (j * width)``
-    adds component ``s`` into every field ``s + j``, which puts each prefix
-    sum in its field; the mask drops the fields above ``n - 1``.  Every
-    component is at least 0 and every prefix sum at most the partition's
-    sum, below ``2 ** width``, so nothing borrows or carries below the
-    mask."""
-    spread, mask = _pack((1,) * (n - 1), width) << width, (1 << (n * width)) - 1
+    A partition's ascending vector is the weight's prefix sums: prefix sum
+    ``t`` (of components ``0..t-1``) in field ``t``, for ``t = 0..n-1``.
+    Multiplying by ``sum_{j=1..n-1} 2 ** (j * width)`` adds component ``s``
+    into every field ``s + j``, which puts each prefix sum in its field; the
+    mask drops the fields above ``n - 1``.  Every component is at least 0
+    and every prefix sum at most the first part, so nothing borrows or
+    carries below the mask."""
+    spread, mask = _pack((0,) + (1,) * (n - 1), width), (1 << (n * width)) - 1
     return {(key * spread) & mask: c for key, c in weights}
 
 
@@ -246,11 +235,11 @@ def _partitions(weights: Iterable[tuple[int, int]], n: int, width: int) -> dict[
 def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     """Semistandard tableaux of ``shape``, a descending vector with one row
     per letter (zeros allowed, at least two rows), counted by ascending
-    content, each content packed into one ``int`` of ``width``-bit fields:
-    the count of letter ``s + 1`` in field ``s``.  A letter fills at most
-    one box of each column, so no count exceeds the first part, which must
-    be below ``2 ** width``.  The memo is keyed by shape and width, so one
-    shape's tables at two widths are two entries.
+    content, each content packed in the module's layout at a ``width`` that
+    holds the first part; being the hot loop, the recursion sets and reads
+    fields by shifts in place rather than through :func:`_pack`.  The memo
+    is keyed by shape and width, so one shape's tables at two widths are
+    two entries.
 
     A Kostka number does not change when its content is permuted, so the
     ascending contents hold every one; the largest letter then holds the
@@ -289,23 +278,17 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
 
 def _partition_table(table: CharacterTable) -> PartitionTable:
     """A weight-keyed table at its dominant weights, keyed by packed
-    partition at the width its largest partition sum needs.  A weight whose
-    length is not ``n - 1``, or a weight entry or multiplicity that is not
-    an ``int``, is refused with :class:`ValueError`."""
+    partition at the width its largest first part needs.  A weight that
+    :func:`check_weight` refuses, or a multiplicity that is not an ``int``,
+    is refused with :class:`ValueError`."""
     n = table.n
     for w, m in table.multiplicities.items():
-        if len(w) != n - 1:
-            raise ValueError(f"weight {w} must have length n - 1 = {n - 1}")
-        for pos, x in enumerate(w, start=1):
-            if not isinstance(x, int):
-                raise ValueError(f"weight {w} position {pos}: {x!r} is not an integer")
+        check_weight(n, w, f"weight {w}")
         if not isinstance(m, int):
             raise ValueError(f"multiplicity of weight {w}: {m!r} is not an integer")
     dominant = [(w, m) for w, m in table.multiplicities.items() if min(w) >= 0]
-    size = max((sum(itertools.accumulate(w)) for w, _ in dominant), default=0)
-    width = _field_width(n, size)
-    offsets = range(0, (n - 1) * width, width)
-    packed = ((sum(map(operator.lshift, w, offsets)), m) for w, m in dominant)
+    width = _field_width(max((sum(w) for w, _ in dominant), default=0))
+    packed = ((_pack(w, width), m) for w, m in dominant)
     return PartitionTable(n, table.d, table.k, width, _partitions(packed, n, width))
 
 
@@ -314,32 +297,31 @@ def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]
 
     Reads the character at its dominant weights only (no information is
     lost: characters are symmetric under the Weyl group), each keyed by its
-    partition ``lam``, packed by :func:`_pack`: a :class:`PartitionTable`
-    from :func:`character_tables` is keyed so already, and a
+    packed partition ``lam``: a :class:`PartitionTable` from
+    :func:`character_tables` is keyed so already, and a
     :class:`CharacterTable` is converted once by :func:`_partition_table`.
-    No field carries, so the numeric order of the keys is the lexicographic
-    order of the partitions.  Walks them in decreasing order, reads the
-    remaining multiplicity at each as the multiplicity of the irreducible
-    with that highest weight, and subtracts that module's dominant
-    character: each Kostka number ``K(top, mu)`` of
+    Walks the keys in decreasing order, the partitions' lexicographic
+    order, reads the remaining multiplicity at each as the multiplicity of
+    the irreducible with that highest weight, and subtracts that module's
+    dominant character: each Kostka number ``K(top, mu)`` of
     :func:`_tableau_contents`, at the table's width, at the packed
-    partition of ``mu`` (an ascending content's fields are its parts
-    reversed) less its full columns (field 0 taken from every field at
-    once).  The contents of one shape share their sum, so no two meet at
+    partition of ``mu`` (an ascending content is packed as a partition's
+    ascending vector) less its full columns (field 0 taken from every field
+    at once).  The contents of one shape share their sum, so no two meet at
     one key.  Every key but ``lam`` is lexicographically below it: a content
     with last part 0 is dominated by ``lam``, and dominance implies
     lexicographic order; one with last part ``m > 0`` is keyed by
     ``mu - m``, whose first part ``mu[0] - m`` is below ``lam[0]``.  So
     every module that reaches a partition is stripped before that partition
     is read.  Only the highest weights found, and a partition a guard
-    names, are unpacked.  Every module read has the sum of one of the
-    table's partitions, which bounds its parts and counts, so the table's
-    width holds them all.  The zero-weight entry of the result is an
-    independent computation of the invariant dimension.  A rank below 2 is
-    refused with :class:`ValueError`.  A table that is not a character
-    raises :class:`InternalError` at one of two guards: a negative count at
-    a partition as it is read, or a count left after the last read, which
-    is where a partition the table never lists, and so never reads, shows.
+    names, are unpacked.  Every module read is one of the table's
+    partitions, so the table's width holds its counts.  The zero-weight
+    entry of the result is an independent computation of the invariant
+    dimension.  A rank below 2 is refused with :class:`ValueError`.  A
+    table that is not a character raises :class:`InternalError` at one of
+    two guards: a negative count at a partition as it is read, or a count
+    left after the last read, which is where a partition the table never
+    lists, and so never reads, shows.
     """
     check_params(table.n)
     if isinstance(table, CharacterTable):
@@ -352,21 +334,21 @@ def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]
         count = remaining[lam]
         if count == 0:
             continue
+        asc = _unpack(lam, n, width)
         if count < 0:
             raise InternalError(
                 f"negative remaining multiplicity {count} at partition "
-                f"{_unpack(lam, n, width)} while stripping"
+                f"{asc[::-1]} while stripping"
             )
-        top = _unpack(lam, n, width)
-        out[tuple(a - b for a, b in zip(top[-2::-1], top[::-1]))] = count
-        for mu, mult in _tableau_contents(top, width).items():
+        out[tuple(map(operator.sub, asc[1:], asc))] = count
+        for mu, mult in _tableau_contents(asc[::-1], width).items():
             target = mu - (mu & mask) * ones
             remaining[target] = remaining.get(target, 0) - count * mult
     leftover = [(lam, v) for lam, v in remaining.items() if v]
     if leftover:
         lam, v = leftover[0]
         raise InternalError(
-            f"stripping left {v} at partition {_unpack(lam, n, width)}, one of "
+            f"stripping left {v} at partition {_unpack(lam, n, width)[::-1]}, one of "
             f"{len(leftover)} left unexplained"
         )
     return out

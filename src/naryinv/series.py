@@ -17,10 +17,10 @@ This module owns the storage format: one Python ``int`` per degree layer
 cell ``sum(m[s] * places[s])``, its value as a mixed-radix number with
 digit ``s`` in radix ``c[s] + 1``, and cell ``j`` is the ``width``-bit
 field at bit ``j * width`` of the layer.  No count exceeds the number of
-monomials of the top degree, and ``width`` is wider than that number, so
-a field never carries into the next.  Multiplying in index ``i`` adds to
-each layer a copy of the layer below, masked to the cells from which
-``i`` stays within every cap and shifted by the cell of ``i``.  Only
+monomials of the top degree, and ``width`` holds that number, so a field
+never carries into the next.  Multiplying in index ``i`` adds to each
+layer a copy of the layer below, masked to the cells from which ``i``
+stays within every cap and shifted by the cell of ``i``.  Only
 :meth:`TruncatedSeries.coefficient` and :meth:`TruncatedSeries.nonzero`
 read cells.  The indices are walked by :func:`_cells` too, so nothing is
 imported from :mod:`naryinv.forms`, whose walk the oracles use.
@@ -208,7 +208,7 @@ def expand_generating_series(
     indices = list(_cells(tuple(min(c, d) for c in caps), places, d))
     # no kept count exceeds the top-degree monomials in these indices
     top = math.comb(len(indices) + degree_bound - 1, degree_bound)
-    width = 8 * (top.bit_length() // 8 + 1)
+    width = 8 * -(-top.bit_length() // 8)
     field_mask = (1 << width) - 1
     layers = [1] + [0] * degree_bound
     for idx, cell in indices:

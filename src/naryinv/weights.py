@@ -53,7 +53,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, NamedTuple
 
-from .errors import ResourceLimitError, check_params
+from .errors import ResourceLimitError, check_params, check_weight
 
 Weight = tuple[int, ...]
 
@@ -68,18 +68,6 @@ class SignedOrbitTerm(NamedTuple):
 
     dominant: Weight
     coefficient: int
-
-
-def check_weight(n: int, weight: Iterable[int], name: str = "weight") -> Weight:
-    """Validate and normalise a weight of rank ``n`` to a plain tuple."""
-    check_params(n)
-    w = tuple(weight)
-    if len(w) != n - 1:
-        raise ValueError(f"{name} must have length n - 1 = {n - 1}, got {len(w)}")
-    for pos, x in enumerate(w, start=1):
-        if not isinstance(x, int):
-            raise ValueError(f"{name} position {pos}: {x!r} is not an integer")
-    return w
 
 
 def check_dominant(n: int, highest: Iterable[int]) -> Weight:

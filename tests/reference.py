@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping
 
-from naryinv.errors import InternalError, check_params
+from naryinv.errors import InternalError, check_params, check_weight
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import PartitionTable, _pack, _tableau_contents, _unpack
 from naryinv.weights import (
     Weight,
     check_dominant,
-    check_weight,
     signed_orbit_terms,
     to_ambient,
 )
@@ -118,22 +117,22 @@ def kostka_number(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
     dominant highest weight: the Kostka number of the module's partition at
     the partition of the weight's dominant representative, both packed at
-    the width their larger sum needs; 0 for weights outside the module or
+    the width their larger first part needs; 0 for weights outside the module or
     its highest weight's root-lattice coset, whose partitions are not
     keys."""
     top = partition(check_dominant(n, highest))
     lam = partition(check_weight(n, weight))
-    width = max(1, sum(top).bit_length(), sum(lam).bit_length())
-    return module_table(top, width).get(_pack(lam, width), 0)
+    width = max(1, top[0].bit_length(), lam[0].bit_length())
+    return module_table(top, width).get(_pack(lam[::-1], width), 0)
 
 
 def dominant_weights(table: PartitionTable) -> dict[Weight, int]:
     """A product table's multiplicities keyed by weight: each packed
-    partition unpacked, and its consecutive differences read back from
-    the last part up."""
+    partition unpacked to its ascending vector, and its consecutive
+    differences read."""
     out = {}
     for key, c in table.partitions.items():
-        parts = _unpack(key, table.n, table.width)[::-1]
+        parts = _unpack(key, table.n, table.width)
         out[tuple(b - a for a, b in zip(parts, parts[1:]))] = c
     return out
 

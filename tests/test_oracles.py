@@ -183,13 +183,12 @@ def test_product_characters_read_out_only_dominant_weights(grid):
     assert bool(edges["-1 dropped"]) == (n > 2 or d % 2 == 1)
 
 
-# the first three grids fill a field exactly: (2, 4, 8) has 2 * d * kmax =
-# 64, the top bit below the spare bit; (3, 2, 8) has 2 * d * kmax =
-# (n - 1) * d * kmax = 32; (5, 1, 8) has (n - 1) * d * kmax = 32, the top
-# bit of a field.  At (6, 1, 7) the partition sum, up to 35, sets the width
-# a bit above the spare-bit rule's 5
+# each grid fills a field exactly: 2 * d * kmax is 64 at (2, 4, 8), 32 at
+# (3, 2, 8) and 16 at (5, 1, 8), the top bit below the spare bit.  At
+# (6, 1, 7) a partition sum of up to 35 exceeds a 5-bit field, and no key
+# holds it: the first part, at most d * kmax = 7, sets the width
 @pytest.mark.parametrize(
-    "grid, width", [((2, 4, 8), 8), ((3, 2, 8), 7), ((5, 1, 8), 6), ((6, 1, 7), 6)]
+    "grid, width", [((2, 4, 8), 8), ((3, 2, 8), 7), ((5, 1, 8), 6), ((6, 1, 7), 5)]
 )
 def test_product_characters_at_the_edges_of_their_field_width(grid, width):
     n, d, kmax = grid
@@ -377,8 +376,8 @@ def test_tableau_contents_match_tableaux_filled_cell_by_cell():
                 expected[mu[::-1]] = count
         width = _narrowest(top)
         contents = oracles_mod._tableau_contents(top, width)
-        # field s counts letter s + 1; _unpack reads the top field first
-        assert {oracles_mod._unpack(key, len(top), width)[::-1]: c for key, c in contents.items()} == expected, top
+        # field s counts letter s + 1
+        assert {oracles_mod._unpack(key, len(top), width): c for key, c in contents.items()} == expected, top
 
 
 def test_tableau_contents_agree_across_widths():
@@ -411,7 +410,8 @@ def test_module_tables_match_tableaux_filled_cell_by_cell():
                 expected[tuple(x - mu[-1] for x in mu)] = count
         width = _narrowest(top)
         table = module_table(top, width)
-        assert {oracles_mod._unpack(key, len(top), width): c for key, c in table.items()} == expected, top
+        # a partition is packed as its ascending vector
+        assert {oracles_mod._unpack(key, len(top), width)[::-1]: c for key, c in table.items()} == expected, top
 
 
 def test_two_row_contents_match_tableaux_filled_cell_by_cell():
@@ -426,42 +426,49 @@ def test_two_row_contents_match_tableaux_filled_cell_by_cell():
                     expected[p, a + b - p] = count
             width = _narrowest((a, b))
             contents = oracles_mod._tableau_contents((a, b), width)
-            # field s counts letter s + 1; _unpack reads the top field first
-            assert {oracles_mod._unpack(key, 2, width)[::-1]: c for key, c in contents.items()} == expected
+            # field s counts letter s + 1
+            assert {oracles_mod._unpack(key, 2, width): c for key, c in contents.items()} == expected
 
 
 def test_packed_partitions_round_trip_in_lexicographic_order():
-    # parts up to 12: 4 bits hold them, 32 bits hold them with room
+    # parts up to 12: 4 bits hold them, 32 bits hold them with room; each
+    # partition is packed as its ascending vector, so the first part, last
+    # in the vector, is the most significant field
     for width in (4, 32):
         checked = 0
         for rows in range(1, 6):
-            parts = [
-                tuple(sorted(p, reverse=True))
-                for p in itertools.combinations_with_replacement(range(13), rows)
-            ]
+            parts = list(itertools.combinations_with_replacement(range(13), rows))
             for p in parts:
                 assert oracles_mod._unpack(oracles_mod._pack(p, width), rows, width) == p
-            assert sorted(parts, key=lambda p: oracles_mod._pack(p, width)) == sorted(parts)
+            assert sorted(parts, key=lambda p: oracles_mod._pack(p, width)) == sorted(
+                parts, key=lambda p: p[::-1]
+            )
             checked += len(parts)
         assert checked == 8567
 
 
 @pytest.mark.parametrize(
-    "table, shape",
+    "table, shape, width",
     [
-        (CharacterTable(2, 1, 0, {(2**32,): 1}), (2**32, 0)),
-        # the ordinary partition (2**31, 0, 0, 0, 0) comes first in the walk,
-        # but the width is set by (2**30, 2**30, 2**30, 2**30, 0), a sum of 2**32
+        (CharacterTable(2, 1, 0, {(2**32,): 1}), (2**32, 0), 35),
+        # the ordinary partition (2**31, 0, 0, 0, 0) comes first in the walk;
+        # its first part 2**31 sets the width, not the sum 2**32 of
+        # (2**30, 2**30, 2**30, 2**30, 0)
         (
             CharacterTable(
                 5, 1, 0,
                 {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, 0, 0, 2**31): 1, (2**30, 0, 0, 0): 1},
             ),
             (2**31, 0, 0, 0, 0),
+            34,
         ),
+        # the first part 35, not the largest component 7, sets the width:
+        # fields sized for 7 would hold the parts only up to 31
+        (CharacterTable(6, 1, 0, {(7, 7, 7, 7, 7): 1}), (35, 28, 21, 14, 7, 0), 8),
     ],
+    ids=["table0-shape0", "table1-shape1", "table2-shape2"],
 )
-def test_the_field_width_adapts_to_the_largest_partition(table, shape, monkeypatch):
+def test_the_field_width_adapts_to_the_largest_partition(table, shape, width, monkeypatch):
     # a partition of 2**32 needs 33 bits a field, more than 32; its table
     # would have 2**31 entries, so the first one asked for stops the run
     calls = []
@@ -473,8 +480,7 @@ def test_the_field_width_adapts_to_the_largest_partition(table, shape, monkeypat
     monkeypatch.setattr(oracles_mod, "_tableau_contents", build)
     with pytest.raises(LookupError, match="stop before building"):
         strip_decompose(table)
-    ((top, width),) = calls
-    assert top == shape and width >= 34
+    assert calls == [(shape, width)]
 
 
 def test_weyl_dimension_examples():
@@ -625,8 +631,8 @@ def test_module_tables_lie_lexicographically_below_their_partition():
                 lam = (*sorted(parts, reverse=True), 0)
                 width = _narrowest(lam)
                 table = module_table(lam, width)
-                assert table[oracles_mod._pack(lam, width)] == 1
-                assert all(oracles_mod._unpack(key, n, width) <= lam for key in table)
+                assert table[oracles_mod._pack(lam[::-1], width)] == 1
+                assert all(oracles_mod._unpack(key, n, width)[::-1] <= lam for key in table)
                 keys += len(table)
     assert keys == 4097
 

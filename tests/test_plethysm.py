@@ -15,7 +15,14 @@ dominant weight that can occur.
   ch. I.8).
 - ``S^2(S^d C^n)`` is the sum of ``V_(2d-j, j)`` over even ``j <= d``,
   each once.
+
+Hermite reciprocity, ``S^k(S^d C^2) = S^d(S^k C^2)``, is checked too.
+Both sides run the same engine, so it is a symmetry test rather than an
+independent oracle, but it catches a bug that confuses ``d`` with ``k``
+in a way that breaks the symmetry.
 """
+
+import math
 
 import pytest
 
@@ -84,3 +91,17 @@ def test_classical_plethysms_tell_a_weight_from_its_dual():
         return highest_weight_multiplicity(n, d, k, labels[::-1])
 
     assert _mismatches(dual, 3)
+
+
+def test_hermite_reciprocity():
+    # gamma(2, d, k, m) = gamma(2, k, d, m) at every weight m of degree dk,
+    # and the modules fill S^k(S^d C^2), of dimension C(d + k, k)
+    gamma = highest_weight_multiplicity
+    cases, mismatches = 0, []
+    for d in range(1, 13):
+        for k in range(1, 13):
+            values = [gamma(2, d, k, (m,)) for m in range(d * k + 1)]
+            cases += len(values)
+            mismatches += [(d, k, m) for m, v in enumerate(values) if v != gamma(2, k, d, (m,))]
+            assert sum(v * (m + 1) for m, v in enumerate(values)) == math.comb(d + k, k)
+    assert cases == 6228 and mismatches == []

@@ -102,6 +102,19 @@ def test_series_matches_brute_character_tally():
                 assert tallies[k].get(weight, 0) == 0
 
 
+def test_fields_are_the_fewest_whole_bytes_that_hold_the_top_count():
+    # no count exceeds the top-degree monomials, 136 at (2, 2, 15), which
+    # fills one byte exactly: one byte a field, 1,936 bits of layers
+    series = expand_generating_series(2, 2, 15)
+    assert series.width == 8
+    assert sum(layer.bit_length() for layer in series.layers) == 1936
+    top = {weight_from_moments(2, 2, 15, m): c for (k, m), c in series.coefficients.items() if k == 15}
+    assert top == brute_character(2, 2, 15).multiplicities
+    # 255 top-degree monomials fill a byte, 256 need a second
+    for bound, width in [(254, 8), (255, 16)]:
+        assert expand_generating_series(2, 1, bound).width == width
+
+
 def test_moment_bounds_invariant():
     series = expand_generating_series(3, 2, 3)
     assert series.coefficients[(0, (0, 0))] == 1

@@ -353,6 +353,39 @@ def test_oracles_share_no_code_with_the_engine():
     assert _names_from("oracles", "weights") == {"Weight"}
 
 
+def test_oracles_size_every_key_by_one_width_rule():
+    # the packed layout is stated once: every width in oracles.py comes from
+    # `_field_width(budget)`, and no inline packer shifts by operator.lshift
+    path = SRC / "naryinv" / "oracles.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (width,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_field_width"]
+
+    def bit_lengths(root):
+        return [
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bit_length"
+        ]
+
+    assert len(width.args.args) == 1
+    assert len(bit_lengths(width)) == 1 and bit_lengths(tree) == bit_lengths(width)
+    names = {
+        getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        for node in ast.walk(tree)
+    }
+    assert "lshift" not in names
+
+
+def test_the_package_checks_weights_in_one_place():
+    found = [
+        path.name
+        for path in sorted((SRC / "naryinv").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "check_weight"
+    ]
+    assert found == ["errors.py"]
+
+
 def test_the_orbit_walk_derives_its_own_band():
     # dimensions hands the walk a degree budget; the band and the ambient
     # coordinates it is stated in stay in `weights`

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 import naryinv.weights as weights_mod
 from naryinv.cli import main
 from naryinv.counting import moment_targets
-from naryinv.errors import ResourceLimitError
-from naryinv.weights import check_weight, signed_orbit_terms, to_ambient
+from naryinv.errors import ResourceLimitError, check_weight
+from naryinv.weights import signed_orbit_terms, to_ambient
 from reference import dominant_representative, from_ambient
 
 
