@@ -7,10 +7,10 @@ weight corresponds to at most one moment-target vector, and the number of
 monomials of a given weight is one coefficient of the generating series
 expanded in :mod:`naryinv.series`.  :func:`signed_counts` is the one
 reader: every query hands it signed weight terms and degrees.  It
-decomposes each term once, tests it for feasibility at every degree, and
-reads the feasible ones off a single expansion, capped at the largest
-targets among them.  An optional on-disk cache, which the CLI opens,
-memoises the counts.
+decomposes each term once, tests it for feasibility at every degree, lists
+the feasible ones as one flat read plan, and reads the plan off a single
+expansion, capped at the largest targets in it.  An optional on-disk
+cache, which the CLI opens, memoises the counts.
 """
 
 from __future__ import annotations
@@ -77,67 +77,66 @@ def signed_counts(
 
     Each weight comes checked, as :func:`~naryinv.weights.signed_orbit_terms`
     builds it, and each term is decomposed once, not once per degree.  The
-    degrees are walked once, from the last down.  At each, a divisibility and
-    a sign test (the formula of :func:`moment_targets`) pick the terms whose
-    moment system is feasible; a count ``cache`` holds goes straight into the
-    degree's sum, and every other feasible term is listed as a read of its
-    targets.  The listed reads are then taken from ``series`` or, without
-    one, from one expansion to the highest degree read, capped at the
-    coordinatewise maximum of their targets, and added into the same sums;
-    computed values are added to ``cache``.  A negative sum raises
-    :class:`ValueError` naming the cache file when its degree read a count
-    from ``cache``, else :class:`InternalError`.
-
-    Without ``series``, the first degree with a read sizes the caps of its
-    own reads, a lower bound on the final expansion, so a refused read is
-    refused before the degrees below it are listed.
+    read plan is one flat list of ``(k, w, c, targets)``.  Each distinct
+    degree is visited once, from the last listed down; a divisibility and a
+    sign test (the formula of :func:`moment_targets`) pick the terms whose
+    moment system is feasible there.  A count ``cache`` holds goes straight
+    into the degree's sum, and every other feasible term adds one entry to
+    the plan.  One caps rule, :func:`_caps`, sizes the plan.  Without
+    ``series``, the first degree that adds an entry is sized at once, its
+    caps clipped to what that degree reaches (a lower bound on the final
+    expansion), so a refused read is refused before the degrees below it are
+    listed; the plan is then read off one expansion to its largest degree.
+    The plan is read in one loop, in the order it was listed, and each
+    computed value is added to ``cache``.  Last, the sums are checked in the
+    order of ``degrees``: a negative one raises :class:`ValueError` naming
+    the cache file when its degree read a count from ``cache``, else
+    :class:`InternalError`.
     """
     check_params(n, d, None, max_terms)
     if series is not None and (series.n, series.d) != (n, d):
         raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
-    plan = [(w, c, _decompose(w)) for w, c in terms]
+    decomposed = [(w, c, _decompose(w)) for w, c in terms]
     sums: dict[int, int] = {}
-    reads: dict[int, list[tuple[Weight, int, tuple[int, ...]]]] = {}
-    sized = series is not None
+    reads: list[tuple[int, Weight, int, tuple[int, ...]]] = []
     from_cache = set()
     for k in reversed(degrees):
         check_params(n, d, k)
+        if k in sums:
+            continue
         kd = k * d
-        total, listed = 0, []
-        for w, c, term in plan:
+        sums[k] = 0
+        for w, c, term in decomposed:
             targets = _targets(n, kd, term)
             if targets is None:
                 continue
             hit = cache.get(n, d, k, w) if cache is not None else None
             if hit is None:
-                listed.append((w, c, targets))
+                reads.append((k, w, c, targets))
             else:
-                total += c * hit
+                sums[k] += c * hit
                 from_cache.add(k)
-        sums[k] = total
-        if listed:
-            reads[k] = listed
-            if not sized:
-                sized = True
-                caps = tuple(min(max(column), d * k) for column in zip(*(t for _, _, t in listed)))
-                check_expansion_size(d, k, caps, max_terms)
+        if series is None and reads and reads[0][0] == k:
+            check_expansion_size(d, k, tuple(min(c, kd) for c in _caps(reads)), max_terms)
     if reads and series is None:
-        caps = [max(column) for column in zip(*(t for ts in reads.values() for _, _, t in ts))]
-        series = expand_generating_series(n, d, max(reads), max_terms, caps)
-    for k, listed in reads.items():
-        for w, c, targets in listed:
-            count = series.coefficient(k, targets)
-            sums[k] += c * count
-            if cache is not None:
-                cache.put(n, d, k, w, count)
-    totals = [sums[k] for k in degrees]
-    for k, total in zip(degrees, totals):
-        if total < 0:
-            where = f"negative multiplicity {total} at (n={n}, d={d}, k={k})"
+        series = expand_generating_series(n, d, max(r[0] for r in reads), max_terms, _caps(reads))
+    for k, w, c, targets in reads:
+        count = series.coefficient(k, targets)
+        sums[k] += c * count
+        if cache is not None:
+            cache.put(n, d, k, w, count)
+    for k in degrees:
+        if sums[k] < 0:
+            where = f"negative multiplicity {sums[k]} at (n={n}, d={d}, k={k})"
             if k in from_cache:
                 raise ValueError(f"{where}: {cache.path} holds a bad count")
             raise InternalError(where)
-    return totals
+    return [sums[k] for k in degrees]
+
+
+def _caps(reads: list[tuple[int, Weight, int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """The caps of a read plan: the coordinatewise maximum of its targets."""
+    return tuple(map(max, zip(*(read[3] for read in reads))))
 
 
 def weight_multiplicity(

@@ -11,9 +11,9 @@ orbit terms and degrees; :func:`naryinv.counting.signed_counts` reads them.
 from __future__ import annotations
 
 from .counting import CountCache, signed_counts
-from .errors import MAX_TERMS, check_params
+from .errors import MAX_TERMS, check_dominant, check_params
 from .series import TruncatedSeries
-from .weights import check_dominant, signed_orbit_terms
+from .weights import signed_orbit_terms
 
 
 def highest_weight_multiplicity(

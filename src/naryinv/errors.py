@@ -50,3 +50,11 @@ def check_weight(n: int, weight: Iterable[int], name: str = "weight") -> tuple[i
         if not isinstance(x, int):
             raise ValueError(f"{name} position {pos}: {x!r} is not an integer")
     return w
+
+
+def check_dominant(n: int, highest: Iterable[int]) -> tuple[int, ...]:
+    """:func:`check_weight` for a highest weight, which must be dominant."""
+    w = check_weight(n, highest, "highest weight")
+    if any(x < 0 for x in w):
+        raise ValueError(f"highest weight must be dominant, got {w}")
+    return w

@@ -70,14 +70,6 @@ class SignedOrbitTerm(NamedTuple):
     coefficient: int
 
 
-def check_dominant(n: int, highest: Iterable[int]) -> Weight:
-    """:func:`check_weight` for a highest weight, which must be dominant."""
-    w = check_weight(n, highest, "highest weight")
-    if any(x < 0 for x in w):
-        raise ValueError(f"highest weight must be dominant, got {w}")
-    return w
-
-
 def to_ambient(weight: Iterable[int]) -> tuple[int, ...]:
     """Ambient (permutation) coordinates of a weight, normalised to min 0."""
     acc = 0

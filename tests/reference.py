@@ -11,15 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping
 
-from naryinv.errors import InternalError, check_params, check_weight
+from naryinv.errors import InternalError, check_dominant, check_params, check_weight
 from naryinv.forms import weight_from_moments
 from naryinv.oracles import PartitionTable, _pack, _tableau_contents, _unpack
-from naryinv.weights import (
-    Weight,
-    check_dominant,
-    signed_orbit_terms,
-    to_ambient,
-)
+from naryinv.weights import Weight, signed_orbit_terms, to_ambient
 
 MultiIndex = tuple[int, ...]
 

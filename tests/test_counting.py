@@ -296,3 +296,34 @@ def test_a_bad_cached_count_among_expanded_reads_names_the_cache(tmp_path):
     with pytest.raises(ValueError, match=f"at \\(n=3, d=3, k={k}\\): .*holds a bad count") as info:
         signed_counts(n, d, range(kmax + 1), terms, cache=cache)
     assert cache.path in str(info.value)
+
+
+def test_a_cached_read_plan_lists_each_repeated_degree_once(tmp_path, monkeypatch):
+    # degrees repeated and unsorted: each distinct degree is planned once,
+    # from the last listed down, each feasible (k, w) is read once and
+    # appended to the cache once, and a second call reads nothing
+    n, d, degrees = 3, 3, [4, 2, 4, 0]
+    terms = signed_orbit_terms(n, kd=max(degrees) * d)
+    expected = signed_counts(n, d, degrees, terms)
+    feasible = {
+        (k, w): moment_targets(n, d, k, w)
+        for k in (0, 4, 2) for w, _ in terms
+        if moment_targets(n, d, k, w) is not None
+    }
+    real = TruncatedSeries.coefficient
+    reads = []
+
+    def recording(self, k, moments):
+        reads.append((k, tuple(moments)))
+        return real(self, k, moments)
+
+    monkeypatch.setattr(TruncatedSeries, "coefficient", recording)
+    cache = CountCache(str(tmp_path))
+    assert signed_counts(n, d, degrees, terms, cache=cache) == expected
+    assert sorted(reads) == sorted((k, t) for (k, _), t in feasible.items())
+    with open(cache.path, encoding="utf-8") as fh:
+        appended = [json.loads(line) for line in fh]
+    assert [(r["k"], tuple(r["mu"])) for r in appended] == list(feasible)
+    reads.clear()
+    assert signed_counts(n, d, degrees, terms, cache=CountCache(str(tmp_path))) == expected
+    assert reads == []

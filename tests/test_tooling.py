@@ -377,19 +377,20 @@ def test_oracles_size_every_key_by_one_width_rule():
 
 
 def test_the_package_checks_weights_in_one_place():
-    found = [
-        path.name
-        for path in sorted((SRC / "naryinv").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.FunctionDef) and node.name == "check_weight"
-    ]
-    assert found == ["errors.py"]
+    for name in ("check_weight", "check_dominant"):
+        found = [
+            path.name
+            for path in sorted((SRC / "naryinv").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert found == ["errors.py"], name
 
 
 def test_the_orbit_walk_derives_its_own_band():
     # dimensions hands the walk a degree budget; the band and the ambient
     # coordinates it is stated in stay in `weights`
-    assert _names_from("dimensions", "weights") == {"check_dominant", "signed_orbit_terms"}
+    assert _names_from("dimensions", "weights") == {"signed_orbit_terms"}
 
 
 def test_plethysm_tests_share_no_code_with_the_package():
@@ -405,6 +406,42 @@ def test_plethysm_tests_share_no_code_with_the_package():
     assert {name for name in imported if name.startswith("naryinv")} == {
         "naryinv.highest_weight_multiplicity"
     }
+
+
+def test_the_kernel_oracle_shares_no_code_with_the_package():
+    # the raising operators' kernel is an independent check of gamma and nu:
+    # tests/kernel.py has no import statement but `from __future__`
+    path = SRC.parent / "tests" / "kernel.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "."}
+    assert imported <= {"__future__"}
+
+
+def test_a_failing_property_test_does_not_stop_the_session(tmp_path):
+    # under filterwarnings = ["error"], a warning raised while hypothesis
+    # reports a failure must not become an INTERNALERROR that ends the run
+    # before the tests after it
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(SRC.parent / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
 
 
 def test_only_the_cli_reads_the_environment():
