@@ -212,18 +212,11 @@ def expand_generating_series(
     layers = [1] + [0] * degree_bound
     for idx, cell in indices:
         shift = width * cell
-        # layer k - 1 reaches moments up to d * (k - 1), so it needs the
-        # mask only once that passes caps[s] - idx[s] for some s: one plain
-        # pass over layers 1..free + 1, then one masked pass over the rest
-        free = min(((c - i) // d for c, i in zip(caps, idx) if i), default=degree_bound)
-        for k in range(1, min(free + 1, degree_bound) + 1):
-            layers[k] += layers[k - 1] << shift
-        if free + 1 < degree_bound:
-            room = (1 << width) - 1  # the cells where m[s] <= caps[s] - idx[s]
-            for c, i, p in zip(caps, idx, places):
-                room = _repeat(room, p * width, c - i + 1)
-            for k in range(free + 2, degree_bound + 1):
-                layers[k] += (layers[k - 1] & room) << shift
+        room = (1 << width) - 1  # the cells where m[s] <= caps[s] - idx[s]
+        for c, i, p in zip(caps, idx, places):
+            room = _repeat(room, p * width, c - i + 1)
+        for k in range(1, degree_bound + 1):
+            layers[k] += (layers[k - 1] & room) << shift
     return TruncatedSeries(n, d, degree_bound, caps, places, width, tuple(layers))
 
 

@@ -168,13 +168,10 @@ def signed_orbit_terms(
     # the halves meet on complementary masks; every key's mask bits are set
     by_mask: dict[int, list[tuple[int, int]]] = {}
     for state, count in backward.items():
-        if count:
-            by_mask.setdefault(state & every, []).append((state, count))
+        by_mask.setdefault(state & every, []).append((state, count))
     acc: dict[int, int] = {}
     first: dict[int, tuple[int, ...]] = {}
     for front, front_count in forward.items():
-        if not front_count:
-            continue
         front_entries = forward_entries[front]
         for back, back_count in by_mask.get(every & ~front, ()):
             key = front + back
