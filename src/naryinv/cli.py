@@ -482,8 +482,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
     A plain query (see :func:`_read_query`) builds no ``ArgumentParser``.
     Every other form goes to :func:`build_parser`, which reads it or exits
-    with its help or its usage error.  Nothing is kept across calls: each call reads its
-    arguments afresh, as a fresh process would.
+    with its help or its usage error.  Each call reads its arguments afresh,
+    as a fresh process would.  One thing is kept across calls: after a
+    ``check``, the memo of :func:`naryinv.oracles._tableau_contents` holds
+    up to 4,096 Kostka tables, which later ``check`` calls in the same
+    process reuse.
     """
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv

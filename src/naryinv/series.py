@@ -16,14 +16,36 @@ This module owns the storage format: one Python ``int`` per degree layer
 (Kronecker substitution).  With caps ``c``, the moment vector ``m`` sits in
 cell ``sum(m[s] * places[s])``, its value as a mixed-radix number with
 digit ``s`` in radix ``c[s] + 1``, and cell ``j`` is the ``width``-bit
-field at bit ``j * width`` of the layer.  No count exceeds the number of
-monomials of the top degree, and ``width`` holds that number, so a field
-never carries into the next.  Multiplying in index ``i`` adds to each
-layer a copy of the layer below, masked to the cells from which ``i``
-stays within every cap and shifted by the cell of ``i``.  Only
+field at bit ``j * width`` of the layer.  Multiplying in index ``i`` adds
+to each layer a copy of the layer below, masked to the cells from which
+``i`` stays within every cap and shifted by the cell of ``i``.  Only
 :meth:`TruncatedSeries.coefficient` and :meth:`TruncatedSeries.nonzero`
 read cells.  The indices are walked by :func:`_cells` too, so nothing is
 imported from :mod:`naryinv.forms`, whose walk the oracles use.
+
+A field must never carry into the next.  No count exceeds ``top``, the
+number of top-degree monomials, so the fewest whole bytes that hold
+``top`` always suffice; but ``top`` bounds the sum of a layer's cells, and
+the largest cell needs far fewer bits.  So a field is first ``w + g``
+bits: ``w`` from :func:`_start_width`, the one rule for it, and
+``g = (degree_bound + 1).bit_length()`` guard bits above them.  After
+each index is multiplied in, the top layer's guard bits are tested, once.
+That one test is enough:
+
+- :func:`_cells` yields the zero index first.  Once it is in, adding a
+  zero index maps the degree-``k`` multisets at moments ``m`` one-to-one
+  into the degree-``k + 1`` ones, so no cell of layer ``k`` exceeds the
+  same cell of the top layer, and a clear guard there means every field
+  of every layer is below ``2^w``.
+- Multiplying in one index makes each count a sum of at most
+  ``degree_bound + 1`` counts from before it,
+  ``c_k(m) = sum_j c_{k-j}(m - j * i)``, so the count is below
+  ``(degree_bound + 1) * 2^w < 2^(w + g)``: the guard bits hold it without
+  a carry, and the counts stay exact.
+
+A set guard bit restarts the expansion at the whole-byte width, which
+holds every count and is not guarded, so at most one restart happens.
+When ``w + g`` is no narrower than that width, the expansion starts there.
 """
 
 from __future__ import annotations
@@ -86,7 +108,8 @@ class TruncatedSeries(NamedTuple):
 
     ``layers[k]`` packs the counts of the degree-``k`` monomials, for ``k``
     up to ``degree_bound``: the count at moments ``m`` is the
-    ``width``-bit field at cell ``sum(m[s] * places[s])``.  Moment ``s``
+    ``width``-bit field at cell ``sum(m[s] * places[s])``.  A field is
+    ``width`` bits, not always a whole number of bytes.  Moment ``s``
     is kept only up to ``caps[s]``; an uncapped expansion has every cap at
     ``d * degree_bound``, above which no moment of a stored degree reaches.
     ``places`` are the place values of ``caps``, computed by the expansion.
@@ -126,17 +149,20 @@ class TruncatedSeries(NamedTuple):
         """``((degree, moment vector), count)`` for every nonzero count,
         ordered by degree, then moment vector.
 
-        Each layer is unpacked once, and only the cells its degree reaches
-        (moments summing to at most ``d * k``) are visited.
+        Each layer is unpacked once, into the bytes that hold the cells its
+        degree reaches, and only those cells (moments summing to at most
+        ``d * k``) are read, each from the bytes its bits lie in.
         """
-        size = self.width // 8
+        width = self.width
+        field = (1 << width) - 1
         for k, layer in enumerate(self.layers):
-            try:
-                raw = layer.to_bytes(_span(self.d, k, self.caps, self.places) * size, "little")
-            except OverflowError:
-                raise InternalError(f"layer {k} holds a count past the cells it spans") from None
+            bits = _span(self.d, k, self.caps, self.places) * width
+            if layer.bit_length() > bits:
+                raise InternalError(f"layer {k} holds a count past the cells it spans")
+            raw = layer.to_bytes(-(-bits // 8), "little")
             for m, cell in _cells(self.caps, self.places, self.d * k):
-                value = int.from_bytes(raw[cell * size:(cell + 1) * size], "little")
+                at = cell * width
+                value = (int.from_bytes(raw[at >> 3:(at + width + 7) >> 3], "little") >> (at & 7)) & field
                 if value:
                     yield (k, m), value
 
@@ -189,7 +215,8 @@ def expand_generating_series(
     which is realised in place, one whole layer at a time, by sweeping ``k``
     upward.  With ``caps``, no term with some moment ``s`` above
     ``caps[s]`` is ever made: moments only grow as factors are multiplied
-    in, so such a term would never feed a kept one.  Raises
+    in, so such a term would never feed a kept one.  The field width and
+    its guard are set as the module docstring states.  Raises
     :class:`ResourceLimitError`, before anything is allocated, when the
     layers would span more than ``max_terms`` cells.
     """
@@ -208,7 +235,38 @@ def expand_generating_series(
     indices = list(_cells(tuple(min(c, d) for c in caps), places, d))
     # no kept count exceeds the top-degree monomials in these indices
     top = math.comb(len(indices) + degree_bound - 1, degree_bound)
-    width = 8 * -(-top.bit_length() // 8)
+    whole = 8 * -(-top.bit_length() // 8)
+    span = _span(d, degree_bound, caps, places)
+    guard = (degree_bound + 1).bit_length()
+    width = _start_width(top, span) + guard
+    layers = None
+    if width < whole:
+        alarm = _repeat(((1 << guard) - 1) << (width - guard), width, span)
+        layers = _multiply(indices, caps, places, degree_bound, width, alarm)
+    if layers is None:
+        width = whole
+        layers = _multiply(indices, caps, places, degree_bound, width, 0)
+    return TruncatedSeries(n, d, degree_bound, caps, places, width, tuple(layers))
+
+
+def _start_width(top: int, span: int) -> int:
+    """Bits a field holds below its guard bits when an expansion starts:
+    those of ``top // span``, the mean top-degree count per cell of the top
+    layer, and 3 more."""
+    return (top // span).bit_length() + 3
+
+
+def _multiply(
+    indices: list[tuple[tuple[int, ...], int]],
+    caps: tuple[int, ...],
+    places: tuple[int, ...],
+    degree_bound: int,
+    width: int,
+    alarm: int,
+) -> list[int] | None:
+    """The layers with every index multiplied in, in ``width``-bit fields,
+    or ``None`` as soon as the top layer meets ``alarm``, the mask of its
+    guard bits (0 when the fields are not guarded)."""
     layers = [1] + [0] * degree_bound
     for idx, cell in indices:
         shift = width * cell
@@ -217,7 +275,9 @@ def expand_generating_series(
             room = _repeat(room, p * width, c - i + 1)
         for k in range(1, degree_bound + 1):
             layers[k] += (layers[k - 1] & room) << shift
-    return TruncatedSeries(n, d, degree_bound, caps, places, width, tuple(layers))
+        if layers[-1] & alarm:
+            return None
+    return layers
 
 
 def invariant_dimension_by_series(n: int, d: int, k: int) -> int:

@@ -41,6 +41,15 @@ joins their multisets.  Each state also keeps the entries of the first
 path to reach it, so each distinct joined multiset is sorted once into its
 weight, the gaps between its sorted entries.
 
+Each walk structure lives only as long as the answer needs it.  A half
+walk keeps one position's states and entries at a time.  Both halves,
+their entry dicts and the backward half's grouping by mask live until the
+join is done.  The join keeps, per joined key, its signed count and the
+two half-entry tuples of the first pair to reach it (the tuples the half
+walks already hold, not a concatenated copy).  Each key's pair is dropped
+as its row is built, and the counts once every row is built; the sorted
+rows live until the terms are made from them.
+
 Every term's entries sum to ``sum(base) - n(n-1)/2``, so a term can be
 feasible at the degree budget ``kd = k * d`` only when no entry exceeds
 ``(kd + sum(base) - n(n-1)/2) // n`` (see
@@ -136,7 +145,7 @@ def signed_orbit_terms(
     at degree ``k`` or below are kept: those whose ambient entries
     ``{base[q[j]] - j}`` are all at most ``(kd + sum(base) - n(n-1)/2) // n``,
     with ``base = to_ambient(shift) + rho``.  The walk never places a larger
-    entry.
+    entry.  A negative ``kd`` raises :class:`ValueError`.
 
     The result is sorted by (largest component, lexicographic), which for
     n = 3 reproduces the classical five-term presentation order.
@@ -147,6 +156,8 @@ def signed_orbit_terms(
             f"orbit walk at rank n = {n} refused (limit n <= {MAX_ORBIT_RANK})"
         )
     shift = check_weight(n, (0,) * (n - 1) if shift is None else shift, "shift")
+    if kd is not None and kd < 0:
+        raise ValueError(f"degree budget kd must be >= 0, got {kd}")
     base = [x + i for i, x in enumerate(to_ambient(shift))]
     cap = max(base) if kd is None else (kd + sum(base) - n * (n - 1) // 2) // n
     # each entry value gets its own 4-bit count field above the n mask bits
@@ -170,7 +181,7 @@ def signed_orbit_terms(
     for state, count in backward.items():
         by_mask.setdefault(state & every, []).append((state, count))
     acc: dict[int, int] = {}
-    first: dict[int, tuple[int, ...]] = {}
+    first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for front, front_count in forward.items():
         front_entries = forward_entries[front]
         for back, back_count in by_mask.get(every & ~front, ()):
@@ -179,13 +190,16 @@ def signed_orbit_terms(
                 acc[key] += front_count * back_count
             else:
                 acc[key] = front_count * back_count
-                first[key] = front_entries + backward_entries[back]
+                first[key] = front_entries, backward_entries[back]
+    del forward, forward_entries, backward, backward_entries, by_mask
     # flat (largest gap, *gaps, coefficient) rows sort faster than nested ones
     rows = []
     for key, coef in acc.items():
+        front_entries, back_entries = first.pop(key)
         if coef:
-            entries = sorted(first[key])
+            entries = sorted(front_entries + back_entries)
             gaps = list(map(operator.sub, entries[1:], entries))
             rows.append((max(gaps), *gaps, coef))
+    del acc, first
     rows.sort()
     return [SignedOrbitTerm(row[1:-1], row[-1]) for row in rows]

@@ -1,12 +1,17 @@
 import io
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import naryinv.counting as counting_mod
+import naryinv.series as series_mod
 from naryinv.counting import moment_targets
 from naryinv.dimensions import hilbert_series_prefix, invariant_dimension
 from naryinv.errors import InternalError, ResourceLimitError, TruncationError
@@ -81,6 +86,11 @@ def test_nonzero_refuses_a_count_past_the_cells_a_layer_spans():
     bad = series._replace(layers=(1 << series.width, *series.layers[1:]))
     with pytest.raises(InternalError, match="layer 0 holds a count past the cells it spans"):
         list(bad.nonzero())
+    # at a width off the byte, a count past the last cell can still lie in
+    # the byte that cell ends in: the bits are compared, not the bytes
+    odd = series._replace(width=5, layers=(1 << 5, *series.layers[1:]))
+    with pytest.raises(InternalError, match="layer 0 holds a count past the cells it spans"):
+        list(odd.nonzero())
 
 
 def test_series_matches_brute_character_tally():
@@ -102,17 +112,115 @@ def test_series_matches_brute_character_tally():
                 assert tallies[k].get(weight, 0) == 0
 
 
-def test_fields_are_the_fewest_whole_bytes_that_hold_the_top_count():
-    # no count exceeds the top-degree monomials, 136 at (2, 2, 15), which
-    # fills one byte exactly: one byte a field, 1,936 bits of layers
+def _whole_bytes(series):
+    """Bits in the fewest whole bytes that hold the number of top-degree
+    monomials in the indices an expansion multiplies in (its degree-1
+    monomials): the width no count can outgrow."""
+    indices = sum(c for (k, _), c in series.nonzero() if k == 1)
+    top = math.comb(indices + series.degree_bound - 1, series.degree_bound)
+    return 8 * -(-top.bit_length() // 8)
+
+
+def test_fields_hold_every_count_below_clear_guard_bits():
+    # a field is never wider than the fewest whole bytes that hold the
+    # top-degree monomials, and a narrower one ends with its
+    # (degree_bound + 1).bit_length() guard bits clear in every layer
+    cases = [
+        (2, 2, 15, None, 8),  # 136 monomials: w + g = 6 + 5 is past a byte
+        (2, 1, 254, None, 8),  # 255 monomials fill a byte
+        (2, 1, 255, None, 13),  # 256 need two bytes; every count is 1
+        (2, 1, 255, (0,), 8),  # one monomial: w + g = 4 + 9 passes a byte
+        (3, 3, 6, None, 10),
+        (4, 2, 5, (3, 2, 4), 12),
+    ]
+    for n, d, bound, caps, width in cases:
+        series = expand_generating_series(n, d, bound, caps=caps)
+        assert series.width == width <= _whole_bytes(series), (n, d, bound, caps)
+        if width < _whole_bytes(series):
+            below = 1 << (width - (bound + 1).bit_length())
+            assert all(count < below for _, count in series.nonzero()), (n, d, bound, caps)
+    # 1,936 bits of layers at one byte a field, and the top degree is right
     series = expand_generating_series(2, 2, 15)
-    assert series.width == 8
     assert sum(layer.bit_length() for layer in series.layers) == 1936
     top = {weight_from_moments(2, 2, 15, m): c for (k, m), c in series.coefficients.items() if k == 15}
     assert top == brute_character(2, 2, 15).multiplicities
-    # 255 top-degree monomials fill a byte, 256 need a second
-    for bound, width in [(254, 8), (255, 16)]:
-        assert expand_generating_series(2, 1, bound).width == width
+
+
+def _packed(n, d, bound, caps, places, width):
+    """The layers an expansion holds at ``width``, packed from the
+    brute-force tallies, which share no code with the engine."""
+    layers = []
+    for k in range(bound + 1):
+        tally = brute_character(n, d, k).multiplicities
+        layer = 0
+        for m in itertools.product(*(range(min(c, d * k) + 1) for c in caps)):
+            count = tally.get(weight_from_moments(n, d, k, m), 0)
+            layer |= count << (sum(map(int.__mul__, m, places)) * width)
+        layers.append(layer)
+    return tuple(layers)
+
+
+def test_a_start_width_too_small_restarts_once_at_whole_bytes(monkeypatch):
+    multiply = series_mod._multiply
+    runs = []
+
+    def counted(*args):
+        layers = multiply(*args)
+        runs.append(layers is not None)
+        return layers
+
+    for n, d, bound, caps in [(3, 2, 8, None), (3, 3, 6, None), (4, 2, 5, (3, 2, 4))]:
+        narrow = expand_generating_series(n, d, bound, caps=caps)
+        with monkeypatch.context() as patch:
+            patch.setattr(series_mod, "_start_width", lambda top, span: 1)
+            patch.setattr(series_mod, "_multiply", counted)
+            runs.clear()
+            forced = expand_generating_series(n, d, bound, caps=caps)
+        # the guard trips on the narrow pass, and the whole-byte pass, which
+        # is not guarded, gives every layer as the whole-byte engine did
+        assert runs == [False, True], (n, d, bound, caps)
+        assert forced.width == _whole_bytes(forced) > narrow.width
+        assert forced.layers == _packed(n, d, bound, forced.caps, forced.places, forced.width)
+        assert forced.coefficients == narrow.coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nonzero_and_coefficient_agree_at_widths_off_the_byte(data):
+    n, d = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+    bound = data.draw(st.integers(0, 4))
+    caps = tuple(data.draw(st.integers(0, d * bound)) for _ in range(n - 1))
+    series = expand_generating_series(n, d, bound, caps=caps)
+    # the engine's own width, and the same counts repacked at another
+    # width that holds them and is not a whole number of bytes
+    least = max(count for _, count in series.nonzero()).bit_length()
+    width = data.draw(st.integers(least, 40).filter(lambda w: w % 8))
+    cells = [(k, m) for k in range(bound + 1)
+             for m in itertools.product(*(range(min(c, d * k) + 1) for c in series.caps))]
+    layers = [0] * (bound + 1)
+    for k, m in cells:
+        cell = sum(map(int.__mul__, m, series.places))
+        layers[k] |= series.coefficient(k, m) << (cell * width)
+    for packed in (series, series._replace(width=width, layers=tuple(layers))):
+        read = dict(packed.nonzero())
+        assert all(packed.coefficient(k, m) == read.get((k, m), 0) for k, m in cells)
+        assert all(value for value in read.values())
+    assert dict(series.nonzero()) == read
+
+
+def test_a_deep_capped_query_reads_narrow_fields(monkeypatch):
+    # nu 6 2 18 reads one expansion to degree 18, 55,440 cells a layer:
+    # whole bytes give its fields 40 bits, the guarded start 28
+    built = []
+
+    def expand(*args):
+        built.append(expand_generating_series(*args))
+        return built[-1]
+
+    monkeypatch.setattr(counting_mod, "expand_generating_series", expand)
+    assert invariant_dimension(6, 2, 18) == 1
+    (series,) = built
+    assert series.width <= 30 < _whole_bytes(series) == 40
 
 
 def test_moment_bounds_invariant():

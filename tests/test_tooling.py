@@ -376,6 +376,35 @@ def test_oracles_size_every_key_by_one_width_rule():
     assert "lshift" not in names
 
 
+def test_the_engine_multiplies_the_zero_index_first_and_starts_fields_by_one_rule():
+    # the guard on the top layer covers every layer only because the zero
+    # index is multiplied in first (see the series docstring); and the
+    # start width is one rule, `_start_width(top, span)`, which only the
+    # expansion calls, once, before it runs `_multiply` narrow or whole
+    from naryinv.series import _cells, _places
+
+    for caps in [(0,), (3,), (2, 0, 5), (1, 1, 1, 1), (4, 4)]:
+        places = _places(caps)
+        for budget in range(4):
+            assert next(_cells(caps, places, budget)) == ((0,) * len(caps), 0)
+    path = SRC / "naryinv" / "series.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = sorted(
+        (func.name, node.func.id)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {"_start_width", "_multiply"}
+    )
+    assert calls == [
+        ("expand_generating_series", "_multiply"),
+        ("expand_generating_series", "_multiply"),
+        ("expand_generating_series", "_start_width"),
+    ]
+    (start,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_start_width"]
+    assert [arg.arg for arg in start.args.args] == ["top", "span"]
+
+
 def test_the_package_checks_weights_in_one_place():
     for name in ("check_weight", "check_dominant"):
         found = [

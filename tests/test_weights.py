@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,10 +207,25 @@ def test_top_degree_band_keeps_every_lower_degree():
 def test_band_below_the_mean_entry_is_empty():
     # a term's entries sum to sum(to_ambient(shift)), so its largest entry
     # is at least their mean; at the mean only the flat term is left
-    # (budgets picked so that the band's largest entry is -1, 0 and 1)
-    assert signed_orbit_terms(3, kd=-3) == []
+    # (budgets picked so that the band's largest entry is 0 and 1); a
+    # negative budget, which no degree has, is refused, not an empty sum
+    with pytest.raises(ValueError, match="degree budget kd must be >= 0, got -5"):
+        signed_orbit_terms(3, kd=-5)
     assert signed_orbit_terms(3, kd=0) == [((0, 0), 1)]
     assert signed_orbit_terms(4, (1, 0, 2), kd=0) == []
+
+
+def test_orbit_walk_at_rank_eight_holds_under_two_megabytes():
+    # the halves, their entries and the join's counts are dropped once
+    # they are used: the walk peaks near the size of its answer, not at twice it
+    tracemalloc.start()
+    try:
+        terms = signed_orbit_terms(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 4782
+    assert peak <= 2_000_000
 
 
 @pytest.mark.parametrize(
