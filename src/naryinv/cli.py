@@ -255,7 +255,8 @@ def cmd_orbit(args, out) -> int:
         for t in terms:
             writer.writerow([_weight_str(t.dominant), t.coefficient])
     else:
-        out.write("".join([f"({_weight_str(t.dominant)}) {t.coefficient:+d}\n" for t in terms]))
+        line = "(" + ",".join(["%d"] * (args.n - 1)) + ") %+d\n"
+        out.write("".join([line % (*weight, coef) for weight, coef in terms]))
     return EXIT_OK
 
 

@@ -44,11 +44,13 @@ weight, the gaps between its sorted entries.
 Each walk structure lives only as long as the answer needs it.  A half
 walk keeps one position's states and entries at a time.  Both halves,
 their entry dicts and the backward half's grouping by mask live until the
-join is done.  The join keeps, per joined key, its signed count and the
-two half-entry tuples of the first pair to reach it (the tuples the half
-walks already hold, not a concatenated copy).  Each key's pair is dropped
-as its row is built, and the counts once every row is built; the sorted
-rows live until the terms are made from them.
+join is done.  The join keeps one dict: per joined key, a list of its
+signed count and the two half-entry tuples of the first pair to reach it
+(the tuples the half walks already hold, not a concatenated copy), so a
+pair that meets a known key costs one probe.  Each key is popped as its
+term is built, once, from its sorted entries, into the group of terms
+with the same largest gap; the groups are sorted one by one and joined in
+order of largest gap.
 
 Every term's entries sum to ``sum(base) - n(n-1)/2``, so a term can be
 feasible at the degree budget ``kd = k * d`` only when no entry exceeds
@@ -120,11 +122,12 @@ def _half_walk(
                     continue
                 signed = -count if (flips & (bit - 1)).bit_count() & 1 else count
                 state_after = state + step
-                if state_after in next_layer:
-                    next_layer[state_after] += signed
-                else:
+                old = next_layer.get(state_after)
+                if old is None:
                     next_layer[state_after] = signed
                     next_entries[state_after] = placed + entry
+                else:
+                    next_layer[state_after] = old + signed
         layer, entries = next_layer, next_entries
     return layer, entries
 
@@ -180,26 +183,40 @@ def signed_orbit_terms(
     by_mask: dict[int, list[tuple[int, int]]] = {}
     for state, count in backward.items():
         by_mask.setdefault(state & every, []).append((state, count))
-    acc: dict[int, int] = {}
-    first: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    # per joined key: its signed count, then the two half-entry tuples of
+    # the first pair to reach it
+    joined: dict[int, list] = {}
+    get = joined.get
     for front, front_count in forward.items():
         front_entries = forward_entries[front]
         for back, back_count in by_mask.get(every & ~front, ()):
             key = front + back
-            if key in acc:
-                acc[key] += front_count * back_count
+            old = get(key)
+            if old is None:
+                joined[key] = [front_count * back_count, front_entries, backward_entries[back]]
             else:
-                acc[key] = front_count * back_count
-                first[key] = front_entries, backward_entries[back]
+                old[0] += front_count * back_count
     del forward, forward_entries, backward, backward_entries, by_mask
-    # flat (largest gap, *gaps, coefficient) rows sort faster than nested ones
-    rows = []
-    for key, coef in acc.items():
-        front_entries, back_entries = first.pop(key)
+    # one term per nonzero key, grouped by largest gap; weights are
+    # distinct, so each group sorts on its weights alone, as int tuples
+    groups: dict[int, list[SignedOrbitTerm]] = {}
+    make = SignedOrbitTerm._make
+    while joined:
+        coef, front_entries, back_entries = joined.popitem()[1]
         if coef:
             entries = sorted(front_entries + back_entries)
-            gaps = list(map(operator.sub, entries[1:], entries))
-            rows.append((max(gaps), *gaps, coef))
-    del acc, first
-    rows.sort()
-    return [SignedOrbitTerm(row[1:-1], row[-1]) for row in rows]
+            gaps = tuple(map(operator.sub, entries[1:], entries))
+            term = make((gaps, coef))
+            top = max(gaps)
+            group = groups.get(top)
+            if group is None:
+                groups[top] = [term]
+            else:
+                group.append(term)
+    del joined
+    terms = []
+    for top in sorted(groups):
+        group = groups.pop(top)
+        group.sort(key=operator.itemgetter(0))
+        terms += group
+    return terms

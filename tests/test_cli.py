@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import resource
 import subprocess
@@ -400,6 +401,28 @@ def test_orbit_plain_output():
     code, out = run_cli("orbit", "3")
     assert code == 0
     assert out == "(0,0) +1\n(1,1) -2\n(2,2) -1\n(0,3) +1\n(3,0) +1\n"
+
+
+def test_orbit_plain_output_of_one_entry_weights():
+    # rank 2: the line template holds a single weight entry
+    assert run_cli("orbit", "2") == (0, "(0) +1\n(2) -1\n")
+    assert run_cli("orbit", "2", "--lambda", "3") == (0, "(3) +1\n(5) -1\n")
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_orbit_plain_output_is_one_line_per_term(n):
+    from naryinv.weights import signed_orbit_terms
+
+    rng = random.Random(n)
+    shifts = [None] + [tuple(rng.randint(0, 3) for _ in range(n - 1)) for _ in range(2)]
+    for shift in shifts:
+        argv = ["orbit", str(n)]
+        if shift is not None:
+            argv += ["--lambda", ",".join(map(str, shift))]
+        expected = "".join(
+            f"({','.join(map(str, w))}) {c:+d}\n" for w, c in signed_orbit_terms(n, shift)
+        )
+        assert run_cli(*argv) == (0, expected), argv
 
 
 def test_orbit_plain_output_rank_eight():

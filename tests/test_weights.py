@@ -99,6 +99,24 @@ def test_orbit_terms_are_dominant_and_deduplicated():
         assert all(c != 0 for _, c in terms)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_terms_are_sorted_signed_orbit_terms(n):
+    # each term is built once from its joined entries, in groups by largest
+    # gap: the list must still read as SignedOrbitTerms in strictly
+    # ascending (largest gap, weight) order, none of them cancelled
+    moved = (1,) + (0,) * (n - 3) + (2,) if n > 2 else (3,)
+    for shift, kd in itertools.product((None, moved), (None, 3 * n)):
+        terms = signed_orbit_terms(n, shift, kd)
+        assert terms, (n, shift, kd)
+        for t in terms:
+            assert type(t) is weights_mod.SignedOrbitTerm
+            assert (t.dominant, t.coefficient) == tuple(t)
+            assert type(t.dominant) is tuple and len(t.dominant) == n - 1
+            assert t.coefficient != 0
+        order = [(max(t.dominant), t.dominant) for t in terms]
+        assert all(a < b for a, b in zip(order, order[1:])), (n, shift, kd)
+
+
 def _reference_orbit_terms(n, shift):
     # the signed sum as written: every permutation, its inversion count, and
     # the dominant representative of shift + rho - s(rho) in weight coordinates
@@ -225,6 +243,20 @@ def test_orbit_walk_at_rank_eight_holds_under_two_megabytes():
     finally:
         tracemalloc.stop()
     assert len(terms) == 4782
+    assert peak <= 2_000_000
+
+
+def test_orbit_command_at_rank_eight_holds_under_two_megabytes():
+    # the CLI path beside the walk: the terms, their lines and the output
+    # they are joined into
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        assert main(["orbit", "8"], out=out) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().count("\n") == 4782
     assert peak <= 2_000_000
 
 
