@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
+import sys
 from typing import Sequence
 
 from .errors import MAX_TERMS, InternalError, check_params, check_weight
@@ -160,52 +162,111 @@ def weight_multiplicity(
 class CountCache:
     """On-disk memo of weight multiplicities, one JSON record per line.
 
-    Record format: ``{"n":..,"d":..,"k":..,"mu":[..],"count":"<decimal>"}``.
-    Counts are stored as decimal strings because they can exceed 64 bits.
-    The file is append-only; existing records are loaded once at open.
-    Lines that do not hold such a record (a torn last line from a crash
-    during an append, say) are skipped and counted in ``skipped``.  A path
-    that is not a regular file (a FIFO, a device) raises :class:`OSError`.
+    :meth:`put` writes each record as ``{"n": 3, "d": 3, "k": 6, "mu": [2,
+    2], "count": "25"}``: counts are decimal strings because they can
+    exceed 64 bits.  The file is append-only; existing records are loaded
+    once at open, by one pass of one pattern over the file's text.  A line
+    in exactly :meth:`put`'s format is read off the pattern's groups; any
+    other nonblank line costs one JSON decode, and what it decodes to is
+    written again as :meth:`put` writes it and matched against the same
+    pattern.  So one rule decides every record: ``n``, ``d``, ``k`` and each
+    entry of ``mu`` are JSON integers (``3.0`` and ``true`` are not; ``-0``
+    reads as 0), ``mu`` has ``n - 1`` entries, ``count`` holds only ASCII
+    digits, and no integer has more digits than ``int()`` accepts.  A later
+    record of a key replaces an earlier one.  Lines that break the rule (a
+    torn last line from a crash during an append, say) are skipped and
+    counted in ``skipped``.  A path that is not a regular file (a FIFO, a
+    device) raises :class:`OSError`.
+
+    Records are kept by their key text (``"n": 3, "d": 3, "k": 6, "mu": [2,
+    2]``) and count text, so a record no query asks for is never turned
+    into ints.
     """
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, CACHE_FILENAME)
-        self._mem: dict[tuple[int, int, int, Weight], int] = {}
+        self._mem: dict[str, str] = {}
         self.skipped = 0
-        line = "\n"
+        text = ""
         if os.path.exists(self.path):
             # a FIFO blocks the open and a device may read without end
             if not os.path.isfile(self.path):
                 raise OSError(f"{self.path} is not a regular file")
             with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
-                for line in fh:
-                    try:
-                        rec = json.loads(line)
-                        n, mu, count = rec["n"], rec["mu"], rec["count"]
-                        key = (n, rec["d"], rec["k"], tuple(mu))
-                        decimal = count.isascii() and count.isdigit()
-                        if len(mu) != n - 1 or not decimal:
-                            raise ValueError(line)
-                        self._mem[key] = int(count)
-                    except (ValueError, KeyError, TypeError, AttributeError):
-                        self.skipped += bool(line.strip())
+                text = fh.read()
+        mem = self._mem
+        # one match at a time: no list of every record's groups is built
+        for key, n, mu, count, other in map(re.Match.groups, _record_pattern().finditer(text)):
+            if other:
+                key, n, mu, count = _reread(other)
+            # mu has n - 1 entries
+            if key and n == str(mu.count(",") + 2 if mu else 1):
+                mem[key] = count
+            else:
+                self.skipped += 1
         # written before the next record when the file ends mid-line
-        self._separator = "" if line.endswith("\n") else "\n"
+        self._separator = "\n" if text and not text.endswith("\n") else ""
 
     def get(self, n: int, d: int, k: int, weight: Weight) -> int | None:
-        return self._mem.get((n, d, k, weight))
+        count = self._mem.get(_key_text(n, d, k, weight))
+        return None if count is None else int(count)
 
     def put(self, n: int, d: int, k: int, weight: Weight, value: int) -> None:
-        key = (n, d, k, weight)
+        key = _key_text(n, d, k, weight)
         if key in self._mem:
             return
-        self._mem[key] = value
-        rec = {"n": n, "d": d, "k": k, "mu": list(weight), "count": str(value)}
+        count = self._mem[key] = str(value)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(self._separator + json.dumps(rec) + "\n")
+            fh.write(f'{self._separator}{{{key}, "count": "{count}"}}\n')
         self._separator = ""
 
     def __len__(self) -> int:
         return len(self._mem)
 
+
+def _key_text(n: int, d: int, k: int, weight: Weight) -> str:
+    """The key of a record as :meth:`CountCache.put` writes it."""
+    return f'"n": {n}, "d": {d}, "k": {k}, "mu": [{", ".join(map(str, weight))}]'
+
+
+_RECORD: re.Pattern[str] | None = None
+
+
+def _record_pattern() -> re.Pattern[str]:
+    """The one record rule of :class:`CountCache`, compiled on first use,
+    so that a query without ``--cache`` does not pay the compile.
+
+    Per line, the first alternative matches a record exactly as
+    :meth:`CountCache.put` writes it, with groups ``key``, ``n``, ``mu`` and
+    ``count``; the second, group ``other``, takes any other nonblank line.
+    Integers are canonical (no leading zero, no ``-0``), with at most as
+    many digits as ``int()`` accepts; the count may have leading zeros.
+    """
+    global _RECORD
+    if _RECORD is None:
+        # json and int() refuse an integer of more digits than the limit;
+        # there is none at 0 or before Python 3.10.7, and "{0,}" is "*"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or ""
+        more = "{0,%s}" % (limit and limit - 1)
+        integer = f"(?:[1-9][0-9]{more}|0|-[1-9][0-9]{more})"
+        _RECORD = re.compile(
+            rf'^\{{(?P<key>"n": (?P<n>{integer}), "d": {integer}, "k": {integer}, '
+            rf'"mu": \[(?P<mu>(?:{integer}(?:, {integer})*)?)\]), '
+            rf'"count": "(?P<count>[0-9]{{1,{limit}}})"\}}$'
+            r"|^(?P<other>.*\S.*)$",
+            re.MULTILINE,
+        )
+    return _RECORD
+
+
+def _reread(line: str) -> tuple[str | None, ...]:
+    """The ``key``, ``n``, ``mu`` and ``count`` groups of the record that
+    ``line`` decodes to, written as :meth:`CountCache.put` writes it; all
+    ``None`` when it does not decode to one."""
+    try:
+        rec = json.loads(line)
+        text = json.dumps({field: rec[field] for field in ("n", "d", "k", "mu", "count")})
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return (None, None, None, None)
+    return _record_pattern().match(text).group("key", "n", "mu", "count")

@@ -9,6 +9,7 @@ rest.
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Iterable, Mapping
 
 from naryinv.errors import InternalError, check_dominant, check_params, check_weight
@@ -159,3 +160,35 @@ def weyl_dimension(n: int, highest) -> int:
             f"Weyl dimension formula gave {numerator}/{denominator} for {w}"
         )
     return value
+
+
+def load_count_records(path: str) -> tuple[dict[tuple, int], int, str]:
+    """A count-cache file read one line at a time with :func:`json.loads`:
+    ``(records, skipped, separator)``.
+
+    The records map ``(n, d, k, mu)`` to the count, the last line of a key
+    winning; ``skipped`` counts the nonblank lines that hold no record; the
+    separator is what an append must write first (``"\\n"`` after a torn
+    last line).  A record's ``n``, ``d``, ``k`` and ``mu`` entries are JSON
+    integers, ``mu`` has ``n - 1`` of them, and ``count`` is a string of
+    ASCII digits.  The package reads the file with a pattern instead, and
+    decodes JSON only for lines not in the format it writes.
+    """
+    records: dict[tuple, int] = {}
+    skipped = 0
+    line = "\n"
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            try:
+                rec = json.loads(line)
+                n, d, k, mu, count = (rec[f] for f in ("n", "d", "k", "mu", "count"))
+                if type(mu) is not list or len(mu) != n - 1:
+                    raise ValueError(line)
+                if any(type(x) is not int for x in (n, d, k, *mu)):
+                    raise ValueError(line)
+                if not (count.isascii() and count.isdigit()):
+                    raise ValueError(line)
+                records[n, d, k, tuple(mu)] = int(count)
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+                skipped += bool(line.strip())
+    return records, skipped, "" if line.endswith("\n") else "\n"

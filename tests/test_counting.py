@@ -2,9 +2,16 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naryinv import counting
 from naryinv.counting import (
     CountCache,
     moment_targets,
@@ -17,7 +24,7 @@ from naryinv.forms import enumerate_indices, weight_from_moments
 from naryinv.oracles import brute_character, symmetric_power_dimension
 from naryinv.series import TruncatedSeries, check_expansion_size, expand_generating_series
 from naryinv.weights import signed_orbit_terms
-from reference import dominant_representative
+from reference import dominant_representative, load_count_records
 
 
 def test_moment_targets_examples():
@@ -237,6 +244,176 @@ def test_cache_skips_malformed_lines(tmp_path):
     reloaded = CountCache(str(tmp_path))
     assert reloaded.get(3, 2, 5, (1, 1)) == 11
     assert reloaded.skipped == len(bad) and len(reloaded) == 2
+
+
+def _put_text(n, d, k, mu, count):
+    return json.dumps({"n": n, "d": d, "k": k, "mu": list(mu), "count": str(count)})
+
+
+def test_record_fields_must_be_json_integers(tmp_path):
+    # 3.0 and true compare equal to 3 and 1, but a record holds JSON integers
+    unreadable = [
+        '{"n": 3.0, "d": 2, "k": 5, "mu": [1, 1], "count": "7"}',
+        '{"n": 3, "d": 2, "k": 5, "mu": [1, true], "count": "7"}',
+        '{"n": 3, "d": 2.0, "k": 5, "mu": [1, 1], "count": "7"}',
+        '{"n": 3, "d": 2, "k": 5e0, "mu": [1, 1], "count": "7"}',
+        '{"n": 3, "d": 2, "k": 5, "mu": "ab", "count": "7"}',
+        '{"n": 3, "d": 2, "k": 5, "mu": [1, 1], "count": "٧"}',
+    ]
+    # -0 is a JSON integer, 0
+    readable = '{"n": 3, "d": 2, "k": 6, "mu": [-0, 1], "count": "08"}'
+    (tmp_path / "weight-counts.jsonl").write_text("\n".join([*unreadable, readable]) + "\n")
+    cache = CountCache(str(tmp_path))
+    assert cache.skipped == len(unreadable) and len(cache) == 1
+    assert cache.get(3, 2, 5, (1, 1)) is None
+    assert cache.get(3, 2, 6, (0, 1)) == 8
+
+
+def test_integers_past_the_digit_limit_are_unreadable(tmp_path):
+    # json and int() refuse more digits than sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no digit limit")
+    lines = [
+        _put_text(2, 1, int("9" * limit), (0,), 1),
+        _put_text(2, 1, 1, (0,), "1" * limit),
+        _put_text(2, 1, 2, (0,), "0" * limit),
+        _put_text(2, 1, 3, (0,), 1).replace('"k": 3', '"k": 1' + "0" * limit),
+        _put_text(2, 1, 4, (0,), "1" * (limit + 1)),
+        _put_text(2, 1, 5, (0,), 1).replace("[0]", "[1" + "0" * limit + "]"),
+    ]
+    path = tmp_path / "weight-counts.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    records, skipped, _ = load_count_records(str(path))
+    cache = CountCache(str(tmp_path))
+    assert (cache.skipped, len(cache)) == (skipped, len(records)) == (3, 3)
+    for key in [(2, 1, int("9" * limit), (0,)), *((2, 1, k, (0,)) for k in range(6))]:
+        assert cache.get(*key) == records.get(key)
+
+
+# a small pool of keys, so that drawn files repeat keys
+_KEYS = st.tuples(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2)).flatmap(
+    lambda ndk: st.tuples(
+        *map(st.just, ndk), st.tuples(*[st.integers(-1, 2)] * (ndk[0] - 1))
+    )
+)
+_JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def _cache_line(draw):
+    """One line of a cache file, as bytes without its line end."""
+    kind = draw(st.sampled_from(
+        ["put", "compact", "reordered", "extra", "integer", "arity", "blank", "junk", "bytes"]
+    ))
+    n, d, k, mu = draw(_KEYS)
+    count = draw(st.integers(0, 10**25))
+    rec = {"n": n, "d": d, "k": k, "mu": list(mu), "count": str(count)}
+    if kind == "put":
+        text = _put_text(n, d, k, mu, count)
+    elif kind == "compact":
+        text = json.dumps(rec, separators=(",", ":"))
+    elif kind == "reordered":
+        text = json.dumps(dict(draw(st.permutations(list(rec.items())))))
+    elif kind == "extra":
+        text = json.dumps({**rec, draw(st.sampled_from(["x", "n", "count"])): draw(_JUNK_TEXT)})
+    elif kind == "integer":
+        # integers in another spelling: some still read, some do not
+        field = draw(st.sampled_from(["n", "d", "k", "mu", "count"]))
+        value = draw(st.sampled_from([
+            -0.0, 1.0, 2.0, True, False, None, "2", "-0", "007", "", "1e2", [1.0], [True], [[1]],
+        ]))
+        text = json.dumps({**rec, field: value})
+        if draw(st.booleans()):
+            text = text.replace(": 0,", ": -0,").replace("[0", "[-0")
+    elif kind == "arity":
+        text = _put_text(n + draw(st.sampled_from([-1, 1])), d, k, mu, count)
+    elif kind == "blank":
+        text = draw(st.text(" \t\x0b\x0c\x1c\x1f\x85\xa0 　", max_size=4))
+    elif kind == "junk":
+        text = draw(_JUNK_TEXT)
+    else:
+        return draw(st.binary(max_size=8))
+    if draw(st.booleans()):
+        text = draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_cache_line(), st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=12),
+    torn=st.integers(0, 60),
+    keys=st.lists(_KEYS, max_size=6),
+    # n = 5 is outside the pool: the put appends
+    added=st.tuples(st.tuples(*[st.integers(-9, 9)] * 4), st.integers(0, 10**40)),
+)
+def test_cache_loads_as_the_json_reference_does(lines, torn, keys, added):
+    data = b"".join(line + end for line, end in lines)
+    if lines and torn:
+        # a crash cut the last line short: it has no line end
+        data = data[: len(data) - len(lines[-1][1]) - torn % (len(lines[-1][0]) + 1)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "weight-counts.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        records, skipped, separator = load_count_records(path)
+        cache = CountCache(directory)
+        assert (cache.skipped, len(cache)) == (skipped, len(records))
+        for key in {*keys, *records, *(key[:3] + (key[3][::-1],) for key in records)}:
+            assert cache.get(*key) == records.get(key)
+        # an append after the open writes json.dumps's text on a line of its own
+        mu, count = added
+        cache.put(5, 1, 0, mu, count)
+        with open(path, "rb") as fh:
+            assert fh.read() == data + (separator + _put_text(5, 1, 0, mu, count) + "\n").encode()
+        again, skipped_again, _ = load_count_records(path)
+        assert again == {**records, (5, 1, 0, mu): count} and skipped_again == skipped
+
+
+def test_a_file_written_by_put_loads_without_a_json_decode(tmp_path, monkeypatch):
+    cache = CountCache(str(tmp_path))
+    stored = {}
+    for n, d, kmax in [(2, 3, 6), (3, 2, 5), (4, 2, 3)]:
+        series = expand_generating_series(n, d, kmax)
+        for (k, mom), value in sorted(series.coefficients.items()):
+            weight = weight_from_moments(n, d, k, mom)
+            cache.put(n, d, k, weight, value)
+            stored[n, d, k, weight] = value
+    assert any(min(key[3]) < 0 for key in stored)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line in put's format went through json")
+
+    monkeypatch.setattr(counting.json, "loads", refuse)
+    reloaded = CountCache(str(tmp_path))
+    assert reloaded.skipped == 0 and len(reloaded) == len(stored)
+    assert all(reloaded.get(*key) == value for key, value in stored.items())
+
+
+@pytest.mark.parametrize("junk", [
+    pytest.param('{"n": 3, "d": 2, "k": 5, "mu": [' + "10, " * 250_000, id="endless-record"),
+    pytest.param('{"n": ' + "1" * 1_000_000, id="long-integer"),
+    pytest.param(" " * 999_999 + "x", id="spaces"),
+    # json gives up with a RecursionError
+    pytest.param("[" * 1_000_000, id="deep-nesting"),
+])
+def test_a_megabyte_junk_line_is_one_skipped_record(tmp_path, junk):
+    good = _put_text(2, 2, 2, (0,), 2) + "\n"
+    (tmp_path / "weight-counts.jsonl").write_text(good + junk)
+    start = time.perf_counter()
+    cache = CountCache(str(tmp_path))
+    assert time.perf_counter() - start < 5.0
+    assert cache.skipped == 1 and len(cache) == 1 and cache.get(2, 2, 2, (0,)) == 2
+
+
+def test_the_record_pattern_is_compiled_on_first_open():
+    # every query imports the package; only a --cache query needs the pattern
+    probe = "import naryinv.cli\nfrom naryinv import counting\nprint(counting._RECORD)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__))),
+    )
+    assert (result.returncode, result.stdout) == (0, "None\n"), result.stderr
 
 
 def test_weight_multiplicity_consults_cache(tmp_path):

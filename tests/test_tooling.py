@@ -228,6 +228,35 @@ def test_benchmark_worker_answers_every_query(tmp_path, workload):
     assert json.loads(report)["failures"] == []
 
 
+def test_the_tracer_finds_every_target_but_the_two_stale_ones(tmp_path):
+    # the tracer skips a target it cannot find and reads 0 for its metrics;
+    # the counting.cache_* metrics read CountCache.__init__, get and put, so a
+    # rename of any of them must show here, not as a quiet 0 in a traced run
+    probe = (
+        "import json, sys, naryinv.cli, tracer\n"
+        "from naryinv.counting import CountCache\n"
+        "t = tracer.install()\n"
+        "cache = CountCache(sys.argv[1])\n"
+        "cache.put(2, 2, 2, (0,), 2)\n"
+        "reopened = CountCache(sys.argv[1])\n"
+        "hits = [reopened.get(2, 2, 2, w) for w in [(0,), (2,)]]\n"
+        "print(json.dumps([t.missing, hits, t.counts]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(PERFBENCH)])),
+    )
+    assert result.returncode == 0, result.stderr
+    missing, hits, counts = json.loads(result.stdout)
+    # both stale targets wait on ROADMAP item 1
+    assert missing == ["dimensions.ternary_invariant_dimension", "counting.count_solutions"]
+    assert hits == [2, None]
+    assert {key: counts.get(key) for key in ("cache_records_loaded", "cache_hits", "cache_misses")} == {
+        "cache_records_loaded": 1, "cache_hits": 1, "cache_misses": 1,
+    }
+    assert counts["cache_bytes_appended"] == len('{"n": 2, "d": 2, "k": 2, "mu": [0], "count": "2"}\n')
+
+
 def test_every_benchmark_query_is_plain():
     # the benchmark's speed rests on its queries being read off the command
     # table; the worker sends the cached pools with --cache appended
