@@ -50,8 +50,8 @@ repeated flag or a numeral like ``+5``, goes through argparse, which reads
 it with the same result or prints its usage error.
 
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
-(``$NARY_CACHE_DIR``, ``--dump`` in opening or in writing; the message
-names the flag) or a cache file whose count turns a sum negative (the
+(``$NARY_CACHE_DIR`` in opening, its cache file in appending, ``--dump``
+in opening or in writing; the message names the flag) or a cache file whose count turns a sum negative (the
 message names the file), 3 resource limit exceeded or a ``MemoryError`` (one
 ``error:`` line), 4 oracle disagreement (from ``check``), 5 internal error
 (a result broke an invariant that holds for every valid input: a bug, not
@@ -218,13 +218,20 @@ def cmd_point(args, out) -> int:
     query = (args.n, args.d, args.k)
     weight = parse_weight(args.weight, args.n, args.flag) if args.flag else None
     inputs = query if weight is None else (*query, weight)
-    options = {"max_terms": args.limit_states, "cache": _open_cache(args.cache)}
+    cache = _open_cache(args.cache)
+    options = {"max_terms": args.limit_states, "cache": cache}
     with _dump_file(args.dump) as fh:
         start = time.perf_counter()
         if fh:
             # only a dump needs every coefficient; otherwise the read is capped
             options["series"] = expand_generating_series(*query, args.limit_states)
-        value = args.query(*inputs, **options)
+        try:
+            value = args.query(*inputs, **options)
+        except OSError as exc:
+            # a query's only OS calls are the cache's appends
+            if cache is None:
+                raise
+            raise OSError(f"--cache: {cache.path!r} cannot be written ({exc.strerror or exc})") from exc
         ms = (time.perf_counter() - start) * 1000.0
         if fh:
             written = dump_series(options["series"], fh)
@@ -235,28 +242,26 @@ def cmd_point(args, out) -> int:
 
 
 def cmd_orbit(args, out) -> int:
-    shift = None
+    """The signed orbit terms, one line per term in plain and csv and one
+    record in json, each term through one template for the rank."""
+    n, shift = args.n, None
     if args.highest is not None:
-        shift = check_dominant(args.n, parse_weight(args.highest, args.n, "--lambda"))
-    terms = signed_orbit_terms(args.n, shift=shift)
+        shift = check_dominant(n, parse_weight(args.highest, n, "--lambda"))
+    terms = signed_orbit_terms(n, shift=shift)
+    fields = ",".join(["%d"] * (n - 1))
     if args.format == "json":
-        obj = {
-            "n": args.n,
-            "shift": list(shift) if shift is not None else None,
-            "terms": [
-                {"weight": list(t.dominant), "coefficient": t.coefficient}
-                for t in terms
-            ],
-        }
-        out.write(json.dumps(obj) + "\n")
+        # json.dumps' text, with its default separators
+        shown = "null" if shift is None else f"[{', '.join(map(str, shift))}]"
+        head, tail, joint = f'{{"n": {n}, "shift": {shown}, "terms": [', "]}\n", ", "
+        line = f'{{"weight": [{fields.replace(",", ", ")}], "coefficient": %d}}'
     elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["weight", "coefficient"])
-        for t in terms:
-            writer.writerow([_weight_str(t.dominant), t.coefficient])
+        # csv.writer's text: a weight of more than one entry holds the delimiter
+        head, tail, joint = "weight,coefficient\r\n", "", ""
+        line = (f'"{fields}"' if n > 2 else fields) + ",%d\r\n"
     else:
-        line = "(" + ",".join(["%d"] * (args.n - 1)) + ") %+d\n"
-        out.write("".join([line % (*weight, coef) for weight, coef in terms]))
+        head, tail, joint = "", "", ""
+        line = f"({fields}) %+d\n"
+    out.write(head + joint.join([line % (*weight, coef) for weight, coef in terms]) + tail)
     return EXIT_OK
 
 

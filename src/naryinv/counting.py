@@ -164,8 +164,13 @@ class CountCache:
 
     :meth:`put` writes each record as ``{"n": 3, "d": 3, "k": 6, "mu": [2,
     2], "count": "25"}``: counts are decimal strings because they can
-    exceed 64 bits.  The file is append-only; existing records are loaded
-    once at open, by one pass of one pattern over the file's text.  A line
+    exceed 64 bits.  The file is append-only: each record goes to the OS as
+    one ``write`` on a descriptor opened with ``O_APPEND`` (mode ``0o666``
+    less the umask when it creates the file), a short write finished in a
+    loop, and the descriptor is closed before :meth:`put` returns, so no
+    handle outlives a put.  An ``OSError`` of the open or the write
+    propagates.  Existing records are loaded once at open, by one pass of
+    one pattern over the file's text.  A line
     in exactly :meth:`put`'s format is read off the pattern's groups; any
     other nonblank line costs one JSON decode, and what it decodes to is
     written again as :meth:`put` writes it and matched against the same
@@ -217,8 +222,13 @@ class CountCache:
         if key in self._mem:
             return
         count = self._mem[key] = str(value)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(f'{self._separator}{{{key}, "count": "{count}"}}\n')
+        line = f'{self._separator}{{{key}, "count": "{count}"}}\n'.encode("ascii")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while line:
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
         self._separator = ""
 
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -458,6 +460,31 @@ def test_orbit_with_shift_and_csv():
     code, out = run_cli("orbit", "2", "--lambda", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["weight,coefficient", "3,1", "5,-1"]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_csv_and_json_match_the_stdlib_writers(n):
+    # the line templates must give the bytes that csv.writer and json.dumps
+    # give for the same terms
+    from naryinv.weights import signed_orbit_terms
+
+    rng = random.Random(n)
+    for shift in (None, tuple(rng.randint(0, 3) for _ in range(n - 1))):
+        argv = ["orbit", str(n)]
+        if shift is not None:
+            argv += ["--lambda", ",".join(map(str, shift))]
+        terms = signed_orbit_terms(n, shift)
+        rows = io.StringIO()
+        writer = csv.writer(rows)
+        writer.writerow(["weight", "coefficient"])
+        writer.writerows([",".join(map(str, w)), c] for w, c in terms)
+        assert run_cli(*argv, "--format", "csv") == (0, rows.getvalue()), argv
+        record = {
+            "n": n,
+            "shift": None if shift is None else list(shift),
+            "terms": [{"weight": list(w), "coefficient": c} for w, c in terms],
+        }
+        assert run_cli(*argv, "--format", "json") == (0, json.dumps(record) + "\n"), argv
 
 
 def test_orbit_json():
@@ -1030,6 +1057,33 @@ def test_cache_with_a_bad_count_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: negative multiplicity")
     assert f"{cache_file} holds a bad count" in err and "--cache" not in err
+
+
+@pytest.mark.parametrize("call", ["open", "write"])
+def test_a_failed_cache_append_names_the_flag_and_the_file(tmp_path, monkeypatch, capsys, call):
+    # the open and the write of an append fail as a read-only directory or a
+    # full disk would make them; the query is lost, so nothing is printed
+    from naryinv import counting
+
+    monkeypatch.setenv("NARY_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "weight-counts.jsonl"
+    failure = {
+        "open": OSError(errno.EACCES, os.strerror(errno.EACCES), str(cache_file)),
+        "write": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    }[call]
+    real = getattr(counting.os, call)
+
+    def fail(target, *args):
+        # the cache's open names its file, and its write is the only one to
+        # a descriptor past stderr
+        if target == str(cache_file) or (call == "write" and target > 2):
+            raise failure
+        return real(target, *args)
+
+    monkeypatch.setattr(counting.os, call, fail)
+    assert run_cli("nu", "3", "3", "4", "--cache") == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: --cache: {str(cache_file)!r} cannot be written ({failure.strerror})\n"
 
 
 def test_weight_with_negative_first_entry_attached_with_equals():

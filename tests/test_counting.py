@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -414,6 +415,89 @@ def test_the_record_pattern_is_compiled_on_first_open():
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__))),
     )
     assert (result.returncode, result.stdout) == (0, "None\n"), result.stderr
+
+
+def test_put_appends_the_exact_bytes_of_a_record(tmp_path):
+    path = tmp_path / "weight-counts.jsonl"
+    cache = CountCache(str(tmp_path))
+    cache.put(3, 3, 6, (2, 2), 25)
+    first = b'{"n": 3, "d": 3, "k": 6, "mu": [2, 2], "count": "25"}\n'
+    assert path.read_bytes() == first
+    # a count of 1,000 digits is one line like any other
+    big = int("7" * 1000)
+    cache.put(4, 2, 3, (-1, 0, 2), big)
+    line = b'{"n": 4, "d": 2, "k": 3, "mu": [-1, 0, 2], "count": "' + b"7" * 1000 + b'"}\n'
+    assert path.read_bytes() == first + line
+    assert CountCache(str(tmp_path)).get(4, 2, 3, (-1, 0, 2)) == big
+
+
+def test_put_after_a_torn_line_starts_a_line_of_its_own(tmp_path):
+    path = tmp_path / "weight-counts.jsonl"
+    torn = b'{"n": 3, "d": 3, "k": 4, "mu": [0, 0], "cou'
+    path.write_bytes(torn)
+    cache = CountCache(str(tmp_path))
+    cache.put(2, 2, 2, (0,), 2)
+    cache.put(2, 2, 4, (0,), 3)
+    assert path.read_bytes() == (
+        torn + b'\n{"n": 2, "d": 2, "k": 2, "mu": [0], "count": "2"}\n'
+        b'{"n": 2, "d": 2, "k": 4, "mu": [0], "count": "3"}\n'
+    )
+
+
+def test_short_writes_are_finished(tmp_path, monkeypatch):
+    # a write may take fewer bytes than it is given; the rest must follow
+    write, calls = os.write, []
+
+    def short(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(counting.os, "write", short)
+    cache = CountCache(str(tmp_path))
+    stored = {(3, 2, k, (k % 3, -1)): 10**k for k in range(12)}
+    for key, value in stored.items():
+        cache.put(*key, value)
+    monkeypatch.undo()
+    assert len(calls) > 3 * len(stored)
+    reloaded = CountCache(str(tmp_path))
+    assert reloaded.skipped == 0 and len(reloaded) == len(stored)
+    assert all(reloaded.get(*key) == value for key, value in stored.items())
+    expected = "".join(_put_text(*key, value) + "\n" for key, value in stored.items())
+    assert (tmp_path / "weight-counts.jsonl").read_text() == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_put_keeps_no_descriptor_open(tmp_path, monkeypatch):
+    def descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    cache = CountCache(str(tmp_path))
+    for k in range(1000):
+        cache.put(2, 1, k, (k,), k)
+    assert descriptors() == before
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(counting.os, "write", full)
+    with pytest.raises(OSError):
+        cache.put(2, 1, 1000, (1000,), 1000)
+    monkeypatch.undo()
+    assert descriptors() == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_cache_file_has_the_mode_of_an_append_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        CountCache(str(tmp_path / "cache")).put(2, 2, 2, (0,), 2)
+        with open(tmp_path / "appended", "a"):
+            pass
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "cache" / "weight-counts.jsonl").st_mode & 0o777
+    assert mode == 0o666 & ~umask == os.stat(tmp_path / "appended").st_mode & 0o777
 
 
 def test_weight_multiplicity_consults_cache(tmp_path):

@@ -125,16 +125,18 @@ def test_check_strips_each_degree_through_strip_decompose(monkeypatch):
     assert len(out.getvalue().splitlines()) == 5
 
 
-def _cli_optimized(*argv):
+def _cli_optimized(*argv, cache_dir=None, flags=("-O",)):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("NARY_CACHE_DIR", None)
+    if cache_dir is not None:
+        env["NARY_CACHE_DIR"] = str(cache_dir)
     return subprocess.run(
-        [sys.executable, "-O", "-m", "naryinv.cli", *argv],
+        [sys.executable, *flags, "-m", "naryinv.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
 
-def test_cli_under_optimize_flag():
+def test_cli_under_optimize_flag(tmp_path):
     bad = _cli_optimized("nu", "3", "3", "4", "--limit-states", "0")
     assert bad.returncode == 2 and bad.stderr.startswith("error:")
     good = _cli_optimized("nu", "3", "3", "4")
@@ -161,6 +163,16 @@ def test_cli_under_optimize_flag():
     refused = _cli_optimized("check", "5", "3", "--kmax", "30")
     assert refused.returncode == 3 and refused.stdout == ""
     assert refused.stderr.startswith("error:")
+    # a --cache miss appends its records and a hit reads them back, with
+    # the bytes the same two queries write without -O
+    written = {}
+    for flags in (("-O",), ()):
+        cache_dir = tmp_path / f"cache{''.join(flags)}"
+        for _ in ("miss", "hit"):
+            cached = _cli_optimized("nu", "4", "3", "8", "--cache", cache_dir=cache_dir, flags=flags)
+            assert (cached.returncode, cached.stdout, cached.stderr) == (0, "1\n", "")
+        written[flags] = (cache_dir / "weight-counts.jsonl").read_bytes()
+    assert written[("-O",)] == written[()] and written[()].count(b"\n") > 1
 
 
 def test_benchmark_imports_resolve():
