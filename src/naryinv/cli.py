@@ -2,13 +2,13 @@
 
 Subcommands::
 
-    nu <n> <d> <k>                    invariant dimension (signed orbit sum)
-    gamma <n> <d> <k> --lambda W      highest-weight multiplicity
-    count <n> <d> <k> --mu W          weight multiplicity
-    orbit <n> [--lambda W]            signed Weyl-orbit terms
-    table <n> <d> --kmax K            invariant dimensions for k = 0..K
-    series <n> <d> <k> [--dump FILE]  invariant dimension via the series
-    check <n> <d> [--kmax K]          cross-check against all oracles
+    nu <n> <d> <k>                invariant dimension (signed orbit sum)
+    gamma <n> <d> <k> --lambda W  highest-weight multiplicity
+    count <n> <d> <k> --mu W      weight multiplicity
+    orbit <n> [--lambda W]        signed Weyl-orbit terms
+    table <n> <d> --kmax K        invariant dimensions for k = 0..K
+    series <n> <d> <k>            invariant dimension, tagged ``series``
+    check <n> <d> [--kmax K]      cross-check against all oracles
 
 Weights are comma-separated integers of length n - 1, e.g. ``--lambda 1,1``;
 another length exits 2 (``--mu must have length n - 1 = 2, got 3``).
@@ -19,24 +19,21 @@ Every subcommand takes ``--format plain|json|csv`` (default plain).  The
 six that expand (all but ``orbit``) take ``--limit-states N``: a cap on the
 states a query holds (the cells a series expansion spans, up to the moments
 it reads; ``check``'s character entries), at least 1, checked before
-anything is allocated.  ``series`` is the same
-capped read as ``nu`` under its own method tag; only ``series --dump``, which
-writes every coefficient, expands uncapped.  It reports ``wrote N
-coefficients`` once the file is closed; a refused or interrupted query
-leaves an existing dump file as it was and removes one it created (a
-regular file is replaced only by a complete dump).  ``nu``, ``gamma``
-and ``count`` also take ``--cache``: memoise weight multiplicities in
-``$NARY_CACHE_DIR`` (a warning when it is unset, or when the file holds
-unreadable records, which are skipped).  This module is the package's one
-reader of the environment: it opens the cache and hands it to the query.
-``check`` prints the
-rows ``theorem1``, ``stripping`` (each degree's character from one
-expansion of the product ``prod_i 1/(1 - t x^wt(i))`` over the coefficient
-indices, stripped into irreducibles) and, at n = 2,
-``classical-binary``.  Each method's column, k = 0..K, comes from one
-call, and each of its rows carries the column's mean time per degree; the
-rows are written once every column is done, and character tables of more
-entries than the cap are refused before any column is computed.
+anything is allocated.  No command expands uncapped: ``series`` is the
+same capped read as ``nu`` under its own method tag, and every coefficient
+of the series is the library's ``expand_generating_series(n, d,
+k).nonzero()``.  ``nu``, ``gamma`` and ``count`` also take ``--cache``:
+memoise weight multiplicities in ``$NARY_CACHE_DIR`` (a warning when it is
+unset, or when the file holds unreadable records, which are skipped).
+This module is the package's one reader of the environment: it opens the
+cache and hands it to the query.  ``check`` prints the rows ``theorem1``,
+``stripping`` (each degree's character from one expansion of the product
+``prod_i 1/(1 - t x^wt(i))`` over the coefficient indices, stripped into
+irreducibles) and, at n = 2, ``classical-binary``.  Each method's column,
+k = 0..K, comes from one call, and each of its rows carries the column's
+mean time per degree; the rows are written once every column is done, and
+character tables of more entries than the cap are refused before any
+column is computed.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.
 
@@ -50,8 +47,8 @@ repeated flag or a numeral like ``+5``, goes through argparse, which reads
 it with the same result or prints its usage error.
 
 Exit codes: 0 success, 2 invalid arguments or an OS error on a path
-(``$NARY_CACHE_DIR`` in opening, its cache file in appending, ``--dump``
-in opening or in writing; the message names the flag) or a cache file whose count turns a sum negative (the
+(``$NARY_CACHE_DIR`` in opening, its cache file in appending; the message
+names the flag) or a cache file whose count turns a sum negative (the
 message names the file), 3 resource limit exceeded or a ``MemoryError`` (one
 ``error:`` line), 4 oracle disagreement (from ``check``), 5 internal error
 (a result broke an invariant that holds for every valid input: a bug, not
@@ -65,11 +62,8 @@ import argparse
 import csv
 import json
 import os
-import stat
 import sys
-import tempfile
 import time
-from contextlib import contextmanager
 
 from .counting import CountCache, weight_multiplicity
 from .dimensions import (
@@ -86,7 +80,6 @@ from .errors import (
     check_weight,
 )
 from .oracles import binary_invariant_dimension, character_tables, strip_decompose
-from .series import dump_series, expand_generating_series
 from .weights import signed_orbit_terms
 
 EXIT_OK = 0
@@ -164,53 +157,6 @@ def _open_cache(enabled: bool) -> CountCache | None:
     return cache
 
 
-@contextmanager
-def _dump_file(path: str | None):
-    """The ``--dump`` file to write, or None without one.
-
-    The path is opened before the expansion, so that a bad path fails
-    first, and for appending, so that a failed query leaves an existing
-    file as it was; a file the query created is removed if it fails with
-    the file still empty.  A regular file is not written in place: the
-    dump goes to a new file beside the one the path resolves to (so a
-    symlink keeps its link), with its mode, and replaces it only once
-    complete, so an interrupted dump leaves the old file as it was.  A
-    pipe or a device takes the dump as it is written.  An error in writing
-    or closing the file names the flag and the path; a closed pipe stays a
-    ``BrokenPipeError``.
-    """
-    if path is None:
-        yield None
-        return
-    created = not os.path.exists(path)  # through a symlink, to what it names
-    try:
-        fh = open(path, "a", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"--dump: {path!r} cannot be opened ({exc.strerror or exc})") from exc
-    staged = None
-    try:
-        with fh:
-            mode = os.fstat(fh.fileno()).st_mode
-            if not stat.S_ISREG(mode):
-                yield fh
-                return
-        target = os.path.realpath(path)
-        head, name = os.path.split(target)
-        fd, staged = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=head)
-        with open(fd, "w", encoding="utf-8") as stage:
-            os.fchmod(stage.fileno(), stat.S_IMODE(mode))
-            yield stage
-        os.replace(staged, target)
-    except BaseException as exc:
-        if staged is not None and os.path.lexists(staged):
-            os.remove(staged)
-        if created and not os.path.getsize(path):
-            os.remove(os.path.realpath(path))
-        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
-            raise OSError(f"--dump: {path!r} cannot be written ({exc.strerror or exc})") from exc
-        raise
-
-
 def cmd_point(args, out) -> int:
     """``nu``, ``gamma``, ``count`` and ``series``: one value at one
     ``(n, d, k)``, from the query function, method tag and weight flag that
@@ -219,24 +165,15 @@ def cmd_point(args, out) -> int:
     weight = parse_weight(args.weight, args.n, args.flag) if args.flag else None
     inputs = query if weight is None else (*query, weight)
     cache = _open_cache(args.cache)
-    options = {"max_terms": args.limit_states, "cache": cache}
-    with _dump_file(args.dump) as fh:
-        start = time.perf_counter()
-        if fh:
-            # only a dump needs every coefficient; otherwise the read is capped
-            options["series"] = expand_generating_series(*query, args.limit_states)
-        try:
-            value = args.query(*inputs, **options)
-        except OSError as exc:
-            # a query's only OS calls are the cache's appends
-            if cache is None:
-                raise
-            raise OSError(f"--cache: {cache.path!r} cannot be written ({exc.strerror or exc})") from exc
-        ms = (time.perf_counter() - start) * 1000.0
-        if fh:
-            written = dump_series(options["series"], fh)
-    if args.dump is not None:
-        print(f"wrote {written} coefficients to {args.dump}", file=sys.stderr)
+    start = time.perf_counter()
+    try:
+        value = args.query(*inputs, max_terms=args.limit_states, cache=cache)
+    except OSError as exc:
+        # a query's only OS calls are the cache's appends
+        if cache is None:
+            raise
+        raise OSError(f"--cache: {cache.path!r} cannot be written ({exc.strerror or exc})") from exc
+    ms = (time.perf_counter() - start) * 1000.0
     _emit_records([(*query, weight, value, args.method, ms)], args.format, out)
     return EXIT_OK
 
@@ -345,17 +282,17 @@ def _commands() -> dict:
     return {
         "nu": (
             "invariant dimension", cmd_point, "n d k", [fmt, limit, cache],
-            dict(query=invariant_dimension, method="theorem1", flag=None, dump=None),
+            dict(query=invariant_dimension, method="theorem1", flag=None),
         ),
         "gamma": (
             "highest-weight multiplicity", cmd_point, "n d k",
             [fmt, limit, cache, weight("--lambda", "dominant weight, comma-separated, length n-1")],
-            dict(query=highest_weight_multiplicity, method="theorem2", flag="--lambda", dump=None),
+            dict(query=highest_weight_multiplicity, method="theorem2", flag="--lambda"),
         ),
         "count": (
             "multiplicity of a weight in the degree-k piece", cmd_point, "n d k",
             [fmt, limit, cache, weight("--mu", "weight, comma-separated, length n-1")],
-            dict(query=weight_multiplicity, method="counting", flag="--mu", dump=None),
+            dict(query=weight_multiplicity, method="counting", flag="--mu"),
         ),
         "orbit": (
             "signed Weyl-orbit terms", cmd_orbit, "n",
@@ -370,7 +307,7 @@ def _commands() -> dict:
         ),
         "series": (
             "invariant dimension via the generating series", cmd_point, "n d k",
-            [fmt, limit, ("--dump", dict(metavar="FILE", help="write the truncated series as JSON lines"))],
+            [fmt, limit],
             dict(query=invariant_dimension, method="series", flag=None, cache=False),
         ),
         "check": (

@@ -169,7 +169,10 @@ class CountCache:
     less the umask when it creates the file), a short write finished in a
     loop, and the descriptor is closed before :meth:`put` returns, so no
     handle outlives a put.  An ``OSError`` of the open or the write
-    propagates.  Existing records are loaded once at open, by one pass of
+    propagates, and the key is stored only once its whole line is written:
+    a failed put stores nothing, so a later put of the key appends it, and
+    a write that left part of a line makes the next record start a new
+    line.  Existing records are loaded once at open, by one pass of
     one pattern over the file's text.  A line
     in exactly :meth:`put`'s format is read off the pattern's groups; any
     other nonblank line costs one JSON decode, and what it decodes to is
@@ -221,14 +224,17 @@ class CountCache:
         key = _key_text(n, d, k, weight)
         if key in self._mem:
             return
-        count = self._mem[key] = str(value)
+        count = str(value)
         line = f'{self._separator}{{{key}, "count": "{count}"}}\n'.encode("ascii")
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             while line:
                 line = line[os.write(fd, line):]
+                # until the line is whole, the file ends mid-line
+                self._separator = "\n"
         finally:
             os.close(fd)
+        self._mem[key] = count
         self._separator = ""
 
     def __len__(self) -> int:

@@ -9,8 +9,9 @@ where ``q^i`` tracks the moment contribution of index ``i``.  Every weight
 multiplicity is one coefficient of this product, and
 :func:`expand_generating_series` is the one function that expands it.
 Queries expand it through :func:`naryinv.counting.signed_counts`, once,
-capped at the largest moments they read; only ``series --dump`` expands
-it uncapped.
+capped at the largest moments they read; no command expands it uncapped.
+A library caller that wants every coefficient reads
+``expand_generating_series(n, d, k).nonzero()``.
 
 This module owns the storage format: one Python ``int`` per degree layer
 (Kronecker substitution).  With caps ``c``, the moment vector ``m`` sits in
@@ -51,10 +52,9 @@ When ``w + g`` is no narrower than that width, the expansion starts there.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, TruncationError, check_params
 
@@ -291,17 +291,3 @@ def invariant_dimension_by_series(n: int, d: int, k: int) -> int:
 
     return invariant_dimension(n, d, k, series=expand_generating_series(n, d, k))
 
-
-def dump_series(series: TruncatedSeries, stream: IO[str]) -> int:
-    """Write one JSON record per nonzero coefficient; returns the count.
-
-    Record format:
-    ``{"k":..,"moments":[..],"coefficient":"<decimal>"}``, ordered by
-    degree then moment vector.
-    """
-    written = 0
-    for (k, mom), value in series.nonzero():
-        rec = {"k": k, "moments": list(mom), "coefficient": str(value)}
-        stream.write(json.dumps(rec) + "\n")
-        written += 1
-    return written

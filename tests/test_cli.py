@@ -184,7 +184,8 @@ def test_output_matrix(capsys):
 # prints them; taken before the parser was built per command, except
 # "orbit -h", re-taken when orbit stopped taking --limit-states, and the
 # other "-h" of a command, re-taken when --limit-states came to cap
-# character entries as well as series cells
+# character entries as well as series cells; "series -h" re-taken again
+# when series lost --dump
 HELP_AND_ERROR_DIGESTS = {
     "": "86eefdf75d9083c001b9df8d2c535ca2e6f40a53b5e4c4185aa16e49dc615d27",
     "-h": "98ec598b2aa0523e1fc3809aded569d5b752d31489d085d38a7133539fa85cc2",
@@ -205,7 +206,7 @@ HELP_AND_ERROR_DIGESTS = {
     "count -h": "6e9c9e3cf642457469ccd7f69d99b6441f028c31a57d0026ab647536c7df4b78",
     "orbit -h": "9e8ef9bbe652b0917472fb47e3111502cf255ca96b43888490b5646389958997",
     "table -h": "cfe4cf112a55876c1a272673f5a7da6295474e12350b29a32b128a08cafc599c",
-    "series -h": "874b6b8da3dc22c6a856c422f78ca8254c02bd29c38639af4dcce3af4c7f29d4",
+    "series -h": "6a832bf5365a770caa242be8bd5214fa63f3daeed75190d494ec4ded757e4d7e",
     "check -h": "dbe6bdbe3d3324fade6406fb13e32730b949ce7bcb00c0f892f6be055ee83568",
     # taken while a query was still parsed by the top-level parser and its
     # subparser: leftovers, an abbreviated option, options before the
@@ -308,7 +309,7 @@ PLAIN = [
     "count 3 3 2 --mu= --limit-states=007",
     "orbit 3 --lambda 1,0 --format=plain",
     "table --kmax=3 2 4",
-    "series 2 2 2 --dump out.jsonl --limit-states 5",
+    "orbit --lambda 2,0 3",
     "check 2 2",
 ]
 # forms the full parser reads that the reader leaves to it
@@ -544,87 +545,7 @@ def test_table_plain_rows():
     assert run_cli("table", "2", "4", "--kmax", "0") == (0, "0 1\n")
 
 
-def test_series_dump(tmp_path):
-    path = tmp_path / "series.jsonl"
-    code, out = run_cli("series", "2", "2", "2", "--dump", str(path))
-    assert code == 0
-    assert out.strip() == "1"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    table = {(r["k"], tuple(r["moments"])): int(r["coefficient"]) for r in records}
-    assert table[(2, (2,))] == 2
-    # a rerun replaces the file; a failed one leaves it as it was
-    assert run_cli("series", "2", "2", "2", "--dump", str(path))[0] == 0
-    assert path.read_text().splitlines() == [json.dumps(r) for r in records]
-    code, _ = run_cli("series", "2", "2", "2", "--dump", str(path), "--limit-states", "2")
-    assert code == 3
-    assert path.read_text().splitlines() == [json.dumps(r) for r in records]
-
-
-def test_series_dump_to_a_device_or_a_pipe(capsys):
-    # neither can be truncated; both take the dump as it is written
-    assert run_cli("series", "2", "2", "2", "--dump", os.devnull) == (0, "1\n")
-    assert capsys.readouterr().err == f"wrote 9 coefficients to {os.devnull}\n"
-    if not os.path.isdir("/dev/fd"):
-        pytest.skip("no /dev/fd to name a pipe by")
-    read, write = os.pipe()
-    with os.fdopen(read, encoding="utf-8") as pipe:
-        try:
-            # nine short lines fit in the pipe's buffer, so no write blocks
-            result = run_cli("series", "2", "2", "2", "--dump", f"/dev/fd/{write}")
-        finally:
-            os.close(write)
-        assert result == (0, "1\n")
-        assert len(pipe.read().splitlines()) == 9
-    assert "wrote 9 coefficients" in capsys.readouterr().err
-
-
-def test_interrupted_dump_leaves_the_old_file(tmp_path, monkeypatch):
-    import naryinv.cli as cli_mod
-
-    path = tmp_path / "series.jsonl"
-    assert run_cli("series", "3", "3", "6", "--dump", str(path))[0] == 0
-    old = path.read_bytes()
-    assert len(old.splitlines()) == 511
-
-    def interrupted(series, stream):
-        for i, ((k, mom), value) in enumerate(series.nonzero()):
-            if i == 5:
-                raise KeyboardInterrupt
-            stream.write(json.dumps({"k": k, "moments": list(mom), "coefficient": str(value)}) + "\n")
-
-    monkeypatch.setattr(cli_mod, "dump_series", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        run_cli("series", "3", "3", "6", "--dump", str(path))
-    assert path.read_bytes() == old
-    # nothing staged is left beside it
-    assert os.listdir(tmp_path) == ["series.jsonl"]
-
-
-def test_dump_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
-    target = tmp_path / "data" / "series.jsonl"
-    target.parent.mkdir()
-    target.write_text("old\n")
-    target.chmod(0o640)
-    link = tmp_path / "link.jsonl"
-    link.symlink_to(target)
-    assert run_cli("series", "2", "2", "2", "--dump", str(link))[0] == 0
-    assert link.is_symlink() and os.readlink(link) == str(target)
-    assert len(target.read_text().splitlines()) == 9
-    assert target.stat().st_mode & 0o777 == 0o640
-    assert sorted(os.listdir(target.parent)) == ["series.jsonl"]
-    # a new dump gets the mode of any new file, not a private one
-    fresh, plain = tmp_path / "fresh.jsonl", tmp_path / "plain"
-    plain.touch()
-    assert run_cli("series", "2", "2", "2", "--dump", str(fresh))[0] == 0
-    assert fresh.stat().st_mode == plain.stat().st_mode
-    # a refused dump through a link to no file creates none, and keeps the link
-    dangling = tmp_path / "dangling.jsonl"
-    dangling.symlink_to(tmp_path / "absent.jsonl")
-    assert run_cli("series", "3", "3", "4", "--limit-states", "3", "--dump", str(dangling))[0] == 3
-    assert dangling.is_symlink() and not (tmp_path / "absent.jsonl").exists()
-
-
-def test_capped_reads_under_a_small_term_limit(tmp_path, capsys):
+def test_capped_reads_under_a_small_term_limit(capsys):
     # the layers of the (3, 3) series up to degree 12 span 1,911 cells when
     # capped at the targets of the orbit terms; uncapped they span 8,905
     assert run_cli("nu", "3", "3", "12") == (0, "2\n")
@@ -636,26 +557,6 @@ def test_capped_reads_under_a_small_term_limit(tmp_path, capsys):
     assert re.search(r"\b1911\b.*\b1910\b", capsys.readouterr().err)
     code, out = run_cli("table", "3", "3", "--kmax", "12", "--limit-states", "2000")
     assert code == 0 and out.splitlines()[-1] == "12 2"
-    # a dump writes every coefficient, so it still expands uncapped
-    path = tmp_path / "F"
-    path.write_text("kept\n")
-    code, _ = run_cli("series", "3", "3", "12", "--dump", str(path), "--limit-states", "2000")
-    assert code == 3 and path.read_text() == "kept\n"
-
-
-# sha256 of the dumps written before the layers were packed into ints
-DUMP_DIGESTS = {
-    ("5", "2", "10"): "815e8e55e7fadecba01b3c7301fc875ac059b07f8bac30ca61476183f18cc817",
-    ("3", "3", "12"): "454c923bb56844bc9290318d130a7bd6b5c864fbd947dd65ba671b3c3d1ea551",
-}
-
-
-@pytest.mark.parametrize("query", sorted(DUMP_DIGESTS))
-def test_series_dump_bytes_pinned(tmp_path, query):
-    path = tmp_path / "series.jsonl"
-    code, _ = run_cli("series", *query, "--dump", str(path))
-    assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_DIGESTS[query]
 
 
 def test_reach_quaternary_cubic_degree_40():
@@ -900,11 +801,14 @@ def test_check_refuses_a_character_of_the_wrong_mass(monkeypatch, capsys):
     assert err.startswith("error: internal:") and "mass" in err
 
 
-def test_closed_pipe_ends_quietly():
-    # the dump is far larger than a pipe's buffer, so the writer is still
-    # writing when the reader goes
-    with _python("-m", "naryinv.cli", "series", "3", "3", "12", "--dump", "/dev/stdout") as proc:
-        assert proc.stdout.readline().startswith('{"k": 0,')
+def test_closed_pipe_ends_quietly(monkeypatch):
+    # the 4,782 lines of orbit 8 are far larger than a pipe's buffer, so the
+    # writer is still writing when the reader goes.  Its stdout is buffered,
+    # as in a shell pipeline: an unbuffered text stdout drops the rest of a
+    # write cut short by the closed pipe without raising, and exits 0
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with _python("-m", "naryinv.cli", "orbit", "8") as proc:
+        assert proc.stdout.readline() == "(0,0,0,0,0,0,0) +1\n"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == ""
@@ -978,57 +882,35 @@ def test_cache_file_that_is_not_a_regular_file_exits_2(tmp_path, make):
     assert "is not a usable directory" in proc.stderr and "not a regular file" in proc.stderr
 
 
-def test_dump_to_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
-    import naryinv.cli as cli_mod
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("expanded before opening the dump file")
-
-    monkeypatch.setattr(cli_mod, "expand_generating_series", refuse)
-    target = tmp_path / "missing" / "x.jsonl"
-    code, out = run_cli("series", "3", "3", "4", "--dump", str(target))
-    err = capsys.readouterr().err
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert "--dump" in err and str(target) in err
-    assert not target.parent.exists()
-
-
-@pytest.mark.parametrize("dump", [["--dump="], ["--dump", ""]])
-def test_dump_to_an_empty_path_exits_2(dump, capsys):
-    # an empty path is a path that fails to open, not a request for no dump
-    code, out = run_cli("series", "3", "3", "6", *dump)
-    err = capsys.readouterr().err
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert "--dump" in err and "''" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        # refused at the default limit: 45,562,504 cells
-        ["series", "7", "2", "7"],
-        ["series", "3", "3", "4", "--limit-states", "3"],
+        ["series", "3", "3", "12", "--dump", "out.jsonl"],
+        # refused at the default limit while --dump expanded uncapped
+        ["series", "7", "2", "7", "--dump", "out.jsonl"],
+        ["series", "3", "3", "4", "--limit-states", "3", "--dump", "out.jsonl"],
+        ["series", "3", "3", "4", "--dump", "missing/out.jsonl"],
+        ["series", "3", "3", "6", "--dump="],
+        ["series", "3", "3", "6", "--dump", ""],
     ],
+    ids=lambda argv: " ".join(token or "''" for token in argv),
 )
-def test_refused_dump_leaves_no_new_file(tmp_path, argv, capsys):
-    path = tmp_path / "new.jsonl"
-    code, out = run_cli(*argv, "--dump", str(path))
-    err = capsys.readouterr().err
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and "wrote" not in err
-    assert not path.exists()
+def test_dump_is_unrecognized(tmp_path, monkeypatch, capsys, argv):
+    # --dump is gone: the parser refuses it before anything is expanded,
+    # prints nothing on stdout and creates no file or directory
+    import naryinv.counting as counting_mod
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("expanded a query the parser refuses")
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_dump_write_error_names_the_flag(capsys):
-    # nine short lines stay buffered, so the device refuses them at close
-    code, out = run_cli("series", "2", "2", "2", "--dump", "/dev/full")
+    monkeypatch.setattr(counting_mod, "expand_generating_series", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == (2, "")
     err = capsys.readouterr().err
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error:") and "wrote" not in err
-    assert "--dump" in err and "/dev/full" in err
+    left = " ".join(argv[next(i for i, token in enumerate(argv) if token.startswith("--dump")):])
+    assert err.startswith("usage: naryinv [-h]")
+    assert err.endswith(f"naryinv: error: unrecognized arguments: {left}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wrong_length_weight_names_the_flag(capsys):

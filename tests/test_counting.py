@@ -487,6 +487,54 @@ def test_put_keeps_no_descriptor_open(tmp_path, monkeypatch):
     assert descriptors() == before
 
 
+@pytest.mark.parametrize("call", ["open", "write"])
+def test_a_failed_put_stores_nothing(tmp_path, monkeypatch, call):
+    # the key is kept only once its line is in the file, so the next put of
+    # the key appends the record the failed one could not
+    path = tmp_path / "weight-counts.jsonl"
+    cache = CountCache(str(tmp_path))
+    real, failures = getattr(os, call), [errno.ENOSPC]
+
+    def fails_once(*args):
+        if failures:
+            code = failures.pop()
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    monkeypatch.setattr(counting.os, call, fails_once)
+    with pytest.raises(OSError):
+        cache.put(3, 3, 6, (2, 2), 25)
+    assert cache.get(3, 3, 6, (2, 2)) is None and len(cache) == 0
+    assert not path.exists() or path.read_bytes() == b""
+    cache.put(3, 3, 6, (2, 2), 25)
+    assert cache.get(3, 3, 6, (2, 2)) == 25
+    assert path.read_bytes() == b'{"n": 3, "d": 3, "k": 6, "mu": [2, 2], "count": "25"}\n'
+
+
+def test_a_put_after_a_torn_write_starts_a_line_of_its_own(tmp_path, monkeypatch):
+    # a write that reaches the file in part and then fails leaves it
+    # mid-line; the next record must not be glued onto the torn bytes
+    path = tmp_path / "weight-counts.jsonl"
+    write, calls = os.write, []
+
+    def torn(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return write(fd, bytes(data[:3]))
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(counting.os, "write", torn)
+    cache = CountCache(str(tmp_path))
+    with pytest.raises(OSError):
+        cache.put(3, 3, 6, (2, 2), 25)
+    monkeypatch.undo()
+    assert path.read_bytes() == b'{"n'
+    cache.put(2, 2, 2, (0,), 2)
+    assert path.read_bytes() == b'{"n\n{"n": 2, "d": 2, "k": 2, "mu": [0], "count": "2"}\n'
+    reloaded = CountCache(str(tmp_path))
+    assert (reloaded.skipped, len(reloaded), reloaded.get(2, 2, 2, (0,))) == (1, 1, 2)
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 def test_a_new_cache_file_has_the_mode_of_an_append_open(tmp_path, umask):
     old = os.umask(umask)

@@ -1,4 +1,4 @@
-import io
+import hashlib
 import itertools
 import json
 import math
@@ -22,7 +22,6 @@ from naryinv.series import (
     _places,
     _span,
     check_expansion_size,
-    dump_series,
     expand_generating_series,
 )
 
@@ -332,14 +331,19 @@ def test_expansion_size_is_the_sum_of_the_layer_spans():
                 check_expansion_size(d, top, caps, cells - 1)
 
 
-def test_dump_series_json_lines():
-    series = expand_generating_series(2, 2, 2)
-    buf = io.StringIO()
-    written = dump_series(series, buf)
-    lines = [ln for ln in buf.getvalue().splitlines() if ln]
-    assert written == len(lines) == len(series.coefficients)
-    rebuilt = {}
-    for line in lines:
-        rec = json.loads(line)
-        rebuilt[(rec["k"], tuple(rec["moments"]))] = int(rec["coefficient"])
-    assert rebuilt == series.coefficients
+# sha256 of every nonzero coefficient of the uncapped expansion, one JSON
+# line each in the order nonzero() yields them, as the CLI's former
+# `series --dump` wrote them before the layers were packed into ints
+UNCAPPED_DIGESTS = {
+    (3, 3, 12): "454c923bb56844bc9290318d130a7bd6b5c864fbd947dd65ba671b3c3d1ea551",
+    (5, 2, 10): "815e8e55e7fadecba01b3c7301fc875ac059b07f8bac30ca61476183f18cc817",
+}
+
+
+@pytest.mark.parametrize("query", sorted(UNCAPPED_DIGESTS))
+def test_uncapped_expansion_bytes_pinned(query):
+    text = "".join(
+        json.dumps({"k": k, "moments": list(moments), "coefficient": str(value)}) + "\n"
+        for (k, moments), value in expand_generating_series(*query).nonzero()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == UNCAPPED_DIGESTS[query]

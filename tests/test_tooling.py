@@ -569,6 +569,27 @@ def test_no_public_name_serves_only_the_tests():
     assert [label for label, name, where in defined if not loads.get(name, set()) - {where}] == []
 
 
+def test_every_expansion_in_the_package_is_capped():
+    # no command may expand the whole moment box: each call of the expansion
+    # in the package passes caps (fifth or by name, and not None), except the
+    # one entry point kept only for perfbench/confirm.py
+    capped, uncapped = [], []
+    for path in sorted((SRC / "naryinv").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call) or "expand_generating_series" not in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    continue
+                named = {kw.arg: kw.value for kw in node.keywords}
+                positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+                caps = named.get("caps", positional[4] if len(positional) == len(node.args) >= 5 else None)
+                given = caps is not None and not (isinstance(caps, ast.Constant) and caps.value is None)
+                (capped if given else uncapped).append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert capped == ["counting.signed_counts"]
+    assert uncapped == ["series.invariant_dimension_by_series"]
+
+
 def test_one_size_bound_and_the_rank_bound():
     # every size bound defaults to errors.MAX_TERMS, the default of
     # --limit-states; only the orbit walk keeps a bound of its own, on rank
@@ -599,7 +620,7 @@ TOP_LEVEL = [
 FROM_MODULES = {
     "counting": ["CountCache", "moment_targets"],
     "forms": ["enumerate_indices"],
-    "series": ["TruncatedSeries", "dump_series"],
+    "series": ["TruncatedSeries"],
     "weights": ["SignedOrbitTerm", "Weight", "to_ambient"],
 }
 
@@ -654,8 +675,8 @@ def test_readme_library_examples_run():
         except (SyntaxError, ValueError):  # a comment in words
             pass
     five_terms = [((0, 0), 1), ((1, 1), -2), ((2, 2), -1), ((0, 3), 1), ((3, 0), 1)]
-    assert values == [2, 1, 2, five_terms, [1, 0, 1, 1, 1, 1, 2], {(4,): 1, (0,): 1}]
-    assert len(stated) == 5 and all(value == literal for value, literal in stated)
+    assert values == [2, 1, 2, five_terms, [1, 0, 1, 1, 1, 1, 2], 2, {(4,): 1, (0,): 1}]
+    assert len(stated) == 6 and all(value == literal for value, literal in stated)
 
 
 def _readme_transcript(heading):
@@ -700,7 +721,6 @@ def test_readme_refusals_are_reproduced(tmp_path, monkeypatch, capsys):
     assert [" ".join(argv) for argv, _, _ in sessions] == [
         "nu 9 2 2",
         "nu 4 3 64",
-        "series 7 2 7 --dump out.jsonl",
         "check 3 4 --kmax 16 --limit-states 12800",
     ]
     for argv, tail, lines in sessions:
