@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -431,7 +432,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
     up to 4,096 Kostka tables, which later ``check`` calls in the same
     process reuse.
     """
-    out = out if out is not None else sys.stdout
+    if out is None:
+        out = sys.stdout
+        if isinstance(getattr(out, "buffer", None), io.FileIO):
+            # an unbuffered stdout (PYTHONUNBUFFERED, python -u) drops what a
+            # short write leaves, as a closed pipe leaves it: a buffered layer
+            # finishes each write or raises BrokenPipeError
+            raw = io.FileIO(out.fileno(), "w", closefd=False)
+            out = io.TextIOWrapper(io.BufferedWriter(raw), out.encoding, out.errors)
     argv = sys.argv[1:] if argv is None else argv
     args = _read_query(argv, _commands())
     if args is None:
@@ -445,7 +453,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
             raise ValueError(f"--limit-states must be at least 1 state, got {args.limit_states}")
         if "kmax" in args and args.kmax < 0:
             raise ValueError(f"--kmax must be at least 0, got {args.kmax}")
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        # a reader that is gone fails this flush, not the one at exit
+        out.flush()
+        return code
     except (ResourceLimitError, MemoryError) as exc:
         # a MemoryError the interpreter raises carries no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

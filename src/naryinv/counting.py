@@ -10,7 +10,9 @@ reader: every query hands it signed weight terms and degrees.  It
 decomposes each term once, tests it for feasibility at every degree, lists
 the feasible ones as one flat read plan, and reads the plan off a single
 expansion, capped at the largest targets in it.  An optional on-disk
-cache, which the CLI opens, memoises the counts.
+cache, which the CLI opens, memoises the counts: one scan checks its file
+at the open, the records of each ``(n, d)`` a query asks for are indexed
+on its first lookup, and each lookup is then one dict probe.
 """
 
 from __future__ import annotations
@@ -172,29 +174,32 @@ class CountCache:
     propagates, and the key is stored only once its whole line is written:
     a failed put stores nothing, so a later put of the key appends it, and
     a write that left part of a line makes the next record start a new
-    line.  Existing records are loaded once at open, by one pass of
-    one pattern over the file's text.  A line
-    in exactly :meth:`put`'s format is read off the pattern's groups; any
-    other nonblank line costs one JSON decode, and what it decodes to is
-    written again as :meth:`put` writes it and matched against the same
-    pattern.  So one rule decides every record: ``n``, ``d``, ``k`` and each
-    entry of ``mu`` are JSON integers (``3.0`` and ``true`` are not; ``-0``
-    reads as 0), ``mu`` has ``n - 1`` entries, ``count`` holds only ASCII
-    digits, and no integer has more digits than ``int()`` accepts.  A later
-    record of a key replaces an earlier one.  Lines that break the rule (a
-    torn last line from a crash during an append, say) are skipped and
-    counted in ``skipped``.  A path that is not a regular file (a FIFO, a
-    device) raises :class:`OSError`.
+    line.
 
-    Records are kept by their key text (``"n": 3, "d": 3, "k": 6, "mu": [2,
-    2]``) and count text, so a record no query asks for is never turned
-    into ints.
+    One rule decides every record: ``n``, ``d``, ``k`` and each entry of
+    ``mu`` are JSON integers (``3.0`` and ``true`` are not; ``-0`` reads as
+    0), ``mu`` has ``n - 1`` entries, ``count`` holds only ASCII digits, and
+    no integer has more digits than ``int()`` accepts.  A later record of a
+    key replaces an earlier one.  Lines that break the rule (a torn last
+    line from a crash during an append, say) are skipped and counted in
+    ``skipped``.  A path that is not a regular file (a FIFO, a device)
+    raises :class:`OSError`.
+
+    The open reads the file once as text and checks every line by one pass
+    of one pattern, which builds nothing for a line in exactly
+    :meth:`put`'s format with ``n`` from 2 to 9.  Any other nonblank line
+    costs one JSON decode; what it decodes to is written again as
+    :meth:`put` writes it and matched against the record rule, and a record
+    it holds is kept with its place in the file.  The records of one ``(n,
+    d)`` are indexed on its first :meth:`get` or :meth:`put`, by one search
+    for put's lines of that ``(n, d)``; they are kept by key text (``"n":
+    3, "d": 3, "k": 6, "mu": [2, 2]``) and count text, so each later lookup
+    is one dict probe and a record no query asks for is never built.
     """
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self.path = os.path.join(directory, CACHE_FILENAME)
-        self._mem: dict[str, str] = {}
         self.skipped = 0
         text = ""
         if os.path.exists(self.path):
@@ -203,26 +208,51 @@ class CountCache:
                 raise OSError(f"{self.path} is not a regular file")
             with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
                 text = fh.read()
-        mem = self._mem
-        # one match at a time: no list of every record's groups is built
-        for key, n, mu, count, other in map(re.Match.groups, _record_pattern().finditer(text)):
-            if other:
-                key, n, mu, count = _reread(other)
-            # mu has n - 1 entries
-            if key and n == str(mu.count(",") + 2 if mu else 1):
-                mem[key] = count
-            else:
-                self.skipped += 1
+        # every line follows a newline, the first included
+        self._text = "\n" + text if text else ""
+        # (n, d) -> key text -> count text, built on the first lookup of (n, d)
+        self._index: dict[tuple[int, int], dict[str, str]] = {}
+        # (n, d) -> (offset, key text, count text) of each record on a line
+        # outside put's format, in file order
+        self._other: dict[tuple[int, int], list[tuple[int, str, str]]] = {}
+        if text:
+            # one match per run of put's lines builds nothing
+            for match in _scan_pattern().finditer(self._text):
+                if match.lastgroup is None:
+                    continue
+                key, n, d, mu, count = _reread(match["other"])
+                if key and _arity_kept(n, mu):
+                    self._other.setdefault((int(n), int(d)), []).append((match.start(), key, count))
+                else:
+                    self.skipped += 1
         # written before the next record when the file ends mid-line
         self._separator = "\n" if text and not text.endswith("\n") else ""
 
+    def _records(self, n: int, d: int) -> dict[str, str]:
+        """The records of ``(n, d)``, key text to count text, indexed on the
+        first call: put's lines of ``(n, d)`` and the lines kept at the open,
+        the last line of a key winning."""
+        records = self._index.get((n, d))
+        if records is None:
+            others = self._other.get((n, d), [])
+            if not (self._text and n in _SCANNED):
+                records = {key: count for _, key, count in others}
+            elif not others:
+                records = dict(_index_pattern(n, d).findall(self._text))
+            else:
+                found = [(m.start(), *m.groups()) for m in _index_pattern(n, d).finditer(self._text)]
+                records = {key: count for _, key, count in sorted(found + others)}
+            self._index[n, d] = records
+        return records
+
     def get(self, n: int, d: int, k: int, weight: Weight) -> int | None:
-        count = self._mem.get(_key_text(n, d, k, weight))
+        count = self._records(n, d).get(_key_text(n, d, k, weight))
         return None if count is None else int(count)
 
     def put(self, n: int, d: int, k: int, weight: Weight, value: int) -> None:
+        records = self._records(n, d)
         key = _key_text(n, d, k, weight)
-        if key in self._mem:
+        if key in records:
             return
         count = str(value)
         line = f'{self._separator}{{{key}, "count": "{count}"}}\n'.encode("ascii")
@@ -234,11 +264,24 @@ class CountCache:
                 self._separator = "\n"
         finally:
             os.close(fd)
-        self._mem[key] = count
+        records[key] = count
         self._separator = ""
 
     def __len__(self) -> int:
-        return len(self._mem)
+        """The number of distinct readable keys, puts included: one more
+        pass over the whole file."""
+        keys = {key for records in self._index.values() for key in records}
+        keys.update(key for others in self._other.values() for _, key, _ in others)
+        if self._text:
+            keys.update(
+                key for key, n, _, mu, _ in _record_pattern().findall(self._text) if _arity_kept(n, mu)
+            )
+        return len(keys)
+
+
+def _arity_kept(n: str, mu: str) -> bool:
+    """Whether the ``mu`` text of a record has ``n - 1`` entries."""
+    return n == str(mu.count(",") + 2 if mu else 1)
 
 
 def _key_text(n: int, d: int, k: int, weight: Weight) -> str:
@@ -246,43 +289,89 @@ def _key_text(n: int, d: int, k: int, weight: Weight) -> str:
     return f'"n": {n}, "d": {d}, "k": {k}, "mu": [{", ".join(map(str, weight))}]'
 
 
+# the n whose lines in put's format the scan at open checks by pattern alone
+_SCANNED = range(2, 10)
+# the most lines in put's format one match of the scan takes: the regex
+# engine keeps state for each line of a run
+_RUN = 64
+
+_RULE: tuple[str, str] | None = None
 _RECORD: re.Pattern[str] | None = None
+_SCAN: re.Pattern[str] | None = None
 
 
-def _record_pattern() -> re.Pattern[str]:
-    """The one record rule of :class:`CountCache`, compiled on first use,
-    so that a query without ``--cache`` does not pay the compile.
+def _rule() -> tuple[str, str]:
+    """The patterns of a record's integer and of its count, fixed on the
+    first open, so that a query without ``--cache`` builds nothing.
 
-    Per line, the first alternative matches a record exactly as
-    :meth:`CountCache.put` writes it, with groups ``key``, ``n``, ``mu`` and
-    ``count``; the second, group ``other``, takes any other nonblank line.
     Integers are canonical (no leading zero, no ``-0``), with at most as
     many digits as ``int()`` accepts; the count may have leading zeros.
     """
-    global _RECORD
-    if _RECORD is None:
+    global _RULE
+    if _RULE is None:
         # json and int() refuse an integer of more digits than the limit;
         # there is none at 0 or before Python 3.10.7, and "{0,}" is "*"
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or ""
         more = "{0,%s}" % (limit and limit - 1)
-        integer = f"(?:[1-9][0-9]{more}|0|-[1-9][0-9]{more})"
+        _RULE = f"(?:-?[1-9][0-9]{more}|0)", f"[0-9]{{1,{limit}}}"
+    return _RULE
+
+
+def _record_pattern() -> re.Pattern[str]:
+    """The record rule of :class:`CountCache`: a line exactly as
+    :meth:`CountCache.put` writes it, any ``n``, with groups ``key``, ``n``,
+    ``d``, ``mu`` and ``count`` (the arity of ``mu`` is left to the caller)."""
+    global _RECORD
+    if _RECORD is None:
+        integer, count = _rule()
         _RECORD = re.compile(
-            rf'^\{{(?P<key>"n": (?P<n>{integer}), "d": {integer}, "k": {integer}, '
-            rf'"mu": \[(?P<mu>(?:{integer}(?:, {integer})*)?)\]), '
-            rf'"count": "(?P<count>[0-9]{{1,{limit}}})"\}}$'
-            r"|^(?P<other>.*\S.*)$",
+            rf'^\{{(?P<key>"n": (?P<n>{integer}), "d": (?P<d>{integer}), "k": {integer}, '
+            rf'"mu": \[(?P<mu>(?:{integer}(?:, {integer})*)?)\]), "count": "(?P<count>{count})"\}}$',
             re.MULTILINE,
         )
     return _RECORD
 
 
+def _scan_pattern() -> re.Pattern[str]:
+    """The check at :class:`CountCache`'s open: its first alternative takes
+    a run of up to ``_RUN`` lines in :meth:`CountCache.put`'s format that
+    keep the record rule, ``n`` in ``_SCANNED``, and captures nothing; the
+    second, group ``other``, takes any other nonblank line."""
+    global _SCAN
+    if _SCAN is None:
+        integer, count = _rule()
+        # one alternative per n, which fixes the arity of mu
+        keys = "|".join(_key_rule(n, integer) for n in _SCANNED)
+        _SCAN = re.compile(
+            rf'(?:^\{{(?:{keys}), "count": "{count}"\}}$\n?){{1,{_RUN}}}'
+            r"|^(?P<other>.*\S.*)$",
+            re.MULTILINE,
+        )
+    return _SCAN
+
+
+def _index_pattern(n: int, d: int) -> re.Pattern[str]:
+    """The lines in :meth:`CountCache.put`'s format of one ``(n, d)`` that
+    keep the record rule, each after a newline, with groups key and count
+    text; ``re`` keeps the compiled pattern."""
+    return re.compile(rf'\n\{{({_key_rule(n, d)}), "count": "({_rule()[1]})"\}}(?![^\n])')
+
+
+def _key_rule(n: int, d: int | str) -> str:
+    """The pattern of a key in :meth:`CountCache.put`'s format whose ``n``
+    is ``n`` (at least 2) and whose ``d`` is ``d`` or matches ``d``."""
+    integer = _rule()[0]
+    return rf'"n": {n}, "d": {d}, "k": {integer}, "mu": \[{integer}(?:, {integer}){{{n - 2}}}\]'
+
+
 def _reread(line: str) -> tuple[str | None, ...]:
-    """The ``key``, ``n``, ``mu`` and ``count`` groups of the record that
-    ``line`` decodes to, written as :meth:`CountCache.put` writes it; all
-    ``None`` when it does not decode to one."""
+    """The ``key``, ``n``, ``d``, ``mu`` and ``count`` groups of the record
+    that ``line`` decodes to, written as :meth:`CountCache.put` writes it;
+    all ``None`` when it does not decode to one."""
     try:
         rec = json.loads(line)
         text = json.dumps({field: rec[field] for field in ("n", "d", "k", "mu", "count")})
     except (ValueError, KeyError, TypeError, RecursionError):
-        return (None, None, None, None)
-    return _record_pattern().match(text).group("key", "n", "mu", "count")
+        return (None,) * 5
+    match = _record_pattern().match(text)
+    return match.groups() if match else (None,) * 5

@@ -803,15 +803,34 @@ def test_check_refuses_a_character_of_the_wrong_mass(monkeypatch, capsys):
 
 def test_closed_pipe_ends_quietly(monkeypatch):
     # the 4,782 lines of orbit 8 are far larger than a pipe's buffer, so the
-    # writer is still writing when the reader goes.  Its stdout is buffered,
-    # as in a shell pipeline: an unbuffered text stdout drops the rest of a
-    # write cut short by the closed pipe without raising, and exits 0
-    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-    with _python("-m", "naryinv.cli", "orbit", "8") as proc:
-        assert proc.stdout.readline() == "(0,0,0,0,0,0,0) +1\n"
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 141
-        assert proc.stderr.read() == ""
+    # writer is still writing when the reader goes.  A text stdout over an
+    # unbuffered one (PYTHONUNBUFFERED) drops the rest of a write cut short
+    # by the closed pipe without raising, so it must not be written through
+    for unbuffered in (False, True):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        with _python("-m", "naryinv.cli", "orbit", "8") as proc:
+            assert proc.stdout.readline() == "(0,0,0,0,0,0,0) +1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141, unbuffered
+            assert proc.stderr.read() == ""
+
+
+@pytest.mark.parametrize("argv", [["orbit", "8"], ["table", "3", "3", "--kmax", "6"]])
+def test_an_unbuffered_stdout_prints_what_a_buffered_one_prints(monkeypatch, argv):
+    outputs = []
+    for unbuffered in (False, True):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        with _python("-m", "naryinv.cli", *argv) as proc:
+            outputs.append(proc.communicate(timeout=60))
+        assert proc.returncode == 0
+    assert outputs[0] == outputs[1] and outputs[0][1] == ""
+    assert outputs[0][0] == run_cli(*argv)[1]
 
 
 def test_cache_flag(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -292,22 +293,22 @@ def test_integers_past_the_digit_limit_are_unreadable(tmp_path):
         assert cache.get(*key) == records.get(key)
 
 
-# a small pool of keys, so that drawn files repeat keys
-_KEYS = st.tuples(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2)).flatmap(
-    lambda ndk: st.tuples(
-        *map(st.just, ndk), st.tuples(*[st.integers(-1, 2)] * (ndk[0] - 1))
-    )
-)
+# the keys of drawn records.  The open checks put's lines by pattern alone
+# only for n in _SCANNED: the n on either side of it go through the JSON decode
+_LOW, _HIGH = counting._SCANNED[0] - 1, counting._SCANNED[-1]
+_KEYS = st.tuples(
+    st.sampled_from([_LOW, 2, 3, 4, _HIGH, _HIGH + 1]), st.integers(1, 2), st.integers(0, 2)
+).flatmap(lambda ndk: st.tuples(*map(st.just, ndk), st.tuples(*[st.integers(-1, 2)] * (ndk[0] - 1))))
 _JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
 
 @st.composite
-def _cache_line(draw):
+def _cache_line(draw, keys):
     """One line of a cache file, as bytes without its line end."""
     kind = draw(st.sampled_from(
         ["put", "compact", "reordered", "extra", "integer", "arity", "blank", "junk", "bytes"]
     ))
-    n, d, k, mu = draw(_KEYS)
+    n, d, k, mu = draw(keys)
     count = draw(st.integers(0, 10**25))
     rec = {"n": n, "d": d, "k": k, "mu": list(mu), "count": str(count)}
     if kind == "put":
@@ -340,9 +341,17 @@ def _cache_line(draw):
     return text.encode("utf-8")
 
 
+@st.composite
+def _cache_lines(draw):
+    """Up to 12 lines with their line ends.  Their keys come from a pool of
+    at most 3, so that one key's lines repeat in different formats."""
+    pool = st.sampled_from(draw(st.lists(_KEYS, min_size=1, max_size=3)))
+    return draw(st.lists(st.tuples(_cache_line(pool), st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=12))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    lines=st.lists(st.tuples(_cache_line(), st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=12),
+    lines=_cache_lines(),
     torn=st.integers(0, 60),
     keys=st.lists(_KEYS, max_size=6),
     # n = 5 is outside the pool: the put appends
@@ -369,6 +378,41 @@ def test_cache_loads_as_the_json_reference_does(lines, torn, keys, added):
             assert fh.read() == data + (separator + _put_text(5, 1, 0, mu, count) + "\n").encode()
         again, skipped_again, _ = load_count_records(path)
         assert again == {**records, (5, 1, 0, mu): count} and skipped_again == skipped
+
+
+@pytest.mark.parametrize("n", [3, 1, 10])
+def test_the_last_line_of_a_key_wins_whatever_its_format(tmp_path, n):
+    # put's lines are read by an index per (n, d), every other line at the
+    # open; the order of the file still decides.  The open checks n = 1 and
+    # 10 through the JSON decode alone
+    path = tmp_path / "weight-counts.jsonl"
+    mu = tuple(range(n - 1))
+
+    def compact(k, count):
+        rec = {"n": n, "d": 2, "k": k, "mu": list(mu), "count": str(count)}
+        return json.dumps(rec, separators=(",", ":"))
+
+    lines = [
+        _put_text(n, 2, 1, mu, 7), compact(1, 8),  # the compact line comes last
+        compact(2, 8), _put_text(n, 2, 2, mu, 7),  # the put line comes last
+        _put_text(n, 2, 3, mu, 7), compact(3, 8), _put_text(n, 2, 3, mu, 9),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    records, _, _ = load_count_records(str(path))
+    cache = CountCache(str(tmp_path))
+    assert [cache.get(n, 2, k, mu) for k in (1, 2, 3)] == [8, 7, 9]
+    assert {key: cache.get(*key) for key in records} == records
+    # a key the file holds, in either format, is not appended again
+    size = path.stat().st_size
+    cache.put(n, 2, 1, mu, 5)
+    cache.put(n, 2, 2, mu, 5)
+    assert path.stat().st_size == size and cache.get(n, 2, 1, mu) == 8
+    # a put beats, in its own instance, the lines appended after it
+    cache.put(n, 2, 4, mu, 5)
+    with open(path, "a") as fh:
+        fh.write(compact(4, 8) + "\n" + _put_text(n, 2, 4, mu, 7) + "\n")
+    assert cache.get(n, 2, 4, mu) == 5 and len(cache) == 4
+    assert CountCache(str(tmp_path)).get(n, 2, 4, mu) == 7
 
 
 def test_a_file_written_by_put_loads_without_a_json_decode(tmp_path, monkeypatch):
@@ -407,14 +451,71 @@ def test_a_megabyte_junk_line_is_one_skipped_record(tmp_path, junk):
     assert cache.skipped == 1 and len(cache) == 1 and cache.get(2, 2, 2, (0,)) == 2
 
 
+def _cache_patterns(patterns):
+    """Those of ``patterns`` that the count cache compiles: each matches a
+    record's count field."""
+    return [p for p in patterns if '"count"' in str(p)]
+
+
 def test_the_record_pattern_is_compiled_on_first_open():
-    # every query imports the package; only a --cache query needs the pattern
-    probe = "import naryinv.cli\nfrom naryinv import counting\nprint(counting._RECORD)\n"
+    # every query imports the package; only a --cache query needs a pattern
+    probe = (
+        "import re\n"
+        "compiled, compile = [], re.compile\n"
+        "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
+        "import naryinv.cli\n"
+        "from naryinv import counting\n"
+        "print(counting._RULE, counting._RECORD, counting._SCAN)\n"
+        "print(sum('\"count\"' in str(p) for p in compiled))\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__))),
     )
-    assert (result.returncode, result.stdout) == (0, "None\n"), result.stderr
+    assert (result.returncode, result.stdout) == (0, "None None None\n0\n"), result.stderr
+
+
+@pytest.mark.parametrize("file", ["missing", "empty"])
+def test_puts_into_a_cache_opened_on_no_records_compile_no_pattern(tmp_path, monkeypatch, file):
+    # a cache built from nothing, as a set-up builds one, has nothing to scan
+    # or index: its lookups are probes of what its puts stored
+    if file == "empty":
+        (tmp_path / "weight-counts.jsonl").write_bytes(b"")
+    for name in ("_RULE", "_RECORD", "_SCAN"):
+        monkeypatch.setattr(counting, name, None)
+    compiled, compile = [], re.compile
+    monkeypatch.setattr(
+        counting.re, "compile", lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)
+    )
+    cache = CountCache(str(tmp_path))
+    stored = {(3, 2, k, (k % 5, -1)): 10**k for k in range(100)}
+    for key, value in stored.items():
+        cache.put(*key, value)
+    assert len(cache) == 100 and all(cache.get(*key) == value for key, value in stored.items())
+    assert cache.get(4, 2, 1, (0, 0, 0)) is None
+    assert _cache_patterns(compiled) == [] and counting._SCAN is counting._RECORD is None
+    monkeypatch.undo()
+    reloaded = CountCache(str(tmp_path))
+    assert len(reloaded) == 100 and all(reloaded.get(*key) == value for key, value in stored.items())
+
+
+def test_an_open_compiles_the_scan_and_a_lookup_one_index_per_n_d(tmp_path, monkeypatch):
+    lines = [_put_text(3, 2, k, (k, 0), k) for k in range(5)] + [_put_text(2, 3, 1, (3,), 1)]
+    (tmp_path / "weight-counts.jsonl").write_text("\n".join(lines) + "\n")
+    for name in ("_RULE", "_RECORD", "_SCAN"):
+        monkeypatch.setattr(counting, name, None)
+    compiled, compile = [], re.compile
+    monkeypatch.setattr(
+        counting.re, "compile", lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)
+    )
+    cache = CountCache(str(tmp_path))
+    assert _cache_patterns(compiled) == [counting._SCAN.pattern]
+    # the records of (3, 2) are indexed once; (2, 3) is never asked for
+    assert [cache.get(3, 2, k, (k, 0)) for k in range(6)] == [0, 1, 2, 3, 4, None]
+    cache.put(3, 2, 5, (5, 0), 5)
+    assert cache.get(3, 2, 5, (5, 0)) == 5
+    assert len(_cache_patterns(compiled)) == 2 and '"n": 3, "d": 2, ' in compiled[-1]
+    assert counting._RECORD is None
 
 
 def test_put_appends_the_exact_bytes_of_a_record(tmp_path):
