@@ -25,12 +25,12 @@ read cells.  The indices are walked by :func:`_cells` too, so nothing is
 imported from :mod:`naryinv.forms`, whose walk the oracles use.
 
 A field must never carry into the next.  No count exceeds ``top``, the
-number of top-degree monomials, so the fewest whole bytes that hold
-``top`` always suffice; but ``top`` bounds the sum of a layer's cells, and
-the largest cell needs far fewer bits.  So a field is first ``w + g``
-bits: ``w`` from :func:`_start_width`, the one rule for it, and
-``g = (degree_bound + 1).bit_length()`` guard bits above them.  After
-each index is multiplied in, the top layer's guard bits are tested, once.
+number of top-degree monomials, so ``top.bit_length()`` bits always
+suffice; but ``top`` bounds the sum of a layer's cells, and the largest
+cell needs far fewer bits.  So a field is first ``w + g`` bits: ``w`` from
+:func:`_start_width`, the one rule for it, and ``g = (degree_bound +
+1).bit_length()`` guard bits above them.  After each index is multiplied
+in, the top layer's guard bits are tested, once.
 That one test is enough:
 
 - :func:`_cells` yields the zero index first.  Once it is in, adding a
@@ -44,9 +44,10 @@ That one test is enough:
   ``(degree_bound + 1) * 2^w < 2^(w + g)``: the guard bits hold it without
   a carry, and the counts stay exact.
 
-A set guard bit restarts the expansion at the whole-byte width, which
-holds every count and is not guarded, so at most one restart happens.
-When ``w + g`` is no narrower than that width, the expansion starts there.
+A set guard bit restarts the expansion at ``top.bit_length()`` bits,
+which hold every count and are not guarded, so at most one restart
+happens.  When ``w + g`` is no narrower than that width, the expansion
+starts there.
 """
 
 from __future__ import annotations
@@ -235,16 +236,16 @@ def expand_generating_series(
     indices = list(_cells(tuple(min(c, d) for c in caps), places, d))
     # no kept count exceeds the top-degree monomials in these indices
     top = math.comb(len(indices) + degree_bound - 1, degree_bound)
-    whole = 8 * -(-top.bit_length() // 8)
+    safe = top.bit_length()
     span = _span(d, degree_bound, caps, places)
     guard = (degree_bound + 1).bit_length()
     width = _start_width(top, span) + guard
     layers = None
-    if width < whole:
+    if width < safe:
         alarm = _repeat(((1 << guard) - 1) << (width - guard), width, span)
         layers = _multiply(indices, caps, places, degree_bound, width, alarm)
     if layers is None:
-        width = whole
+        width = safe
         layers = _multiply(indices, caps, places, degree_bound, width, 0)
     return TruncatedSeries(n, d, degree_bound, caps, places, width, tuple(layers))
 

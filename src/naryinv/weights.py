@@ -32,25 +32,24 @@ positions one element at a time, in two halves: positions ``0..h-1``
 forward and ``n-1..h`` backward, ``h = n // 2``.  A walk state is one
 ``int``: the multiset of entries placed so far, as a 4-bit count per entry
 value (enough for n <= 15), above the mask of used elements.  Each half
-keeps a dict from state to signed count, so paths that place the same
-entries with the same elements merge.  Placing element ``i`` flips the
-sign when an odd number of smaller elements are still unplaced (forward)
-or already placed (backward); together the flips count the inversions of
-``q``.  The halves meet on complementary masks, where adding two states
-joins their multisets.  Each state also keeps the entries of the first
-path to reach it, so each distinct joined multiset is sorted once into its
-weight, the gaps between its sorted entries.
+keeps one dict from state to ``[signed count, entries]``, so paths that
+place the same entries with the same elements merge, and the entries are
+those of the first path to reach the state.  Placing element ``i`` flips
+the sign when an odd number of smaller elements are still unplaced
+(forward) or already placed (backward); together the flips count the
+inversions of ``q``.  The halves meet on complementary masks, where
+adding two states joins their multisets, so each distinct joined multiset
+is sorted once into its weight, the gaps between its sorted entries.
 
 Each walk structure lives only as long as the answer needs it.  A half
-walk keeps one position's states and entries at a time.  Both halves,
-their entry dicts and the backward half's grouping by mask live until the
-join is done.  The join keeps one dict: per joined key, a list of its
-signed count and the two half-entry tuples of the first pair to reach it
-(the tuples the half walks already hold, not a concatenated copy), so a
-pair that meets a known key costs one probe.  Each key is popped as its
-term is built, once, from its sorted entries, into the group of terms
-with the same largest gap; the groups are sorted one by one and joined in
-order of largest gap.
+walk keeps one position's dict at a time.  The forward half and the
+backward half's states, listed by mask, live until the join is done.
+The join keeps one dict: per joined key, a list of its signed count and
+the two half-entry tuples of the first pair to reach it (the tuples the
+half walks already hold, not a concatenated copy), so a pair that meets a
+known key costs one probe.  Each key is popped as its term is built,
+once, from its sorted entries, into one list, which is sorted by weight
+and then, stably, by largest gap.
 
 Every term's entries sum to ``sum(base) - n(n-1)/2``, so a term can be
 feasible at the degree budget ``kd = k * d`` only when no entry exceeds
@@ -97,7 +96,7 @@ def _half_walk(
     steps: list[list[tuple[int, int, tuple[int]]]],
     every: int,
     rivals: int,
-) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+) -> dict[int, list]:
     """Fill ``positions`` in turn, one unused element each, from nothing.
 
     A state is one ``int``: packed entry counts above the mask of used
@@ -106,30 +105,28 @@ def _half_walk(
     ``j``; ``step`` adds its bit and one to its entry's count.  Placing an
     element flips the sign when an odd number of smaller elements lie in
     ``mask ^ rivals``: the unplaced ones when ``rivals`` is ``every``
-    (forward), the placed ones when it is 0 (backward).  Returns the signed
-    count of each state and its entries, as the first path to it placed them.
+    (forward), the placed ones when it is 0 (backward).  Returns one dict
+    from each state to ``[signed count, entries]``, the entries as the
+    first path to reach the state placed them.
     """
-    layer = {0: 1}
-    entries: dict[int, tuple[int, ...]] = {0: ()}
+    layer: dict[int, list] = {0: [1, ()]}
     for j in positions:
-        next_layer, next_entries = {}, {}
-        for state, count in layer.items():
+        next_layer: dict[int, list] = {}
+        get = next_layer.get
+        for state, (count, placed) in layer.items():
             mask = state & every
             flips = mask ^ rivals
-            placed = entries[state]
             for bit, step, entry in steps[j]:
                 if mask & bit:
                     continue
                 signed = -count if (flips & (bit - 1)).bit_count() & 1 else count
-                state_after = state + step
-                old = next_layer.get(state_after)
+                old = get(state + step)
                 if old is None:
-                    next_layer[state_after] = signed
-                    next_entries[state_after] = placed + entry
+                    next_layer[state + step] = [signed, placed + entry]
                 else:
-                    next_layer[state_after] = old + signed
-        layer, entries = next_layer, next_entries
-    return layer, entries
+                    old[0] += signed
+        layer = next_layer
+    return layer
 
 
 def signed_orbit_terms(
@@ -177,46 +174,33 @@ def signed_orbit_terms(
         steps.append(row)
     half = n // 2
     every = (1 << n) - 1
-    forward, forward_entries = _half_walk(range(half), steps, every, every)
-    backward, backward_entries = _half_walk(range(n - 1, half - 1, -1), steps, every, 0)
+    forward = _half_walk(range(half), steps, every, every)
     # the halves meet on complementary masks; every key's mask bits are set
-    by_mask: dict[int, list[tuple[int, int]]] = {}
-    for state, count in backward.items():
-        by_mask.setdefault(state & every, []).append((state, count))
+    by_mask: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+    for state, (count, entries) in _half_walk(range(n - 1, half - 1, -1), steps, every, 0).items():
+        by_mask.setdefault(state & every, []).append((state, count, entries))
     # per joined key: its signed count, then the two half-entry tuples of
     # the first pair to reach it
     joined: dict[int, list] = {}
     get = joined.get
-    for front, front_count in forward.items():
-        front_entries = forward_entries[front]
-        for back, back_count in by_mask.get(every & ~front, ()):
+    for front, (front_count, front_entries) in forward.items():
+        for back, back_count, back_entries in by_mask.get(every & ~front, ()):
             key = front + back
             old = get(key)
             if old is None:
-                joined[key] = [front_count * back_count, front_entries, backward_entries[back]]
+                joined[key] = [front_count * back_count, front_entries, back_entries]
             else:
                 old[0] += front_count * back_count
-    del forward, forward_entries, backward, backward_entries, by_mask
-    # one term per nonzero key, grouped by largest gap; weights are
-    # distinct, so each group sorts on its weights alone, as int tuples
-    groups: dict[int, list[SignedOrbitTerm]] = {}
+    del forward, by_mask
+    # one term per nonzero key; weights are distinct, so sorting on them
+    # and then, stably, on the largest gap gives (largest gap, weight) order
+    terms = []
     make = SignedOrbitTerm._make
     while joined:
         coef, front_entries, back_entries = joined.popitem()[1]
         if coef:
             entries = sorted(front_entries + back_entries)
-            gaps = tuple(map(operator.sub, entries[1:], entries))
-            term = make((gaps, coef))
-            top = max(gaps)
-            group = groups.get(top)
-            if group is None:
-                groups[top] = [term]
-            else:
-                group.append(term)
-    del joined
-    terms = []
-    for top in sorted(groups):
-        group = groups.pop(top)
-        group.sort(key=operator.itemgetter(0))
-        terms += group
+            terms.append(make((tuple(map(operator.sub, entries[1:], entries)), coef)))
+    terms.sort(key=operator.itemgetter(0))
+    terms.sort(key=lambda t: max(t.dominant))
     return terms

@@ -111,34 +111,34 @@ def test_series_matches_brute_character_tally():
                 assert tallies[k].get(weight, 0) == 0
 
 
-def _whole_bytes(series):
-    """Bits in the fewest whole bytes that hold the number of top-degree
-    monomials in the indices an expansion multiplies in (its degree-1
-    monomials): the width no count can outgrow."""
+def _safe_width(series):
+    """Bits of the number of top-degree monomials in the indices an
+    expansion multiplies in (its degree-1 monomials): the width no count
+    can outgrow."""
     indices = sum(c for (k, _), c in series.nonzero() if k == 1)
     top = math.comb(indices + series.degree_bound - 1, series.degree_bound)
-    return 8 * -(-top.bit_length() // 8)
+    return top.bit_length()
 
 
 def test_fields_hold_every_count_below_clear_guard_bits():
-    # a field is never wider than the fewest whole bytes that hold the
-    # top-degree monomials, and a narrower one ends with its
+    # a field is never wider than the bits of the number of top-degree
+    # monomials, and a narrower one ends with its
     # (degree_bound + 1).bit_length() guard bits clear in every layer
     cases = [
-        (2, 2, 15, None, 8),  # 136 monomials: w + g = 6 + 5 is past a byte
-        (2, 1, 254, None, 8),  # 255 monomials fill a byte
-        (2, 1, 255, None, 13),  # 256 need two bytes; every count is 1
-        (2, 1, 255, (0,), 8),  # one monomial: w + g = 4 + 9 passes a byte
-        (3, 3, 6, None, 10),
-        (4, 2, 5, (3, 2, 4), 12),
+        (2, 2, 15, None, 8),  # 136 monomials: w + g = 6 + 5 is past their 8 bits
+        (2, 1, 254, None, 8),  # 255 monomials fill 8 bits
+        (2, 1, 255, None, 9),  # 256 need 9 bits, below w + g = 4 + 9
+        (2, 1, 255, (0,), 1),  # one monomial: 1 bit, below w + g = 4 + 9
+        (3, 3, 6, None, 10),  # w + g = 10, below the 13 bits of 5,005 monomials
+        (4, 2, 5, (3, 2, 4), 11),  # 2,002 monomials: 11 bits, below w + g = 12
     ]
     for n, d, bound, caps, width in cases:
         series = expand_generating_series(n, d, bound, caps=caps)
-        assert series.width == width <= _whole_bytes(series), (n, d, bound, caps)
-        if width < _whole_bytes(series):
+        assert series.width == width <= _safe_width(series), (n, d, bound, caps)
+        if width < _safe_width(series):
             below = 1 << (width - (bound + 1).bit_length())
             assert all(count < below for _, count in series.nonzero()), (n, d, bound, caps)
-    # 1,936 bits of layers at one byte a field, and the top degree is right
+    # 1,936 bits of layers at 8 bits a field, and the top degree is right
     series = expand_generating_series(2, 2, 15)
     assert sum(layer.bit_length() for layer in series.layers) == 1936
     top = {weight_from_moments(2, 2, 15, m): c for (k, m), c in series.coefficients.items() if k == 15}
@@ -159,7 +159,7 @@ def _packed(n, d, bound, caps, places, width):
     return tuple(layers)
 
 
-def test_a_start_width_too_small_restarts_once_at_whole_bytes(monkeypatch):
+def test_a_start_width_too_small_restarts_once_at_the_bits_of_top(monkeypatch):
     multiply = series_mod._multiply
     runs = []
 
@@ -168,17 +168,20 @@ def test_a_start_width_too_small_restarts_once_at_whole_bytes(monkeypatch):
         runs.append(layers is not None)
         return layers
 
-    for n, d, bound, caps in [(3, 2, 8, None), (3, 3, 6, None), (4, 2, 5, (3, 2, 4))]:
+    # (n, d, bound, caps, the width at the bits of top, the unforced width)
+    cases = [(3, 2, 8, None, 11, 10), (3, 3, 6, None, 13, 10), (4, 2, 5, (3, 2, 4), 11, 11)]
+    for n, d, bound, caps, safe, start in cases:
         narrow = expand_generating_series(n, d, bound, caps=caps)
         with monkeypatch.context() as patch:
             patch.setattr(series_mod, "_start_width", lambda top, span: 1)
             patch.setattr(series_mod, "_multiply", counted)
             runs.clear()
             forced = expand_generating_series(n, d, bound, caps=caps)
-        # the guard trips on the narrow pass, and the whole-byte pass, which
-        # is not guarded, gives every layer as the whole-byte engine did
+        # the guard trips on the narrow pass, and the pass at the bits of
+        # top, which is not guarded, gives every layer as packed by brute force
         assert runs == [False, True], (n, d, bound, caps)
-        assert forced.width == _whole_bytes(forced) > narrow.width
+        assert (forced.width, narrow.width) == (safe, start), (n, d, bound, caps)
+        assert forced.width == _safe_width(forced)
         assert forced.layers == _packed(n, d, bound, forced.caps, forced.places, forced.width)
         assert forced.coefficients == narrow.coefficients
 
@@ -209,7 +212,8 @@ def test_nonzero_and_coefficient_agree_at_widths_off_the_byte(data):
 
 def test_a_deep_capped_query_reads_narrow_fields(monkeypatch):
     # nu 6 2 18 reads one expansion to degree 18, 55,440 cells a layer:
-    # whole bytes give its fields 40 bits, the guarded start 28
+    # the bits of its top-degree monomials give its fields 35 bits, the
+    # guarded start 28
     built = []
 
     def expand(*args):
@@ -219,7 +223,7 @@ def test_a_deep_capped_query_reads_narrow_fields(monkeypatch):
     monkeypatch.setattr(counting_mod, "expand_generating_series", expand)
     assert invariant_dimension(6, 2, 18) == 1
     (series,) = built
-    assert series.width <= 30 < _whole_bytes(series) == 40
+    assert series.width <= 30 < _safe_width(series) == 35
 
 
 def test_moment_bounds_invariant():

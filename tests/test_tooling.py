@@ -355,6 +355,19 @@ def test_orbit_keeps_one_walk():
     }
     assert "itertools" not in imported
     assert "operator" in imported
+    # two half walks, forward and backward, both called from the one
+    # function that joins them, and from nowhere else in the package
+    callers = []
+    for module in SRC.joinpath("naryinv").glob("*.py"):
+        for function in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    (module.name, function.name)
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and "_half_walk" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                ]
+    assert callers == [("weights.py", "signed_orbit_terms")] * 2
 
 
 def _package_imports(module):

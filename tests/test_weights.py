@@ -101,9 +101,10 @@ def test_orbit_terms_are_dominant_and_deduplicated():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orbit_terms_are_sorted_signed_orbit_terms(n):
-    # each term is built once from its joined entries, in groups by largest
-    # gap: the list must still read as SignedOrbitTerms in strictly
-    # ascending (largest gap, weight) order, none of them cancelled
+    # each term is built once from its joined entries, then sorted by
+    # weight and, stably, by largest gap: the list must read as
+    # SignedOrbitTerms in strictly ascending (largest gap, weight) order,
+    # none of them cancelled
     moved = (1,) + (0,) * (n - 3) + (2,) if n > 2 else (3,)
     for shift, kd in itertools.product((None, moved), (None, 3 * n)):
         terms = signed_orbit_terms(n, shift, kd)
@@ -140,9 +141,12 @@ def test_orbit_terms_match_reference():
         shifts += [tuple(rng.randint(0, 4) for _ in range(n - 1)) for _ in range(2)]
         for shift in shifts:
             assert signed_orbit_terms(n, shift) == _reference_orbit_terms(n, shift)
-    # rank 7, and shifts that are not dominant: permutations act on
+    # ranks 7 and 8, and shifts that are not dominant: permutations act on
     # positions, so the orbit sum does not rely on a sorted base vector
-    shifts = [(7, (0,) * 6), (7, (2, 0, 1, 3, 0, 1)), (5, (2, -3, 0, 1)), (4, (-1, 2, -2))]
+    shifts = [
+        (7, (0,) * 6), (7, (2, 0, 1, 3, 0, 1)), (8, (0,) * 7), (8, (1, 0, 3, 2, 1, 0, 3)),
+        (5, (2, -3, 0, 1)), (4, (-1, 2, -2)),
+    ]
     for n, shift in shifts:
         assert signed_orbit_terms(n, shift) == _reference_orbit_terms(n, shift)
 
@@ -234,8 +238,9 @@ def test_band_below_the_mean_entry_is_empty():
 
 
 def test_orbit_walk_at_rank_eight_holds_under_two_megabytes():
-    # the halves, their entries and the join's counts are dropped once
-    # they are used: the walk peaks near the size of its answer, not at twice it
+    # the halves are dropped once joined, and each joined key is popped as
+    # its term is built: the walk peaks near the size of its answer, not at
+    # twice it
     tracemalloc.start()
     try:
         terms = signed_orbit_terms(8)
@@ -244,6 +249,18 @@ def test_orbit_walk_at_rank_eight_holds_under_two_megabytes():
         tracemalloc.stop()
     assert len(terms) == 4782
     assert peak <= 2_000_000
+
+
+def test_orbit_walk_at_a_generic_rank_eight_shift_holds_under_eight_megabytes():
+    # the heaviest walk within the rank bound: 25 entry values, 28,853 terms
+    tracemalloc.start()
+    try:
+        terms = signed_orbit_terms(8, (1, 0, 3, 2, 1, 0, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 28853
+    assert peak <= 8_000_000
 
 
 def test_orbit_command_at_rank_eight_holds_under_two_megabytes():
