@@ -11,12 +11,13 @@ packed moment vector into the whole character.  Under ``MAX_TERMS``, the
 product pass is refused by the entries it would hold, brute force by the
 monomials it would visit.  Irreducible weight multiplicities are Kostka
 numbers, counts of semistandard tableaux by content, which permuting the
-content leaves unchanged: they are counted at ascending contents, down to
-a two-row base case where each is 1.  Stripping walks the partitions of
-the dominant weights in decreasing lexicographic order, which extends
-dominance, extracts highest weights greedily, and subtracts each module's
-counts where they stand.  The binary case is a bounded-partition
-difference.
+content leaves unchanged: they are counted at ascending contents, by
+Gelfand--Tsetlin branching down to three rows, whose patterns are counted
+in closed form (two rows for binary forms, where each count is 1).
+Stripping walks the partitions of the dominant weights in decreasing
+lexicographic order, which extends dominance, extracts highest weights
+greedily, and subtracts each module's counts where they stand.  The
+binary case is a bounded-partition difference.
 
 Every key is a vector packed into one ``int`` by :func:`_pack`, entry
 ``j`` in the ``width``-bit field at bit ``j * width``: a moment vector, a
@@ -251,19 +252,46 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     last entry, its top field, is at most the strip; and ``nu`` is skipped
     before it is recursed into when ``shape`` holds more than
     ``len(shape)`` times the strip, since no count of an ascending content
-    exceeds its last.  Two rows ``(a, b)`` are the base case: every
+    exceeds its last.  Three rows ``(a, b, c)`` are counted in closed form,
+    and the recursion stops there: a tableau is a pattern of rows
+    ``(a, b, c)``, ``(nu1, nu2)`` and ``(mu1)``, each interlacing the one
+    above, of content ``(mu1, t - mu1, T - t)``, where ``T = a + b + c``
+    and ``t = nu1 + nu2``, so its Kostka number counts the ``nu2`` in
+    ``[max(c, t - a), min(b, t - b, mu1)]`` (then ``nu1 = t - nu2``
+    interlaces, and ``mu1 <= t - mu1`` gives ``mu1 <= nu1``).  Only a
+    count ``m3`` of letter 3 in ``[max(c, ceil(T / 3)), a]`` ends an
+    ascending content, and each ``m3`` bounds ``nu2`` once, so only the
+    nonzero counts are visited.  Two rows
+    ``(a, b)``, reached only by binary forms, are counted directly: every
     ascending content ``(p, a + b - p)`` with ``p >= b`` fills them in
     exactly one way (the ``p`` ones start the first row, the second row is
-    all twos), and no other fills them at all.  Modules share sub-shapes,
-    hence the memo.
+    all twos), and no other fills them at all.  Shapes of four rows or more
+    recurse, and read their three-row inner shapes through the memo;
+    modules share sub-shapes, hence the memo.
     """
     rows = len(shape)
     if rows == 2:
         a, b = shape
         return {p + ((a + b - p) << width): 1 for p in range(b, (a + b) // 2 + 1)}
     total = sum(shape)
-    last, top = (rows - 2) * width, (rows - 1) * width
     out: dict[int, int] = {}
+    if rows == 3:
+        a, b, c = shape
+        step = (1 << width) - 1
+        for m3 in range(max(c, -(-total // 3)), a + 1):
+            t = total - m3
+            lo = t - a if t - a > c else c
+            hi = t - b if t - b < b else b
+            if hi < lo:
+                continue
+            # m1 <= m2 <= m3, and m1 >= lo for a count of at least 1
+            first = t - m3 if t - m3 > lo else lo
+            # the content (0, t, m3), less m1 * step: m1 moved to field 0
+            key = (m3 << (2 * width)) + (t << width)
+            for m1 in range(first, t // 2 + 1):
+                out[key - m1 * step] = (m1 if m1 < hi else hi) - lo + 1
+        return out
+    last, top = (rows - 2) * width, (rows - 1) * width
     for nu in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:]))):
         strip = total - sum(nu)
         if total > rows * strip:

@@ -109,6 +109,23 @@ def module_table(top: tuple[int, ...], width: int) -> dict[int, int]:
     return {mu - (mu & mask) * ones: c for mu, c in _tableau_contents(top, width).items()}
 
 
+def gelfand_tsetlin_contents(shape: tuple[int, int, int]) -> dict[tuple[int, int, int], int]:
+    """Semistandard tableaux of a three-row ``shape``, counted by content
+    (the counts of letters 1, 2 and 3, in any order): one Gelfand--Tsetlin
+    pattern of rows ``shape``, ``(nu1, nu2)`` and ``(z)``, each interlacing
+    the one above, per tableau, with content
+    ``(z, nu1 + nu2 - z, |shape| - nu1 - nu2)``.  Each entry of the pattern
+    is looped over on its own."""
+    a, b, c = shape
+    out: dict[tuple[int, int, int], int] = {}
+    for nu1 in range(b, a + 1):
+        for nu2 in range(c, b + 1):
+            for z in range(nu2, nu1 + 1):
+                content = (z, nu1 + nu2 - z, a + b + c - nu1 - nu2)
+                out[content] = out.get(content, 0) + 1
+    return out
+
+
 def kostka_number(n: int, highest, weight) -> int:
     """Multiplicity of ``weight`` in the irreducible module with the given
     dominant highest weight: the Kostka number of the module's partition at

@@ -15,8 +15,12 @@ import pytest
 
 import naryinv.cli as cli_mod
 import naryinv.dimensions as dimensions_mod
+import naryinv.oracles as oracles_mod
+import naryinv.series as series_mod
 import naryinv.weights as weights_mod
 import test_cli
+import test_oracles
+import test_series
 import test_weights
 from naryinv.cli import main
 from naryinv.weights import signed_orbit_terms
@@ -66,26 +70,87 @@ def _last_term_dropped(monkeypatch):
     monkeypatch.setattr(dimensions_mod, "signed_orbit_terms", terms)
 
 
+def _three_row_tables(change):
+    """A fault that passes every three-row Kostka table, wherever it is
+    read, through ``change``; the recursion reads its inner shapes through
+    the module attribute, so four rows and more see the changed tables."""
+
+    def plant(monkeypatch):
+        contents = oracles_mod._tableau_contents
+
+        def changed(shape, width):
+            table = contents(shape, width)
+            return change(table) if len(shape) == 3 else table
+
+        monkeypatch.setattr(oracles_mod, "_tableau_contents", changed)
+
+    return plant
+
+
+def _indices_in_reverse_order(monkeypatch):
+    multiply = series_mod._multiply
+
+    def reverse(indices, *rest):
+        return multiply(indices[::-1], *rest)
+
+    monkeypatch.setattr(series_mod, "_multiply", reverse)
+
+
 class Fault(NamedTuple):
     plant: Callable[[pytest.MonkeyPatch], None]
-    check: Callable[[], None]
-    shows: str  # a pattern of the message the check fails with
+    # each check that must fail, with a pattern of the message it fails with
+    checks: dict[Callable[[], None], str]
 
+
+# a wrong three-row table shows at the first three-row top compared cell by
+# cell, and in `check` at stripping's guard, an internal error (exit 5)
+THREE_ROW_CHECKS = {
+    test_oracles.test_tableau_contents_match_tableaux_filled_cell_by_cell: re.escape("(0, 0, 0)"),
+    check_exits_zero: "check exits 5",
+}
 
 FAULTS = {
     # the walk differs from the permutation reference's terms at n = 2
     "forward half signed as the backward one": Fault(
-        _forward_walk_signed_as_backward, test_weights.test_orbit_terms_match_reference,
-        re.escape("== [((0,), 1), ((2,), -1)]"),
+        _forward_walk_signed_as_backward,
+        {test_weights.test_orbit_terms_match_reference: re.escape("== [((0,), 1), ((2,), -1)]")},
     ),
-    "band one entry too tight": Fault(_band_one_too_tight, check_exits_zero, "check exits 4"),
+    "band one entry too tight": Fault(_band_one_too_tight, {check_exits_zero: "check exits 4"}),
     # the failed comparison shows the pinned digest of ``orbit 8``
-    "terms in reverse order": Fault(_terms_in_reverse_order, pinned_orbit_digests, "253124c12f4f"),
-    "last term dropped": Fault(_last_term_dropped, check_exits_zero, "check exits 4"),
+    "terms in reverse order": Fault(
+        _terms_in_reverse_order, {pinned_orbit_digests: "253124c12f4f"}
+    ),
+    "last term dropped": Fault(_last_term_dropped, {check_exits_zero: "check exits 4"}),
+    "three-row tables lose their last entry": Fault(
+        _three_row_tables(lambda table: dict(list(table.items())[:-1])),
+        THREE_ROW_CHECKS,
+    ),
+    "three-row counts one too high": Fault(
+        _three_row_tables(lambda table: {mu: c + 1 for mu, c in table.items()}),
+        THREE_ROW_CHECKS,
+    ),
+    # n = 2, d = 1, degree bound 1, uncapped: the first case with two indices
+    "indices multiplied in reverse order": Fault(
+        _indices_in_reverse_order,
+        {test_series.test_the_zero_index_is_multiplied_in_first: re.escape("(2, 1, 1, None)")},
+    ),
 }
 
 
-@pytest.mark.parametrize("check", sorted({f.check for f in FAULTS.values()}, key=lambda c: c.__name__))
+@pytest.fixture(autouse=True)
+def empty_kostka_memo():
+    """No Kostka table built under a fault is left in the memo, and none
+    built before one is read under it."""
+    contents = oracles_mod._tableau_contents
+    contents.cache_clear()
+    yield
+    contents.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "check",
+    sorted({c for fault in FAULTS.values() for c in fault.checks}, key=lambda c: c.__name__),
+)
 def test_the_unpatched_package_passes_every_check(check):
     check()
 
@@ -94,5 +159,6 @@ def test_the_unpatched_package_passes_every_check(check):
 def test_every_planted_fault_fails_its_check(name, monkeypatch):
     fault = FAULTS[name]
     fault.plant(monkeypatch)
-    with pytest.raises(AssertionError, match=fault.shows):
-        fault.check()
+    for check, shows in fault.checks.items():
+        with pytest.raises(AssertionError, match=shows):
+            check()

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -157,6 +158,38 @@ def _packed(n, d, bound, caps, places, width):
             layer |= count << (sum(map(int.__mul__, m, places)) * width)
         layers.append(layer)
     return tuple(layers)
+
+
+# the code of `_multiply` itself: a call to it is seen in its own frame,
+# so whatever a wrapper round it passes on is what is read
+_MULTIPLY_CODE = series_mod._multiply.__code__
+
+
+def _first_indices(n, d, bound, caps):
+    """The first of the indices each `_multiply` call gets while
+    ``expand_generating_series(n, d, bound, caps=caps)`` runs."""
+    firsts = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _MULTIPLY_CODE:
+            firsts.append(frame.f_locals["indices"][0])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        expand_generating_series(n, d, bound, caps=caps)
+    finally:
+        sys.setprofile(previous)
+    return firsts
+
+
+def test_the_zero_index_is_multiplied_in_first():
+    # the module docstring's guard argument: the zero moment vector, at
+    # cell 0, goes in before any other index, under full and clipped caps
+    for n, d, bound in itertools.product(range(2, 6), range(1, 5), range(4)):
+        for caps in (None, (d * bound // 2,) * (n - 1), tuple(range(n - 1))):
+            firsts = _first_indices(n, d, bound, caps)
+            assert firsts and set(firsts) == {((0,) * (n - 1), 0)}, (n, d, bound, caps)
 
 
 def test_a_start_width_too_small_restarts_once_at_the_bits_of_top(monkeypatch):
