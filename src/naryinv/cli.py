@@ -180,26 +180,28 @@ def cmd_point(args, out) -> int:
 
 
 def cmd_orbit(args, out) -> int:
-    """The signed orbit terms, one line per term in plain and csv and one
-    record in json, each term through one template for the rank."""
+    """The signed orbit terms.
+
+    plain: one line ``(w1,...,w_{n-1}) +c`` per term, through one template
+    for the rank; json: one ``json.dumps`` of the record ``{"n", "shift",
+    "terms": [{"weight", "coefficient"}]}``; csv: ``csv.writer`` rows under
+    the header ``weight,coefficient``.
+    """
     n, shift = args.n, None
     if args.highest is not None:
         shift = check_dominant(n, parse_weight(args.highest, n, "--lambda"))
     terms = signed_orbit_terms(n, shift=shift)
-    fields = ",".join(["%d"] * (n - 1))
     if args.format == "json":
-        # json.dumps' text, with its default separators
-        shown = "null" if shift is None else f"[{', '.join(map(str, shift))}]"
-        head, tail, joint = f'{{"n": {n}, "shift": {shown}, "terms": [', "]}\n", ", "
-        line = f'{{"weight": [{fields.replace(",", ", ")}], "coefficient": %d}}'
+        shown = None if shift is None else list(shift)
+        rows = [{"weight": list(weight), "coefficient": coef} for weight, coef in terms]
+        out.write(json.dumps({"n": n, "shift": shown, "terms": rows}) + "\n")
     elif args.format == "csv":
-        # csv.writer's text: a weight of more than one entry holds the delimiter
-        head, tail, joint = "weight,coefficient\r\n", "", ""
-        line = (f'"{fields}"' if n > 2 else fields) + ",%d\r\n"
+        writer = csv.writer(out)
+        writer.writerow(["weight", "coefficient"])
+        writer.writerows([_weight_str(weight), coef] for weight, coef in terms)
     else:
-        head, tail, joint = "", "", ""
-        line = f"({fields}) %+d\n"
-    out.write(head + joint.join([line % (*weight, coef) for weight, coef in terms]) + tail)
+        line = f"({','.join(['%d'] * (n - 1))}) %+d\n"
+        out.write("".join([line % (*weight, coef) for weight, coef in terms]))
     return EXIT_OK
 
 

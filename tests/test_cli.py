@@ -465,8 +465,8 @@ def test_orbit_with_shift_and_csv():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orbit_csv_and_json_match_the_stdlib_writers(n):
-    # the line templates must give the bytes that csv.writer and json.dumps
-    # give for the same terms
+    # orbit's csv and json are the bytes that csv.writer and json.dumps give
+    # for the library's terms, at the zero shift and at a random one
     from naryinv.weights import signed_orbit_terms
 
     rng = random.Random(n)
@@ -486,6 +486,31 @@ def test_orbit_csv_and_json_match_the_stdlib_writers(n):
             "terms": [{"weight": list(w), "coefficient": c} for w, c in terms],
         }
         assert run_cli(*argv, "--format", "json") == (0, json.dumps(record) + "\n"), argv
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_orbit_writes_json_and_csv_through_the_stdlib_writers(monkeypatch, n):
+    # orbit encodes neither format itself: json is one json.dumps and csv
+    # one csv.writer, as for every other command, and the bytes are those
+    # written without the wrappers
+    expected = {fmt: run_cli("orbit", str(n), "--format", fmt) for fmt in ("json", "csv")}
+    calls = []
+
+    def wrap(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    wrap(json, "dumps")
+    wrap(csv, "writer")
+    for fmt, name in (("json", "dumps"), ("csv", "writer")):
+        calls.clear()
+        assert run_cli("orbit", str(n), "--format", fmt) == expected[fmt]
+        assert calls == [name], fmt
 
 
 def test_orbit_json():

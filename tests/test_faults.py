@@ -2,11 +2,13 @@
 
 Every row of ``FAULTS`` plants one fault with ``monkeypatch`` and names the
 check that must fail under it.  A check is a function that raises
-``AssertionError`` when it finds something wrong; the unpatched package
-passes every one.  A fault that its check lets through is a check that
-does not bite.
+``AssertionError`` when it finds something wrong; it may ask for pytest's
+``monkeypatch`` and ``capsys`` by name, as a test does.  The unpatched
+package passes every one.  A fault that its check lets through is a check
+that does not bite.
 """
 
+import inspect
 import io
 import re
 from typing import Callable, NamedTuple
@@ -14,6 +16,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 import naryinv.cli as cli_mod
+import naryinv.counting as counting_mod
 import naryinv.dimensions as dimensions_mod
 import naryinv.oracles as oracles_mod
 import naryinv.series as series_mod
@@ -96,10 +99,92 @@ def _indices_in_reverse_order(monkeypatch):
     monkeypatch.setattr(series_mod, "_multiply", reverse)
 
 
+def _read_bound_one_short(monkeypatch):
+    coefficient = series_mod.TruncatedSeries.coefficient
+
+    def read(self, k, moments):
+        m = tuple(moments)
+        count = coefficient(self, k, m)
+        return 0 if max(m) == self.d * k else count
+
+    monkeypatch.setattr(series_mod.TruncatedSeries, "coefficient", read)
+
+
+def _zero_target_refused(monkeypatch):
+    targets = counting_mod._targets
+
+    def feasible(n, kd, term):
+        found = targets(n, kd, term)
+        return None if found is not None and min(found) == 0 else found
+
+    monkeypatch.setattr(counting_mod, "_targets", feasible)
+
+
+def _caps_one_short(monkeypatch):
+    caps = counting_mod._caps
+
+    def short(reads):
+        first, *rest = caps(reads)
+        return (first - 1, *rest)
+
+    monkeypatch.setattr(counting_mod, "_caps", short)
+
+
+def _start_width_two_bits_narrow(monkeypatch):
+    start = series_mod._start_width
+    monkeypatch.setattr(series_mod, "_start_width", lambda top, span: start(top, span) - 2)
+
+
+def _no_guard_test(monkeypatch):
+    multiply = series_mod._multiply
+    monkeypatch.setattr(series_mod, "_multiply", lambda *args: multiply(*args[:-1], 0))
+
+
+def _one_guard_bit_too_few(monkeypatch):
+    """The guard count feeds the field width, as the bits added to the
+    start width, and the alarm, as the top bits of each field: the width
+    loses one bit, and the alarm the lowest guard bit of each field."""
+    start, multiply = series_mod._start_width, series_mod._multiply
+    monkeypatch.setattr(series_mod, "_start_width", lambda top, span: start(top, span) - 1)
+    monkeypatch.setattr(
+        series_mod, "_multiply", lambda *args: multiply(*args[:-1], args[-1] & args[-1] << 1)
+    )
+
+
+def _fallback_width_one_bit_short(monkeypatch):
+    """The fallback width, the bits of the top-degree monomials, feeds the
+    unguarded ``_multiply`` and the series built from its layers: both get
+    one bit less.  The test that picks the fallback keeps its bound."""
+    multiply, build = series_mod._multiply, series_mod.TruncatedSeries
+    short = []
+
+    def narrow(indices, caps, places, bound, width, alarm):
+        short.append(0 if alarm else 1)
+        return multiply(indices, caps, places, bound, width - short[-1], alarm)
+
+    def series(n, d, bound, caps, places, width, layers):
+        return build(n, d, bound, caps, places, width - short[-1], layers)
+
+    monkeypatch.setattr(series_mod, "_multiply", narrow)
+    monkeypatch.setattr(series_mod, "TruncatedSeries", series)
+
+
+def _size_one_cell_short(monkeypatch):
+    """An estimate one cell short is refused only past one cell more, in
+    both modules that size an expansion."""
+    size = series_mod.check_expansion_size
+
+    def short(d, degree_bound, caps, max_terms):
+        size(d, degree_bound, caps, max_terms + 1)
+
+    monkeypatch.setattr(series_mod, "check_expansion_size", short)
+    monkeypatch.setattr(counting_mod, "check_expansion_size", short)
+
+
 class Fault(NamedTuple):
     plant: Callable[[pytest.MonkeyPatch], None]
     # each check that must fail, with a pattern of the message it fails with
-    checks: dict[Callable[[], None], str]
+    checks: dict[Callable[..., None], str]
 
 
 # a wrong three-row table shows at the first three-row top compared cell by
@@ -108,6 +193,11 @@ THREE_ROW_CHECKS = {
     test_oracles.test_tableau_contents_match_tableaux_filled_cell_by_cell: re.escape("(0, 0, 0)"),
     check_exits_zero: "check exits 5",
 }
+
+# the engine's field widths, pinned exactly, and its one restart when a
+# start width is too narrow
+GUARDED_WIDTHS = test_series.test_fields_hold_every_count_below_clear_guard_bits
+RESTARTS_ONCE = test_series.test_a_start_width_too_small_restarts_once_at_the_bits_of_top
 
 FAULTS = {
     # the walk differs from the permutation reference's terms at n = 2
@@ -134,6 +224,37 @@ FAULTS = {
         _indices_in_reverse_order,
         {test_series.test_the_zero_index_is_multiplied_in_first: re.escape("(2, 1, 1, None)")},
     ),
+    # the zero weight reads its targets (0, 0, 0) at degree 0 as 0
+    "read bound one short": Fault(_read_bound_one_short, {check_exits_zero: "check exits 4"}),
+    # the same read, refused as infeasible
+    "a zero target refused": Fault(_zero_target_refused, {check_exits_zero: "check exits 4"}),
+    # a read past the caps raises TruncationError, a ValueError (exit 2)
+    "caps one short": Fault(_caps_one_short, {check_exits_zero: "check exits 2"}),
+    # the guard trips, and the expansion restarts at the 13 bits of top
+    # where 10 bits are pinned
+    "start width two bits too narrow": Fault(
+        _start_width_two_bits_narrow, {GUARDED_WIDTHS: re.escape("(3, 3, 6, None)")}
+    ),
+    # the narrow pass that the restart test forces, 1 bit below the guard,
+    # runs to its end: one pass where two are pinned
+    "no guard test": Fault(_no_guard_test, {RESTARTS_ONCE: re.escape("(3, 2, 8, None)")}),
+    # 9 bits where 10 are pinned
+    "one guard bit too few": Fault(
+        _one_guard_bit_too_few, {GUARDED_WIDTHS: re.escape("(3, 3, 6, None)")}
+    ),
+    # 7 bits where 8 are pinned, and 0 bits for the one monomial of degree 0
+    "fallback width one bit short": Fault(
+        _fallback_width_one_bit_short,
+        {
+            GUARDED_WIDTHS: re.escape("(2, 2, 15, None)"),
+            test_cli.test_reach_octonary_form_of_degree_30_at_degree_0: re.escape("(0, '0\\n')"),
+        },
+    ),
+    # `series 3 3 12` spans 1,911 cells, and a limit of 1,910 passes
+    "size estimate one cell short": Fault(
+        _size_one_cell_short,
+        {test_cli.test_capped_reads_under_a_small_term_limit: re.escape("(0, '2\\n') == (3, '')")},
+    ),
 }
 
 
@@ -147,18 +268,27 @@ def empty_kostka_memo():
     contents.cache_clear()
 
 
+def _run(check, capsys):
+    """Run ``check`` on what it asks for: a ``monkeypatch`` of its own,
+    undone when it returns, and ``capsys``, emptied first."""
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch:
+        fixtures = {"monkeypatch": patch, "capsys": capsys}
+        check(**{name: fixtures[name] for name in inspect.signature(check).parameters})
+
+
 @pytest.mark.parametrize(
     "check",
     sorted({c for fault in FAULTS.values() for c in fault.checks}, key=lambda c: c.__name__),
 )
-def test_the_unpatched_package_passes_every_check(check):
-    check()
+def test_the_unpatched_package_passes_every_check(check, capsys):
+    _run(check, capsys)
 
 
 @pytest.mark.parametrize("name", FAULTS)
-def test_every_planted_fault_fails_its_check(name, monkeypatch):
+def test_every_planted_fault_fails_its_check(name, monkeypatch, capsys):
     fault = FAULTS[name]
     fault.plant(monkeypatch)
     for check, shows in fault.checks.items():
         with pytest.raises(AssertionError, match=shows):
-            check()
+            _run(check, capsys)
