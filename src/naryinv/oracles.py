@@ -261,7 +261,11 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     interlaces, and ``mu1 <= t - mu1`` gives ``mu1 <= nu1``).  Only a
     count ``m3`` of letter 3 in ``[max(c, ceil(T / 3)), a]`` ends an
     ascending content, and each ``m3`` bounds ``nu2`` once, so only the
-    nonzero counts are visited.  Two rows
+    nonzero counts are visited.  No such ``m3`` leaves the range of ``nu2``
+    empty: ``t = T - m3`` lies in ``[b + c, a + b]``, so with ``c <= b <= a``
+    the bounds ``lo = max(c, t - a)`` and ``hi = min(b, t - b)`` (the range
+    before ``mu1`` caps it) keep ``lo <= hi``: each of ``c`` and ``t - a``
+    is at most each of ``b`` and ``t - b``.  Two rows
     ``(a, b)``, reached only by binary forms, are counted directly: every
     ascending content ``(p, a + b - p)`` with ``p >= b`` fills them in
     exactly one way (the ``p`` ones start the first row, the second row is
@@ -282,8 +286,6 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
             t = total - m3
             lo = t - a if t - a > c else c
             hi = t - b if t - b < b else b
-            if hi < lo:
-                continue
             # m1 <= m2 <= m3, and m1 >= lo for a count of at least 1
             first = t - m3 if t - m3 > lo else lo
             # the content (0, t, m3), less m1 * step: m1 moved to field 0

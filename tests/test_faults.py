@@ -8,6 +8,7 @@ package passes every one.  A fault that its check lets through is a check
 that does not bite.
 """
 
+import functools
 import inspect
 import io
 import re
@@ -23,6 +24,7 @@ import naryinv.series as series_mod
 import naryinv.weights as weights_mod
 import test_cli
 import test_oracles
+import test_plethysm
 import test_series
 import test_weights
 from naryinv.cli import main
@@ -90,6 +92,37 @@ def _three_row_tables(change):
     return plant
 
 
+def _width_blind_memo(monkeypatch):
+    """The Kostka memo keyed by shape alone: the table first built for a
+    shape is served, as a fresh dict, at every width."""
+    build, first = oracles_mod._tableau_contents.__wrapped__, {}
+
+    @functools.lru_cache(maxsize=4096)
+    def contents(shape, width):
+        if shape not in first:
+            first[shape] = build(shape, width)
+        return dict(first[shape])
+
+    monkeypatch.setattr(oracles_mod, "_tableau_contents", contents)
+
+
+def _partitions_one_field_short(monkeypatch):
+    """Every packed partition that stripping reads, from the product pass
+    and from a weight-keyed table, spread and masked one field short: its
+    first part, the top field, is dropped."""
+    partitions = oracles_mod._partitions
+    monkeypatch.setattr(
+        oracles_mod, "_partitions", lambda weights, n, width: partitions(weights, n - 1, width)
+    )
+
+
+def _shift_read_backwards(monkeypatch):
+    """The walk's ``base`` built from the shift's ambient vector with the
+    shift's components in reverse order: the same at the zero shift."""
+    ambient = weights_mod.to_ambient
+    monkeypatch.setattr(weights_mod, "to_ambient", lambda weight: ambient(tuple(weight)[::-1]))
+
+
 def _indices_in_reverse_order(monkeypatch):
     multiply = series_mod._multiply
 
@@ -140,6 +173,13 @@ def _no_guard_test(monkeypatch):
     monkeypatch.setattr(series_mod, "_multiply", lambda *args: multiply(*args[:-1], 0))
 
 
+def _narrow_start_unguarded(monkeypatch):
+    """A start forced to 2 bits below the guard bits, with no guard test:
+    the narrow pass runs to its end, and a count past its field carries."""
+    _no_guard_test(monkeypatch)
+    monkeypatch.setattr(series_mod, "_start_width", lambda top, span: 2)
+
+
 def _one_guard_bit_too_few(monkeypatch):
     """The guard count feeds the field width, as the bits added to the
     start width, and the alarm, as the top bits of each field: the width
@@ -185,6 +225,12 @@ class Fault(NamedTuple):
     plant: Callable[[pytest.MonkeyPatch], None]
     # each check that must fail, with a pattern of the message it fails with
     checks: dict[Callable[..., None], str]
+
+
+def classical_plethysms_at_rank_three():
+    """Both classical plethysm rules, at every highest weight of rank 3
+    they cover: they share no code with the package."""
+    test_plethysm.test_classical_plethysms(3)
 
 
 # a wrong three-row table shows at the first three-row top compared cell by
@@ -250,10 +296,38 @@ FAULTS = {
             test_cli.test_reach_octonary_form_of_degree_30_at_degree_0: re.escape("(0, '0\\n')"),
         },
     ),
+    # the one expansion `check 4 3 --kmax 5` makes, degree 4 capped at
+    # (5, 4, 3), gets 5-bit fields where it starts at 13 unforced: 51 of
+    # its counts are wrong, and Theorem 1 reads 32 at degree 4 where
+    # stripping reads 0
+    "a narrow start with no guard test": Fault(
+        _narrow_start_unguarded, {check_exits_zero: "check exits 4"}
+    ),
     # `series 3 3 12` spans 1,911 cells, and a limit of 1,910 passes
     "size estimate one cell short": Fault(
         _size_one_cell_short,
         {test_cli.test_capped_reads_under_a_small_term_limit: re.escape("(0, '2\\n') == (3, '')")},
+    ),
+    # (1, 0), the first top whose table holds a nonzero key, unpacks at
+    # 10 bits the key its table packed at 1 bit
+    "a width-blind Kostka memo": Fault(
+        _width_blind_memo,
+        {test_oracles.test_tableau_contents_agree_across_widths: re.escape("(1, 0)")},
+    ),
+    # stripping's leftover guard, an internal error (exit 5), finds a count
+    # left at a partition it never reads
+    "partitions one field short": Fault(
+        _partitions_one_field_short, {check_exits_zero: "check exits 5"}
+    ),
+    # the zero shift reads the same backwards, so `check` cannot see it; the
+    # walk at the shift (3, 0) of n = 3 lists the terms of (0, 3), and the
+    # multiplicity of V_(2, 0) in S^1(S^2 C^3) = S^2 C^3 reads 0
+    "the shift read backwards": Fault(
+        _shift_read_backwards,
+        {
+            test_weights.test_orbit_terms_match_reference: re.escape("!= ((3, 0), 1)"),
+            classical_plethysms_at_rank_three: re.escape("item: (2, 1, (2, 0, 0), 1, 0)"),
+        },
     ),
 }
 
