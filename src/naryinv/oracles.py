@@ -12,8 +12,9 @@ product pass is refused by the entries it would hold, brute force by the
 monomials it would visit.  Irreducible weight multiplicities are Kostka
 numbers, counts of semistandard tableaux by content, which permuting the
 content leaves unchanged: they are counted at ascending contents, by
-Gelfand--Tsetlin branching down to three rows, whose patterns are counted
-in closed form (two rows for binary forms, where each count is 1).
+Gelfand--Tsetlin branching down to four rows, whose patterns are counted
+by one sum over their second row of a closed form for three rows (two rows
+for binary forms, where each count is 1).
 Stripping walks the partitions of the dominant weights in decreasing
 lexicographic order, which extends dominance, extracts highest weights
 greedily, and subtracts each module's counts where they stand.  The
@@ -252,11 +253,11 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     last entry, its top field, is at most the strip; and ``nu`` is skipped
     before it is recursed into when ``shape`` holds more than
     ``len(shape)`` times the strip, since no count of an ascending content
-    exceeds its last.  Three rows ``(a, b, c)`` are counted in closed form,
-    and the recursion stops there: a tableau is a pattern of rows
-    ``(a, b, c)``, ``(nu1, nu2)`` and ``(mu1)``, each interlacing the one
-    above, of content ``(mu1, t - mu1, T - t)``, where ``T = a + b + c``
-    and ``t = nu1 + nu2``, so its Kostka number counts the ``nu2`` in
+    exceeds its last.  Three rows ``(a, b, c)`` are counted in closed
+    form: a tableau is a pattern of rows ``(a, b, c)``, ``(nu1, nu2)`` and
+    ``(mu1)``, each interlacing the one above, of content
+    ``(mu1, t - mu1, T - t)``, where ``T = a + b + c`` and
+    ``t = nu1 + nu2``, so its Kostka number counts the ``nu2`` in
     ``[max(c, t - a), min(b, t - b, mu1)]`` (then ``nu1 = t - nu2``
     interlaces, and ``mu1 <= t - mu1`` gives ``mu1 <= nu1``).  Only a
     count ``m3`` of letter 3 in ``[max(c, ceil(T / 3)), a]`` ends an
@@ -265,13 +266,24 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     empty: ``t = T - m3`` lies in ``[b + c, a + b]``, so with ``c <= b <= a``
     the bounds ``lo = max(c, t - a)`` and ``hi = min(b, t - b)`` (the range
     before ``mu1`` caps it) keep ``lo <= hi``: each of ``c`` and ``t - a``
-    is at most each of ``b`` and ``t - b``.  Two rows
-    ``(a, b)``, reached only by binary forms, are counted directly: every
-    ascending content ``(p, a + b - p)`` with ``p >= b`` fills them in
-    exactly one way (the ``p`` ones start the first row, the second row is
-    all twos), and no other fills them at all.  Shapes of four rows or more
-    recurse, and read their three-row inner shapes through the memo;
-    modules share sub-shapes, hence the memo.
+    is at most each of ``b`` and ``t - b``.  Four rows ``(a, b, c, e)``
+    are counted by one sum of that closed form, with no inner table: for
+    each interlacing ``nu = (nu1, nu2, nu3)`` whose strip
+    ``s = T - |nu|`` is at least ``ceil(T / 4)`` (which caps ``nu3``), and
+    each ``m3`` in ``[max(nu3, ceil(|nu| / 3)), min(nu1, s)]``, the count
+    of ``nu`` at ``(m1, t - m1, m3)``, ``t = |nu| - m3``, is added at the
+    content ``(m1, t - m1, m3, s)``; the cap ``m3 <= s`` keeps the content
+    ascending, and ``nu``'s bounds ``lo``, ``hi`` and ``first`` are those
+    of three rows.  They are written out in the sum rather than shared
+    with the three-row branch: a helper shared by both ran the n = 3
+    queries, whose tops have three rows, 1.04-1.10x slower, and the
+    four-row queries gained less.  Two rows ``(a, b)``, reached only by
+    binary forms, are counted directly: every ascending content
+    ``(p, a + b - p)`` with ``p >= b`` fills them in exactly one way (the
+    ``p`` ones start the first row, the second row is all twos), and no
+    other fills them at all.  Shapes of five rows or more recurse, down to
+    four, and read their inner shapes through the memo; modules share
+    sub-shapes, hence the memo.
     """
     rows = len(shape)
     if rows == 2:
@@ -292,6 +304,30 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
             key = (m3 << (2 * width)) + (t << width)
             for m1 in range(first, t // 2 + 1):
                 out[key - m1 * step] = (m1 if m1 < hi else hi) - lo + 1
+        return out
+    if rows == 4:
+        a, b, c, e = shape
+        step, third, fourth = (1 << width) - 1, 2 * width, 3 * width
+        # the largest |nu| whose strip is at least ceil(T / 4)
+        most = total + (-total // 4)
+        for nu1 in range(b, a + 1):
+            for nu2 in range(c, b + 1):
+                top = most - nu1 - nu2
+                for nu3 in range(e, (c if c < top else top) + 1):
+                    size = nu1 + nu2 + nu3
+                    strip = total - size
+                    added = strip << fourth
+                    # the three-row closed form of nu, its m3 capped at the strip
+                    low = -(-size // 3)
+                    for m3 in range(nu3 if nu3 > low else low, (nu1 if nu1 < strip else strip) + 1):
+                        t = size - m3
+                        lo = t - nu1 if t - nu1 > nu3 else nu3
+                        hi = t - nu2 if t - nu2 < nu2 else nu2
+                        first = t - m3 if t - m3 > lo else lo
+                        key = added + (m3 << third) + (t << width)
+                        for m1 in range(first, t // 2 + 1):
+                            at = key - m1 * step
+                            out[at] = out.get(at, 0) + (m1 if m1 < hi else hi) - lo + 1
         return out
     last, top = (rows - 2) * width, (rows - 1) * width
     for nu in itertools.product(*(range(b, a + 1) for a, b in zip(shape, shape[1:]))):

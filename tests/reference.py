@@ -109,20 +109,31 @@ def module_table(top: tuple[int, ...], width: int) -> dict[int, int]:
     return {mu - (mu & mask) * ones: c for mu, c in _tableau_contents(top, width).items()}
 
 
-def gelfand_tsetlin_contents(shape: tuple[int, int, int]) -> dict[tuple[int, int, int], int]:
-    """Semistandard tableaux of a three-row ``shape``, counted by content
-    (the counts of letters 1, 2 and 3, in any order): one Gelfand--Tsetlin
-    pattern of rows ``shape``, ``(nu1, nu2)`` and ``(z)``, each interlacing
-    the one above, per tableau, with content
-    ``(z, nu1 + nu2 - z, |shape| - nu1 - nu2)``.  Each entry of the pattern
-    is looped over on its own."""
-    a, b, c = shape
-    out: dict[tuple[int, int, int], int] = {}
-    for nu1 in range(b, a + 1):
-        for nu2 in range(c, b + 1):
-            for z in range(nu2, nu1 + 1):
-                content = (z, nu1 + nu2 - z, a + b + c - nu1 - nu2)
-                out[content] = out.get(content, 0) + 1
+def gelfand_tsetlin_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Semistandard tableaux of ``shape``, one row per letter, counted by
+    content (the count of each letter, in any order): one Gelfand--Tsetlin
+    pattern per tableau, whose top row is ``shape`` and whose every row
+    below has one entry fewer and interlaces the one above
+    (``above[j + 1] <= below[j] <= above[j]``).  The entries equal to the
+    largest letter of a row's tableau fill the strip between that row and
+    the next, so the count of letter ``r`` is the sum of row ``r`` (from
+    the bottom, which has one entry) less the sum of row ``r - 1``.  Each
+    entry of the pattern is looped over on its own."""
+    out: dict[tuple[int, ...], int] = {}
+
+    def fill(above: tuple[int, ...], below: tuple[int, ...], content: tuple[int, ...]) -> None:
+        # below holds the entries of the row under ``above`` chosen so far,
+        # and content the counts of the letters past len(above)
+        j = len(below)
+        if not above:
+            out[content] = out.get(content, 0) + 1
+        elif j == len(above) - 1:
+            fill(below, (), (sum(above) - sum(below),) + content)
+        else:
+            for x in range(above[j + 1], above[j] + 1):
+                fill(above, below + (x,), content)
+
+    fill(tuple(shape), (), ())
     return out
 
 

@@ -38,6 +38,13 @@ def check_exits_zero():
     assert code == 0, f"check exits {code}"
 
 
+def check_three_rows_exits_zero():
+    """``check 3 3 --kmax 8``, a grid of the benchmark's ``verify`` pool
+    whose modules have three rows."""
+    code = main(["check", "3", "3", "--kmax", "8"], out=io.StringIO())
+    assert code == 0, f"check exits {code}"
+
+
 def pinned_orbit_digests():
     """``orbit 8``, at the zero weight and at a generic shift, prints the
     bytes pinned in the CLI tests."""
@@ -75,21 +82,32 @@ def _last_term_dropped(monkeypatch):
     monkeypatch.setattr(dimensions_mod, "signed_orbit_terms", terms)
 
 
-def _three_row_tables(change):
-    """A fault that passes every three-row Kostka table, wherever it is
-    read, through ``change``; the recursion reads its inner shapes through
-    the module attribute, so four rows and more see the changed tables."""
+def _row_tables(rows, change):
+    """A fault that passes every Kostka table of ``rows`` rows, wherever it
+    is read, through ``change``: stripping reads its tops, and the
+    recursion of five rows and more its inner shapes, through the module
+    attribute.  Three and four rows are counted with no inner shape, so
+    only n = 3 modules read three-row tables, and n = 4 and 5 four-row
+    ones."""
 
     def plant(monkeypatch):
         contents = oracles_mod._tableau_contents
 
         def changed(shape, width):
             table = contents(shape, width)
-            return change(table) if len(shape) == 3 else table
+            return change(table) if len(shape) == rows else table
 
         monkeypatch.setattr(oracles_mod, "_tableau_contents", changed)
 
     return plant
+
+
+def _last_entry_lost(table):
+    return dict(list(table.items())[:-1])
+
+
+def _counts_one_too_high(table):
+    return {mu: c + 1 for mu, c in table.items()}
 
 
 def _width_blind_memo(monkeypatch):
@@ -114,6 +132,22 @@ def _partitions_one_field_short(monkeypatch):
     monkeypatch.setattr(
         oracles_mod, "_partitions", lambda weights, n, width: partitions(weights, n - 1, width)
     )
+
+
+def _first_shift_one_field_up(monkeypatch):
+    """The first index's packed shift in each product pass, that of the
+    highest weight ``(d, 0, ..., 0)``, moved one field up: entry ``j`` in
+    field ``j + 1``.  The product pass packs its shifts from lists, right
+    after its ``ones``, and no other key from a list."""
+    pack, last = oracles_mod._pack, [()]
+
+    def packed(entries, width):
+        key = pack(entries, width)
+        first = isinstance(entries, list) and not isinstance(last[0], list)
+        last[0] = entries
+        return key << width if first else key
+
+    monkeypatch.setattr(oracles_mod, "_pack", packed)
 
 
 def _shift_read_backwards(monkeypatch):
@@ -227,16 +261,29 @@ class Fault(NamedTuple):
     checks: dict[Callable[..., None], str]
 
 
+def product_characters_at_rank_four():
+    """The product pass of ``check 4 3 --kmax 5`` against brute force at
+    every degree: brute force packs no shift."""
+    test_oracles.test_product_characters_match_brute_force_at_every_degree((4, 3, 5))
+
+
 def classical_plethysms_at_rank_three():
     """Both classical plethysm rules, at every highest weight of rank 3
     they cover: they share no code with the package."""
     test_plethysm.test_classical_plethysms(3)
 
 
-# a wrong three-row table shows at the first three-row top compared cell by
-# cell, and in `check` at stripping's guard, an internal error (exit 5)
+# a wrong table shows at the first top of its rows compared cell by cell,
+# and in `check` of modules with those rows at stripping's leftover guard,
+# an internal error (exit 5)
 THREE_ROW_CHECKS = {
     test_oracles.test_tableau_contents_match_tableaux_filled_cell_by_cell: re.escape("(0, 0, 0)"),
+    check_three_rows_exits_zero: "check exits 5",
+}
+FOUR_ROW_CHECKS = {
+    test_oracles.test_tableau_contents_match_tableaux_filled_cell_by_cell: re.escape(
+        "(0, 0, 0, 0)"
+    ),
     check_exits_zero: "check exits 5",
 }
 
@@ -258,13 +305,13 @@ FAULTS = {
     ),
     "last term dropped": Fault(_last_term_dropped, {check_exits_zero: "check exits 4"}),
     "three-row tables lose their last entry": Fault(
-        _three_row_tables(lambda table: dict(list(table.items())[:-1])),
-        THREE_ROW_CHECKS,
+        _row_tables(3, _last_entry_lost), THREE_ROW_CHECKS
     ),
-    "three-row counts one too high": Fault(
-        _three_row_tables(lambda table: {mu: c + 1 for mu, c in table.items()}),
-        THREE_ROW_CHECKS,
+    "three-row counts one too high": Fault(_row_tables(3, _counts_one_too_high), THREE_ROW_CHECKS),
+    "four-row tables lose their last entry": Fault(
+        _row_tables(4, _last_entry_lost), FOUR_ROW_CHECKS
     ),
+    "four-row counts one too high": Fault(_row_tables(4, _counts_one_too_high), FOUR_ROW_CHECKS),
     # n = 2, d = 1, degree bound 1, uncapped: the first case with two indices
     "indices multiplied in reverse order": Fault(
         _indices_in_reverse_order,
@@ -318,6 +365,16 @@ FAULTS = {
     # left at a partition it never reads
     "partitions one field short": Fault(
         _partitions_one_field_short, {check_exits_zero: "check exits 5"}
+    ),
+    # degree 1 of the product pass lacks the highest weight (3, 0, 0) and
+    # its orbit, which brute force holds, and stripping's guard finds a
+    # negative count, an internal error (exit 5)
+    "a product shift one field up": Fault(
+        _first_shift_one_field_up,
+        {
+            product_characters_at_rank_four: re.escape("(3, 0, 0): 1"),
+            check_exits_zero: "check exits 5",
+        },
     ),
     # the zero shift reads the same backwards, so `check` cannot see it; the
     # walk at the shift (3, 0) of n = 3 lists the terms of (0, 3), and the

@@ -381,26 +381,46 @@ def test_tableau_contents_match_tableaux_filled_cell_by_cell():
         assert {oracles_mod._unpack(key, len(top), width): c for key, c in contents.items()} == expected, top
 
 
+def _match_gelfand_tsetlin_patterns(shape):
+    """``_tableau_contents(shape)`` at the narrowest width and 9 bits wider
+    equals the Gelfand--Tsetlin patterns of ``shape`` at ascending
+    contents."""
+    patterns = gelfand_tsetlin_contents(shape)
+    expected = {mu: k for mu, k in patterns.items() if list(mu) == sorted(mu)}
+    for width in (_narrowest(shape), _narrowest(shape) + 9):
+        contents = oracles_mod._tableau_contents(shape, width)
+        # field s counts letter s + 1
+        unpacked = {oracles_mod._unpack(mu, len(shape), width): k for mu, k in contents.items()}
+        assert unpacked == expected, (shape, width)
+
+
 def test_three_row_contents_count_gelfand_tsetlin_patterns():
     # every three-row shape with a <= 12, nonzero last rows included: the
-    # inner shapes that four- and five-row tops reach, past the tops of
-    # size 8 that tableaux filled cell by cell cover
+    # n = 3 tops past the tops of size 8 that tableaux filled cell by cell
+    # cover
     for a in range(13):
         for b in range(a + 1):
             for c in range(b + 1):
-                shape = (a, b, c)
-                patterns = gelfand_tsetlin_contents(shape)
-                expected = {mu: k for mu, k in patterns.items() if mu[0] <= mu[1] <= mu[2]}
-                for width in (_narrowest(shape), _narrowest(shape) + 9):
-                    contents = oracles_mod._tableau_contents(shape, width)
-                    # field s counts letter s + 1
-                    unpacked = {oracles_mod._unpack(mu, 3, width): k for mu, k in contents.items()}
-                    assert unpacked == expected, (shape, width)
+                _match_gelfand_tsetlin_patterns((a, b, c))
+
+
+def test_four_row_contents_count_gelfand_tsetlin_patterns():
+    # every four-row shape with a <= 10, zero rows included: the n = 4 tops
+    # and the inner shapes of five-row tops, counted by one sum, past the
+    # tops of size 8 that tableaux filled cell by cell cover
+    for a in range(11):
+        for b in range(a + 1):
+            for c in range(b + 1):
+                for e in range(c + 1):
+                    _match_gelfand_tsetlin_patterns((a, b, c, e))
 
 
 def test_one_verify_pass_builds_and_reads_the_pinned_kostka_tables():
-    # each query starts from an empty memo, as in a fresh process; a
-    # recursion down to two rows reads 1,969 misses and 8,429 hits
+    # each query starts from an empty memo, as in a fresh process; three
+    # and four rows are counted with no inner shape, so the memo holds only
+    # the tops stripped and the four-row inner shapes of five-row tops (a
+    # recursion down to three rows read 1,058 misses and 1,321 hits, one
+    # down to two rows 1,969 and 8,429)
     contents = oracles_mod._tableau_contents
     misses = hits = 0
     for n, d, kmax in VERIFY_GRIDS:
@@ -408,7 +428,7 @@ def test_one_verify_pass_builds_and_reads_the_pinned_kostka_tables():
         assert main(["check", str(n), str(d), "--kmax", str(kmax)], out=io.StringIO()) == 0
         info = contents.cache_info()
         misses, hits = misses + info.misses, hits + info.hits
-    assert (misses, hits) == (1058, 1321)
+    assert (misses, hits) == (636, 829)
 
 
 def test_tableau_contents_agree_across_widths():
@@ -446,9 +466,9 @@ def test_module_tables_match_tableaux_filled_cell_by_cell():
 
 
 def test_two_row_contents_match_tableaux_filled_cell_by_cell():
-    # the binary tops: the recursion stops at three rows, so no inner
-    # shape has two; nonzero last rows included, though no stripped top
-    # ends in one
+    # the binary tops: three and four rows are counted without inner
+    # shapes, and more rows recurse down to four, so no inner shape has
+    # two; nonzero last rows included, though no stripped top ends in one
     for a in range(9):
         for b in range(a + 1):
             expected = {}

@@ -153,12 +153,14 @@ def test_cli_under_optimize_flag(tmp_path):
     rows = checked.stdout.splitlines()
     assert checked.returncode == 0 and len(rows) == 4
     assert all(row.endswith(" ok") for row in rows)
-    # at rank 5, through the Kostka recursion's size skip and the product
-    # pass's dominant mask
-    ranked = _cli_optimized("check", "5", "2", "--kmax", "5")
-    rows = ranked.stdout.splitlines()
-    assert ranked.returncode == 0 and len(rows) == 6
-    assert all(row.endswith(" ok") for row in rows)
+    # at rank 4, through the four-row Kostka sum, and at rank 5, through
+    # the recursion's size skip down to it and the product pass's dominant
+    # mask
+    for n, d, kmax in (("4", "3", "5"), ("5", "2", "5")):
+        ranked = _cli_optimized("check", n, d, "--kmax", kmax)
+        rows = ranked.stdout.splitlines()
+        assert ranked.returncode == 0 and len(rows) == int(kmax) + 1
+        assert all(row.endswith(" ok") for row in rows)
     # and its size refusal comes before any row
     refused = _cli_optimized("check", "5", "3", "--kmax", "30")
     assert refused.returncode == 3 and refused.stdout == ""
