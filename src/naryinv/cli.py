@@ -18,8 +18,8 @@ A weight whose first entry is negative must be attached with ``=``, as in
 Every subcommand takes ``--format plain|json|csv`` (default plain).  The
 six that expand (all but ``orbit``) take ``--limit-states N``: a cap on the
 states a query holds (the cells a series expansion spans, up to the moments
-it reads; ``check``'s character entries), at least 1, checked before
-anything is allocated.  No command expands uncapped: ``series`` is the
+it reads; the cells of ``check``'s character tables, below their caps), at
+least 1, checked before anything is allocated.  No command expands uncapped: ``series`` is the
 same capped read as ``nu`` under its own method tag, and every coefficient
 of the series is the library's ``expand_generating_series(n, d,
 k).nonzero()``.  ``nu``, ``gamma`` and ``count`` also take ``--cache``:
@@ -32,7 +32,7 @@ cache and hands it to the query.  ``check`` prints the rows ``theorem1``,
 irreducibles) and, at n = 2, ``classical-binary``.  Each method's column,
 k = 0..K, comes from one call, and each of its rows carries the column's
 mean time per degree; the rows are written once every column is done, and
-character tables of more entries than the cap are refused before any
+character tables of more cells than the cap are refused before any
 column is computed.
 Results are always printed as decimal strings; they can exceed 64 bits.
 Diagnostics go to stderr, results to stdout.

@@ -2,7 +2,7 @@
 
 from typing import Iterable
 
-#: the one bound on the states a query holds: series cells, character entries
+#: the one bound on the states a query holds: series cells, character-table cells
 MAX_TERMS = 5_000_000
 
 

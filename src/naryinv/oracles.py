@@ -3,13 +3,15 @@
 Nothing here shares machinery with the signed-orbit route.  ``check``
 takes its characters from the product ``prod_i 1/(1 - t x^wt(i))`` over
 the coefficient indices, expanded one index at a time for every degree up
-to its top, with weights packed into one ``int``, and reads out only the
-dominant weights, the only ones stripping reads, each straight into its
-packed partition; ``brute_character`` is the exhaustive reference, which
+to its top, each degree one ``int`` with one whole-byte cell per moment
+vector of a box capped below every moment a dominant weight reads, and
+reads out only the dominant weights, the only ones stripping reads, each
+straight into its packed partition, checked by their mass over their Weyl
+orbits; ``brute_character`` is the exhaustive reference, which
 enumerates every monomial, one combination of indices each, and counts its
 packed moment vector into the whole character.  Under ``MAX_TERMS``, the
-product pass is refused by the entries it would hold, brute force by the
-monomials it would visit.  Irreducible weight multiplicities are Kostka
+product pass is refused by the cells its layers would hold, brute force by
+the monomials it would visit.  Irreducible weight multiplicities are Kostka
 numbers, counts of semistandard tableaux by content, which permuting the
 content leaves unchanged: they are counted at ascending contents, by
 Gelfand--Tsetlin branching down to four rows, whose patterns are counted
@@ -22,20 +24,20 @@ binary case is a bounded-partition difference.
 
 Every key is a vector packed into one ``int`` by :func:`_pack`, entry
 ``j`` in the ``width``-bit field at bit ``j * width``: a moment vector, a
-weight (each component offset to be nonnegative), a Kostka content (the
-count of letter ``j + 1`` in field ``j``) or a partition, packed as its
-ascending (ambient) vector.  A partition's first part is then its most
-significant field, so while no field carries, adding keys adds vectors and
-the numeric order of partitions is their lexicographic order.  The keys of
-one table share one width, ``_field_width(budget)``, where ``budget``
-bounds the first part of every partition in it: ``d * kmax`` for
-``check``, whose product pass, stripping and Kostka tables share it, and
-the largest first part for a weight-keyed table (for brute force's
-moments, ``d * k`` bounds every entry).  The width holds ``2 * budget``
-below a spare bit, which the product pass needs.  No part exceeds the
-first, and no Kostka count exceeds the first part of its shape, since a
-letter fills at most one box of each column, so the width holds every key
-at any size.
+dominant weight, a Kostka content (the count of letter ``j + 1`` in field
+``j``) or a partition, packed as its ascending (ambient) vector.  A
+partition's first part is then its most significant field, so while no
+field carries, adding keys adds vectors and the numeric order of
+partitions is their lexicographic order.  The keys of one table share one
+width, ``_field_width(budget)``, where ``budget`` bounds the first part of
+every partition in it: ``d * kmax`` for ``check``, whose product pass,
+stripping and Kostka tables share it, and the largest first part for a
+weight-keyed table (for brute force's moments, ``d * k`` bounds every
+entry).  The width holds ``2 * budget`` below a spare bit, more than any
+key needs; the product pass sizes its cells by the same rule, at the top
+degree's mass, in whole bytes.  No part exceeds the first, and no Kostka
+count exceeds the first part of its shape, since a letter fills at most
+one box of each column, so the width holds every key at any size.
 
 Within the package this module imports only ``errors``, ``forms`` and,
 from ``weights``, the ``Weight`` type: never the counting engine, the orbit
@@ -125,79 +127,154 @@ def character_tables(
 
     The characters of all degrees are the coefficients of ``t^k`` in the
     product ``prod_i 1 / (1 - t x^wt(i))`` over the coefficient indices,
-    expanded one index at a time without visiting a monomial: for each
-    index, degree ``k = 1..kmax`` in turn, upward and in place, gains
-    degree ``k - 1`` shifted by the index's weight, so the pass makes at
-    most ``|indices| * sum_k |h_k|`` updates, ``|h_k|`` the entries of
-    degree ``k``.  Each degree is a dict keyed by packed weights: field
-    ``s`` holds the sum of ``wt_s + d`` over the factors, at most
-    ``2 * d * kmax``, below a spare bit, so no field carries.  Every table
-    has the width ``_field_width(d * kmax)``.  The whole pass runs when
-    the first table is asked for; every degree's total mass, over every
-    packed entry, must then equal the symmetric-power dimension, else
-    :class:`InternalError`.  Each degree is read out only when it is
-    yielded, and only at its dominant weights (every ``wt_s >= 0``): a
-    character is Weyl-symmetric, so they determine the rest.  Each is read
-    out straight into the packed partition that :func:`strip_decompose`
-    reads, with no weight tuple in between.
+    expanded one index at a time without visiting a monomial.  Degree ``k``
+    is one ``int``, a layer with one cell per moment vector ``m`` (the sum
+    of a monomial's indices) of a capped box, counting the monomials of
+    degree ``k`` at ``m``; for each index, degree ``k = 1..kmax`` in turn,
+    upward and in place, gains degree ``k - 1`` shifted by the index's
+    cell, so the pass makes one shift-add per index and degree (see
+    :func:`_product_tables` for the layout).  Only dominant weights are
+    read: a character is Weyl-symmetric, so they determine the rest.
 
-    Degree ``k`` holds one entry per moment vector ``m >= 0`` with
-    ``|m| <= d * k`` (each splits into ``k`` indices):
-    ``C(d * k + n - 1, n - 1)``; a partial product holds fewer.  Summed
-    from ``kmax`` down, past ``max_terms`` entries the pass is refused
-    before any is built.
+    The cap: a dominant weight of degree ``k`` is a partition ``E`` of
+    ``d * k`` into ``n`` parts (the exponents of the variables), read at
+    the cell ``m = E[1:]``, so ``m_0 + |m| <= d * k``, and the ``j + 2``
+    parts ``E_0..E_{j+1}`` are each at least ``m_j``, so
+    ``(j + 2) * m_j <= d * kmax``.  Indices are nonnegative, so every cell
+    that feeds a read, at any degree, is at most ``m`` in each coordinate.
+    So coordinate ``j`` is capped at ``d * kmax // (j + 2)``, and the box
+    drops only cells that reach no read.  Every table has the width
+    ``_field_width(d * kmax)``.  The whole pass runs when the first table
+    is asked for; each degree's orbit mass, the sum over its dominant
+    weights of each count times the size of the weight's Weyl orbit, must
+    then equal the symmetric-power dimension, else :class:`InternalError`.
+
+    The layers hold ``1 + kmax * prod(strides)`` cells (degree 0 holds
+    one); past ``max_terms`` cells the pass is refused before any layer is
+    built.
     """
     check_params(n, d, kmax, max_terms)
-    entries = 0
-    for k in range(kmax, -1, -1):
-        entries += math.comb(d * k + n - 1, n - 1)
-        if entries > max_terms:
-            raise ResourceLimitError(
-                f"character tables would hold at least {entries} entries, "
-                f"above the limit {max_terms}"
-            )
+    cells = 1 + kmax * _moment_box(n, d, kmax)[1][-1]
+    if cells > max_terms:
+        raise ResourceLimitError(
+            f"character tables would hold {cells} cells, above the limit {max_terms}"
+        )
     return _product_tables(n, d, kmax)
+
+
+def _moment_box(n: int, d: int, kmax: int) -> tuple[list[int], list[int]]:
+    """The capped box of :func:`character_tables`' layers: the cap
+    ``d * kmax // (j + 2)`` of each coordinate ``j``, and its place, the
+    cells one unit of it moves, in the mixed radix of strides
+    ``cap + min(d, cap) + 1``; the last place is the cells of one layer."""
+    caps = [d * kmax // (j + 2) for j in range(n - 1)]
+    places = [1]
+    for cap in caps:
+        places.append(places[-1] * (cap + min(d, cap) + 1))
+    return caps, places
 
 
 def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
     """The product pass of :func:`character_tables`, once its size is checked.
 
-    Every field holds a value in ``0..2 * d * kmax``, below ``half``, the
-    field's spare bit.  Degree ``k`` adds ``half - k * d`` to every field:
-    the sum stays below ``2 * half``, so nothing carries into the next
-    field, and the spare bit is set exactly when the field held at least
-    ``k * d``, a weight component of at least 0.  A key with every spare
-    bit set is a dominant weight; less ``k * d`` in every field, it holds
-    the weight one component per field, which :func:`_partitions` turns
-    into its packed partition.  Only those keys are read out.
+    A cell is ``_field_width(mass)`` bits, rounded up to whole bytes, for
+    the mass of the top degree, which bounds every count of every degree,
+    and the moment vector ``m`` is the cell ``sum_j m_j * place_j``.  After
+    each shift-add the layer is ANDed with the box, the cells with every
+    coordinate within its cap.  An index above a cap in some coordinate is
+    dead: every cell it feeds would be masked, so it is skipped.  A live
+    index moves a coordinate by at most ``min(d, cap)``, so a cell within
+    the caps lands below its coordinate's stride: no shift aliases one
+    moment vector onto another, and no count carries into the next cell.
+    Each degree is written out by one ``to_bytes``, and each dominant
+    weight's count read from its slice, at the offset that
+    :func:`_dominant_cells` gives it.
     """
-    width = _field_width(d * kmax)
-    ones = _pack((1,) * (n - 1), width)
-    half = 1 << (width - 1)
-    high = half * ones
-    # degree 0 has one monomial, the empty product, and needs no index list
-    shifts = [
-        _pack([w + d for w in weight_from_moments(n, d, 1, i)], width)
-        for i in (enumerate_indices(n, d) if kmax else ())
-    ]
-    degrees: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(kmax)]
-    for shift in shifts:
-        for lower, packed in zip(degrees, degrees[1:]):
-            get = packed.get
-            for key, c in lower.items():
-                key += shift
-                packed[key] = get(key, 0) + c
-    for k, packed in enumerate(degrees):
-        mass, expected = sum(packed.values()), symmetric_power_dimension(n, d, k)
+    caps, places = _moment_box(n, d, kmax)
+    size = -(-_field_width(symmetric_power_dimension(n, d, kmax)) // 8)
+    # the bytes that one unit of each coordinate moves a cell, then a layer's
+    units = [size * place for place in places]
+    # coordinate j's box: cap_j + 1 copies of the box below it, one per
+    # unit, then empty cells up to the next coordinate's unit
+    box = b"\xff" * size
+    for cap, unit, above in zip(caps, units, units[1:]):
+        box = box * (cap + 1) + bytes(above - unit * (cap + 1))
+    box = int.from_bytes(box, "little")
+    layers = [1] + [0] * kmax
+    for at in _index_cells(n, d, caps, units) if kmax else ():
+        lower, shift = layers[0], 8 * at
+        for k in range(1, kmax + 1):
+            lower = layers[k] = (layers[k] + (lower << shift)) & box
+    width, tables = _field_width(d * kmax), []
+    for k, reads in enumerate(_dominant_cells(n, d, kmax, units, width)):
+        packed = layers[k].to_bytes(units[-1], "little")
+        counts, mass = {}, 0
+        for key, at, orbit in reads:
+            counts[key] = c = int.from_bytes(packed[at:at + size], "little")
+            mass += c * orbit
+        expected = symmetric_power_dimension(n, d, k)
         if mass != expected:
             raise InternalError(
                 f"the character of degree {k} has mass {mass}, not {expected}"
             )
-    for k, packed in enumerate(degrees):
-        degrees[k] = {}  # the generator's last reference goes at the next degree
-        adj, base = (half - k * d) * ones, k * d * ones
-        dominant = ((key - base, c) for key, c in packed.items() if (key + adj) & high == high)
-        yield PartitionTable(n, d, k, width, _partitions(dominant, n, width))
+        layers[k] = 0
+        tables.append(counts)
+    for k, counts in enumerate(tables):
+        yield PartitionTable(n, d, k, width, counts)
+
+
+def _index_cells(n: int, d: int, caps: list[int], units: list[int]) -> list[int]:
+    """The offset of each live index's cell, one unit per coordinate, in the
+    order of :func:`enumerate_indices`; a dead index, above its cap in some
+    coordinate, is left out."""
+    return [
+        sum(map(operator.mul, index, units))
+        for index in enumerate_indices(n, d)
+        if not any(map(operator.gt, index, caps))
+    ]
+
+
+def _dominant_cells(
+    n: int, d: int, kmax: int, units: list[int], width: int
+) -> list[list[tuple[int, int, int]]]:
+    """For each degree ``k = 0..kmax``, one ``(key, offset, orbit)`` per
+    dominant weight, from one walk over the tails ``m`` of the partitions
+    ``E = (d * k - |m|,) + m`` of ``d * k``: the packed partition, the
+    offset of the cell of ``m``, one unit per coordinate, and the size of
+    the Weyl orbit of ``E``.
+
+    A tail is descending with ``m_0 + |m| <= d * kmax``, and is read at
+    every degree whose first part ``d * k - |m|`` is at least ``m_0``.  The
+    key holds ``E_0 - E_t`` in field ``t``: ``(d * k - |m|) * ones`` less
+    the tail packed into fields ``1..n-1``, where no field borrows, since
+    no part exceeds the first.  The orbit is ``n!`` over the factorials of
+    the parts' multiplicities; the walk keeps the tail's product of them
+    as it appends each part."""
+    top = d * kmax
+    ones = _pack((0,) + (1,) * (n - 1), width)
+    # a tail with its |m|, its offset, its packed fields and its factorials
+    tails = [((m,), m, m * units[0], m << width, 1) for m in range(top // 2 + 1)]
+    for j in range(1, n - 1):
+        unit, field = units[j], (j + 1) * width
+        tails = [
+            (tail + (m,), size + m, at + m * unit, packed + (m << field),
+             runs * (tail.count(m) + 1))
+            for tail, size, at, packed, runs in tails
+            for m in range(min(tail[-1], top - tail[0] - size) + 1)
+        ]
+    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(kmax + 1)]
+    whole, step = math.factorial(n), d * ones
+    for tail, size, at, packed, runs in tails:
+        first, orbit = tail[0], whole // runs
+        low = -(-(size + first) // d)
+        part = d * low - size
+        key = part * ones - packed
+        # only at the lowest degree can the first part equal m_0, and join its run
+        reads[low].append((key, at, orbit // (tail.count(first) + 1) if part == first else orbit))
+        for k in range(low + 1, kmax + 1):
+            key += step
+            reads[k].append((key, at, orbit))
+    return reads
 
 
 def _field_width(budget: int) -> int:

@@ -161,6 +161,51 @@ def dominant_weights(table: PartitionTable) -> dict[Weight, int]:
     return out
 
 
+def dict_product_tables(n: int, d: int, kmax: int, width: int) -> list[PartitionTable]:
+    """The tables of :func:`~naryinv.oracles.character_tables` to degree
+    ``kmax``, keyed at ``width``, by the product pass the package ran
+    before its layers were packed, which shares no code with the package.
+
+    Each degree is a dict keyed by packed weights: field ``s`` holds the sum
+    of ``wt_s + d`` over a monomial's factors, at most ``2 * d * kmax``,
+    below a spare bit.  For each index, each degree ``k = 1..kmax`` in
+    turn, upward and in place, gains every entry of degree ``k - 1``
+    shifted by the index's weight.  Degree ``k`` then adds
+    ``spare - k * d`` to every field, which sets the spare bit exactly when
+    the component is at least 0: a key with every spare bit set is a
+    dominant weight, whose prefix sums are its partition's ascending
+    vector."""
+    indices: list[MultiIndex] = [()]
+    for _ in range(n - 1):
+        indices = [i + (v,) for i in indices for v in range(d - sum(i) + 1)]
+    field = (2 * d * kmax).bit_length() + 1
+    spare = 1 << (field - 1)
+    ones = sum(1 << (s * field) for s in range(n - 1))
+
+    def shift(i: MultiIndex) -> int:
+        weight = [d - i[0] - sum(i)] + [i[s] - i[s + 1] for s in range(n - 2)]
+        return sum((w + d) << (s * field) for s, w in enumerate(weight))
+
+    degrees: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(kmax)]
+    for step in map(shift, indices if kmax else ()):
+        for lower, upper in zip(degrees, degrees[1:]):
+            for key, c in lower.items():
+                upper[key + step] = upper.get(key + step, 0) + c
+    tables = []
+    for k, entries in enumerate(degrees):
+        high, adj = spare * ones, (spare - k * d) * ones
+        partitions = {}
+        for key, c in entries.items():
+            if (key + adj) & high == high:
+                parts, total = 0, 0
+                for s in range(n - 1):
+                    total += ((key >> (s * field)) & (spare - 1)) - k * d
+                    parts += total << ((s + 1) * width)
+                partitions[parts] = c
+        tables.append(PartitionTable(n, d, k, width, partitions))
+    return tables
+
+
 def alternating_multiplicity_sum(n: int, highest) -> int:
     """Parity-signed sum of the module's multiplicities over the dominant
     orbit-difference weights; equals 1 for the zero highest weight and 0

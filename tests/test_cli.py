@@ -605,28 +605,29 @@ def test_check_octonary_form_of_degree_30_at_degree_0():
 
 
 def test_check_refuses_its_top_degree_before_any_row(capsys):
-    # the tables to k = 30 hold 20,359,312 entries; the two top degrees
-    # alone pass the limit, and no lower degree is worked through or
-    # printed first, in any format
+    # the layers to k = 30 hold 1 + 30 * 952,952 cells; they are counted
+    # before any layer is built, and no degree is worked through or printed
+    # first, in any format
     for fmt in ("plain", "json"):
         assert run_cli("check", "5", "3", "--kmax", "30", "--format", fmt) == (3, "")
         assert capsys.readouterr().err == (
-            "error: character tables would hold at least 5722171 entries, "
+            "error: character tables would hold 28588561 cells, "
             "above the limit 5000000\n"
         )
 
 
 def test_check_limit_states_caps_the_character_entries(capsys):
-    # the tables of (3, 3) to k = 6 hold sum C(3k + 2, 2) = 511 entries
-    assert run_cli("check", "3", "3", "--kmax", "6", "--limit-states", "510") == (3, "")
+    # the layers of (3, 3) to k = 6 hold 1 + 6 * 13 * 10 = 781 cells: the
+    # caps 18 // 2 = 9 and 18 // 3 = 6, each with room for one shift of 3
+    assert run_cli("check", "3", "3", "--kmax", "6", "--limit-states", "780") == (3, "")
     assert capsys.readouterr().err == (
-        "error: character tables would hold at least 511 entries, "
-        "above the limit 510\n"
+        "error: character tables would hold 781 cells, "
+        "above the limit 780\n"
     )
 
 
 def test_check_reaches_past_brute_force():
-    # C(30, 16) = 145,422,675 monomials at k = 16, but 12,801 table entries
+    # C(30, 16) = 145,422,675 monomials at k = 16, but 15,393 table cells
     code, out = run_cli("check", "3", "4", "--kmax", "16")
     assert code == 0
     rows = [line.split() for line in out.splitlines()]

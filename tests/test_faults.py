@@ -28,6 +28,7 @@ import test_plethysm
 import test_series
 import test_weights
 from naryinv.cli import main
+from naryinv.errors import InternalError
 from naryinv.weights import signed_orbit_terms
 
 
@@ -125,29 +126,43 @@ def _width_blind_memo(monkeypatch):
 
 
 def _partitions_one_field_short(monkeypatch):
-    """Every packed partition that stripping reads, from the product pass
-    and from a weight-keyed table, spread and masked one field short: its
-    first part, the top field, is dropped."""
-    partitions = oracles_mod._partitions
-    monkeypatch.setattr(
-        oracles_mod, "_partitions", lambda weights, n, width: partitions(weights, n - 1, width)
-    )
+    """Every packed partition the product pass reads out, masked one field
+    short: its first part, the top field, is dropped."""
+    cells = oracles_mod._dominant_cells
+
+    def short(n, d, kmax, units, width):
+        mask = (1 << (n - 1) * width) - 1
+        return [
+            [(key & mask, at, orbit) for key, at, orbit in reads]
+            for reads in cells(n, d, kmax, units, width)
+        ]
+
+    monkeypatch.setattr(oracles_mod, "_dominant_cells", short)
 
 
 def _first_shift_one_field_up(monkeypatch):
-    """The first index's packed shift in each product pass, that of the
-    highest weight ``(d, 0, ..., 0)``, moved one field up: entry ``j`` in
-    field ``j + 1``.  The product pass packs its shifts from lists, right
-    after its ``ones``, and no other key from a list."""
-    pack, last = oracles_mod._pack, [()]
+    """The first index's shift in each product pass, that of the highest
+    weight ``(d, 0, ..., 0)`` at the moment vector 0, moved one field, a
+    cell, up: to the cell of the moment vector ``(1, 0, ..., 0)``."""
+    cells = oracles_mod._index_cells
 
-    def packed(entries, width):
-        key = pack(entries, width)
-        first = isinstance(entries, list) and not isinstance(last[0], list)
-        last[0] = entries
-        return key << width if first else key
+    def moved(n, d, caps, units):
+        first, *rest = cells(n, d, caps, units)
+        return [first + units[0], *rest]
 
-    monkeypatch.setattr(oracles_mod, "_pack", packed)
+    monkeypatch.setattr(oracles_mod, "_index_cells", moved)
+
+
+def _last_cap_one_short(monkeypatch):
+    """The product pass's box with its last coordinate capped one short, in
+    its mask and in its test for dead indices; the strides stay."""
+    box = oracles_mod._moment_box
+
+    def short(n, d, kmax):
+        caps, places = box(n, d, kmax)
+        return [*caps[:-1], caps[-1] - 1], places
+
+    monkeypatch.setattr(oracles_mod, "_moment_box", short)
 
 
 def _shift_read_backwards(monkeypatch):
@@ -263,8 +278,12 @@ class Fault(NamedTuple):
 
 def product_characters_at_rank_four():
     """The product pass of ``check 4 3 --kmax 5`` against brute force at
-    every degree: brute force packs no shift."""
-    test_oracles.test_product_characters_match_brute_force_at_every_degree((4, 3, 5))
+    every degree: brute force shifts no cell.  A pass that its own mass
+    guard refuses fails here too, since no table then reaches brute force."""
+    try:
+        test_oracles.test_product_characters_match_brute_force_at_every_degree((4, 3, 5))
+    except InternalError as refused:
+        raise AssertionError(f"the product pass refused its tables: {refused}") from refused
 
 
 def classical_plethysms_at_rank_three():
@@ -366,13 +385,23 @@ FAULTS = {
     "partitions one field short": Fault(
         _partitions_one_field_short, {check_exits_zero: "check exits 5"}
     ),
-    # degree 1 of the product pass lacks the highest weight (3, 0, 0) and
-    # its orbit, which brute force holds, and stripping's guard finds a
-    # negative count, an internal error (exit 5)
+    # degree 1 holds the highest weight's count at the cell of (2, 1, 0, 0),
+    # an orbit of 12 weights where (3, 0, 0, 0) has 4, so the pass's mass
+    # guard refuses it before brute force compares a table, and `check`
+    # exits 5
     "a product shift one field up": Fault(
         _first_shift_one_field_up,
         {
-            product_characters_at_rank_four: re.escape("(3, 0, 0): 1"),
+            product_characters_at_rank_four: re.escape("degree 1 has mass 28, not 20"),
+            check_exits_zero: "check exits 5",
+        },
+    ),
+    # the cap of m_2 falls from 3 to 2, so degree 4 loses the cells at
+    # m_2 = 3, such as (3, 3, 3, 3), and the mass guard refuses it
+    "a coordinate cap one short": Fault(
+        _last_cap_one_short,
+        {
+            product_characters_at_rank_four: re.escape("degree 4 has mass 8762, not 8855"),
             check_exits_zero: "check exits 5",
         },
     ),

@@ -23,6 +23,7 @@ from naryinv.oracles import (
 from naryinv.weights import to_ambient
 from reference import (
     alternating_multiplicity_sum,
+    dict_product_tables,
     dominant_weights,
     from_ambient,
     gelfand_tsetlin_contents,
@@ -129,32 +130,56 @@ def test_product_characters_match_brute_force_at_every_degree(grid):
         assert full == brute_character(n, d, table.k).multiplicities
 
 
+# beyond brute force's reach: heavy `check` grids, a rank with all but 90
+# of its 1,716 indices dead, and a degree of 600
+PAST_BRUTE_FORCE = [
+    (3, 8, 16), (4, 3, 14), (5, 3, 8), (7, 2, 9), (6, 1, 25), (8, 6, 1), (6, 5, 3), (2, 1, 600),
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [(n, d, kmax) for n in range(2, 7) for d in range(1, 5) for kmax in range(7)]
+    + PAST_BRUTE_FORCE,
+)
+def test_product_characters_match_the_dict_pass(grid):
+    tables = list(character_tables(*grid))
+    assert tables == dict_product_tables(*grid, tables[0].width)
+
+
 def test_product_characters_refuse_their_top_degree_first():
-    # the entries are summed from kmax down when the iterator is made,
-    # before any table is asked for: the top two degrees pass the limit
-    with pytest.raises(ResourceLimitError, match="at least 5722171 entries"):
+    # the cells are counted when the iterator is made, before any layer is
+    # built or any table asked for: 1 + 30 * 952,952 of them, each layer a
+    # box of strides (49, 34, 26, 22)
+    with pytest.raises(ResourceLimitError, match="hold 28588561 cells"):
         character_tables(5, 3, 30)
 
 
 def test_product_characters_hold_the_entries_they_are_sized_by():
     for n, d, kmax in itertools.product(range(2, 5), range(1, 4), range(5)):
-        count = sum(math.comb(d * k + n - 1, n - 1) for k in range(kmax + 1))
-        tables = character_tables(n, d, kmax, max_terms=count)
-        # the tables hold dominant weights only; their orbits hold every entry
+        # one cell at degree 0, and at each other degree one per moment
+        # vector of the box, coordinate j capped at d * kmax // (j + 2)
+        caps = [d * kmax // (j + 2) for j in range(n - 1)]
+        cells = 1 + kmax * math.prod(cap + min(d, cap) + 1 for cap in caps)
+        tables = character_tables(n, d, kmax, max_terms=cells)
+        # the tables hold dominant weights only; their orbits hold every
+        # moment vector of every degree
+        entries = sum(math.comb(d * k + n - 1, n - 1) for k in range(kmax + 1))
         orbits = sum(_orbit_size(to_ambient(w)) for t in tables for w in dominant_weights(t))
-        assert orbits == count, (n, d, kmax)
+        assert orbits == entries, (n, d, kmax)
         if kmax:  # at kmax = 0 the count is 1, and no limit is below it
             with pytest.raises(ResourceLimitError) as refused:
-                character_tables(n, d, kmax, max_terms=count - 1)
-            assert f" {count} entries, above the limit {count - 1}" in str(refused.value)
+                character_tables(n, d, kmax, max_terms=cells - 1)
+            assert f" {cells} cells, above the limit {cells - 1}" in str(refused.value)
 
 
 def test_product_characters_check_their_mass(monkeypatch):
-    # one index dropped from the walk: every degree >= 1 falls short of the
-    # symmetric-power dimension, and the pass raises before the first table
+    # the zero index dropped from the walk: degree 1 lacks the highest
+    # weight (3, 0), whose orbit holds 3 of the 10 weights, and the pass
+    # raises before the first table
     walk = oracles_mod.enumerate_indices
     monkeypatch.setattr(oracles_mod, "enumerate_indices", lambda n, d: walk(n, d)[1:])
-    with pytest.raises(InternalError, match="degree 1 has mass 9, not 10"):
+    with pytest.raises(InternalError, match="degree 1 has mass 7, not 10"):
         next(character_tables(3, 3, 2))
 
 

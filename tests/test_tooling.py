@@ -153,10 +153,11 @@ def test_cli_under_optimize_flag(tmp_path):
     rows = checked.stdout.splitlines()
     assert checked.returncode == 0 and len(rows) == 4
     assert all(row.endswith(" ok") for row in rows)
-    # at rank 4, through the four-row Kostka sum, and at rank 5, through
-    # the recursion's size skip down to it and the product pass's dominant
-    # mask
-    for n, d, kmax in (("4", "3", "5"), ("5", "2", "5")):
+    # at rank 4, through the four-row Kostka sum; at rank 5, through the
+    # recursion's size skip down to it; and at rank 8, where the product
+    # pass skips 1,626 of its 1,716 indices as dead, under its box mask and
+    # its mass guard
+    for n, d, kmax in (("4", "3", "5"), ("5", "2", "5"), ("8", "6", "1")):
         ranked = _cli_optimized("check", n, d, "--kmax", kmax)
         rows = ranked.stdout.splitlines()
         assert ranked.returncode == 0 and len(rows) == int(kmax) + 1
@@ -736,7 +737,7 @@ def test_readme_refusals_are_reproduced(tmp_path, monkeypatch, capsys):
     assert [" ".join(argv) for argv, _, _ in sessions] == [
         "nu 9 2 2",
         "nu 4 3 64",
-        "check 3 4 --kmax 16 --limit-states 12800",
+        "check 3 4 --kmax 16 --limit-states 15392",
     ]
     for argv, tail, lines in sessions:
         out = io.StringIO()
