@@ -80,7 +80,12 @@ from .errors import (
     check_params,
     check_weight,
 )
-from .oracles import binary_invariant_dimension, character_tables, strip_decompose
+from .oracles import (
+    binary_invariant_dimension,
+    character_tables,
+    kostka_memo,
+    strip_decompose,
+)
 from .weights import signed_orbit_terms
 
 EXIT_OK = 0
@@ -233,9 +238,11 @@ def cmd_check(args, out) -> int:
     # over-large character tables are refused here, before any column; the
     # iterator is lazy, so the product pass is timed with the stripping
     characters = character_tables(n, d, kmax, args.limit_states)
+    # every degree strips through one memo of Kostka tables, which this call owns
+    memo = kostka_memo()
     columns = {
         "theorem1": _column(hilbert_series_prefix, n, d, kmax, args.limit_states),
-        "stripping": _column(list, (strip_decompose(t).get(zero, 0) for t in characters)),
+        "stripping": _column(list, (strip_decompose(t, memo).get(zero, 0) for t in characters)),
     }
     if n == 2:
         columns["classical-binary"] = _column(
@@ -428,11 +435,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
     A plain query (see :func:`_read_query`) builds no ``ArgumentParser``.
     Every other form goes to :func:`build_parser`, which reads it or exits
-    with its help or its usage error.  Each call reads its arguments afresh,
-    as a fresh process would.  One thing is kept across calls: after a
-    ``check``, the memo of :func:`naryinv.oracles._tableau_contents` holds
-    up to 4,096 Kostka tables, which later ``check`` calls in the same
-    process reuse.
+    with its help or its usage error.  Each call reads its arguments afresh
+    and keeps nothing once it returns, so it answers as a fresh process
+    would: the Kostka tables of a ``check`` live in a memo that the call
+    makes and drops.
     """
     if out is None:
         out = sys.stdout

@@ -16,15 +16,19 @@ from .errors import check_params
 from .weights import Weight
 
 
-def enumerate_indices(n: int, d: int) -> list[tuple[int, ...]]:
-    """All coefficient indices with ``|i| <= d``, in lexicographic order.
+def enumerate_indices(
+    n: int, d: int, caps: list[int] | None = None
+) -> list[tuple[int, ...]]:
+    """All coefficient indices with ``|i| <= d``, in lexicographic order;
+    with ``caps``, only those with ``i_j <= caps[j]`` in every coordinate,
+    in the same order, and the walk builds no other.
 
     Unbounded here: each caller sizes a superset of the index set first.
     """
     check_params(n, d)
     out: list[tuple[int, ...]] = [()]
-    for _ in range(n - 1):
-        out = [i + (v,) for i in out for v in range(d - sum(i) + 1)]
+    for cap in [d] * (n - 1) if caps is None else caps:
+        out = [i + (v,) for i in out for v in range(min(d - sum(i), cap) + 1)]
     return out
 
 

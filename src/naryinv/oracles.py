@@ -51,6 +51,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -182,13 +183,15 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
     and the moment vector ``m`` is the cell ``sum_j m_j * place_j``.  After
     each shift-add the layer is ANDed with the box, the cells with every
     coordinate within its cap.  An index above a cap in some coordinate is
-    dead: every cell it feeds would be masked, so it is skipped.  A live
-    index moves a coordinate by at most ``min(d, cap)``, so a cell within
-    the caps lands below its coordinate's stride: no shift aliases one
-    moment vector onto another, and no count carries into the next cell.
+    dead: every cell it feeds would be masked, so the index walk stops
+    short of it.  A live index moves a coordinate by at most
+    ``min(d, cap)``, so a cell within the caps lands below its coordinate's
+    stride: no shift aliases one moment vector onto another, and no count
+    carries into the next cell.
     Each degree is written out by one ``to_bytes``, and each dominant
     weight's count read from its slice, at the offset that
-    :func:`_dominant_cells` gives it.
+    :func:`_dominant_cells` gives its tail; the key and the orbit of each
+    degree are derived from the tail's entry as that degree is read.
     """
     caps, places = _moment_box(n, d, kmax)
     size = -(-_field_width(symmetric_power_dimension(n, d, kmax)) // 8)
@@ -206,12 +209,15 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
         for k in range(1, kmax + 1):
             lower = layers[k] = (layers[k] + (lower << shift)) & box
     width, tables = _field_width(d * kmax), []
-    for k, reads in enumerate(_dominant_cells(n, d, kmax, units, width)):
+    step, cells = _dominant_cells(n, d, kmax, units, width)
+    for k in range(kmax + 1):
         packed = layers[k].to_bytes(units[-1], "little")
-        counts, mass = {}, 0
-        for key, at, orbit in reads:
-            counts[key] = c = int.from_bytes(packed[at:at + size], "little")
-            mass += c * orbit
+        counts, mass, keys = {}, 0, k * step
+        for low, base, at, orbit, least in cells:
+            if low > k:
+                break
+            counts[keys - base] = c = int.from_bytes(packed[at:at + size], "little")
+            mass += c * (least if low == k else orbit)
         expected = symmetric_power_dimension(n, d, k)
         if mass != expected:
             raise InternalError(
@@ -219,37 +225,39 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
             )
         layers[k] = 0
         tables.append(counts)
-    for k, counts in enumerate(tables):
-        yield PartitionTable(n, d, k, width, counts)
+    # each table is let go as it is handed out
+    tables.reverse()
+    for k in range(kmax + 1):
+        yield PartitionTable(n, d, k, width, tables.pop())
 
 
 def _index_cells(n: int, d: int, caps: list[int], units: list[int]) -> list[int]:
     """The offset of each live index's cell, one unit per coordinate, in the
-    order of :func:`enumerate_indices`; a dead index, above its cap in some
-    coordinate, is left out."""
-    return [
-        sum(map(operator.mul, index, units))
-        for index in enumerate_indices(n, d)
-        if not any(map(operator.gt, index, caps))
-    ]
+    order of :func:`enumerate_indices`, whose walk stops at the caps: a dead
+    index, above its cap in some coordinate, is never built."""
+    return [sum(map(operator.mul, index, units)) for index in enumerate_indices(n, d, caps)]
 
 
 def _dominant_cells(
     n: int, d: int, kmax: int, units: list[int], width: int
-) -> list[list[tuple[int, int, int]]]:
-    """For each degree ``k = 0..kmax``, one ``(key, offset, orbit)`` per
-    dominant weight, from one walk over the tails ``m`` of the partitions
-    ``E = (d * k - |m|,) + m`` of ``d * k``: the packed partition, the
-    offset of the cell of ``m``, one unit per coordinate, and the size of
-    the Weyl orbit of ``E``.
+) -> tuple[int, list[tuple[int, int, int, int, int]]]:
+    """The dominant weights of every degree ``k = 0..kmax``, one entry per
+    tail ``m`` of the partitions ``E = (d * k - |m|,) + m`` of ``d * k``,
+    from one walk over the tails: the ``step`` one degree adds to every key,
+    and, in increasing order of ``low``, each tail's
+    ``(low, base, offset, orbit, least)``.  The tail is read at every
+    degree ``k >= low`` whose first part ``d * k - |m|`` is at least
+    ``m_0``; there ``E`` is keyed by ``k * step - base``, its count is read
+    at ``offset``, the cell of ``m``, one unit per coordinate, and the size
+    of its Weyl orbit is ``least`` at ``k = low`` and ``orbit`` above.
 
-    A tail is descending with ``m_0 + |m| <= d * kmax``, and is read at
-    every degree whose first part ``d * k - |m|`` is at least ``m_0``.  The
-    key holds ``E_0 - E_t`` in field ``t``: ``(d * k - |m|) * ones`` less
-    the tail packed into fields ``1..n-1``, where no field borrows, since
-    no part exceeds the first.  The orbit is ``n!`` over the factorials of
-    the parts' multiplicities; the walk keeps the tail's product of them
-    as it appends each part."""
+    A tail is descending with ``m_0 + |m| <= d * kmax``.  The key holds
+    ``E_0 - E_t`` in field ``t``: ``(d * k - |m|) * ones`` less the tail
+    packed into fields ``1..n-1``, where no field borrows, since no part
+    exceeds the first.  The orbit is ``n!`` over the factorials of the
+    parts' multiplicities; the walk keeps the tail's product of them as it
+    appends each part.  Only at the lowest degree can the first part equal
+    ``m_0``, and join its run, which makes ``least`` the smaller orbit."""
     top = d * kmax
     ones = _pack((0,) + (1,) * (n - 1), width)
     # a tail with its |m|, its offset, its packed fields and its factorials
@@ -262,19 +270,14 @@ def _dominant_cells(
             for tail, size, at, packed, runs in tails
             for m in range(min(tail[-1], top - tail[0] - size) + 1)
         ]
-    reads: list[list[tuple[int, int, int]]] = [[] for _ in range(kmax + 1)]
-    whole, step = math.factorial(n), d * ones
+    whole, cells = math.factorial(n), []
     for tail, size, at, packed, runs in tails:
         first, orbit = tail[0], whole // runs
         low = -(-(size + first) // d)
-        part = d * low - size
-        key = part * ones - packed
-        # only at the lowest degree can the first part equal m_0, and join its run
-        reads[low].append((key, at, orbit // (tail.count(first) + 1) if part == first else orbit))
-        for k in range(low + 1, kmax + 1):
-            key += step
-            reads[k].append((key, at, orbit))
-    return reads
+        least = orbit // (tail.count(first) + 1) if d * low - size == first else orbit
+        cells.append((low, size * ones + packed, at, orbit, least))
+    cells.sort(key=operator.itemgetter(0))
+    return d * ones, cells
 
 
 def _field_width(budget: int) -> int:
@@ -310,15 +313,31 @@ def _partitions(weights: Iterable[tuple[int, int]], n: int, width: int) -> dict[
     return {(key * spread) & mask: c for key, c in weights}
 
 
-@functools.lru_cache(maxsize=4096)
-def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
+def kostka_memo():
+    """A fresh memo of Kostka tables, for one call to own: ``memo(shape,
+    width)`` is :func:`_tableau_contents` of ``shape`` at ``width``, built
+    on its first request through this memo.  It is keyed by shape and
+    width, so one shape's tables at two widths are two entries, and holds
+    at most 4,096 tables, dropping the least recently used first: a heavy
+    query builds more tables than it could hold at once (``check 3 8
+    --kmax 20`` builds 11,255).  The recursion reaches the memo through a
+    weak reference: a strong one would close a cycle, which would keep the
+    tables alive after the call, until the cycle collector ran."""
+
+    @functools.lru_cache(maxsize=4096)
+    def memo(shape: tuple[int, ...], width: int) -> dict[int, int]:
+        return _tableau_contents(shape, width, this())
+
+    this = weakref.ref(memo)
+    return memo
+
+
+def _tableau_contents(shape: tuple[int, ...], width: int, memo) -> dict[int, int]:
     """Semistandard tableaux of ``shape``, a descending vector with one row
     per letter (zeros allowed, at least two rows), counted by ascending
     content, each content packed in the module's layout at a ``width`` that
     holds the first part; being the hot loop, the recursion sets and reads
-    fields by shifts in place rather than through :func:`_pack`.  The memo
-    is keyed by shape and width, so one shape's tables at two widths are
-    two entries.
+    fields by shifts in place rather than through :func:`_pack`.
 
     A Kostka number does not change when its content is permuted, so the
     ascending contents hold every one; the largest letter then holds the
@@ -359,8 +378,9 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
     ``(p, a + b - p)`` with ``p >= b`` fills them in exactly one way (the
     ``p`` ones start the first row, the second row is all twos), and no
     other fills them at all.  Shapes of five rows or more recurse, down to
-    four, and read their inner shapes through the memo; modules share
-    sub-shapes, hence the memo.
+    four, and read their inner shapes through ``memo``, a
+    :func:`kostka_memo` that the caller owns; modules share sub-shapes,
+    hence the memo.
     """
     rows = len(shape)
     if rows == 2:
@@ -412,7 +432,7 @@ def _tableau_contents(shape: tuple[int, ...], width: int) -> dict[int, int]:
         if total > rows * strip:
             continue
         added = strip << top
-        for mu, c in _tableau_contents(nu, width).items():
+        for mu, c in memo(nu, width).items():
             if mu >> last <= strip:
                 key = mu + added
                 out[key] = out.get(key, 0) + c
@@ -435,7 +455,7 @@ def _partition_table(table: CharacterTable) -> PartitionTable:
     return PartitionTable(n, table.d, table.k, width, _partitions(packed, n, width))
 
 
-def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]:
+def strip_decompose(table: PartitionTable | CharacterTable, memo=None) -> dict[Weight, int]:
     """Greedy top-down extraction of irreducible multiplicities.
 
     Reads the character at its dominant weights only (no information is
@@ -447,7 +467,8 @@ def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]
     order, reads the remaining multiplicity at each as the multiplicity of
     the irreducible with that highest weight, and subtracts that module's
     dominant character: each Kostka number ``K(top, mu)`` of
-    :func:`_tableau_contents`, at the table's width, at the packed
+    :func:`_tableau_contents`, read through ``memo`` (a :func:`kostka_memo`,
+    or a fresh one when none is given), at the table's width, at the packed
     partition of ``mu`` (an ascending content is packed as a partition's
     ascending vector) less its full columns (field 0 taken from every field
     at once).  The contents of one shape share their sum, so no two meet at
@@ -470,6 +491,8 @@ def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]
     if isinstance(table, CharacterTable):
         table = _partition_table(table)
     n, width = table.n, table.width
+    if memo is None:
+        memo = kostka_memo()
     remaining = dict(table.partitions)
     mask, ones = (1 << width) - 1, _pack((1,) * n, width)
     out: dict[Weight, int] = {}
@@ -484,7 +507,7 @@ def strip_decompose(table: PartitionTable | CharacterTable) -> dict[Weight, int]
                 f"{asc[::-1]} while stripping"
             )
         out[tuple(map(operator.sub, asc[1:], asc))] = count
-        for mu, mult in _tableau_contents(asc[::-1], width).items():
+        for mu, mult in memo(asc[::-1], width).items():
             target = mu - (mu & mask) * ones
             remaining[target] = remaining.get(target, 0) - count * mult
     leftover = [(lam, v) for lam, v in remaining.items() if v]

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from naryinv.errors import InternalError, check_dominant, check_params, check_weight
 from naryinv.forms import weight_from_moments
-from naryinv.oracles import PartitionTable, _pack, _tableau_contents, _unpack
+from naryinv.oracles import PartitionTable, _pack, _unpack, kostka_memo
 from naryinv.weights import Weight, signed_orbit_terms, to_ambient
 
 MultiIndex = tuple[int, ...]
@@ -106,7 +106,7 @@ def module_table(top: tuple[int, ...], width: int) -> dict[int, int]:
     taken from every field), as :func:`~naryinv.oracles.strip_decompose`
     subtracts them."""
     mask, ones = (1 << width) - 1, _pack((1,) * len(top), width)
-    return {mu - (mu & mask) * ones: c for mu, c in _tableau_contents(top, width).items()}
+    return {mu - (mu & mask) * ones: c for mu, c in kostka_memo()(top, width).items()}
 
 
 def gelfand_tsetlin_contents(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:

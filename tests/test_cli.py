@@ -805,7 +805,7 @@ DROP_AN_INDEX = """
 import sys
 import naryinv.oracles as oracles
 walk = oracles.enumerate_indices
-oracles.enumerate_indices = lambda n, d: walk(n, d)[1:]
+oracles.enumerate_indices = lambda n, d, caps=None: walk(n, d, caps)[1:]
 from naryinv.cli import main
 sys.exit(main(["check", "3", "3", "--kmax", "2"]))
 """
@@ -815,7 +815,9 @@ def test_check_refuses_a_character_of_the_wrong_mass(monkeypatch, capsys):
     import naryinv.oracles as oracles_mod
 
     walk = oracles_mod.enumerate_indices
-    monkeypatch.setattr(oracles_mod, "enumerate_indices", lambda n, d: walk(n, d)[1:])
+    monkeypatch.setattr(
+        oracles_mod, "enumerate_indices", lambda n, d, caps=None: walk(n, d, caps)[1:]
+    )
     code, out = run_cli("check", "3", "3", "--kmax", "2")
     err = capsys.readouterr().err
     assert code == 5 and out == ""

@@ -23,6 +23,7 @@ import naryinv.oracles as oracles_mod
 import naryinv.series as series_mod
 import naryinv.weights as weights_mod
 import test_cli
+import test_kernel
 import test_oracles
 import test_plethysm
 import test_series
@@ -86,16 +87,16 @@ def _last_term_dropped(monkeypatch):
 def _row_tables(rows, change):
     """A fault that passes every Kostka table of ``rows`` rows, wherever it
     is read, through ``change``: stripping reads its tops, and the
-    recursion of five rows and more its inner shapes, through the module
-    attribute.  Three and four rows are counted with no inner shape, so
-    only n = 3 modules read three-row tables, and n = 4 and 5 four-row
-    ones."""
+    recursion of five rows and more its inner shapes, through a memo that
+    builds each table through the module attribute.  Three and four rows
+    are counted with no inner shape, so only n = 3 modules read three-row
+    tables, and n = 4 and 5 four-row ones."""
 
     def plant(monkeypatch):
         contents = oracles_mod._tableau_contents
 
-        def changed(shape, width):
-            table = contents(shape, width)
+        def changed(shape, width, memo):
+            table = contents(shape, width, memo)
             return change(table) if len(shape) == rows else table
 
         monkeypatch.setattr(oracles_mod, "_tableau_contents", changed)
@@ -112,17 +113,22 @@ def _counts_one_too_high(table):
 
 
 def _width_blind_memo(monkeypatch):
-    """The Kostka memo keyed by shape alone: the table first built for a
-    shape is served, as a fresh dict, at every width."""
-    build, first = oracles_mod._tableau_contents.__wrapped__, {}
+    """Each Kostka memo made keyed by shape alone: the table it first builds
+    for a shape is served, as a fresh dict, at every width."""
+    build = oracles_mod._tableau_contents
 
-    @functools.lru_cache(maxsize=4096)
-    def contents(shape, width):
-        if shape not in first:
-            first[shape] = build(shape, width)
-        return dict(first[shape])
+    def made():
+        first = {}
 
-    monkeypatch.setattr(oracles_mod, "_tableau_contents", contents)
+        @functools.lru_cache(maxsize=4096)
+        def contents(shape, width):
+            if shape not in first:
+                first[shape] = build(shape, width, contents)
+            return dict(first[shape])
+
+        return contents
+
+    monkeypatch.setattr(oracles_mod, "kostka_memo", made)
 
 
 def _partitions_one_field_short(monkeypatch):
@@ -131,11 +137,11 @@ def _partitions_one_field_short(monkeypatch):
     cells = oracles_mod._dominant_cells
 
     def short(n, d, kmax, units, width):
+        # a key k * step - base borrows from no field, so masking the step
+        # and each base masks every key of every degree
         mask = (1 << (n - 1) * width) - 1
-        return [
-            [(key & mask, at, orbit) for key, at, orbit in reads]
-            for reads in cells(n, d, kmax, units, width)
-        ]
+        step, tails = cells(n, d, kmax, units, width)
+        return step & mask, [(low, base & mask, *rest) for low, base, *rest in tails]
 
     monkeypatch.setattr(oracles_mod, "_dominant_cells", short)
 
@@ -286,6 +292,31 @@ def product_characters_at_rank_four():
         raise AssertionError(f"the product pass refused its tables: {refused}") from refused
 
 
+def _refusals_fail(test):
+    """``test`` as a check: an internal error that the package raises under
+    it fails it too, with the error's message."""
+
+    def check():
+        try:
+            test()
+        except InternalError as refused:
+            raise AssertionError(f"the package refused: {refused}") from refused
+
+    check.__name__ = test.__name__
+    return check
+
+
+# Theorem 1 at every degree of the benchmark's `check` grids, and Theorem 2
+# at every highest weight of five small grids, against the raising
+# operators' kernel, which shares no code with the package
+KERNEL_INVARIANTS = _refusals_fail(
+    test_kernel.test_invariants_are_the_kernel_of_the_raising_operators
+)
+KERNEL_HIGHEST_WEIGHTS = _refusals_fail(
+    test_kernel.test_highest_weight_vectors_are_the_kernel_of_the_raising_operators
+)
+
+
 def classical_plethysms_at_rank_three():
     """Both classical plethysm rules, at every highest weight of rank 3
     they cover: they share no code with the package."""
@@ -336,10 +367,27 @@ FAULTS = {
         _indices_in_reverse_order,
         {test_series.test_the_zero_index_is_multiplied_in_first: re.escape("(2, 1, 1, None)")},
     ),
-    # the zero weight reads its targets (0, 0, 0) at degree 0 as 0
-    "read bound one short": Fault(_read_bound_one_short, {check_exits_zero: "check exits 4"}),
-    # the same read, refused as infeasible
-    "a zero target refused": Fault(_zero_target_refused, {check_exits_zero: "check exits 4"}),
+    # the zero weight reads its targets (0, 0, 0) at degree 0 as 0; the
+    # kernel's first mismatch is ((n, d, k, lam), kernel, kernel at a second
+    # prime, package), and 5 of the 226 nonzero highest weights read 0
+    "read bound one short": Fault(
+        _read_bound_one_short,
+        {
+            check_exits_zero: "check exits 4",
+            KERNEL_INVARIANTS: re.escape("((3, 3, 0, (0, 0)), 1, 1, 0)"),
+            KERNEL_HIGHEST_WEIGHTS: re.escape("(1825, 221) == (1825, 226)"),
+        },
+    ),
+    # the same read, refused as infeasible; a highest weight's signed sum
+    # then turns negative, and the package refuses it
+    "a zero target refused": Fault(
+        _zero_target_refused,
+        {
+            check_exits_zero: "check exits 4",
+            KERNEL_INVARIANTS: re.escape("((3, 3, 0, (0, 0)), 1, 1, 0)"),
+            KERNEL_HIGHEST_WEIGHTS: re.escape("negative multiplicity -1 at (n=3, d=3, k=4)"),
+        },
+    ),
     # a read past the caps raises TruncationError, a ValueError (exit 2)
     "caps one short": Fault(_caps_one_short, {check_exits_zero: "check exits 2"}),
     # the guard trips, and the expansion restarts at the 13 bits of top
@@ -366,8 +414,15 @@ FAULTS = {
     # (5, 4, 3), gets 5-bit fields where it starts at 13 unforced: 51 of
     # its counts are wrong, and Theorem 1 reads 32 at degree 4 where
     # stripping reads 0
+    # the kernel checks' first queries turn a signed sum negative, and the
+    # package refuses them
     "a narrow start with no guard test": Fault(
-        _narrow_start_unguarded, {check_exits_zero: "check exits 4"}
+        _narrow_start_unguarded,
+        {
+            check_exits_zero: "check exits 4",
+            KERNEL_INVARIANTS: re.escape("negative multiplicity -63 at (n=3, d=3, k=8)"),
+            KERNEL_HIGHEST_WEIGHTS: re.escape("negative multiplicity -32 at (n=3, d=3, k=5)"),
+        },
     ),
     # `series 3 3 12` spans 1,911 cells, and a limit of 1,910 passes
     "size estimate one cell short": Fault(
@@ -407,25 +462,18 @@ FAULTS = {
     ),
     # the zero shift reads the same backwards, so `check` cannot see it; the
     # walk at the shift (3, 0) of n = 3 lists the terms of (0, 3), and the
-    # multiplicity of V_(2, 0) in S^1(S^2 C^3) = S^2 C^3 reads 0
+    # multiplicity of V_(2, 0) in S^1(S^2 C^3) = S^2 C^3 reads 0, while the
+    # kernel finds no highest-weight vector of weight (0, 3) at k = 1 where
+    # the package counts one
     "the shift read backwards": Fault(
         _shift_read_backwards,
         {
             test_weights.test_orbit_terms_match_reference: re.escape("!= ((3, 0), 1)"),
             classical_plethysms_at_rank_three: re.escape("item: (2, 1, (2, 0, 0), 1, 0)"),
+            KERNEL_HIGHEST_WEIGHTS: re.escape("((3, 3, 1, (0, 3)), 0, 0, 1)"),
         },
     ),
 }
-
-
-@pytest.fixture(autouse=True)
-def empty_kostka_memo():
-    """No Kostka table built under a fault is left in the memo, and none
-    built before one is read under it."""
-    contents = oracles_mod._tableau_contents
-    contents.cache_clear()
-    yield
-    contents.cache_clear()
 
 
 def _run(check, capsys):

@@ -178,9 +178,29 @@ def test_product_characters_check_their_mass(monkeypatch):
     # weight (3, 0), whose orbit holds 3 of the 10 weights, and the pass
     # raises before the first table
     walk = oracles_mod.enumerate_indices
-    monkeypatch.setattr(oracles_mod, "enumerate_indices", lambda n, d: walk(n, d)[1:])
+    monkeypatch.setattr(
+        oracles_mod, "enumerate_indices", lambda n, d, caps=None: walk(n, d, caps)[1:]
+    )
     with pytest.raises(InternalError, match="degree 1 has mass 7, not 10"):
         next(character_tables(3, 3, 2))
+
+
+def test_the_index_walk_stops_at_the_caps(monkeypatch):
+    # at (8, 6, 1) the caps are (3, 2, 1, 1, 1, 0, 0): 90 of the 1,716
+    # indices are live, and the walk builds those alone, in the order of
+    # the uncapped walk
+    walk, built = oracles_mod.enumerate_indices, []
+
+    def counted(n, d, caps):
+        indices = walk(n, d, caps)
+        built.append(indices)
+        return indices
+
+    monkeypatch.setattr(oracles_mod, "enumerate_indices", counted)
+    assert main(["check", "8", "6", "--kmax", "1"], out=io.StringIO()) == 0
+    assert [len(indices) for indices in built] == [90]
+    caps = oracles_mod._moment_box(8, 6, 1)[0]
+    assert built[0] == [i for i in enumerate_indices(8, 6) if all(map(int.__le__, i, caps))]
 
 
 def test_product_characters_reach_a_large_degree():
@@ -401,7 +421,7 @@ def test_tableau_contents_match_tableaux_filled_cell_by_cell():
             if count:
                 expected[mu[::-1]] = count
         width = _narrowest(top)
-        contents = oracles_mod._tableau_contents(top, width)
+        contents = oracles_mod.kostka_memo()(top, width)
         # field s counts letter s + 1
         assert {oracles_mod._unpack(key, len(top), width): c for key, c in contents.items()} == expected, top
 
@@ -413,7 +433,7 @@ def _match_gelfand_tsetlin_patterns(shape):
     patterns = gelfand_tsetlin_contents(shape)
     expected = {mu: k for mu, k in patterns.items() if list(mu) == sorted(mu)}
     for width in (_narrowest(shape), _narrowest(shape) + 9):
-        contents = oracles_mod._tableau_contents(shape, width)
+        contents = oracles_mod.kostka_memo()(shape, width)
         # field s counts letter s + 1
         unpacked = {oracles_mod._unpack(mu, len(shape), width): k for mu, k in contents.items()}
         assert unpacked == expected, (shape, width)
@@ -440,28 +460,63 @@ def test_four_row_contents_count_gelfand_tsetlin_patterns():
                     _match_gelfand_tsetlin_patterns((a, b, c, e))
 
 
-def test_one_verify_pass_builds_and_reads_the_pinned_kostka_tables():
-    # each query starts from an empty memo, as in a fresh process; three
-    # and four rows are counted with no inner shape, so the memo holds only
-    # the tops stripped and the four-row inner shapes of five-row tops (a
+def _memos_of_each_check(monkeypatch, *argvs):
+    """The Kostka memo that each ``check`` call makes, as it ends."""
+    import naryinv.cli as cli_mod
+
+    make, memos = cli_mod.kostka_memo, []
+
+    def made():
+        memos.append(make())
+        return memos[-1]
+
+    monkeypatch.setattr(cli_mod, "kostka_memo", made)
+    for argv in argvs:
+        assert main(argv, out=io.StringIO()) == 0
+    return memos
+
+
+def test_one_verify_pass_builds_and_reads_the_pinned_kostka_tables(monkeypatch):
+    # each query makes its own memo, as a fresh process would; three and
+    # four rows are counted with no inner shape, so the memo holds only the
+    # tops stripped and the four-row inner shapes of five-row tops (a
     # recursion down to three rows read 1,058 misses and 1,321 hits, one
     # down to two rows 1,969 and 8,429)
-    contents = oracles_mod._tableau_contents
-    misses = hits = 0
-    for n, d, kmax in VERIFY_GRIDS:
-        contents.cache_clear()
-        assert main(["check", str(n), str(d), "--kmax", str(kmax)], out=io.StringIO()) == 0
-        info = contents.cache_info()
-        misses, hits = misses + info.misses, hits + info.hits
-    assert (misses, hits) == (636, 829)
+    argvs = [["check", str(n), str(d), "--kmax", str(kmax)] for n, d, kmax in VERIFY_GRIDS]
+    infos = [memo.cache_info() for memo in _memos_of_each_check(monkeypatch, *argvs)]
+    assert len(infos) == len(VERIFY_GRIDS)
+    assert (sum(i.misses for i in infos), sum(i.hits for i in infos)) == (636, 829)
+
+
+def test_a_kostka_memo_keeps_the_4096_tables_used_last():
+    # more shapes than it holds keep a memo at its bound, and the shape
+    # asked for longest ago is the one built again: the first shape, asked
+    # for again before the memo fills, stays, and the second goes
+    memo = oracles_mod.kostka_memo()
+    shapes = (
+        (total - b - c, b, c)
+        for total in itertools.count()
+        for c in range(total // 3 + 1)
+        for b in range(c, (total - c) // 2 + 1)
+    )
+    shapes = list(itertools.islice(shapes, 4096 + 5))
+    # keyed by shape and width: 8 bits hold every part of these shapes
+    for shape in shapes[:4096] + shapes[:1] + shapes[4096:]:
+        memo(shape, 8)
+    assert (memo.cache_info().currsize, memo.cache_info().maxsize) == (4096, 4096)
+    misses = memo.cache_info().misses
+    memo(shapes[0], 8)
+    memo(shapes[-1], 8)
+    assert memo.cache_info().misses == misses
+    memo(shapes[1], 8)
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_tableau_contents_agree_across_widths():
     # the memo is keyed by shape and width: one shape at the narrowest
     # width that holds it and at a wider one is two entries, one table
-    contents = oracles_mod._tableau_contents
     for top in TOPS:
-        contents.cache_clear()
+        contents = oracles_mod.kostka_memo()
         widths = (_narrowest(top), _narrowest(top) + 9)
         built = {width: contents(top, width) for width in widths}
         assert built[widths[0]] is not built[widths[1]]
@@ -502,7 +557,7 @@ def test_two_row_contents_match_tableaux_filled_cell_by_cell():
                 if count:
                     expected[p, a + b - p] = count
             width = _narrowest((a, b))
-            contents = oracles_mod._tableau_contents((a, b), width)
+            contents = oracles_mod.kostka_memo()((a, b), width)
             # field s counts letter s + 1
             assert {oracles_mod._unpack(key, 2, width): c for key, c in contents.items()} == expected
 
@@ -550,8 +605,8 @@ def test_the_field_width_adapts_to_the_largest_partition(table, shape, width, mo
     # would have 2**31 entries, so the first one asked for stops the run
     calls = []
 
-    def build(*args):
-        calls.append(args)
+    def build(shape, width, memo):
+        calls.append((shape, width))
         raise LookupError("stop before building")
 
     monkeypatch.setattr(oracles_mod, "_tableau_contents", build)

@@ -5,15 +5,16 @@ examples, limits, exit codes and layout, in step with the code."""
 
 import argparse
 import ast
+import gc
 import importlib
 import io
-import itertools
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -41,10 +42,12 @@ def _functools_name(node, aliases):
     return None
 
 
-def test_every_memo_is_bounded():
-    # a process-wide memo lives as long as the process: each one must state
-    # a finite maxsize, so none can grow with the queries a process answers
-    found = []
+def test_no_memo_outlives_a_call(monkeypatch):
+    # nothing at module level is memoised (a function there is looked at
+    # through its decorators, since its body runs in a call), so the package
+    # holds no memo across calls: each memo is made inside a call, states a
+    # finite maxsize, and is dropped with the call
+    module_level, unbounded = [], []
     for path in sorted((SRC / "naryinv").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         aliases = {
@@ -53,6 +56,13 @@ def test_every_memo_is_bounded():
             if isinstance(node, ast.ImportFrom) and node.module == "functools"
             for alias in node.names
         }
+        module_level += [
+            f"{path.name}:{node.lineno}"
+            for top in tree.body
+            for head in (top.decorator_list if isinstance(top, ast.FunctionDef) else [top])
+            for node in ast.walk(head)
+            if _functools_name(node, aliases) in ("cache", "lru_cache")
+        ]
         bounded = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _functools_name(node.func, aliases) == "lru_cache":
@@ -65,46 +75,49 @@ def test_every_memo_is_bounded():
         for node in ast.walk(tree):
             name = _functools_name(node, aliases)
             if name == "cache" or (name == "lru_cache" and id(node) not in bounded):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+                unbounded.append(f"{path.name}:{node.lineno}")
+    assert (module_level, unbounded) == ([], [])
+    # a second `check` in one process builds every Kostka table the first
+    # built, and each call's memo is freed as the call returns, with no
+    # help from the cycle collector
+    import naryinv.oracles as oracles_mod
+    from naryinv.cli import main
+
+    build, built, memos = oracles_mod._tableau_contents, [], set()
+
+    def counted(shape, width, memo):
+        built[-1] += 1
+        memos.add(weakref.ref(memo))
+        return build(shape, width, memo)
+
+    monkeypatch.setattr(oracles_mod, "_tableau_contents", counted)
+    gc.disable()
+    try:
+        for _ in range(2):
+            built.append(0)
+            assert main(["check", "3", "3", "--kmax", "8"], out=io.StringIO()) == 0
+            assert [memo() for memo in memos] == [None] * len(built)
+    finally:
+        gc.enable()
+    assert built == [56, 56]
 
 
-def test_the_only_memo_is_the_kostka_contents():
-    # each Kostka table is held once, by the tableau recursion, and
-    # stripping reads it there; more shapes than it holds keep it at its bound
-    uses, memos = [], []
-    for path in sorted((SRC / "naryinv").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        aliases = {
-            alias.asname or alias.name: alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "functools"
-            for alias in node.names
-        }
-        for node in ast.walk(tree):
-            if _functools_name(node, aliases) in ("cache", "lru_cache"):
-                uses.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.FunctionDef):
-                memos += [
-                    (f"{path.name}:{dec.lineno}", f"{path.stem}.{node.name}")
-                    for dec in node.decorator_list
-                    if _functools_name(getattr(dec, "func", dec), aliases) in ("cache", "lru_cache")
-                ]
-    assert [memo for _, memo in memos] == ["oracles._tableau_contents"]
-    assert uses == [line for line, _ in memos]
-    from naryinv.oracles import _tableau_contents
-
-    cap = _tableau_contents.cache_info().maxsize
-    shapes = (
-        (total - b - c, b, c)
-        for total in itertools.count()
-        for c in range(total // 3 + 1)
-        for b in range(c, (total - c) // 2 + 1)
+def test_the_benchmark_worker_finds_no_memo_to_clear():
+    # the worker clears every memoised function of the package before each
+    # query; a process-wide memo would show here, not stay warm between
+    # the benchmark's queries
+    probe = (
+        "import io, naryinv, naryinv.cli, worker\n"
+        "print(len(worker.cache_clearers(naryinv)))\n"
+        "naryinv.cli.main(['check', '3', '3', '--kmax', '4'], out=io.StringIO())\n"
+        "print(len(worker.cache_clearers(naryinv)))\n"
     )
-    # keyed by shape and width: 8 bits hold every part of these shapes
-    for shape in itertools.islice(shapes, cap + 5):
-        _tableau_contents(shape, 8)
-    assert _tableau_contents.cache_info().currsize <= cap
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(PERFBENCH)])),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0", "0"]
 
 
 def test_check_strips_each_degree_through_strip_decompose(monkeypatch):
@@ -114,9 +127,9 @@ def test_check_strips_each_degree_through_strip_decompose(monkeypatch):
 
     strip, degrees = cli_mod.strip_decompose, []
 
-    def spy(table):
+    def spy(table, memo):
         degrees.append(table.k)
-        return strip(table)
+        return strip(table, memo)
 
     monkeypatch.setattr(cli_mod, "strip_decompose", spy)
     out = io.StringIO()
