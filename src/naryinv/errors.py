@@ -2,7 +2,8 @@
 
 from typing import Iterable
 
-#: the one bound on the states a query holds: series cells, character-table cells
+#: the one bound on the states a query holds: series cells, character-table
+#: cells, and the n! orderings the orbit walk joins
 MAX_TERMS = 5_000_000
 
 

@@ -84,24 +84,34 @@ def _repeat(pattern: int, stride: int, count: int) -> int:
 
 
 def _cells(
-    caps: tuple[int, ...],
-    places: tuple[int, ...],
-    budget: int,
-    prefix: tuple[int, ...] = (),
-    at: int = 0,
+    caps: tuple[int, ...], places: tuple[int, ...], budget: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(moments, cell)`` for every moment vector within ``caps`` whose
-    entries sum to at most ``budget``, in lexicographic order; ``prefix``
-    fixes the leading entries and ``at`` is their cell.  Budget ``d * k``
-    walks the cells of layer ``k``; budget ``d``, the indices."""
-    s = len(prefix)
-    top, place = min(caps[s], budget), places[s]
-    if s == len(caps) - 1:
-        for x in range(top + 1):
+    entries sum to at most ``budget``, in lexicographic order.  Budget
+    ``d * k`` walks the cells of layer ``k``; budget ``d``, the indices.
+
+    An odometer, not a recursion, so a rank in the thousands walks too:
+    the last entry runs in the inner loop, and each pass then steps the
+    rightmost leading entry that can grow, zeroing the entries after it."""
+    last = len(caps) - 1
+    cap, place = caps[last], places[last]
+    lead = [0] * last
+    at, left = 0, budget
+    while True:
+        prefix = tuple(lead)
+        for x in range(min(cap, left) + 1):
             yield (*prefix, x), at + x * place
-    else:
-        for x in range(top + 1):
-            yield from _cells(caps, places, budget - x, (*prefix, x), at + x * place)
+        s = last - 1
+        while s >= 0 and (left == 0 or lead[s] == caps[s]):
+            left += lead[s]
+            at -= lead[s] * places[s]
+            lead[s] = 0
+            s -= 1
+        if s < 0:
+            return
+        lead[s] += 1
+        left -= 1
+        at += places[s]
 
 
 class TruncatedSeries(NamedTuple):

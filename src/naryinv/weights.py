@@ -30,16 +30,22 @@ sorted vector alone names the dominant weight.
 :func:`signed_orbit_terms` never lists the n! permutations.  It fills
 positions one element at a time, in two halves: positions ``0..h-1``
 forward and ``n-1..h`` backward, ``h = n // 2``.  A walk state is one
-``int``: the multiset of entries placed so far, as a 4-bit count per entry
-value (enough for n <= 15), above the mask of used elements.  Each half
-keeps one dict from state to ``[signed count, entries]``, so paths that
-place the same entries with the same elements merge, and the entries are
-those of the first path to reach the state.  Placing element ``i`` flips
-the sign when an odd number of smaller elements are still unplaced
-(forward) or already placed (backward); together the flips count the
-inversions of ``q``.  The halves meet on complementary masks, where
-adding two states joins their multisets, so each distinct joined multiset
-is sorted once into its weight, the gaps between its sorted entries.
+``int``: the multiset of entries placed so far, as a count per entry
+value in a field of ``n.bit_length()`` bits (no count exceeds n), above
+the mask of used elements.  Each half keeps one dict from state to
+``[signed count, entries]``, so paths that place the same entries with
+the same elements merge, and the entries are those of the first path to
+reach the state.  Placing element ``i`` flips the sign when an odd
+number of smaller elements are still unplaced (forward) or already placed
+(backward); together the flips count the inversions of ``q``.  The
+halves meet on complementary masks, where adding two states joins their
+multisets, so each distinct joined multiset is sorted once into its
+weight, the gaps between its sorted entries.
+
+The walk joins at most the n! orderings of the group, so a rank whose n!
+passes :data:`naryinv.errors.MAX_TERMS` is refused before anything is
+walked; the factorial is multiplied up only until it passes the limit, so
+a huge rank is refused at once.
 
 Each walk structure lives only as long as the answer needs it.  A half
 walk keeps one position's dict at a time.  The forward half and the
@@ -63,14 +69,9 @@ from __future__ import annotations
 import operator
 from typing import Iterable, NamedTuple
 
-from .errors import ResourceLimitError, check_params, check_weight
+from .errors import MAX_TERMS, ResourceLimitError, check_params, check_weight
 
 Weight = tuple[int, ...]
-
-#: each half of the orbit walk ends on up to C(n, h) * (n - h)! states,
-#: h = n // 2; that stays comfortable on a desk up to here, and going past
-#: it would need a bound on walk states
-MAX_ORBIT_RANK = 8
 
 
 class SignedOrbitTerm(NamedTuple):
@@ -145,22 +146,29 @@ def signed_orbit_terms(
     at degree ``k`` or below are kept: those whose ambient entries
     ``{base[q[j]] - j}`` are all at most ``(kd + sum(base) - n(n-1)/2) // n``,
     with ``base = to_ambient(shift) + rho``.  The walk never places a larger
-    entry.  A negative ``kd`` raises :class:`ValueError`.
+    entry.  A negative ``kd`` raises :class:`ValueError`, and a rank whose
+    n! orderings pass :data:`~naryinv.errors.MAX_TERMS` raises
+    :class:`ResourceLimitError`.
 
     The result is sorted by (largest component, lexicographic), which for
     n = 3 reproduces the classical five-term presentation order.
     """
     check_params(n)
-    if n > MAX_ORBIT_RANK:
-        raise ResourceLimitError(
-            f"orbit walk at rank n = {n} refused (limit n <= {MAX_ORBIT_RANK})"
-        )
+    orderings = 1
+    for m in range(2, n + 1):
+        orderings *= m
+        if orderings > MAX_TERMS:
+            raise ResourceLimitError(
+                f"orbit walk at rank n = {n} refused: n! is at least {orderings}"
+                f" orderings, above the limit {MAX_TERMS}"
+            )
     shift = check_weight(n, (0,) * (n - 1) if shift is None else shift, "shift")
     if kd is not None and kd < 0:
         raise ValueError(f"degree budget kd must be >= 0, got {kd}")
     base = [x + i for i, x in enumerate(to_ambient(shift))]
     cap = max(base) if kd is None else (kd + sum(base) - n * (n - 1) // 2) // n
-    # each entry value gets its own 4-bit count field above the n mask bits
+    # each entry value gets its own count field above the n mask bits
+    width = n.bit_length()
     field: dict[int, int] = {}
     steps = []
     for j in range(n):
@@ -169,7 +177,7 @@ def signed_orbit_terms(
             entry = b - j
             if entry <= cap:
                 if entry not in field:
-                    field[entry] = 1 << (n + 4 * len(field))
+                    field[entry] = 1 << (n + width * len(field))
                 row.append((1 << i, field[entry] | 1 << i, (entry,)))
         steps.append(row)
     half = n // 2

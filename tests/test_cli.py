@@ -626,6 +626,22 @@ def test_check_limit_states_caps_the_character_entries(capsys):
     )
 
 
+def test_check_agrees_at_ranks_nine_and_ten():
+    # the orbit walk at 9! and 10! orderings against stripping
+    for n, kmax in ((9, 6), (10, 5)):
+        code, out = run_cli("check", str(n), "2", "--kmax", str(kmax))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == kmax + 1 and all(line.endswith(" ok") for line in lines)
+
+
+def test_count_at_rank_1100():
+    # 1,099 moment coordinates: the cells are walked without recursion
+    one = ",".join(["1"] + ["0"] * 1098)
+    assert run_cli("count", "1100", "1", "1", "--mu", one) == (0, "1\n")
+    assert run_cli("count", "1100", "1", "0", "--mu", ",".join(["0"] * 1099)) == (0, "1\n")
+
+
 def test_check_reaches_past_brute_force():
     # C(30, 16) = 145,422,675 monomials at k = 16, but 15,393 table cells
     code, out = run_cli("check", "3", "4", "--kmax", "16")
@@ -746,8 +762,10 @@ def test_negative_kmax_names_the_flag(command, capsys):
 
 
 def test_resource_limit_exit_code():
-    code, _ = run_cli("nu", "9", "2", "2")
+    code, _ = run_cli("nu", "11", "2", "2")
     assert code == 3
+    # 11! orderings pass the limit, for the whole orbit too
+    assert run_cli("orbit", "11") == (3, "")
     code, _ = run_cli("count", "3", "4", "9", "--mu", "0,0", "--limit-states", "3")
     assert code == 3
 

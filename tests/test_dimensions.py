@@ -52,10 +52,12 @@ def test_quadratic_forms_have_periodic_dimensions():
     for n in (2, 3, 4, 5, 6):
         prefix = hilbert_series_prefix(n, 2, 2 * n)
         assert prefix == [1 if k % n == 0 else 0 for k in range(2 * n + 1)]
+    # rank 9, up to the discriminant's degree
+    assert hilbert_series_prefix(9, 2, 9) == [1] + [0] * 8 + [1]
 
 
 def test_linear_form_has_only_constants():
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 9, 10):
         assert hilbert_series_prefix(n, 1, 6) == [1, 0, 0, 0, 0, 0, 0]
 
 

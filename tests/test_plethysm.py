@@ -1,4 +1,4 @@
-"""Theorem 2 against two classical plethysms, at every rank up to 8.
+"""Theorem 2 against two classical plethysms, at every rank up to 10.
 
 Each rule gives every highest weight of a module, and shares no code with
 the package: the partitions are computed here, and only the top-level
@@ -29,8 +29,8 @@ import pytest
 from naryinv import highest_weight_multiplicity
 
 #: the largest k of the first rule and the largest d of the second, per n
-SQUARE_KMAX = {2: 12, 3: 10, 4: 8, 5: 8, 6: 7, 7: 6, 8: 6}
-SQUARE_DMAX = {2: 8, 3: 8, 4: 8, 5: 8, 6: 5, 7: 5, 8: 5}
+SQUARE_KMAX = {2: 12, 3: 10, 4: 8, 5: 8, 6: 7, 7: 6, 8: 6, 9: 5, 10: 4}
+SQUARE_DMAX = {2: 8, 3: 8, 4: 8, 5: 8, 6: 5, 7: 5, 8: 5, 9: 5, 10: 4}
 
 
 def _partitions(total, parts, largest=None):

@@ -9,6 +9,7 @@ import gc
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -619,9 +620,9 @@ def test_every_expansion_in_the_package_is_capped():
     assert uncapped == ["series.invariant_dimension_by_series"]
 
 
-def test_one_size_bound_and_the_rank_bound():
-    # every size bound defaults to errors.MAX_TERMS, the default of
-    # --limit-states; only the orbit walk keeps a bound of its own, on rank
+def test_one_size_bound():
+    # every size bound is errors.MAX_TERMS, the default of --limit-states;
+    # the orbit walk's rank bound is derived from it, not a constant
     found = [
         f"{path.stem}.{target.id}"
         for path in sorted((SRC / "naryinv").glob("*.py"))
@@ -630,7 +631,7 @@ def test_one_size_bound_and_the_rank_bound():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and target.id.startswith("MAX_")
     ]
-    assert found == ["errors.MAX_TERMS", "weights.MAX_ORBIT_RANK"]
+    assert found == ["errors.MAX_TERMS"]
 
 
 TOP_LEVEL = [
@@ -748,7 +749,7 @@ def test_readme_refusals_are_reproduced(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     sessions = _readme_transcript("### Limits")
     assert [" ".join(argv) for argv, _, _ in sessions] == [
-        "nu 9 2 2",
+        "nu 11 2 2",
         "nu 4 3 64",
         "check 3 4 --kmax 16 --limit-states 15392",
     ]
@@ -761,12 +762,13 @@ def test_readme_refusals_are_reproduced(tmp_path, monkeypatch, capsys):
 
 
 def test_readme_states_the_rank_bound_and_the_default_limit():
+    # the rank bound is the largest n whose n! orderings fit in the limit
     from naryinv.errors import MAX_TERMS
-    from naryinv.weights import MAX_ORBIT_RANK
 
     readme = README.read_text()
     ranks = {int(rank) for rank in re.findall(r"n <= (\d+)", readme)}
-    assert ranks == {MAX_ORBIT_RANK}
+    largest = max(n for n in range(2, 30) if math.factorial(n) <= MAX_TERMS)
+    assert ranks == {largest}
     default = re.search(r"`--limit-states N` \(default ([\d,]+)", readme).group(1)
     assert int(default.replace(",", "")) == MAX_TERMS
 

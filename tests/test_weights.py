@@ -152,13 +152,23 @@ def test_orbit_terms_match_reference():
 
 
 def test_orbit_rank_limit(monkeypatch):
-    with pytest.raises(ResourceLimitError):
-        signed_orbit_terms(9)
-    # the bound is read at call time
-    monkeypatch.setattr(weights_mod, "MAX_ORBIT_RANK", 3)
+    # 11! orderings pass the default limit, and a huge rank is refused at once
+    with pytest.raises(ResourceLimitError, match=r"n = 11 .* limit 5000000$"):
+        signed_orbit_terms(11)
+    with pytest.raises(ResourceLimitError, match=r"n = 1000000 "):
+        signed_orbit_terms(1_000_000)
+    # the limit is read at call time: 3! fits in 6 orderings, 4! does not
+    monkeypatch.setattr(weights_mod, "MAX_TERMS", 6)
     assert len(signed_orbit_terms(3)) == 5
     with pytest.raises(ResourceLimitError):
         signed_orbit_terms(4)
+
+
+def test_orbit_at_rank_nine():
+    # the signs of S_9 cancel in sum, whatever the weights they land on
+    terms = signed_orbit_terms(9)
+    assert len(terms) == 23_653
+    assert sum(t.coefficient for t in terms) == 0
 
 
 def test_shift_validation():
