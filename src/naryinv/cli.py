@@ -284,7 +284,7 @@ def _commands() -> dict:
     # first among a command's own options, so that it lists right after --format
     limit = ("--limit-states", dict(
         type=int, default=MAX_TERMS, metavar="N",
-        help="cap on the states a query holds: series cells, character entries"))
+        help="cap on the states a query holds: series cells, character-table cells"))
 
     def weight(flag, help_text):
         return flag, dict(dest="weight", required=True, metavar="W", help=help_text)

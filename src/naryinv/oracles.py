@@ -145,22 +145,26 @@ def character_tables(
     that feeds a read, at any degree, is at most ``m`` in each coordinate.
     So coordinate ``j`` is capped at ``d * kmax // (j + 2)``, and the box
     drops only cells that reach no read.  Every table has the width
-    ``_field_width(d * kmax)``.  The whole pass runs when the first table
-    is asked for; each degree's orbit mass, the sum over its dominant
-    weights of each count times the size of the weight's Weyl orbit, must
-    then equal the symmetric-power dimension, else :class:`InternalError`.
+    ``_field_width(d * kmax)``.  The whole product runs when the first
+    table is asked for; then each degree in turn is read, checked and
+    handed out.  Its orbit mass, the sum over its dominant weights of each
+    count times the size of the weight's Weyl orbit, must equal the
+    symmetric-power dimension, else :class:`InternalError` is raised
+    before that degree's table is handed out (the degrees below it have
+    been).
 
     The layers hold ``1 + kmax * prod(strides)`` cells (degree 0 holds
     one); past ``max_terms`` cells the pass is refused before any layer is
     built.
     """
     check_params(n, d, kmax, max_terms)
-    cells = 1 + kmax * _moment_box(n, d, kmax)[1][-1]
+    caps, places = _moment_box(n, d, kmax)
+    cells = 1 + kmax * places[-1]
     if cells > max_terms:
         raise ResourceLimitError(
             f"character tables would hold {cells} cells, above the limit {max_terms}"
         )
-    return _product_tables(n, d, kmax)
+    return _product_tables(n, d, kmax, caps, places)
 
 
 def _moment_box(n: int, d: int, kmax: int) -> tuple[list[int], list[int]]:
@@ -175,8 +179,11 @@ def _moment_box(n: int, d: int, kmax: int) -> tuple[list[int], list[int]]:
     return caps, places
 
 
-def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
-    """The product pass of :func:`character_tables`, once its size is checked.
+def _product_tables(
+    n: int, d: int, kmax: int, caps: list[int], places: list[int]
+) -> Iterator[PartitionTable]:
+    """The product pass of :func:`character_tables`, once its size is checked,
+    over the box of :func:`_moment_box` that sized it.
 
     A cell is ``_field_width(mass)`` bits, rounded up to whole bytes, for
     the mass of the top degree, which bounds every count of every degree,
@@ -188,12 +195,13 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
     ``min(d, cap)``, so a cell within the caps lands below its coordinate's
     stride: no shift aliases one moment vector onto another, and no count
     carries into the next cell.
-    Each degree is written out by one ``to_bytes``, and each dominant
-    weight's count read from its slice, at the offset that
-    :func:`_dominant_cells` gives its tail; the key and the orbit of each
-    degree are derived from the tail's entry as that degree is read.
+    Then each degree in turn is read, checked and handed out: its layer is
+    written out by one ``to_bytes`` and dropped, each dominant weight's
+    count is read from its slice, at the offset that
+    :func:`_dominant_cells` gives its tail, with its key and orbit derived
+    from the tail's entry, and the orbit mass is checked before the
+    degree's table is yielded.
     """
-    caps, places = _moment_box(n, d, kmax)
     size = -(-_field_width(symmetric_power_dimension(n, d, kmax)) // 8)
     # the bytes that one unit of each coordinate moves a cell, then a layer's
     units = [size * place for place in places]
@@ -204,14 +212,14 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
         box = box * (cap + 1) + bytes(above - unit * (cap + 1))
     box = int.from_bytes(box, "little")
     layers = [1] + [0] * kmax
-    for at in _index_cells(n, d, caps, units) if kmax else ():
+    for at in _index_cells(n, d, caps, units):
         lower, shift = layers[0], 8 * at
         for k in range(1, kmax + 1):
             lower = layers[k] = (layers[k] + (lower << shift)) & box
-    width, tables = _field_width(d * kmax), []
+    width = _field_width(d * kmax)
     step, cells = _dominant_cells(n, d, kmax, units, width)
     for k in range(kmax + 1):
-        packed = layers[k].to_bytes(units[-1], "little")
+        packed, layers[k] = layers[k].to_bytes(units[-1], "little"), 0
         counts, mass, keys = {}, 0, k * step
         for low, base, at, orbit, least in cells:
             if low > k:
@@ -223,12 +231,7 @@ def _product_tables(n: int, d: int, kmax: int) -> Iterator[PartitionTable]:
             raise InternalError(
                 f"the character of degree {k} has mass {mass}, not {expected}"
             )
-        layers[k] = 0
-        tables.append(counts)
-    # each table is let go as it is handed out
-    tables.reverse()
-    for k in range(kmax + 1):
-        yield PartitionTable(n, d, k, width, tables.pop())
+        yield PartitionTable(n, d, k, width, counts)
 
 
 def _index_cells(n: int, d: int, caps: list[int], units: list[int]) -> list[int]:

@@ -33,11 +33,16 @@ cell needs far fewer bits.  So a field is first ``w + g`` bits: ``w`` from
 in, the top layer's guard bits are tested, once.
 That one test is enough:
 
-- :func:`_cells` yields the zero index first.  Once it is in, adding a
-  zero index maps the degree-``k`` multisets at moments ``m`` one-to-one
-  into the degree-``k + 1`` ones, so no cell of layer ``k`` exceeds the
-  same cell of the top layer, and a clear guard there means every field
-  of every layer is below ``2^w``.
+- :func:`_cells` yields the zero index first, and the test needs that
+  order.  Once the zero index is in, adding a zero index maps the
+  degree-``k`` multisets at moments ``m`` one-to-one into the
+  degree-``k + 1`` ones, so at every later step the top layer dominates
+  every cell: no cell of layer ``k`` exceeds the same cell of the top
+  layer.  So the first field to pass its ``w`` bits is in the top layer,
+  where the guard test looks, and a clear guard there means every field
+  of every layer is below ``2^w``.  Before the zero index is in, nothing
+  ties a lower layer to the top one, and a lower field could pass its
+  ``w`` bits unseen.
 - Multiplying in one index makes each count a sum of at most
   ``degree_bound + 1`` counts from before it,
   ``c_k(m) = sum_j c_{k-j}(m - j * i)``, so the count is below

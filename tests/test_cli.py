@@ -185,7 +185,9 @@ def test_output_matrix(capsys):
 # "orbit -h", re-taken when orbit stopped taking --limit-states, and the
 # other "-h" of a command, re-taken when --limit-states came to cap
 # character entries as well as series cells; "series -h" re-taken again
-# when series lost --dump
+# when series lost --dump; the six "-h" of nu, gamma, count, table, series
+# and check re-taken when the --limit-states help came to name the unit
+# that check sizes its tables in, "character-table cells"
 HELP_AND_ERROR_DIGESTS = {
     "": "86eefdf75d9083c001b9df8d2c535ca2e6f40a53b5e4c4185aa16e49dc615d27",
     "-h": "98ec598b2aa0523e1fc3809aded569d5b752d31489d085d38a7133539fa85cc2",
@@ -201,13 +203,13 @@ HELP_AND_ERROR_DIGESTS = {
     "nu 3 3 4 --bogus": "2bb3fad17f5e85a0b234833ea585430a7352bf6b3f717c26cd622b022c882e1d",
     "nu 3 3 4 --limit-states 0": "1f2fcfa6b721d82c0782e1a04ad3455874ae1c9be3f395548b5e082315050ff3",
     "check 2 2 --kmax x": "9deff7bfe487d73e0763bb714baf095cf3956356c458ec09d8bd0d28198a1cd8",
-    "nu -h": "fb28f9e41f619577c3da0b4d9e2b473120db3477a918e27e4a5b670f16fb49b7",
-    "gamma -h": "a89459ba26d817e2d23df9f95616e7762aa24e9434a75aeb32e02559bb59cc4f",
-    "count -h": "6e9c9e3cf642457469ccd7f69d99b6441f028c31a57d0026ab647536c7df4b78",
+    "nu -h": "debab98845299907e03b7dc635331d919ec46ce8f8247cd6ee7e312a575f3aea",
+    "gamma -h": "7151ca68c95736e20dd4585324ecf0ed0f49281afae6329dbb2da55c292d1ce8",
+    "count -h": "324afaf8370a3231c7a3c5d2dcf4e461ec32f236ed5ef96a603ee45ebb60481b",
     "orbit -h": "9e8ef9bbe652b0917472fb47e3111502cf255ca96b43888490b5646389958997",
-    "table -h": "cfe4cf112a55876c1a272673f5a7da6295474e12350b29a32b128a08cafc599c",
-    "series -h": "6a832bf5365a770caa242be8bd5214fa63f3daeed75190d494ec4ded757e4d7e",
-    "check -h": "dbe6bdbe3d3324fade6406fb13e32730b949ce7bcb00c0f892f6be055ee83568",
+    "table -h": "ad2aa6cf70799073c7c34a122eeeadb21dd5f172a486cab59ccb7a706fb7b12b",
+    "series -h": "b5fc7f0c3e190595cc6f68dc685a136e87a85524f77b40d2ad55c4e89b89fbf0",
+    "check -h": "d9c39f69bfae67ba8966822700dbfe4ecbd8e38de4e0aa61c2b83a36b5bc81e2",
     # taken while a query was still parsed by the top-level parser and its
     # subparser: leftovers, an abbreviated option, options before the
     # positionals, a negative weight not attached with "=", an option of
@@ -616,7 +618,7 @@ def test_check_refuses_its_top_degree_before_any_row(capsys):
         )
 
 
-def test_check_limit_states_caps_the_character_entries(capsys):
+def test_check_limit_states_caps_the_character_cells(capsys):
     # the layers of (3, 3) to k = 6 hold 1 + 6 * 13 * 10 = 781 cells: the
     # caps 18 // 2 = 9 and 18 // 3 = 6, each with room for one shift of 3
     assert run_cli("check", "3", "3", "--kmax", "6", "--limit-states", "780") == (3, "")

@@ -174,15 +174,46 @@ def test_product_characters_hold_the_entries_they_are_sized_by():
 
 
 def test_product_characters_check_their_mass(monkeypatch):
-    # the zero index dropped from the walk: degree 1 lacks the highest
-    # weight (3, 0), whose orbit holds 3 of the 10 weights, and the pass
-    # raises before the first table
+    # the zero index dropped from the walk: degree 0, the empty product, is
+    # whole and handed out; degree 1 lacks the highest weight (3, 0), whose
+    # orbit holds 3 of the 10 weights, and the pass raises before its table
     walk = oracles_mod.enumerate_indices
     monkeypatch.setattr(
         oracles_mod, "enumerate_indices", lambda n, d, caps=None: walk(n, d, caps)[1:]
     )
+    tables = character_tables(3, 3, 2)
+    assert next(tables).partitions == {0: 1}
     with pytest.raises(InternalError, match="degree 1 has mass 7, not 10"):
-        next(character_tables(3, 3, 2))
+        next(tables)
+
+
+def test_product_characters_check_each_degree_before_handing_it_out(monkeypatch):
+    # a dimension wrong at degree 2 alone: degrees 0 and 1 are handed out
+    # whole, and the pass raises at degree 2, before its table
+    dimension = oracles_mod.symmetric_power_dimension
+    monkeypatch.setattr(
+        oracles_mod,
+        "symmetric_power_dimension",
+        lambda n, d, k: dimension(n, d, k) + (k == 2),
+    )
+    tables = character_tables(3, 3, 4)
+    first = [next(tables), next(tables)]
+    assert first == dict_product_tables(3, 3, 4, first[0].width)[:2]
+    with pytest.raises(InternalError, match="degree 2 has mass 55, not 56"):
+        next(tables)
+
+
+def test_product_characters_build_one_moment_box(monkeypatch):
+    # the box that sizes the tables is the box the pass runs over, at every
+    # kmax, 0 among them
+    box, built = oracles_mod._moment_box, []
+    monkeypatch.setattr(
+        oracles_mod, "_moment_box", lambda *grid: built.append(grid) or box(*grid)
+    )
+    for kmax in range(4):
+        built.clear()
+        assert len(list(character_tables(3, 2, kmax))) == kmax + 1
+        assert built == [(3, 2, kmax)]
 
 
 def test_the_index_walk_stops_at_the_caps(monkeypatch):
