@@ -6,17 +6,29 @@ weight of the monomial is a fixed affine function of its moments, so each
 weight corresponds to at most one moment-target vector, and the number of
 monomials of a given weight is one coefficient of the generating series
 expanded in :mod:`naryinv.series`.  :func:`signed_counts` is the one
-reader: every query hands it signed weight terms and degrees.  It
-decomposes each term once, tests it for feasibility at every degree, lists
-the feasible ones as one flat read plan, and reads the plan off a single
-expansion, capped at the largest targets in it.  An optional on-disk
-cache, which the CLI opens, memoises the counts: one scan checks its file
-at the open, the records of each ``(n, d)`` a query asks for are indexed
-on its first lookup, and each lookup is then one dict probe.
+reader: every query hands it signed weight terms and degrees.
+
+It plans each term once, as a line.  A weight's moment system is feasible
+at the degrees ``k0, k0 + step, ...`` (``step = n / gcd(n, d)``), and each
+step raises every target by ``d / gcd(n, d)``, so the term's reads at the
+listed degrees lie on one line of cells, read by one
+:meth:`~naryinv.series.TruncatedSeries.line` call from its last degree.
+:func:`_targets` is the one feasibility formula.  Sizing keeps its order:
+with several degrees listed, the lower bound at the first degree, from the
+last listed down, with a feasible read is checked before any set or dict
+of the degrees is built, and the one expansion is then sized exactly from
+the lines' last targets.
+
+An optional on-disk cache, which the CLI opens, memoises the counts: one
+scan checks its file at the open, the records of each ``(n, d)`` a query
+asks for are indexed on its first lookup, and each lookup is then one dict
+probe.  Each ``(k, w)`` a plan reads is probed once, and the counts it
+computes are appended from the last listed degree down, then in term order.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import os
@@ -40,29 +52,43 @@ def moment_targets(n: int, d: int, k: int, weight) -> tuple[int, ...] | None:
     cancels).  Returns ``None`` when no solution exists, i.e. when
     ``k*d + sum(a)`` is not divisible by ``n`` or some target would be
     negative; moments of a monomial are always nonnegative integers.  Any
-    integer weight is accepted, dominant or not.
+    integer weight is accepted, dominant or not.  The test is the one of
+    :func:`_targets`.
     """
     w = check_weight(n, weight)
     check_params(n, d, k)
-    return _targets(n, k * d, _decompose(w))
+    return _targets(n, d, k, _line(n, d, w))
 
 
-def _decompose(weight: Weight) -> tuple[tuple[int, ...], int, int]:
-    """What :func:`_targets` needs of a checked weight, at every degree:
-    ``a[1:]`` (``a[0] = 0``), ``sum(a)`` and ``max(a[1:])``."""
-    # a[0] = 0, not min(a) = 0: a constant added to every a[s] cancels
+def _line(n: int, d: int, weight: Weight) -> tuple[tuple[int, ...], int, int]:
+    """The line of a checked weight: ``a[1:]``, ``sum(a)`` and ``low``, what
+    :func:`_targets`, the one feasibility formula, needs at every degree.
+
+    With ``a[0] = 0`` (a constant added to every ``a[s]`` cancels), the
+    moment system of degree ``k`` is feasible exactly when ``n`` divides
+    ``k*d + sum(a)`` and ``k >= low``, the least degree whose mean ``(k*d +
+    sum(a)) / n`` reaches ``max(a[1:])``; its targets are then ``mean - a[s
+    + 1]``.  The degrees ``k`` at which ``n`` divides ``k*d + sum(a)`` are
+    one residue class modulo ``step = n / gcd(n, d)``, or none, so the
+    feasible degrees are ``k0, k0 + step, ...`` from the first of the class
+    at ``low`` or above, and each step raises every target by ``d / gcd(n,
+    d)``.
+    """
     tail = tuple(itertools.accumulate(weight))
-    return tail, sum(tail), max(tail)
+    total = sum(tail)
+    return tail, total, max(0, -((total - n * max(tail)) // d))
 
 
-def _targets(n: int, kd: int, term: tuple[tuple[int, ...], int, int]) -> tuple[int, ...] | None:
-    """Targets ``mean - a[s + 1]`` at ``kd = k * d`` of a weight given by
-    its :func:`_decompose` triple, with ``mean = (kd + sum(a)) / n``; ``None``
-    when ``n`` does not divide ``kd + sum(a)`` or the largest ``a[s + 1]``
-    exceeds the mean (some target would be negative)."""
-    tail, total, top = term
-    mean, rest = divmod(kd + total, n)
-    if rest or mean < top:
+def _targets(
+    n: int, d: int, k: int, line: tuple[tuple[int, ...], int, int]
+) -> tuple[int, ...] | None:
+    """Targets ``mean - a[s + 1]`` at degree ``k`` of a weight given by its
+    :func:`_line` triple, ``mean = (k*d + sum(a)) / n``; ``None`` where the
+    moment system is infeasible: ``n`` does not divide ``k*d + sum(a)``, or
+    ``k < low``."""
+    tail, total, low = line
+    mean, rest = divmod(k * d + total, n)
+    if rest or k < low:
         return None
     return tuple([mean - x for x in tail])
 
@@ -80,67 +106,127 @@ def signed_counts(
     degree ``k`` in ``degrees``: the one reader behind every query.
 
     Each weight comes checked, as :func:`~naryinv.weights.signed_orbit_terms`
-    builds it, and each term is decomposed once, not once per degree.  The
-    read plan is one flat list of ``(k, w, c, targets)``.  Each distinct
-    degree is visited once, from the last listed down; a divisibility and a
-    sign test (the formula of :func:`moment_targets`) pick the terms whose
-    moment system is feasible there.  A count ``cache`` holds goes straight
-    into the degree's sum, and every other feasible term adds one entry to
-    the plan.  One caps rule, :func:`_caps`, sizes the plan.  Without
-    ``series``, the first degree that adds an entry is sized at once, its
-    caps clipped to what that degree reaches (a lower bound on the final
-    expansion), so a refused read is refused before the degrees below it are
-    listed; the plan is then read off one expansion to its largest degree.
-    The plan is read in one loop, in the order it was listed, and each
-    computed value is added to ``cache``.  Last, the sums are checked in the
-    order of ``degrees``: a negative one raises :class:`ValueError` naming
-    the cache file when its degree read a count from ``cache``, else
-    :class:`InternalError`.
+    builds it, and each term is planned once, not once per degree, from its
+    line (:func:`_line`): its feasible degrees are one residue class from a
+    least degree up, and each step raises every target by the same rise, so
+    its reads at the listed degrees lie on one line of cells.
+
+    Sizing comes first.  The terms are grouped by residue class, the degrees
+    at which ``n`` divides ``k*d + sum(a)``.  Without ``series``, and with
+    more than one degree listed, the degrees are walked from the last listed
+    down to the first with a feasible term (:func:`_targets`, tried only on
+    the terms of that degree's class) that ``cache`` does not hold, and the
+    targets there, clipped to what that degree reaches, size a lower bound
+    on the expansion, so a refused read is refused before any set or dict of
+    the degrees is built.  One degree's bound would be the expansion's exact
+    size, which the expansion checks.  Then the distinct degrees are listed,
+    from the last listed down, and those of each class are kept in ascending
+    order; each term's line takes those of its class from its least feasible
+    degree up.  With ``cache``, each ``(k, w)`` on a line is probed once,
+    the walk's probes included: a hit goes straight into the degree's sum,
+    and only the misses stay on the line.  A line ends at its last degree,
+    where its targets are its largest.  Without ``series``, the lines are
+    read off one expansion to their largest degree, capped at their ends
+    (one caps rule, :func:`_caps`, for both sizings).  Each line is read by
+    one :meth:`~naryinv.series.TruncatedSeries.line` call from its end, in
+    term order.  The counts read are then added to ``cache`` in the order a
+    plan by degree lists them: degrees from the last listed down, then term
+    order.  Last, the sums are checked in the order of ``degrees``: a
+    negative one raises :class:`ValueError` naming the cache file when its
+    degree read a count from ``cache``, else :class:`InternalError`.
     """
     check_params(n, d, None, max_terms)
     if series is not None and (series.n, series.d) != (n, d):
         raise ValueError(f"series built for (n={series.n}, d={series.d}), not (n={n}, d={d})")
-    decomposed = [(w, c, _decompose(w)) for w, c in terms]
-    sums: dict[int, int] = {}
-    reads: list[tuple[int, Weight, int, tuple[int, ...]]] = []
+    planned = [(w, c, _line(n, d, w)) for w, c in terms]
+    # the terms of each residue class, keyed by sum(a) modulo n: n divides
+    # k*d + sum(a) exactly at the degrees k of the class, those whose key
+    # -k*d modulo n is the class's
+    classes: dict[int, list[int]] = {}
+    for i, (_, _, line) in enumerate(planned):
+        classes.setdefault(line[1] % n, []).append(i)
+    # (k, term) -> count or None, for what the sizing walk probes in the cache
+    probed: dict[tuple[int, int], int | None] = {}
+    # one degree's bound would be the expansion's exact size, which the
+    # expansion checks before it allocates anything
+    if series is None and len(degrees) > 1:
+        for k in reversed(degrees):
+            check_params(n, d, k)
+            ends = []
+            for i in classes.get(-k * d % n, ()):
+                w, _, line = planned[i]
+                targets = _targets(n, d, k, line)
+                if targets is None:
+                    continue
+                if cache is not None:
+                    if (k, i) not in probed:
+                        probed[k, i] = cache.get(n, d, k, w)
+                    if probed[k, i] is not None:
+                        continue
+                ends.append(targets)
+            if ends:
+                clipped = tuple([min(c, k * d) for c in _caps(ends)])
+                check_expansion_size(d, k, clipped, max_terms)
+                break
+    sums = dict.fromkeys(reversed(degrees), 0)
+    if sums and min(sums) < 0:
+        check_params(n, d, next(k for k in sums if k < 0))
+    # the listed degrees of each class, ascending
+    degrees_of: dict[int, list[int]] = {key: [] for key in classes}
+    for k in sorted(sums):
+        listed = degrees_of.get(-k * d % n)
+        if listed is not None:
+            listed.append(k)
+    lines = []
     from_cache = set()
-    for k in reversed(degrees):
-        check_params(n, d, k)
-        if k in sums:
-            continue
-        kd = k * d
-        sums[k] = 0
-        for w, c, term in decomposed:
-            targets = _targets(n, kd, term)
-            if targets is None:
-                continue
-            hit = cache.get(n, d, k, w) if cache is not None else None
-            if hit is None:
-                reads.append((k, w, c, targets))
-            else:
-                sums[k] += c * hit
-                from_cache.add(k)
-        if series is None and reads and reads[0][0] == k:
-            check_expansion_size(d, k, tuple(min(c, kd) for c in _caps(reads)), max_terms)
-    if reads and series is None:
-        series = expand_generating_series(n, d, max(r[0] for r in reads), max_terms, _caps(reads))
-    for k, w, c, targets in reads:
-        count = series.coefficient(k, targets)
-        sums[k] += c * count
+    for i, (w, c, line) in enumerate(planned):
+        points = degrees_of[line[1] % n]
+        if points and points[0] < line[2]:
+            points = points[bisect.bisect_left(points, line[2]):]
         if cache is not None:
-            cache.put(n, d, k, w, count)
-    for k in degrees:
-        if sums[k] < 0:
-            where = f"negative multiplicity {sums[k]} at (n={n}, d={d}, k={k})"
-            if k in from_cache:
-                raise ValueError(f"{where}: {cache.path} holds a bad count")
-            raise InternalError(where)
+            missed = []
+            for k in points:
+                hit = probed[k, i] if (k, i) in probed else cache.get(n, d, k, w)
+                if hit is None:
+                    missed.append(k)
+                else:
+                    sums[k] += c * hit
+                    from_cache.add(k)
+            points = missed
+        if points:
+            # a line ends at its last degree, where its targets are largest
+            last = points[-1]
+            lines.append((i, c, last, _targets(n, d, last, line), points))
+    if lines and series is None:
+        top = max(line[2] for line in lines)
+        series = expand_generating_series(n, d, top, max_terms, _caps([line[3] for line in lines]))
+    # (degree, term, count) of each count read, for the cache
+    puts = []
+    for i, c, last, targets, points in lines:
+        counts = series.line(last, targets, points)
+        for k, count in zip(points, counts):
+            sums[k] += c * count
+        if cache is not None:
+            puts += [(k, i, count) for k, count in zip(points, counts)]
+    if puts:
+        rank = {k: r for r, k in enumerate(sums)}
+        puts.sort(key=lambda put: (rank[put[0]], put[1]))
+        for k, i, count in puts:
+            cache.put(n, d, k, planned[i][0], count)
+    if sums and min(sums.values()) < 0:
+        for k in degrees:
+            if sums[k] < 0:
+                where = f"negative multiplicity {sums[k]} at (n={n}, d={d}, k={k})"
+                if k in from_cache:
+                    raise ValueError(f"{where}: {cache.path} holds a bad count")
+                raise InternalError(where)
     return [sums[k] for k in degrees]
 
 
-def _caps(reads: list[tuple[int, Weight, int, tuple[int, ...]]]) -> tuple[int, ...]:
-    """The caps of a read plan: the coordinatewise maximum of its targets."""
-    return tuple(map(max, zip(*(read[3] for read in reads))))
+def _caps(ends: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The caps of a read plan: the coordinatewise maximum of the targets at
+    the last point of each of its lines."""
+    return tuple(map(max, zip(*ends)))
 
 
 def weight_multiplicity(

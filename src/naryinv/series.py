@@ -20,9 +20,13 @@ digit ``s`` in radix ``c[s] + 1``, and cell ``j`` is the ``width``-bit
 field at bit ``j * width`` of the layer.  Multiplying in index ``i`` adds
 to each layer a copy of the layer below, masked to the cells from which
 ``i`` stays within every cap and shifted by the cell of ``i``.  Only
-:meth:`TruncatedSeries.coefficient` and :meth:`TruncatedSeries.nonzero`
-read cells.  The indices are walked by :func:`_cells` too, so nothing is
-imported from :mod:`naryinv.forms`, whose walk the oracles use.
+:meth:`TruncatedSeries.line` and :meth:`TruncatedSeries.nonzero` read
+cells.  The first shifts a layer right and masks one field, at each cell
+of a line (one weight's targets at several degrees, one cell a degree),
+and :meth:`TruncatedSeries.coefficient` is its one-point line; the second
+slices each field from the bytes of its layer.  The indices are walked by
+:func:`_cells` too, so nothing is imported from :mod:`naryinv.forms`,
+whose walk the oracles use.
 
 A field must never carry into the next.  No count exceeds ``top``, the
 number of top-degree monomials, so ``top.bit_length()`` bits always
@@ -60,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import MAX_TERMS, InternalError, ResourceLimitError, TruncationError, check_params
 
@@ -140,26 +144,69 @@ class TruncatedSeries(NamedTuple):
     layers: tuple[int, ...]
 
     def coefficient(self, k: int, moments: Iterable[int]) -> int:
-        """Coefficient at ``t^k q^moments`` (0 if no monomial has them).
+        """Coefficient at ``t^k q^moments`` (0 if no monomial has them): the
+        one-point line at ``k`` (:meth:`line`).
 
         Raises :class:`TruncationError` for a degree beyond the bound, or a
         moment that a degree-``k`` monomial can reach but the caps dropped.
         """
-        if k < 0:
-            raise ValueError(f"degree k must be >= 0, got {k}")
-        if k > self.degree_bound:
-            raise TruncationError(
-                f"degree {k} beyond truncation bound {self.degree_bound}"
-            )
+        return self.line(k, moments, [k])[0]
+
+    def line(self, k: int, moments: Iterable[int], degrees: Sequence[int]) -> list[int]:
+        """Coefficients along the line of cells that ends at ``t^k
+        q^moments``, one per degree of ``degrees``.
+
+        With ``g = gcd(n, d)``, each degree is ``k - j * n // g`` for an
+        integer ``j >= 0`` and is read at ``moments`` with every entry
+        lowered by ``j * d // g``: the moment targets of one weight at each
+        of the degrees.  Its cell is the cell of ``moments`` less ``j * d //
+        g * sum(places)``.
+
+        Each degree reads what :meth:`coefficient` reads there, with the same
+        errors; a degree off the line, or past ``k``, raises
+        :class:`ValueError`.  The moments only shrink down the line, so the
+        checks of :meth:`coefficient` run once, at its end: the degree bound
+        at ``k``, the length, the reach (0 where a moment passes ``d`` times
+        the degree) and the caps, and a negative degree at the least of
+        ``degrees``.  Below a live end, every moment is within the caps, and
+        one past its degree's reach sits in a cell that holds 0; so each
+        degree only tests for a negative moment, by the ``j`` past which one
+        is negative, found once.
+        """
+        n, d, bound, caps, places, width, layers = self
+        if degrees and min(degrees) < 0:
+            raise ValueError(f"degree k must be >= 0, got {min(degrees)}")
+        if k > bound:
+            raise TruncationError(f"degree {k} beyond truncation bound {bound}")
         m = tuple(moments)
-        if len(m) != self.n - 1:
-            raise ValueError(f"moments must have length n - 1 = {self.n - 1}, got {len(m)}")
-        if min(m) < 0 or max(m) > self.d * k:
-            return 0
-        if any(map(operator.gt, m, self.caps)):
-            raise TruncationError(f"moments {m} beyond the expansion caps {self.caps}")
-        cell = sum(map(operator.mul, m, self.places))
-        return (self.layers[k] >> (cell * self.width)) & ((1 << self.width) - 1)
+        if len(m) != n - 1:
+            raise ValueError(f"moments must have length n - 1 = {n - 1}, got {len(m)}")
+        g = math.gcd(n, d)
+        step, rise = n // g, d // g
+        # a step down lowers every moment by rise and the reach, d times the
+        # degree, by the more, d * step: below an end that reads 0, every
+        # degree does.  Below a live end the moments stay within the caps and
+        # a cell past its degree's reach holds 0, so only a negative moment,
+        # past the j of ``live``, must not be read
+        least, top = min(m), max(m)
+        if least < 0 or top > d * k:
+            live = -1
+        elif any(map(operator.gt, m, caps)):
+            raise TruncationError(f"moments {m} beyond the expansion caps {caps}")
+        else:
+            live = least // rise
+        at = width * sum(map(operator.mul, m, places))
+        drop = width * rise * sum(places)
+        field = (1 << width) - 1
+        counts = []
+        for degree in degrees:
+            j, off = divmod(k - degree, step)
+            if off or j < 0:
+                raise ValueError(
+                    f"degree {degree} is off the line ending at {k} by steps of {step}"
+                )
+            counts.append(layers[degree] >> at - j * drop & field if j <= live else 0)
+        return counts
 
     def nonzero(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:
         """``((degree, moment vector), count)`` for every nonzero count,

@@ -1,6 +1,7 @@
 import errno
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -129,20 +130,33 @@ def _moments_by_search(n, d, k, w):
     return None
 
 
-def test_read_plan_reads_exactly_the_feasible_targets(monkeypatch):
-    # signed_counts checks and decomposes each term once, then tests it at
-    # every degree: it must read exactly the feasible moment_targets, once
-    # each, and sum them as a per-term read would; moment_targets itself is
-    # checked against a search over the weight system
-    rng = random.Random(12)
-    real = TruncatedSeries.coefficient
+def _record_line_reads(monkeypatch):
+    """The list that every point read through ``TruncatedSeries.line`` is
+    appended to, as ``(degree, moments)``: a line ends at the moments given
+    for its degree ``k``, and each step of ``n / gcd(n, d)`` degrees down
+    from ``k`` lowers them by ``d / gcd(n, d)``."""
+    real = TruncatedSeries.line
     reads = []
 
-    def recording(self, k, moments):
-        reads.append((k, tuple(moments)))
-        return real(self, k, moments)
+    def recording(self, k, moments, degrees):
+        m = tuple(moments)
+        g = math.gcd(self.n, self.d)
+        reads.extend((j, tuple(x - (k - j) * self.d // self.n for x in m)) for j in degrees)
+        assert all((k - j) % (self.n // g) == 0 for j in degrees)
+        return real(self, k, m, degrees)
 
-    monkeypatch.setattr(TruncatedSeries, "coefficient", recording)
+    monkeypatch.setattr(TruncatedSeries, "line", recording)
+    return reads
+
+
+def test_read_plan_reads_exactly_the_feasible_targets(monkeypatch):
+    # signed_counts checks each term and plans its line once: it must read
+    # exactly the feasible moment_targets, once each, and sum them as a
+    # per-term read would; moment_targets itself is checked against a
+    # search over the weight system
+    rng = random.Random(12)
+    real = TruncatedSeries.coefficient
+    reads = _record_line_reads(monkeypatch)
     drawn = 0
     while drawn < 40:
         n, d = rng.randint(2, 6), rng.randint(1, 5)
@@ -680,16 +694,9 @@ def test_cached_and_expanded_reads_in_one_call(tmp_path, monkeypatch, n, d, kmax
     misses = [(k, w) for k, w, _ in feasible[1::2]]
     before = os.path.getsize(cache.path)
     expected = hilbert_series_prefix(n, d, kmax)
-    real = TruncatedSeries.coefficient
-    reads = []
-
-    def recording(self, k, moments):
-        reads.append(k)
-        return real(self, k, moments)
-
-    monkeypatch.setattr(TruncatedSeries, "coefficient", recording)
+    reads = _record_line_reads(monkeypatch)
     assert signed_counts(n, d, range(kmax + 1), terms, cache=cache) == expected
-    assert sorted(reads) == sorted(k for k, _ in misses)
+    assert sorted(k for k, _ in reads) == sorted(k for k, _ in misses)
     # the misses are appended, each once; the hits are not
     with open(cache.path, encoding="utf-8") as fh:
         fh.seek(before)
@@ -709,9 +716,10 @@ def test_a_bad_cached_count_among_expanded_reads_names_the_cache(tmp_path):
 
 
 def test_a_cached_read_plan_lists_each_repeated_degree_once(tmp_path, monkeypatch):
-    # degrees repeated and unsorted: each distinct degree is planned once,
-    # from the last listed down, each feasible (k, w) is read once and
-    # appended to the cache once, and a second call reads nothing
+    # degrees repeated and unsorted: each feasible (k, w) is probed and read
+    # once and appended to the cache once, in the order of a plan of the
+    # distinct degrees from the last listed down, and a second call reads
+    # nothing
     n, d, degrees = 3, 3, [4, 2, 4, 0]
     terms = signed_orbit_terms(n, kd=max(degrees) * d)
     expected = signed_counts(n, d, degrees, terms)
@@ -720,20 +728,48 @@ def test_a_cached_read_plan_lists_each_repeated_degree_once(tmp_path, monkeypatc
         for k in (0, 4, 2) for w, _ in terms
         if moment_targets(n, d, k, w) is not None
     }
-    real = TruncatedSeries.coefficient
-    reads = []
+    reads = _record_line_reads(monkeypatch)
+    get, probes = CountCache.get, []
 
-    def recording(self, k, moments):
-        reads.append((k, tuple(moments)))
-        return real(self, k, moments)
+    def probing(self, n, d, k, weight):
+        probes.append((k, weight))
+        return get(self, n, d, k, weight)
 
-    monkeypatch.setattr(TruncatedSeries, "coefficient", recording)
+    monkeypatch.setattr(CountCache, "get", probing)
     cache = CountCache(str(tmp_path))
     assert signed_counts(n, d, degrees, terms, cache=cache) == expected
     assert sorted(reads) == sorted((k, t) for (k, _), t in feasible.items())
+    assert sorted(probes) == sorted(feasible)
     with open(cache.path, encoding="utf-8") as fh:
         appended = [json.loads(line) for line in fh]
     assert [(r["k"], tuple(r["mu"])) for r in appended] == list(feasible)
     reads.clear()
     assert signed_counts(n, d, degrees, terms, cache=CountCache(str(tmp_path))) == expected
     assert reads == []
+
+
+def test_the_sizing_walk_sizes_the_last_degree_with_a_feasible_read():
+    # a plan over several degrees is refused at the last listed degree where
+    # some term is feasible, sized from the targets there clipped to that
+    # degree's reach.  Orbit terms all lie in the class of the zero weight;
+    # weights of several classes (n >= 3, where d * k and -d * k modulo n
+    # differ) make a walk that tried the wrong class size another degree
+    mixed = [((1, 0), 1), ((0, 1), -1), ((2, -1), 2)], [((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 1, -1), -1)]
+    cases = [
+        (3, 2, 8, signed_orbit_terms(3, kd=16)),
+        (5, 2, 11, signed_orbit_terms(5, kd=22)),
+        (3, 1, 7, mixed[0]),
+        (3, 2, 9, mixed[0]),
+        (4, 1, 10, mixed[1]),
+        (4, 3, 9, mixed[1]),
+    ]
+    for n, d, kmax, terms in cases:
+        for k in range(kmax, -1, -1):
+            ends = [t for t in (moment_targets(n, d, k, w) for w, _ in terms) if t is not None]
+            if ends:
+                break
+        assert k > 0
+        with pytest.raises(ResourceLimitError) as bound:
+            check_expansion_size(d, k, tuple(min(max(c), d * k) for c in zip(*ends)), 1)
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(bound.value))}$"):
+            signed_counts(n, d, range(kmax + 1), terms, max_terms=1)

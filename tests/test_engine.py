@@ -117,3 +117,56 @@ def test_capped_expansion_equals_tally(case):
             beyond = tuple(c + 1 if t == s else 0 for t in range(n - 1))
             with pytest.raises(TruncationError):
                 series.coefficient(k, beyond)
+
+
+@st.composite
+def line_cases(draw):
+    # a line through a capped expansion: its end, at a degree that may pass
+    # the degree bound, with moments there that may hold a negative entry or
+    # pass the degree's reach, and some of its degrees from the end down,
+    # which may be negative and need not hold the end
+    n, d, k, caps = draw(capped_cases())
+    step = n // math.gcd(n, d)
+    at = draw(st.integers(0, k + 1))
+    moments = draw(st.tuples(*[st.integers(-1, d * at + 2)] * (n - 1)))
+    steps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    return n, d, k, caps, at, moments, [at - j * step for j in sorted(steps, reverse=True)]
+
+
+@SETTINGS
+@given(line_cases())
+# the reach test flips partway: (3,) at degree 1 and (4,) at degree 3 are
+# past their reach and read 0, (5,) at degree 5 is within it
+@example((2, 1, 5, (5,), 5, (5,), [1, 3, 5]))
+# the same line, its end not listed
+@example((2, 1, 5, (5,), 5, (5,), [1, 3]))
+# a negative moment at the first degree, nonnegative from the second on
+@example((3, 3, 4, (12, 12), 4, (3, 6), [0, 1, 2, 4]))
+# a negative degree on the line
+@example((2, 1, 5, (5,), 1, (1,), [-1, 1]))
+# the end is past the bound, the other degrees within it
+@example((3, 3, 3, (9, 9), 4, (4, 4), [1, 2, 4]))
+# at degree 4 the moments (4, 3) pass the cap 3 within the reach 8; a line
+# that ends at (3, 3) stays within both
+@example((3, 2, 4, (3, 8), 4, (4, 3), [1, 4]))
+@example((3, 2, 4, (3, 8), 4, (3, 3), [1, 4]))
+def test_a_line_reads_what_coefficient_reads_at_each_degree(case):
+    # each degree of a line reads the coefficient at the line's moments
+    # there, which is the tally's count within the bound and the caps; a line
+    # with a negative degree, an end past the bound, or moments at its end
+    # past the caps within their degree's reach is refused as a point read
+    # there is, with the same exception type
+    n, d, k, caps, at, moments, degrees = case
+    series = expand_generating_series(n, d, k, caps=caps)
+    g = math.gcd(n, d)
+    points = [(j, tuple(x - (at - j) // (n // g) * (d // g) for x in moments)) for j in degrees]
+    try:
+        expected = [series.coefficient(j, m) for j, m in points]
+        series.coefficient(at, moments)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as raised:
+            series.line(at, moments, degrees)
+        assert type(raised.value) is type(refused)
+        return
+    assert series.line(at, moments, degrees) == expected
+    assert expected == [tally(n, d, j).get(weight_from_moments(n, d, j, m), 0) for j, m in points]

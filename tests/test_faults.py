@@ -188,31 +188,43 @@ def _indices_in_reverse_order(monkeypatch):
 
 
 def _read_bound_one_short(monkeypatch):
-    coefficient = series_mod.TruncatedSeries.coefficient
+    """The reach test of the line reader one short: a degree whose largest
+    target is exactly ``d`` times the degree reads 0.  ``coefficient`` reads
+    through the line reader, so it reads 0 there too."""
+    line = series_mod.TruncatedSeries.line
 
-    def read(self, k, moments):
+    def read(self, k, moments, degrees):
         m = tuple(moments)
-        count = coefficient(self, k, m)
-        return 0 if max(m) == self.d * k else count
+        counts = line(self, k, m, degrees)
+        # a step of n / gcd(n, d) degrees down lowers each moment by d / gcd(n, d)
+        return [
+            0 if max(m) - (k - j) * self.d // self.n == self.d * j else count
+            for j, count in zip(degrees, counts)
+        ]
 
-    monkeypatch.setattr(series_mod.TruncatedSeries, "coefficient", read)
+    monkeypatch.setattr(series_mod.TruncatedSeries, "line", read)
 
 
 def _zero_target_refused(monkeypatch):
-    targets = counting_mod._targets
+    """The feasibility formula refuses a degree with a zero target: the
+    least degree of a line moves up one when its mean is exactly the
+    largest ``a[s + 1]``.  That is the one degree whose targets hold a zero,
+    since each later degree of the line raises every target."""
+    line = counting_mod._line
 
-    def feasible(n, kd, term):
-        found = targets(n, kd, term)
-        return None if found is not None and min(found) == 0 else found
+    def feasible(n, d, weight):
+        tail, total, low = line(n, d, weight)
+        return tail, total, low + (low * d + total == n * max(tail))
 
-    monkeypatch.setattr(counting_mod, "_targets", feasible)
+    monkeypatch.setattr(counting_mod, "_line", feasible)
 
 
 def _caps_one_short(monkeypatch):
+    """The caps of a read plan's lines, their first coordinate one short."""
     caps = counting_mod._caps
 
-    def short(reads):
-        first, *rest = caps(reads)
+    def short(ends):
+        first, *rest = caps(ends)
         return (first - 1, *rest)
 
     monkeypatch.setattr(counting_mod, "_caps", short)

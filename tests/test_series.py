@@ -80,6 +80,19 @@ def test_coefficient_examples():
     assert capped.coefficient(2, (1, 3)) == expand_generating_series(3, 2, 2).coefficient(2, (1, 3))
 
 
+def test_a_line_reads_only_whole_steps_of_itself():
+    # a line's degrees are k - j * n / gcd(n, d) for j >= 0: at n = 3, d = 2
+    # a step is 3 degrees and lowers the moments by 2
+    series = expand_generating_series(3, 2, 7)
+    points = [(1, (1, 0)), (4, (3, 2)), (7, (5, 4))]
+    assert series.line(7, (5, 4), [1, 4, 7]) == [series.coefficient(*point) for point in points]
+    assert series.line(7, (5, 4), [1, 7]) == [series.coefficient(*points[i]) for i in (0, 2)]
+    assert series.line(7, (5, 4), []) == []
+    for off in (5, 10):
+        with pytest.raises(ValueError, match=f"degree {off} is off the line ending at 7 by steps of 3"):
+            series.line(7, (5, 4), [1, off, 7])
+
+
 def test_nonzero_refuses_a_count_past_the_cells_a_layer_spans():
     series = expand_generating_series(2, 2, 2)
     # layer 0 spans one cell; a count in the next field lies past it

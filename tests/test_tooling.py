@@ -355,6 +355,45 @@ def test_series_keeps_one_packed_engine():
     assert "cached_property" not in names
 
 
+def test_only_the_line_reader_shifts_a_layer_to_read_a_field():
+    # one field reader: a layer is shifted right, to read a field, only in
+    # TruncatedSeries.line, which coefficient calls as a one-point line;
+    # nonzero keeps its read from the bytes of each layer
+    path = SRC / "naryinv" / "series.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def is_layer(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            if isinstance(node, ast.Attribute) and node.attr in ("layer", "layers"):
+                return True
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in ("layer", "layers")
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert not [
+        inner.name for outer in functions for inner in ast.walk(outer)
+        if isinstance(inner, ast.FunctionDef) and inner is not outer
+    ]
+    shifts = [
+        function.name
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift) and is_layer(node.left)
+    ]
+    assert shifts == ["line"]
+    methods = {node.name: node for node in functions}
+    calls = {
+        node.func.attr for node in ast.walk(methods["coefficient"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert calls == {"line"}
+    read = {
+        node.func.attr for node in ast.walk(methods["nonzero"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert {"to_bytes", "from_bytes"} <= read
+
+
 def test_orbit_keeps_one_walk():
     # the orbit terms come from the walk over positions alone: weights.py
     # imports no itertools, so no permutation loop can come back beside it
